@@ -1,10 +1,10 @@
 """Deterministic command-line front end.
 
 Subcommands: check-coupling, dispersion, hopfield, masses, thresholds,
-trap, sweep.  All file output is byte-stable across runs, locales and
-worker counts: numbers are printed with 12 significant digits, rows are
-assembled in grid/sweep order regardless of parallel evaluation, and the
-metadata header carries no timestamps.
+trap, sweep.  All file output is byte-stable across runs and locales:
+numbers are printed with 12 significant digits, rows are assembled in
+grid/sweep order, and the metadata header carries no timestamps.
+Evaluation is serial; --workers is accepted and has no effect.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .config import (
@@ -161,12 +160,10 @@ def _effective_mass_from(cfg: RunConfig) -> Quantity:
 # row generators (shared between direct commands and sweep)
 # ---------------------------------------------------------------------------
 
-def _dispersion_rows(cfg: RunConfig, samples: int, kmax: float, workers: int):
+def _dispersion_rows(cfg: RunConfig, samples: int, kmax: float):
     coupling, cavity = _build_coupling(cfg)
     e_at = cfg.require("E0")
-    curve = sample_dispersion(
-        coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax), workers=workers
-    )
+    curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
     k_perp = coupling.k_perp.cgs
     rows = [
         [
@@ -193,12 +190,10 @@ def _dispersion_rows(cfg: RunConfig, samples: int, kmax: float, workers: int):
     return coupling, cavity, e_at, meta, rows
 
 
-def _hopfield_rows(cfg: RunConfig, samples: int, kmax: float, workers: int):
+def _hopfield_rows(cfg: RunConfig, samples: int, kmax: float):
     coupling, _ = _build_coupling(cfg)
     e_at = cfg.require("E0")
-    curve = sample_dispersion(
-        coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax), workers=workers
-    )
+    curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
     g = coupling.g.cgs
     k_perp = coupling.k_perp.cgs
     rows = []
@@ -329,9 +324,7 @@ def cmd_check_coupling(cfg: RunConfig, args) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, args) -> int:
-    coupling, cavity, e_at, meta, rows = _dispersion_rows(
-        cfg, args.samples, args.kmax, args.workers
-    )
+    coupling, cavity, e_at, meta, rows = _dispersion_rows(cfg, args.samples, args.kmax)
     exit_code = EXIT_OK
     masses = effective_masses(coupling)
     meta.append("well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)")
@@ -365,7 +358,7 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
 
 
 def cmd_hopfield(cfg: RunConfig, args) -> int:
-    meta, rows = _hopfield_rows(cfg, args.samples, args.kmax, args.workers)
+    meta, rows = _hopfield_rows(cfg, args.samples, args.kmax)
     if args.format == "json":
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
@@ -462,17 +455,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         elif args.target == "thresholds":
             rows = [_values_to_row(_thresholds_values(_thresholds_report(sub_cfg)))]
         elif args.target == "hopfield":
-            _, rows = _hopfield_rows(sub_cfg, args.samples, args.kmax, 1)
+            _, rows = _hopfield_rows(sub_cfg, args.samples, args.kmax)
         else:
-            _, _, _, _, rows = _dispersion_rows(sub_cfg, args.samples, args.kmax, 1)
+            _, _, _, _, rows = _dispersion_rows(sub_cfg, args.samples, args.kmax)
         prefix = fmt(value)
         return [[prefix] + row for row in rows]
 
-    if args.workers <= 1:
-        groups = [rows_for(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            groups = list(pool.map(rows_for, values))
+    groups = [rows_for(v) for v in values]
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
@@ -518,7 +507,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=int, default=101, help="grid points in k_par")
     sub.add_argument("--kmax", type=float, default=0.2, help="k_par window edge over k_perp")
-    sub.add_argument("--workers", type=int, default=1, help="parallel evaluation workers")
+    sub.add_argument("--workers", type=int, default=1, help="accepted; evaluation is serial")
 
 
 def build_parser() -> _Parser:
@@ -591,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"polbec: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"polbec: error: {exc}\n")
         return EXIT_USAGE
 

@@ -76,9 +76,12 @@ KEY_SPECS: dict[str, KeySpec] = {
 
 def _parse_number(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"key '{key}': cannot parse number from {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_entry(key: str, raw: str) -> object:
@@ -186,6 +189,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep parameter '{self.param}'")
         if KEY_SPECS[self.param].kind == "choice":
             raise ConfigError(f"cannot sweep non-numeric key '{self.param}'")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"sweep endpoints must be finite, got {self.start} and {self.stop}")
         if self.steps < 2:
             raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
         if self.start == self.stop:

@@ -24,8 +24,8 @@ valid for k_par << k_perp.
 
 from __future__ import annotations
 
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,14 +317,6 @@ def oracle_diagonalize(prob: ModeProblem) -> BranchPoint:
     )
 
 
-def _curve_chunk(k: np.ndarray, e_at: float, k_perp: float, g: float):
-    e_ph = photon_paraxial_erg(k, k_perp)
-    e1, e2 = branch_energies(e_at, e_ph, g)
-    mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
-    e_free = photon_freespace_erg(k, k_perp)
-    return e1, e2, mu2, nu2, e_ph, e_free
-
-
 def sample_dispersion(
     coupling: CouplingParams,
     transition_energy: Quantity,
@@ -333,9 +325,9 @@ def sample_dispersion(
 ) -> DispersionCurve:
     """Sample both branches over a uniform k_par grid.
 
-    Grid points may be evaluated in parallel chunks; the emitted arrays are
-    always in ascending k_par order and bit-identical for any worker count
-    (each point is an independent elementwise evaluation).
+    The grid is evaluated in one elementwise numpy pass.  ``workers`` is
+    accepted for compatibility and ignored: evaluation is serial, so the
+    arrays are identical for any value.
     """
     e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
     k_perp = coupling.k_perp.cgs
@@ -348,14 +340,10 @@ def sample_dispersion(
             stacklevel=2,
         )
     k = np.linspace(0.0, grid.k_max_frac * k_perp, grid.n_samples)
-
-    if workers <= 1:
-        parts = [_curve_chunk(k, e_at, k_perp, g)]
-    else:
-        chunks = np.array_split(k, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda kc: _curve_chunk(kc, e_at, k_perp, g), chunks))
-    e1, e2, mu2, nu2, e_ph, e_free = (np.concatenate(cols) for cols in zip(*parts))
+    e_ph = photon_paraxial_erg(k, k_perp)
+    e1, e2 = branch_energies(e_at, e_ph, g)
+    mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
+    e_free = photon_freespace_erg(k, k_perp)
 
     # vectorized sanity on the bosonic-weight normalization
     norm_err = np.max(np.abs(mu2 + nu2 - 1.0))
@@ -385,55 +373,49 @@ def well_geometry(
     transition_energy: Quantity,
     cavity: CavityParams | None = None,
     paraxial_bound: float = DEFAULT_PARAXIAL_BOUND,
-    fd_step_frac: float = 1e-4,
-    tol_frac: float = 1e-6,
-    scan_points: int = 256,
 ) -> WellGeometry:
     """Locate the lower-branch well inflection and depth.
 
-    The half-width in k is the root of the numerically differentiated
-    second derivative of E_lower (central differences with step
-    fd_step_frac * k_perp, bisection to tol_frac * k_perp).  The depth is
-    measured against E_lower at the paraxial window edge, because the
-    quadratic photon dispersion itself is only valid inside that window.
+    The half-width is the exact root of E_lower'' = 0.  With
+    u = hbar*c*k_par^2/(2 k_perp), v = u/g, w = Delta/g - v and
+    s = sqrt(w^2 + 4) it solves s^2 (s + w) = 8 v.  The left side minus the
+    right falls strictly with v, positive at 0 and negative at
+    2|Delta/g| + 4, so that bracket is bisected down to adjacent floats
+    (s + w is taken as 4/(s - w) for w < 0, free of cancellation).  Then
+    k* = k_perp * sqrt(2 u / (hbar*c*k_perp)).  The depth is measured
+    against E_lower at the paraxial window edge, because the quadratic
+    photon dispersion itself is only valid inside that window.
 
-    Raises NoWellError when the second derivative never changes sign in
-    the window, which signals weak coupling or a detuning too large for a
-    well-formed minimum.
+    Raises NoWellError when k* is at or beyond paraxial_bound * k_perp
+    (weak coupling or a detuning too large for a well-formed minimum), or
+    when the depth is not positive in double precision (g below the
+    rounding of E0).
     """
     e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
     k_perp = coupling.k_perp.cgs
     g = coupling.g.cgs
-    h = fd_step_frac * k_perp
     k_edge = paraxial_bound * k_perp
 
-    def d2(k):
-        return (
-            _lower_branch_erg(k + h, e_at, k_perp, g)
-            - 2.0 * _lower_branch_erg(k, e_at, k_perp, g)
-            + _lower_branch_erg(k - h, e_at, k_perp, g)
-        ) / (h * h)
+    r = coupling.delta.cgs / g
+    lo, hi = 0.0, 2.0 * abs(r) + 4.0
+    v = 0.5 * hi
+    while lo < v < hi:
+        w = r - v
+        s2 = w * w + 4.0
+        s = math.sqrt(s2)
+        if s2 * (s + w if w >= 0.0 else 4.0 / (s - w)) > 8.0 * v:
+            lo = v
+        else:
+            hi = v
+        v = 0.5 * (lo + hi)
+    inflection = k_perp * math.sqrt(2.0 * v * g / (HBAR_CGS * C_CGS * k_perp))
 
-    ks = np.linspace(h, k_edge - h, scan_points)
-    values = np.array([d2(k) for k in ks])
-    sign_change = np.nonzero((values[:-1] > 0.0) & (values[1:] < 0.0))[0]
-    if len(sign_change) == 0:
+    depth = _lower_branch_erg(k_edge, e_at, k_perp, g) - _lower_branch_erg(0.0, e_at, k_perp, g)
+    if not (inflection < k_edge and depth > 0.0):
         raise NoWellError(
             "no inflection of the lower branch inside the paraxial window "
             "(weak coupling or |Delta| too large)"
         )
-    lo, hi = ks[sign_change[0]], ks[sign_change[0] + 1]
-    f_lo = values[sign_change[0]]
-    while hi - lo > tol_frac * k_perp:
-        mid = 0.5 * (lo + hi)
-        f_mid = d2(mid)
-        if (f_lo > 0.0) == (f_mid > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    inflection = 0.5 * (lo + hi)
-
-    depth = _lower_branch_erg(k_edge, e_at, k_perp, g) - _lower_branch_erg(0.0, e_at, k_perp, g)
     phi = None
     ok = None
     if cavity is not None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polbec
 from polbec.cli import main
 
 BASE_CFG = """\
@@ -317,7 +322,49 @@ class TestParsingErrors:
         code = main(["masses", "--config", "/nonexistent/path.cfg"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("T = 300 K", "T = 300 K\nomega_eff = nan s^-1", "omega_eff"),
+            ("mode_index = 33940", "mode_index = inf", "mode_index"),
+            ("T = 300 K", "T = inf K", "T"),
+        ],
+        ids=["omega_eff-nan", "mode_index-inf", "T-inf"],
+    )
+    def test_non_finite_config_value_exit_one(self, tmp_path, capsys, old, new, key):
+        code, data = run(tmp_path, BASE_CFG.replace(old, new), ["thresholds"])
+        assert code == 1
+        assert data == b""
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_non_finite_sweep_endpoint_exit_one(self, tmp_path, capsys):
+        code, data = run(
+            tmp_path, BASE_CFG,
+            ["sweep", "--param", "T", "--from", "1", "--to", "inf",
+             "--steps", "3", "--command", "thresholds"],
+        )
+        assert code == 1
+        assert data == b""
+        assert "sweep endpoints must be finite" in capsys.readouterr().err
+
+    def test_overflow_exit_one(self, tmp_path, capsys):
+        # (T/T_c)^2 in the condensate fraction overflows at T = 1e300 K
+        code, data = run(tmp_path, TRAP_CFG.replace("T = 300 K", "T = 1e300 K"), ["thresholds"])
+        assert code == 1
+        assert data == b""
+        assert "polbec: error:" in capsys.readouterr().err
+
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dispersion"])  # missing --config
         assert exc.value.code == 1
+
+
+def test_cli_import_loads_no_thread_pool():
+    # evaluation is serial; --workers is a documented no-op
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    probe = "import sys, polbec.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from polbec.config import (
@@ -61,6 +63,21 @@ class TestParse:
     def test_non_integer_mode_index(self):
         with pytest.raises(ConfigError, match="expected an integer"):
             RunConfig.parse("mode_index = 2.5\n")
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("omega_eff = nan s^-1", "omega_eff"),
+            ("T = inf K", "T"),
+            ("mode_index = inf", "mode_index"),
+            ("n0 = -inf", "n0"),
+            ("n2 = 1e400 cm^-2", "n2"),
+        ],
+        ids=["nan-quantity", "inf-quantity", "inf-int", "inf-float", "overflow-quantity"],
+    )
+    def test_non_finite_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number"):
+            RunConfig.parse(line + "\n")
 
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="key 'format'"):
@@ -126,6 +143,10 @@ class TestSweepSpec:
             SweepSpec("Delta", 1, 1, 5)
         with pytest.raises(ConfigError, match="same-sign"):
             SweepSpec("Delta", -1, 1, 5, scale="log")
+        with pytest.raises(ConfigError, match="endpoints must be finite"):
+            SweepSpec("T", 1, math.inf, 5)
+        with pytest.raises(ConfigError, match="endpoints must be finite"):
+            SweepSpec("Delta", math.nan, 1, 5)
 
     def test_config_value_types(self):
         q = config_value(SweepSpec("Delta", -1, 1, 3), 0.5)

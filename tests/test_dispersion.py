@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import (
@@ -25,6 +26,10 @@ from polbec.units import ENERGY, HBAR_CGS, C_CGS, Quantity, qty
 E_AT = st.floats(min_value=0.5, max_value=3.0)
 E_PH = st.floats(min_value=0.5, max_value=3.0)
 G = st.floats(min_value=1e-3, max_value=0.3)
+
+# exact Delta = 0 inflection: 3u^4 + 24 g^2 u^2 - 16 g^4 = 0 gives
+# u*/g = sqrt((8 sqrt(3) - 12)/3) = 0.7866397863806571
+U_STAR_OVER_G = math.sqrt((8 * math.sqrt(3) - 12) / 3)
 
 
 def mode(e_at, e_ph, g):
@@ -241,14 +246,14 @@ class TestWellGeometry:
     def test_inflection_matches_analytic_root(self):
         # at Delta = 0 the inflection solves
         # 1 - u/sqrt(1+u^2) - 2u/(1+u^2)^(3/2) = 0 with x = 2 g u,
-        # u* = 0.39331989319 (frozen), k*/k_perp = sqrt(2 x*/E0)
+        # x*/g = 2 u* = sqrt((8 sqrt(3) - 12)/3), k*/k_perp = sqrt(2 x*/E0)
         e0 = qty(2.104, "eV")
         g = Quantity(2e-4 * e0.cgs, ENERGY)
         cp = resonant_coupling(e0, g)
         well = well_geometry(cp, e0)
-        x_star = 2 * 0.39331989319 * g.cgs
+        x_star = U_STAR_OVER_G * g.cgs
         k_star_frac = math.sqrt(2 * x_star / e0.cgs)
-        assert well.angular_halfwidth == pytest.approx(k_star_frac, rel=1e-3)
+        assert well.angular_halfwidth == pytest.approx(k_star_frac, rel=1e-12)
 
     def test_curvature_energy_order_of_g(self):
         # hbar^2 k*^2 / (2 m_eff) with m_eff = 2 m_ph lands at ~0.393 g
@@ -259,7 +264,7 @@ class TestWellGeometry:
         m_eff = 2 * HBAR_CGS * cp.k_perp.cgs / C_CGS
         curvature = HBAR_CGS**2 * well.inflection_k.cgs**2 / (2 * m_eff)
         assert 0.2 * g.cgs <= curvature <= 5 * g.cgs
-        assert curvature / g.cgs == pytest.approx(0.39331989319, rel=1e-2)
+        assert curvature / g.cgs == pytest.approx(U_STAR_OVER_G / 2, rel=1e-12)
 
     def test_vanishing_g_has_no_well(self):
         e0 = qty(2.104, "eV")
@@ -286,3 +291,53 @@ class TestWellGeometry:
         well = well_geometry(cp, e0, cavity)
         assert well.diffraction_limit == pytest.approx(0.01, rel=1e-12)
         assert well.diffraction_ok == (well.angular_halfwidth > 0.01)
+
+
+def _mp_inflection_over_k_perp(e0: float, g: float, delta: float) -> mp.mpf:
+    """k*/k_perp from an mpmath root of s^2 (s + w) = 8 v, v = u/g, w = Delta/g - v."""
+    with mp.workdps(40):
+        r = mp.mpf(delta) / mp.mpf(g)
+
+        def f(v):
+            w = r - v
+            s2 = w * w + 4
+            return s2 * (mp.sqrt(s2) + w) - 8 * v
+
+        v = mp.findroot(f, (mp.mpf(0), 2 * abs(r) + 4), solver="anderson")
+        return mp.sqrt(2 * v * mp.mpf(g) / (mp.mpf(e0) - mp.mpf(delta)))
+
+
+class TestWellRootOracle:
+    E0 = qty(2.104, "eV")
+
+    def _coupling(self, g_over_e0, delta_over_g):
+        g = Quantity(g_over_e0 * self.E0.cgs, ENERGY)
+        return resonant_coupling(self.E0, g, Quantity(delta_over_g * g.cgs, ENERGY))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-12.0, max_value=-2.0),
+        st.floats(min_value=-50.0, max_value=50.0),
+    )
+    @example(-8.0, -1e4)  # s + w = 1.5e-4 next to s ~ 1.3e4: cancellation-prone
+    def test_root_and_window_match_mpmath(self, log_g, delta_over_g):
+        cp = self._coupling(10.0**log_g, delta_over_g)
+        x_star = float(_mp_inflection_over_k_perp(self.E0.cgs, cp.g.cgs, cp.delta.cgs))
+        assume(abs(x_star - 0.2) > 1e-9)
+        if x_star < 0.2:
+            well = well_geometry(cp, self.E0)
+            assert well.angular_halfwidth == pytest.approx(x_star, rel=1e-12)
+        else:
+            with pytest.raises(NoWellError):
+                well_geometry(cp, self.E0)
+
+    def test_tiny_coupling_root_not_inflated(self):
+        # the well is ~4e-5 k_perp wide, below the resolution of any fixed k step
+        well = well_geometry(self._coupling(1e-9, 0.0), self.E0)
+        assert well.angular_halfwidth == pytest.approx(3.96645883977e-05, rel=1e-11)
+
+    def test_well_just_inside_window_edge(self):
+        # the inflection sits 7.7e-5 k_perp inside the 0.2 k_perp window edge
+        cp = self._coupling(0.0018894227485382635, 13.258061866851008)
+        well = well_geometry(cp, self.E0)
+        assert well.angular_halfwidth == pytest.approx(0.199922546474, rel=1e-11)
