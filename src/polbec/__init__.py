@@ -40,7 +40,6 @@ from .dispersion import (
     ParaxialBoundWarning,
     WellGeometry,
     diagonalize_mode,
-    oracle_diagonalize,
     photon_energy_freespace,
     photon_energy_paraxial,
     sample_dispersion,
@@ -84,7 +83,7 @@ __all__ = [
     # dispersion
     "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
     "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
-    "oracle_diagonalize", "photon_energy_freespace", "photon_energy_paraxial",
+    "photon_energy_freespace", "photon_energy_paraxial",
     "sample_dispersion", "well_geometry",
     # thermo
     "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",

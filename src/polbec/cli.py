@@ -6,6 +6,11 @@ numbers are printed with 12 significant digits, rows are assembled in
 grid/sweep order, and the metadata header carries no timestamps.
 Evaluation is serial; --workers is accepted and has no effect.
 
+Config values are dimension-checked once, when the config is parsed; the
+masses and thresholds tables are then computed on cgs floats, and a sweep
+of either swaps one float per value into that view of the config.  Every
+table is printed column-wise through one '%'-template.
+
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
 """
@@ -30,9 +35,10 @@ from .coupling import (
     CouplingParams,
     CouplingRegime,
     MediumParams,
-    coupling_from_geometry,
+    check_cavity,
+    geometry_coupling_cgs,
     is_strong_coupling,
-    resonant_coupling,
+    resonant_coupling_cgs,
 )
 from .dispersion import (
     GridSpec,
@@ -41,16 +47,27 @@ from .dispersion import (
     well_geometry,
 )
 from .thermo import (
-    CondensationReport,
-    GasState,
-    TrapSpec,
-    condensation_report,
+    ThresholdLadder,
+    condensation_ladder,
     effective_masses,
-    kt_temperature,
+    effective_masses_cgs,
+    kt_temperature_K,
     transverse_energy,
 )
 from .trap import design_trap
-from .units import DimensionError, EV_ERG, KB_CGS, LENGTH, MEV_ERG, Quantity, qty
+from .units import (
+    DimensionError,
+    ENERGY,
+    EV_ERG,
+    KB_CGS,
+    LENGTH,
+    MASS,
+    MEV_ERG,
+    UNITS,
+    WAVENUMBER,
+    Quantity,
+    qty,
+)
 
 __all__ = ["main"]
 
@@ -71,9 +88,12 @@ DISPERSION_HEADER = [
 
 HOPFIELD_HEADER = ["k_par_over_k_perp", "delta_eV", "delta_over_g", "mu_sq", "nu_sq"]
 
+# every printed number: 12 significant digits
+NUMBER = "%.12g"
+
 
 def fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return NUMBER % x
 
 
 def fmt_opt(x: float | None) -> str:
@@ -84,11 +104,38 @@ def fmt_bool(b: bool | None) -> str:
     return "" if b is None else ("true" if b else "false")
 
 
-def render_csv(meta: list[str], header: list[str], rows: list[list[str]]) -> str:
-    lines = [f"# {m}" for m in meta]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_lines(columns: list) -> list[str]:
+    """The rows of a table given as columns, all through one '%' template.
+
+    A column of floats prints through NUMBER as it is.  A column of bools,
+    or one holding None (a trap or density column left empty), is turned
+    into strings first and prints through '%s'.
+    """
+    specs, cells = [], []
+    for col in columns:
+        if isinstance(col[0], bool):
+            specs.append("%s")
+            cells.append([fmt_bool(v) for v in col])
+        elif None in col:
+            specs.append("%s")
+            cells.append([fmt_opt(v) for v in col])
+        else:
+            specs.append(NUMBER)
+            cells.append(col)
+    template = ",".join(specs)
+    return [template % row for row in zip(*cells)]
+
+
+def json_rows(lines: list[str]) -> list[list[float]]:
+    """CSV lines back as numbers, so JSON rows carry the printed 12 digits."""
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+def render_csv(meta: list[str], header: list[str], lines: list[str]) -> str:
+    out = [f"# {m}" for m in meta]
+    out.append(",".join(header))
+    out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 def render_json(payload: dict) -> str:
@@ -108,8 +155,25 @@ def _meta_head(cfg: RunConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
+# config -> cgs floats -> domain objects
 # ---------------------------------------------------------------------------
+
+def _cgs_value(value: object) -> object:
+    return value.cgs if isinstance(value, Quantity) else value
+
+
+def _cgs(cfg: RunConfig) -> RunConfig:
+    """The config with every Quantity replaced by its cgs magnitude.
+
+    _parse_entry and config_value fix the dimension of every value they
+    store, so this is where dimension checking ends: the float cores below
+    take the magnitudes as they are.
+    """
+    return RunConfig(
+        values={key: _cgs_value(v) for key, v in cfg.values.items()},
+        source_text=cfg.source_text,
+    )
+
 
 def _build_medium(cfg: RunConfig) -> MediumParams:
     return MediumParams(
@@ -120,32 +184,51 @@ def _build_medium(cfg: RunConfig) -> MediumParams:
     )
 
 
-def _build_coupling(cfg: RunConfig) -> tuple[CouplingParams, CavityParams | None]:
-    """Coupling from E0, g, mode_index and either L_cav or an explicit Delta."""
-    e0 = cfg.require("E0")
-    g = cfg.require("g")
-    mode_index = cfg.require("mode_index")
-    if "L_cav" in cfg.values and "Delta" in cfg.values:
+def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
+    """(g, k_perp, Delta, L_cav) in cgs from E0, g, mode_index and either
+    L_cav or an explicit Delta; with d_beam given the cavity is checked too."""
+    e0 = c.require("E0")
+    g = c.require("g")
+    mode_index = c.require("mode_index")
+    if "L_cav" in c.values and "Delta" in c.values:
         raise ConfigError("give either 'L_cav' or 'Delta', not both")
-    if "Delta" in cfg.values:
-        coupling = resonant_coupling(e0, g, cfg.values["Delta"])
-        length = Quantity(math.pi * mode_index / coupling.k_perp.cgs, LENGTH)
+    if "Delta" in c.values:
+        delta = c.values["Delta"]
+        k_perp = resonant_coupling_cgs(e0, g, delta)
+        length = math.pi * mode_index / k_perp
     else:
-        _, length = cfg.require_any("L_cav", "Delta")
-        coupling = coupling_from_geometry(e0, length, mode_index, g)
-    d_beam = cfg.get("d_beam")
-    cavity = None
+        _, length = c.require_any("L_cav", "Delta")
+        k_perp, delta = geometry_coupling_cgs(e0, length, mode_index, g)
+    d_beam = c.get("d_beam")
     if d_beam is not None:
-        cavity = CavityParams(length=length, mode_index=mode_index, beam_diameter=d_beam)
+        check_cavity(length, mode_index, d_beam)
+    return g, k_perp, delta, length
+
+
+def _build_coupling(cfg: RunConfig) -> tuple[CouplingParams, CavityParams | None]:
+    c = _cgs(cfg)
+    g, k_perp, delta, length = _coupling_cgs(c)
+    coupling = CouplingParams(
+        g=Quantity(g, ENERGY),
+        k_perp=Quantity(k_perp, WAVENUMBER),
+        delta=Quantity(delta, ENERGY),
+    )
+    cavity = None
+    if "d_beam" in c.values:
+        cavity = CavityParams(
+            length=Quantity(length, LENGTH),
+            mode_index=c.values["mode_index"],
+            beam_diameter=cfg.values["d_beam"],
+        )
     return coupling, cavity
 
 
-def _effective_mass_from(cfg: RunConfig) -> Quantity:
-    """m_eff from the config, or the lower-branch mass derived from coupling keys."""
-    if "m_eff" in cfg.values:
-        return cfg.values["m_eff"]
+def _effective_mass(c: RunConfig) -> float:
+    """m_eff in g from the config, or the lower-branch mass derived from coupling keys."""
+    if "m_eff" in c.values:
+        return c.values["m_eff"]
     try:
-        coupling, _ = _build_coupling(cfg)
+        g, k_perp, delta, _ = _coupling_cgs(c)
     except ConfigError as exc:
         if "missing required key" not in str(exc):
             raise
@@ -153,32 +236,26 @@ def _effective_mass_from(cfg: RunConfig) -> Quantity:
             "missing required key 'm_eff' (or the coupling keys "
             "E0, g, mode_index and L_cav|Delta to derive it)"
         ) from None
-    return effective_masses(coupling).m_lower
+    return effective_masses_cgs(delta, g, k_perp)[2]
 
 
 # ---------------------------------------------------------------------------
-# row generators (shared between direct commands and sweep)
+# table builders (shared between direct commands and sweep)
 # ---------------------------------------------------------------------------
 
-def _dispersion_rows(cfg: RunConfig, samples: int, kmax: float):
+def _dispersion_columns(cfg: RunConfig, samples: int, kmax: float):
     coupling, cavity = _build_coupling(cfg)
     e_at = cfg.require("E0")
     curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
     k_perp = coupling.k_perp.cgs
-    rows = [
-        [
-            fmt(k / k_perp),
-            fmt(e1 / EV_ERG),
-            fmt(e2 / EV_ERG),
-            fmt(m2),
-            fmt(n2),
-            fmt(ep / EV_ERG),
-            fmt(ef / EV_ERG),
-        ]
-        for k, e1, e2, m2, n2, ep, ef in zip(
-            curve.k_par, curve.e_upper, curve.e_lower, curve.mu_sq,
-            curve.nu_sq, curve.e_ph_paraxial, curve.e_ph_freespace,
-        )
+    columns = [
+        (curve.k_par / k_perp).tolist(),
+        (curve.e_upper / EV_ERG).tolist(),
+        (curve.e_lower / EV_ERG).tolist(),
+        curve.mu_sq.tolist(),
+        curve.nu_sq.tolist(),
+        (curve.e_ph_paraxial / EV_ERG).tolist(),
+        (curve.e_ph_freespace / EV_ERG).tolist(),
     ]
     meta = [
         f"Delta_eV = {fmt(coupling.delta.in_unit('eV'))}",
@@ -187,25 +264,27 @@ def _dispersion_rows(cfg: RunConfig, samples: int, kmax: float):
         f"grid: {samples} samples, k_par in [0, {fmt(kmax)}] * k_perp",
         "E_ph_freespace = hbar*c*sqrt(k_perp^2 + k_par^2)",
     ]
-    return coupling, cavity, e_at, meta, rows
+    return coupling, cavity, e_at, meta, columns
 
 
-def _hopfield_rows(cfg: RunConfig, samples: int, kmax: float):
+def _hopfield_columns(cfg: RunConfig, samples: int, kmax: float):
     coupling, _ = _build_coupling(cfg)
     e_at = cfg.require("E0")
     curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
-    g = coupling.g.cgs
-    k_perp = coupling.k_perp.cgs
-    rows = []
-    for k, m2, n2, ep in zip(curve.k_par, curve.mu_sq, curve.nu_sq, curve.e_ph_paraxial):
-        delta = e_at.cgs - ep
-        rows.append([fmt(k / k_perp), fmt(delta / EV_ERG), fmt(delta / g), fmt(m2), fmt(n2)])
+    delta = e_at.cgs - curve.e_ph_paraxial
+    columns = [
+        (curve.k_par / coupling.k_perp.cgs).tolist(),
+        (delta / EV_ERG).tolist(),
+        (delta / coupling.g.cgs).tolist(),
+        curve.mu_sq.tolist(),
+        curve.nu_sq.tolist(),
+    ]
     meta = [
         f"Delta_eV = {fmt(coupling.delta.in_unit('eV'))}",
         f"g_eV = {fmt(coupling.g.in_unit('eV'))}",
         "mu_sq is the photon fraction of the upper branch",
     ]
-    return meta, rows
+    return meta, columns
 
 
 def _masses_header(units: str) -> list[str]:
@@ -216,81 +295,66 @@ def _masses_header(units: str) -> list[str]:
     ]
 
 
-def _masses_values(cfg: RunConfig, units: str):
-    coupling, _ = _build_coupling(cfg)
-    masses = effective_masses(coupling)
-    mass_unit = "g" if units == "cgs" else "kg"
-    n_s = cfg.get("n_s", cfg.get("n2"))
+def _masses_values(c: RunConfig, units: str):
+    g, k_perp, delta, _ = _coupling_cgs(c)
+    m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
+        delta, g, k_perp
+    )
+    grams_per_unit = UNITS["g" if units == "cgs" else "kg"][0]
+    n_s = c.get("n_s", c.get("n2"))
     t_kt_up = t_kt_lo = None
     if n_s is not None:
-        t_kt_up = kt_temperature(n_s, masses.m_upper).cgs
-        t_kt_lo = kt_temperature(n_s, masses.m_lower).cgs
+        t_kt_up = kt_temperature_K(n_s, m_upper)
+        t_kt_lo = kt_temperature_K(n_s, m_lower)
     values = [
-        coupling.delta.in_unit("eV"),
-        coupling.g.in_unit("eV"),
-        masses.m_ph.in_unit(mass_unit),
-        masses.m_upper.in_unit(mass_unit),
-        masses.m_lower.in_unit(mass_unit),
+        delta / EV_ERG,
+        g / EV_ERG,
+        m_ph / grams_per_unit,
+        m_upper / grams_per_unit,
+        m_lower / grams_per_unit,
         t_kt_up,
         t_kt_lo,
     ]
     meta = [
-        f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(coupling.g.cgs / KB_CGS)}",
+        f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}",
     ]
-    if masses.upper_saturated or masses.lower_saturated:
+    if upper_saturated or lower_saturated:
         meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
     return meta, values
 
 
-def _thresholds_report(cfg: RunConfig) -> CondensationReport:
-    t = cfg.require("T")
-    n2 = cfg.get("n2")
-    n3 = cfg.get("n3")
+def _thresholds_ladder(c: RunConfig) -> ThresholdLadder:
+    t = c.require("T")
+    n2 = c.get("n2")
+    n3 = c.get("n3")
     if n2 is None and n3 is None:
         raise ConfigError("missing required key: one of 'n2', 'n3'")
-    m_eff = _effective_mass_from(cfg)
-    state = GasState(temperature=t, m_eff=m_eff, n2=n2, n3=n3)
-    trap = None
-    if "omega_eff" in cfg.values:
-        trap = TrapSpec(
-            omega_eff=cfg.values["omega_eff"],
-            u0=cfg.get("U0"),
-            r0=cfg.get("r0"),
-        )
-    return condensation_report(state, trap, n_s=cfg.get("n_s"))
+    return condensation_ladder(
+        t, _effective_mass(c), n2, n3,
+        omega_eff=c.get("omega_eff"), u0=c.get("U0"), r0=c.get("r0"), n_s=c.get("n_s"),
+    )
 
 
-def _thresholds_values(report: CondensationReport):
+def _thresholds_values(lad: ThresholdLadder) -> list:
+    # the cgs magnitudes are in the header's units already, except mu (meV)
     return [
-        report.temperature.in_unit("K"),
-        report.m_eff.in_unit("g"),
-        None if report.n3 is None else report.n3.in_unit("cm^-3"),
-        report.n2.in_unit("cm^-2"),
-        report.lambda_t.in_unit("cm"),
-        report.r_int.in_unit("cm"),
-        report.t_degeneracy.in_unit("K"),
-        report.t_kt.in_unit("K"),
-        report.mu.cgs / MEV_ERG,
-        None if report.omega_eff is None else report.omega_eff.in_unit("s^-1"),
-        None if report.t_c is None else report.t_c.in_unit("K"),
-        report.n_trapped,
-        report.condensate_frac,
-        report.degenerate,
-        report.kt_superfluid,
-        report.overlap,
+        lad.temperature,
+        lad.m_eff,
+        lad.n3,
+        lad.n2,
+        lad.lambda_t,
+        lad.r_int,
+        lad.t_degeneracy,
+        lad.t_kt,
+        lad.mu / MEV_ERG,
+        lad.omega_eff,
+        lad.t_c,
+        lad.n_trapped,
+        lad.condensate_frac,
+        lad.degenerate,
+        lad.kt_superfluid,
+        lad.overlap,
     ]
-
-
-def _values_to_row(values: list) -> list[str]:
-    row = []
-    for v in values:
-        if v is None:
-            row.append("")
-        elif isinstance(v, bool):
-            row.append(fmt_bool(v))
-        else:
-            row.append(fmt(v))
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +388,7 @@ def cmd_check_coupling(cfg: RunConfig, args) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, args) -> int:
-    coupling, cavity, e_at, meta, rows = _dispersion_rows(cfg, args.samples, args.kmax)
+    coupling, cavity, e_at, meta, columns = _dispersion_columns(cfg, args.samples, args.kmax)
     exit_code = EXIT_OK
     masses = effective_masses(coupling)
     meta.append("well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)")
@@ -345,55 +409,57 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
         meta.append(f"well: none ({exc})")
         exit_code = EXIT_REGIME
 
+    lines = csv_lines(columns)
     if args.format == "json":
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": DISPERSION_HEADER,
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": json_rows(lines),
         })
     else:
-        text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, rows)
+        text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, lines)
     emit(text, args.out)
     return exit_code
 
 
 def cmd_hopfield(cfg: RunConfig, args) -> int:
-    meta, rows = _hopfield_rows(cfg, args.samples, args.kmax)
+    meta, columns = _hopfield_columns(cfg, args.samples, args.kmax)
+    lines = csv_lines(columns)
     if args.format == "json":
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": HOPFIELD_HEADER,
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": json_rows(lines),
         })
     else:
-        text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, rows)
+        text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, lines)
     emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_masses(cfg: RunConfig, args) -> int:
-    meta, values = _masses_values(cfg, args.units)
+    meta, values = _masses_values(_cgs(cfg), args.units)
     header = _masses_header(args.units)
     if args.format == "json":
         payload = {"metadata": _meta_head(cfg) + meta}
         payload.update(dict(zip(header, values)))
         text = render_json(payload)
     else:
-        text = render_csv(_meta_head(cfg) + meta, header, [_values_to_row(values)])
+        text = render_csv(_meta_head(cfg) + meta, header, csv_lines([[v] for v in values]))
     emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_thresholds(cfg: RunConfig, args) -> int:
-    report = _thresholds_report(cfg)
-    meta = _meta_head(cfg) + [f"note: {n}" for n in report.notes]
-    values = _thresholds_values(report)
+    ladder = _thresholds_ladder(_cgs(cfg))
+    meta = _meta_head(cfg) + [f"note: {n}" for n in ladder.notes]
+    values = _thresholds_values(ladder)
     if args.format == "json":
         payload = {"metadata": meta}
         payload.update(dict(zip(THRESHOLDS_HEADER, values)))
         text = render_json(payload)
     else:
-        text = render_csv(meta, THRESHOLDS_HEADER, [_values_to_row(values)])
+        text = render_csv(meta, THRESHOLDS_HEADER, csv_lines([[v] for v in values]))
     emit(text, args.out)
     return EXIT_OK
 
@@ -403,7 +469,7 @@ def cmd_trap(cfg: RunConfig, args) -> int:
         raise ConfigError("trap requires --target-tc and --n-particles")
     if args.target_tc <= 0 or args.n_particles <= 0:
         raise ConfigError("--target-tc and --n-particles must be positive")
-    m_eff = _effective_mass_from(cfg)
+    m_eff = Quantity(_effective_mass(_cgs(cfg)), MASS)
     e_char = cfg.get("E_char", cfg.get("E0"))
     if e_char is None:
         raise ConfigError("missing required key 'E_char' (or 'E0' as its default)")
@@ -445,31 +511,35 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         scale=args.scale,
     )
     values = sweep_values(spec)
-    units = args.units
+    target = args.target
 
-    def rows_for(value: float) -> list[list[str]]:
-        sub_cfg = cfg.with_value(spec.param, config_value(spec, value))
-        if args.target == "masses":
-            _, vals = _masses_values(sub_cfg, units)
-            rows = [_values_to_row(vals)]
-        elif args.target == "thresholds":
-            rows = [_values_to_row(_thresholds_values(_thresholds_report(sub_cfg)))]
-        elif args.target == "hopfield":
-            _, rows = _hopfield_rows(sub_cfg, args.samples, args.kmax)
-        else:
-            _, _, _, _, rows = _dispersion_rows(sub_cfg, args.samples, args.kmax)
-        prefix = fmt(value)
-        return [[prefix] + row for row in rows]
-
-    groups = [rows_for(v) for v in values]
+    if target in ("masses", "thresholds"):
+        # one cgs view of the config; each value swaps in one float
+        c = _cgs(cfg)
+        rows = []
+        for value in values:
+            c.values[spec.param] = _cgs_value(config_value(spec, value))
+            if target == "masses":
+                rows.append([value, *_masses_values(c, args.units)[1]])
+            else:
+                rows.append([value, *_thresholds_values(_thresholds_ladder(c))])
+        columns = list(zip(*rows))
+    else:
+        table_for = _hopfield_columns if target == "hopfield" else _dispersion_columns
+        groups = []
+        for value in values:
+            sub_cfg = cfg.with_value(spec.param, config_value(spec, value))
+            group = table_for(sub_cfg, args.samples, args.kmax)[-1]
+            groups.append([[value] * len(group[0]), *group])
+        columns = [[v for part in parts for v in part] for parts in zip(*groups)]
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
-    if args.target == "masses":
-        header = [sweep_col] + _masses_header(units)
-    elif args.target == "thresholds":
+    if target == "masses":
+        header = [sweep_col] + _masses_header(args.units)
+    elif target == "thresholds":
         header = [sweep_col] + THRESHOLDS_HEADER
-    elif args.target == "hopfield":
+    elif target == "hopfield":
         header = [sweep_col] + HOPFIELD_HEADER
     else:
         header = [sweep_col] + DISPERSION_HEADER
@@ -477,10 +547,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         f"sweep: {spec.param} from {fmt(spec.start)} to {fmt(spec.stop)} "
         f"in {spec.steps} steps ({spec.scale})"
         + (f", values in {unit}" if unit else ""),
-        f"target: {args.target}",
+        f"target: {target}",
     ]
-    rows = [row for group in groups for row in group]
-    emit(render_csv(meta, header, rows), args.out)
+    emit(render_csv(meta, header, csv_lines(columns)), args.out)
     return EXIT_OK
 
 

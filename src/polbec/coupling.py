@@ -42,6 +42,9 @@ __all__ = [
     "make_coupling",
     "resonant_cavity_length",
     "resonant_coupling",
+    "check_cavity",
+    "geometry_coupling_cgs",
+    "resonant_coupling_cgs",
     "DEFAULT_STRONG_THRESHOLD",
 ]
 
@@ -53,6 +56,24 @@ DEFAULT_STRONG_THRESHOLD = 10.0
 def _require_positive(value: float, name: str) -> None:
     if not value > 0:
         raise ValueError(f"{name} must be strictly positive, got {value}")
+
+
+def _require_mode_index(mode_index) -> None:
+    if not (isinstance(mode_index, int) and mode_index >= 1):
+        raise ValueError(f"mode_index must be an integer >= 1, got {mode_index!r}")
+
+
+def check_cavity(length: float, mode_index: int, beam_diameter: float) -> None:
+    """Value checks of CavityParams on cgs magnitudes."""
+    _require_positive(length, "length")
+    _require_positive(beam_diameter, "beam_diameter")
+    _require_mode_index(mode_index)
+
+
+def _check_coupling(g: float, k_perp: float) -> None:
+    """Value checks of CouplingParams on cgs magnitudes."""
+    _require_positive(g, "g")
+    _require_positive(k_perp, "k_perp")
 
 
 @dataclass(frozen=True)
@@ -86,10 +107,11 @@ class CavityParams:
     beam_diameter: Quantity    # d_beam
 
     def __post_init__(self) -> None:
-        _require_positive(magnitude_in_cgs(self.length, LENGTH, "length"), "length")
-        _require_positive(magnitude_in_cgs(self.beam_diameter, LENGTH, "beam_diameter"), "beam_diameter")
-        if not (isinstance(self.mode_index, int) and self.mode_index >= 1):
-            raise ValueError(f"mode_index must be an integer >= 1, got {self.mode_index!r}")
+        check_cavity(
+            magnitude_in_cgs(self.length, LENGTH, "length"),
+            self.mode_index,
+            magnitude_in_cgs(self.beam_diameter, LENGTH, "beam_diameter"),
+        )
 
 
 @dataclass(frozen=True)
@@ -102,8 +124,10 @@ class CouplingParams:
     delta: Quantity      # energy, signed
 
     def __post_init__(self) -> None:
-        _require_positive(magnitude_in_cgs(self.g, ENERGY, "g"), "g")
-        _require_positive(magnitude_in_cgs(self.k_perp, WAVENUMBER, "k_perp"), "k_perp")
+        _check_coupling(
+            magnitude_in_cgs(self.g, ENERGY, "g"),
+            magnitude_in_cgs(self.k_perp, WAVENUMBER, "k_perp"),
+        )
         magnitude_in_cgs(self.delta, ENERGY, "delta")
 
 
@@ -150,6 +174,16 @@ def is_strong_coupling(
     return StrongCouplingCheck(omega_c, rate, ratio, threshold, regime)
 
 
+def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) -> tuple[float, float]:
+    """(k_perp, Delta) in cgs from the bare resonator geometry, with the
+    checks of CouplingParams: k_perp = pi*m/L_cav, Delta = E0 - hbar*c*k_perp."""
+    _require_mode_index(mode_index)
+    k_perp = math.pi * mode_index / l_cav
+    delta = e0 - HBAR_CGS * C_CGS * k_perp
+    _check_coupling(g, k_perp)
+    return k_perp, delta
+
+
 def coupling_from_geometry(
     transition_energy: Quantity, length: Quantity, mode_index: int, g: Quantity
 ) -> CouplingParams:
@@ -157,12 +191,12 @@ def coupling_from_geometry(
 
     k_perp = pi*m/L_cav, Delta = E0 - hbar*c*k_perp.
     """
-    e0 = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
-    l_cav = magnitude_in_cgs(length, LENGTH, "length")
-    if not (isinstance(mode_index, int) and mode_index >= 1):
-        raise ValueError(f"mode_index must be an integer >= 1, got {mode_index!r}")
-    k_perp = math.pi * mode_index / l_cav
-    delta = e0 - HBAR_CGS * C_CGS * k_perp
+    k_perp, delta = geometry_coupling_cgs(
+        magnitude_in_cgs(transition_energy, ENERGY, "transition_energy"),
+        magnitude_in_cgs(length, LENGTH, "length"),
+        mode_index,
+        magnitude_in_cgs(g, ENERGY, "g"),
+    )
     return CouplingParams(
         g=g,
         k_perp=Quantity(k_perp, WAVENUMBER),
@@ -186,6 +220,17 @@ def resonant_cavity_length(medium: MediumParams, mode_index: int) -> Quantity:
     return Quantity(math.pi * mode_index * HBAR_CGS * C_CGS / e0, LENGTH)
 
 
+def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
+    """k_perp = (E0 - Delta)/(hbar c) in cgs for a prescribed detuning, with
+    the checks of CouplingParams."""
+    e_mode = e0 - delta
+    if e_mode <= 0:
+        raise ValueError("detuning leaves no positive mode energy")
+    k_perp = e_mode / (HBAR_CGS * C_CGS)
+    _check_coupling(g, k_perp)
+    return k_perp
+
+
 def resonant_coupling(transition_energy: Quantity, g: Quantity, detuning: Quantity | None = None) -> CouplingParams:
     """CouplingParams with an explicitly prescribed detuning.
 
@@ -195,11 +240,9 @@ def resonant_coupling(transition_energy: Quantity, g: Quantity, detuning: Quanti
     """
     e0 = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
     delta = 0.0 if detuning is None else magnitude_in_cgs(detuning, ENERGY, "detuning")
-    e_mode = e0 - delta
-    if e_mode <= 0:
-        raise ValueError("detuning leaves no positive mode energy")
+    k_perp = resonant_coupling_cgs(e0, magnitude_in_cgs(g, ENERGY, "g"), delta)
     return CouplingParams(
         g=g,
-        k_perp=Quantity(e_mode / (HBAR_CGS * C_CGS), WAVENUMBER),
+        k_perp=Quantity(k_perp, WAVENUMBER),
         delta=Quantity(delta, ENERGY),
     )

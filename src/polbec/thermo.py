@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coupling import CouplingParams
 from .units import (
@@ -48,6 +49,7 @@ __all__ = [
     "GasState",
     "TrapSpec",
     "CondensationReport",
+    "ThresholdLadder",
     "TRAP_BEC_ZETA",
     "effective_masses",
     "transverse_energy",
@@ -61,6 +63,9 @@ __all__ = [
     "trapped_number",
     "condensate_fraction",
     "condensation_report",
+    "condensation_ladder",
+    "effective_masses_cgs",
+    "kt_temperature_K",
     "lambda_T_cm",
     "degeneracy_temperature_K",
     "mu_over_kbt",
@@ -103,16 +108,12 @@ class GasState:
     n3: Quantity | None = None
 
     def __post_init__(self) -> None:
-        if not magnitude_in_cgs(self.temperature, TEMPERATURE, "temperature") > 0:
-            raise ValueError("temperature must be positive")
-        if not magnitude_in_cgs(self.m_eff, MASS, "m_eff") > 0:
-            raise ValueError("m_eff must be positive")
-        if self.n2 is None and self.n3 is None:
-            raise ValueError("GasState needs n2 or n3")
-        if self.n2 is not None and not magnitude_in_cgs(self.n2, AREA_DENSITY, "n2") > 0:
-            raise ValueError("n2 must be positive")
-        if self.n3 is not None and not magnitude_in_cgs(self.n3, VOLUME_DENSITY, "n3") > 0:
-            raise ValueError("n3 must be positive")
+        _check_gas(
+            magnitude_in_cgs(self.temperature, TEMPERATURE, "temperature"),
+            magnitude_in_cgs(self.m_eff, MASS, "m_eff"),
+            None if self.n2 is None else magnitude_in_cgs(self.n2, AREA_DENSITY, "n2"),
+            None if self.n3 is None else magnitude_in_cgs(self.n3, VOLUME_DENSITY, "n3"),
+        )
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,7 @@ class TrapSpec:
     r0: Quantity | None = None
 
     def __post_init__(self) -> None:
-        if magnitude_in_cgs(self.omega_eff, FREQUENCY, "omega_eff") < 0:
-            raise ValueError("omega_eff must be non-negative")
+        _check_trap(magnitude_in_cgs(self.omega_eff, FREQUENCY, "omega_eff"))
         if self.u0 is not None:
             magnitude_in_cgs(self.u0, ENERGY, "u0")
         if self.r0 is not None:
@@ -137,15 +137,13 @@ class TrapSpec:
 
     def check_consistency(self, m_eff: Quantity, rel_tol: float = 1e-6) -> None:
         """Verify U(r0) = U0 against m_eff Omega^2 r0^2 / 2 when both given."""
-        if self.u0 is None or self.r0 is None:
-            return
-        expected = 0.5 * m_eff.cgs * self.omega_eff.cgs**2 * self.r0.cgs**2
-        u0 = self.u0.cgs
-        if abs(u0 - expected) > rel_tol * max(abs(u0), abs(expected)):
-            raise ValueError(
-                f"inconsistent trap: U0 = {u0:.6g} erg but "
-                f"m_eff*Omega_eff^2*r0^2/2 = {expected:.6g} erg"
-            )
+        _check_trap_consistency(
+            m_eff.cgs,
+            self.omega_eff.cgs,
+            None if self.u0 is None else self.u0.cgs,
+            None if self.r0 is None else self.r0.cgs,
+            rel_tol,
+        )
 
 
 @dataclass(frozen=True)
@@ -173,9 +171,83 @@ class CondensationReport:
     notes: tuple[str, ...] = field(default=())
 
 
+class ThresholdLadder(NamedTuple):
+    """The threshold ladder as cgs floats: K, g, cm^-2, cm^-3, cm, erg, s^-1.
+
+    Field for field the magnitudes of CondensationReport, None where the
+    report has None.
+    """
+
+    temperature: float
+    m_eff: float
+    n2: float
+    n3: float | None
+    lambda_t: float
+    r_int: float
+    t_degeneracy: float
+    t_kt: float
+    mu: float
+    omega_eff: float | None
+    t_c: float | None
+    n_trapped: float | None
+    condensate_frac: float | None
+    degenerate: bool
+    kt_superfluid: bool
+    overlap: bool
+    n2_estimated: bool
+    mu_effectively_zero: bool
+    notes: tuple[str, ...]
+
+
 # ---------------------------------------------------------------------------
 # numeric cores (cgs floats)
+#
+# The Quantity operations below check dimensions and then call these; a
+# caller that has already fixed every dimension (the CLI, once per config)
+# calls them directly.  Value checks live here, so both paths raise the same
+# errors.  Everything is scalar math/Python float arithmetic: numpy's
+# transcendental functions differ from math's in the last ulp.
 # ---------------------------------------------------------------------------
+
+def _check_gas(t_k: float, m_g: float, n2: float | None, n3: float | None) -> None:
+    """Value checks of GasState."""
+    if not t_k > 0:
+        raise ValueError("temperature must be positive")
+    if not m_g > 0:
+        raise ValueError("m_eff must be positive")
+    if n2 is None and n3 is None:
+        raise ValueError("GasState needs n2 or n3")
+    if n2 is not None and not n2 > 0:
+        raise ValueError("n2 must be positive")
+    if n3 is not None and not n3 > 0:
+        raise ValueError("n3 must be positive")
+
+
+def _check_trap(omega: float) -> None:
+    """Value check of TrapSpec."""
+    if omega < 0:
+        raise ValueError("omega_eff must be non-negative")
+
+
+def _check_trap_consistency(
+    m_g: float, omega: float, u0: float | None, r0: float | None, rel_tol: float = 1e-6
+) -> None:
+    """U(r0) = U0 against m_eff Omega^2 r0^2 / 2 (erg) when both are given."""
+    if u0 is None or r0 is None:
+        return
+    try:
+        expected = 0.5 * m_g * omega**2 * r0**2
+    except OverflowError:
+        raise OverflowError(
+            f"trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
+            f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm"
+        ) from None
+    if abs(u0 - expected) > rel_tol * max(abs(u0), abs(expected)):
+        raise ValueError(
+            f"inconsistent trap: U0 = {u0:.6g} erg but "
+            f"m_eff*Omega_eff^2*r0^2/2 = {expected:.6g} erg"
+        )
+
 
 def lambda_T_cm(m_g: float, t_k: float) -> float:
     """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) in cm."""
@@ -194,6 +266,115 @@ def mu_over_kbt(x: float) -> float:
     return math.log(-math.expm1(-x))
 
 
+def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
+    """T_KT = pi hbar^2 n_s / (2 m kB)."""
+    if not (n_s_cm2 > 0 and m_g > 0):
+        raise ValueError("n_s and mass must be positive")
+    return math.pi * HBAR_CGS**2 * n_s_cm2 / (2.0 * m_g * KB_CGS)
+
+
+def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2)."""
+    if omega == 0.0:
+        raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
+    return 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
+
+
+def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
+    """N0/N = max(0, 1 - (T/T_c)^2)."""
+    if t_k < 0:
+        raise ValueError("temperature must be non-negative")
+    if not t_c_k > 0:
+        raise ValueError("t_c must be positive")
+    try:
+        ratio_sq = (t_k / t_c_k) ** 2
+    except OverflowError:
+        raise OverflowError(
+            f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, T_c = {t_c_k:g} K"
+        ) from None
+    return max(0.0, 1.0 - ratio_sq)
+
+
+def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, float, float, bool, bool]:
+    """(m_ph, m_upper, m_lower, upper_saturated, lower_saturated) in g."""
+    m_ph = HBAR_CGS * k_perp / C_CGS
+    ratio = delta / math.hypot(delta, 2.0 * g)
+    den_upper = 1.0 - ratio
+    den_lower = 1.0 + ratio
+    upper_saturated = den_upper < _MASS_SATURATION_EPS
+    lower_saturated = den_lower < _MASS_SATURATION_EPS
+    if upper_saturated:
+        den_upper = _MASS_SATURATION_EPS
+    if lower_saturated:
+        den_lower = _MASS_SATURATION_EPS
+    return m_ph, 2.0 * m_ph / den_upper, 2.0 * m_ph / den_lower, upper_saturated, lower_saturated
+
+
+def condensation_ladder(
+    t_k: float,
+    m_g: float,
+    n2: float | None = None,
+    n3: float | None = None,
+    omega_eff: float | None = None,
+    u0: float | None = None,
+    r0: float | None = None,
+    n_s: float | None = None,
+) -> ThresholdLadder:
+    """The threshold ladder of condensation_report from cgs magnitudes.
+
+    omega_eff None means no trap (u0 and r0 are then ignored); the checks of
+    GasState and TrapSpec run first, in that order.
+    """
+    _check_gas(t_k, m_g, n2, n3)
+    if omega_eff is not None:
+        _check_trap(omega_eff)
+    notes = [
+        "lambda_T = h / sqrt(2 pi m kB T)",
+        "mu = kB T ln(1 - exp(-T_d/T))",
+    ]
+
+    lam = lambda_T_cm(m_g, t_k)
+    n2_estimated = n2 is None
+    if n2_estimated:
+        n2 = lam * n3
+        notes.append("n2 estimated as lambda_T(T) * n3")
+
+    # n2 > 0 from here on: a given n2 passed _check_gas, and an estimate that
+    # underflows to 0 stops at this division
+    r_int = 1.0 / math.sqrt(n2)
+    t_d = degeneracy_temperature_K(n2, m_g)
+    t_kt = kt_temperature_K(n2 if n_s is None else n_s, m_g)
+    x = t_d / t_k
+    mu = KB_CGS * t_k * mu_over_kbt(x)
+    mu_zero = x > _MU_ZERO_X
+    if mu_zero:
+        notes.append("|mu| below 1e-13 kB T; effectively 0-")
+
+    t_c = None
+    n_trapped = None
+    frac = None
+    if omega_eff is not None:
+        _check_trap_consistency(m_g, omega_eff, u0, r0)
+        if omega_eff == 0.0:
+            t_c = 0.0
+            frac = 0.0
+            notes.append("omega_eff = 0: no trap confinement, T_c = 0")
+        else:
+            t_c = t_d / TRAP_BEC_ZETA  # trapped_bec_temperature, density form
+            n_trapped = _trapped_number_cgs(n2, t_k, omega_eff, m_g)
+            frac = _condensate_fraction_cgs(t_k, t_c)
+
+    return ThresholdLadder(
+        t_k, m_g, n2, n3, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
+        degenerate=t_k <= t_d,
+        kt_superfluid=t_k <= t_kt,
+        overlap=lam >= r_int,
+        n2_estimated=n2_estimated,
+        mu_effectively_zero=mu_zero,
+        notes=tuple(notes),
+    )
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -206,22 +387,13 @@ def effective_masses(coupling: CouplingParams) -> PolaritonMasses:
     diverging sign) the mass is clamped there and flagged as saturated
     instead of returning infinity.
     """
-    delta = coupling.delta.cgs
-    g = coupling.g.cgs
-    m_ph = HBAR_CGS * coupling.k_perp.cgs / C_CGS
-    ratio = delta / math.hypot(delta, 2.0 * g)
-    den_upper = 1.0 - ratio
-    den_lower = 1.0 + ratio
-    upper_saturated = den_upper < _MASS_SATURATION_EPS
-    lower_saturated = den_lower < _MASS_SATURATION_EPS
-    if upper_saturated:
-        den_upper = _MASS_SATURATION_EPS
-    if lower_saturated:
-        den_lower = _MASS_SATURATION_EPS
+    m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
+        coupling.delta.cgs, coupling.g.cgs, coupling.k_perp.cgs
+    )
     return PolaritonMasses(
         m_ph=Quantity(m_ph, MASS),
-        m_upper=Quantity(2.0 * m_ph / den_upper, MASS),
-        m_lower=Quantity(2.0 * m_ph / den_lower, MASS),
+        m_upper=Quantity(m_upper, MASS),
+        m_lower=Quantity(m_lower, MASS),
         detuning=coupling.delta,
         upper_saturated=upper_saturated,
         lower_saturated=lower_saturated,
@@ -278,9 +450,7 @@ def kt_temperature(n_s: Quantity, m: Quantity) -> Quantity:
     """Kosterlitz-Thouless temperature pi hbar^2 n_s / (2 m kB) = T_d/4 at n_s = n2."""
     n = magnitude_in_cgs(n_s, AREA_DENSITY, "n_s")
     m_g = magnitude_in_cgs(m, MASS, "m")
-    if not (n > 0 and m_g > 0):
-        raise ValueError("n_s and mass must be positive")
-    return Quantity(math.pi * HBAR_CGS**2 * n / (2.0 * m_g * KB_CGS), TEMPERATURE)
+    return Quantity(kt_temperature_K(n, m_g), TEMPERATURE)
 
 
 def trapped_bec_temperature(n2: Quantity, m: Quantity) -> Quantity:
@@ -317,20 +487,15 @@ def trapped_number(n2: Quantity, temperature: Quantity, omega_eff: Quantity, m: 
     t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
     omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
     m_g = magnitude_in_cgs(m, MASS, "m")
-    if omega == 0.0:
-        raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
-    return 2.0 * math.pi * n * KB_CGS * t_k / (m_g * omega * omega)
+    return _trapped_number_cgs(n, t_k, omega, m_g)
 
 
 def condensate_fraction(temperature: Quantity, t_c: Quantity) -> float:
     """Ground-state share N0/N = max(0, 1 - (T/T_c)^2); clamps above T_c."""
-    t = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
-    tc = magnitude_in_cgs(t_c, TEMPERATURE, "t_c")
-    if t < 0:
-        raise ValueError("temperature must be non-negative")
-    if not tc > 0:
-        raise ValueError("t_c must be positive")
-    return max(0.0, 1.0 - (t / tc) ** 2)
+    return _condensate_fraction_cgs(
+        magnitude_in_cgs(temperature, TEMPERATURE, "temperature"),
+        magnitude_in_cgs(t_c, TEMPERATURE, "t_c"),
+    )
 
 
 def condensation_report(
@@ -345,64 +510,34 @@ def condensation_report(
     are only populated when a trap is given; a trap with omega_eff = 0
     yields T_c = 0 (no condensation), which is distinct from "no trap".
     """
-    m = state.m_eff
-    t = state.temperature
-    notes = [
-        "lambda_T = h / sqrt(2 pi m kB T)",
-        "mu = kB T ln(1 - exp(-T_d/T))",
-    ]
-
-    lam = thermal_wavelength(m, t)
-    n2 = state.n2
-    n2_estimated = False
-    if n2 is None:
-        n2 = lam * state.n3
-        n2_estimated = True
-        notes.append("n2 estimated as lambda_T(T) * n3")
-
-    r_int = Quantity(1.0 / math.sqrt(n2.cgs), LENGTH)
-    t_d = degeneracy_temperature(n2, m)
-    t_kt = kt_temperature(n2 if n_s is None else n_s, m)
-    x = t_d.cgs / t.cgs
-    mu = Quantity(KB_CGS * t.cgs * mu_over_kbt(x), ENERGY)
-    mu_zero = x > _MU_ZERO_X
-    if mu_zero:
-        notes.append("|mu| below 1e-13 kB T; effectively 0-")
-
-    omega_eff = None
-    t_c = None
-    n_trapped = None
-    frac = None
-    if trap is not None:
-        trap.check_consistency(m)
-        omega_eff = trap.omega_eff
-        if omega_eff.cgs == 0.0:
-            t_c = Quantity(0.0, TEMPERATURE)
-            frac = 0.0
-            notes.append("omega_eff = 0: no trap confinement, T_c = 0")
-        else:
-            t_c = trapped_bec_temperature(n2, m)
-            n_trapped = trapped_number(n2, t, omega_eff, m)
-            frac = condensate_fraction(t, t_c)
-
+    lad = condensation_ladder(
+        state.temperature.cgs,
+        state.m_eff.cgs,
+        None if state.n2 is None else state.n2.cgs,
+        None if state.n3 is None else state.n3.cgs,
+        None if trap is None else trap.omega_eff.cgs,
+        None if trap is None or trap.u0 is None else trap.u0.cgs,
+        None if trap is None or trap.r0 is None else trap.r0.cgs,
+        None if n_s is None else magnitude_in_cgs(n_s, AREA_DENSITY, "n_s"),
+    )
     return CondensationReport(
-        temperature=t,
-        m_eff=m,
-        n2=n2,
-        lambda_t=lam,
-        r_int=r_int,
-        t_degeneracy=t_d,
-        t_kt=t_kt,
-        mu=mu,
+        temperature=state.temperature,
+        m_eff=state.m_eff,
+        n2=Quantity(lad.n2, AREA_DENSITY) if lad.n2_estimated else state.n2,
+        lambda_t=Quantity(lad.lambda_t, LENGTH),
+        r_int=Quantity(lad.r_int, LENGTH),
+        t_degeneracy=Quantity(lad.t_degeneracy, TEMPERATURE),
+        t_kt=Quantity(lad.t_kt, TEMPERATURE),
+        mu=Quantity(lad.mu, ENERGY),
         n3=state.n3,
-        omega_eff=omega_eff,
-        t_c=t_c,
-        n_trapped=n_trapped,
-        condensate_frac=frac,
-        degenerate=t.cgs <= t_d.cgs,
-        kt_superfluid=t.cgs <= t_kt.cgs,
-        overlap=lam.cgs >= r_int.cgs,
-        n2_estimated=n2_estimated,
-        mu_effectively_zero=mu_zero,
-        notes=tuple(notes),
+        omega_eff=None if trap is None else trap.omega_eff,
+        t_c=None if lad.t_c is None else Quantity(lad.t_c, TEMPERATURE),
+        n_trapped=lad.n_trapped,
+        condensate_frac=lad.condensate_frac,
+        degenerate=lad.degenerate,
+        kt_superfluid=lad.kt_superfluid,
+        overlap=lad.overlap,
+        n2_estimated=lad.n2_estimated,
+        mu_effectively_zero=lad.mu_effectively_zero,
+        notes=lad.notes,
     )

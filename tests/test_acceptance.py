@@ -20,7 +20,6 @@ from polbec.dispersion import (
     branch_energies,
     diagonalize_mode,
     hopfield_fractions,
-    oracle_branch_arrays,
     well_geometry,
 )
 from polbec.thermo import (
@@ -40,6 +39,8 @@ from polbec.thermo import (
 )
 from polbec.trap import design_trap, lens_for_omega, omega_for_lens
 from polbec.units import ENERGY, HBAR_CGS, C_CGS, KB_CGS, Quantity, qty
+
+from eigen_oracle import oracle_branch_arrays
 
 M_REF = qty(5e-33, "g")
 T300 = qty(300.0, "K")

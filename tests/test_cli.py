@@ -352,7 +352,20 @@ class TestParsingErrors:
         code, data = run(tmp_path, TRAP_CFG.replace("T = 300 K", "T = 1e300 K"), ["thresholds"])
         assert code == 1
         assert data == b""
-        assert "polbec: error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "polbec: error:" in err
+        assert "'T'" in err
+
+    def test_hopfield_overflow_exit_one(self, tmp_path, capsys):
+        # 4 g^2 overflows at g = 1e300 eV, which made the fractions NaN
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BASE_CFG.replace("g = 1 meV", "g = 1e300 eV"))
+        code = main(["dispersion", "--config", str(cfg), "--out", "-", "--samples", "11"])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "nan" not in err
+        assert "polbec: error:" in err and "'g' = 1e+300 eV" in err
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

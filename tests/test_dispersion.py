@@ -14,14 +14,14 @@ from polbec.dispersion import (
     branch_energies,
     diagonalize_mode,
     hopfield_fractions,
-    oracle_branch_arrays,
-    oracle_diagonalize,
     photon_energy_freespace,
     photon_energy_paraxial,
     sample_dispersion,
     well_geometry,
 )
 from polbec.units import ENERGY, HBAR_CGS, C_CGS, Quantity, qty
+
+from eigen_oracle import oracle_branch_arrays, oracle_diagonalize
 
 E_AT = st.floats(min_value=0.5, max_value=3.0)
 E_PH = st.floats(min_value=0.5, max_value=3.0)

@@ -1,0 +1,239 @@
+"""Golden-bytes gate for the CLI.
+
+Every case runs ``main`` in-process and compares the sha256 of the output
+bytes, and the exit code, with a digest recorded from the per-value
+implementation (one ``RunConfig`` and one set of validated dataclasses per
+sweep value, one ``fmt`` call per printed number) that the column-native
+sweep and the single row template replaced.  Error cases pin the exact
+stderr line instead.  All cases run with RuntimeWarning raised as an
+error, so no evaluation path may overflow or divide 0/0 inside numpy on
+these inputs.
+"""
+
+import hashlib
+import warnings
+from pathlib import Path
+
+import pytest
+
+from polbec.cli import main
+
+PLAIN = """\
+E0 = 2.104 eV
+d = 1 D
+n3 = 3.5e11 cm^-3
+tau_coh = 1e-8 s
+mode_index = 33940
+Delta = 0 eV
+g = 1 meV
+d_beam = 2e-4 cm
+T = 300 K
+n2 = 0.5e8 cm^-2
+"""
+
+CONFIGS = {
+    # no m_eff: thresholds derive the lower-branch mass from the coupling keys
+    "plain": PLAIN,
+    "trap": PLAIN + "omega_eff = 5.0e10 s^-1\n",
+    # n2 estimated as lambda_T(T) * n3; n_s given apart from n2
+    "n3-only": PLAIN.replace("n2 = 0.5e8 cm^-2\n", "n_s = 2e7 cm^-2\n"),
+    "geometry": PLAIN.replace("Delta = 0 eV", "L_cav = 1 cm"),
+    "inconsistent-trap": PLAIN + "omega_eff = 5.0e10 s^-1\nU0 = 1 meV\nr0 = 1e-3 cm\n",
+    "example": (Path(__file__).resolve().parents[1] / "example.cfg").read_text(),
+}
+
+SWEEPS = {
+    "T": ["--from", "2", "--to", "2000", "--steps", "41", "--scale", "log"],
+    "n2": ["--from", "1e6", "--to", "1e9", "--steps", "31", "--scale", "log"],
+    "Delta": ["--from", "-0.004", "--to", "0.004", "--steps", "21"],
+    "g": ["--from", "0.0002", "--to", "0.005", "--steps", "13", "--scale", "log"],
+    "m_eff": ["--from", "1e-33", "--to", "1e-31", "--steps", "15", "--scale", "log"],
+}
+
+
+def _cases() -> dict:
+    cases = {}
+    for target in ("thresholds", "masses", "hopfield", "dispersion"):
+        for param, grid in SWEEPS.items():
+            for config in ("plain", "trap"):
+                cases[f"sweep-{target}-{param}-{config}"] = (
+                    config, ["sweep", "--param", param, *grid, "--command", target])
+    cases.update({
+        "sweep-thresholds-T-n3-only": ("n3-only", ["sweep", "--param", "T", *SWEEPS["T"],
+                                                   "--command", "thresholds"]),
+        "sweep-masses-Delta-n3-only": ("n3-only", ["sweep", "--param", "Delta",
+                                                   *SWEEPS["Delta"], "--command", "masses"]),
+        "sweep-masses-Delta-si": ("trap", ["sweep", "--param", "Delta", *SWEEPS["Delta"],
+                                           "--command", "masses", "--units", "si"]),
+        # omega_eff = 0 leaves N2 empty in the first row only
+        "sweep-thresholds-omega_eff-through-0": ("trap", [
+            "sweep", "--param", "omega_eff", "--from", "0", "--to", "1e11", "--steps", "5",
+            "--command", "thresholds"]),
+        "dispersion-100001-csv": ("example", ["dispersion", "--samples", "100001"]),
+        "dispersion-100001-json": ("example", ["dispersion", "--samples", "100001",
+                                               "--format", "json"]),
+    })
+    for command in ("check-coupling", "dispersion", "hopfield", "masses", "thresholds"):
+        cases[f"{command}-example"] = ("example", [command])
+        cases[f"{command}-example-json"] = ("example", [command, "--format", "json"])
+    cases["masses-example-si"] = ("example", ["masses", "--units", "si"])
+    cases["trap-example"] = ("example", ["trap", "--target-tc", "300", "--n-particles", "1e6"])
+    return cases
+
+
+CASES = _cases()
+
+# name -> (exit code, sha256 of the output bytes)
+DIGESTS = {
+    "check-coupling-example": (0, "1947d9c45bb579cdbdb6f643d6f05890c26ae8058633b6709edc42857e954192"),
+    "check-coupling-example-json": (0, "289b5e915aa0605b0e9fd4f549a4307ba4987c304f68d05ac345591e941157b2"),
+    "dispersion-100001-csv": (0, "9bccd790dff1b75a57bbac1a4c2b31ad66c8e4dc650009e67cde5f9d7ec3fbbe"),
+    "dispersion-100001-json": (0, "e7260fccfc1d17a1605eaa72f38965fd42289657ce8a3e6b7b2a77bbf2e43afa"),
+    "dispersion-example": (0, "832802bc93882a6fd0f8b36e38feb5b4e6cd2b50f63d115d40ad6c217132ad18"),
+    "dispersion-example-json": (0, "ec6f198678b868118c9a28124ebe4a6e2fa8c6de2ed19fa9a35b51a4a188fc04"),
+    "hopfield-example": (0, "76633c7ca0599bdfe02778dbb968a2f0df6a42108a0cd981d4853cc74dd3273f"),
+    "hopfield-example-json": (0, "291141eeca94c873ca83d1a1cca84c6bb9cf352f863570d1fa2f6d5b8bf69bab"),
+    "masses-example": (0, "31347a1de5cbee081a7f0b25d7b47ed12e212884b069ba4addcd2ad6432b3102"),
+    "masses-example-json": (0, "f15c50d8d85ab61cbe7bdfac3cc6dc29357b6f6f5b1c3f67c77f1b2b8af1a2bc"),
+    "masses-example-si": (0, "f5165685909a3c44f8f37cd9ed93f68e8e25785c2411539abda3cbc224be0bd5"),
+    "sweep-dispersion-Delta-plain": (0, "a94b27be30333b04b9205e95693437863b380fcc21e4d00f039a2794dcfaa96a"),
+    "sweep-dispersion-Delta-trap": (0, "3d8f1cf96e78bb99a76599c1a75f8f9fb405bbb1f8dbb9fde7d3cd720041ee6f"),
+    "sweep-dispersion-T-plain": (0, "261cd475b7e6ff5a17a9113259333c65c924e8b0a88d7507e6c3220ff402df0a"),
+    "sweep-dispersion-T-trap": (0, "402d753dd09067f527c518111c46b5f7fe78291f8d949833cc8583971d933742"),
+    "sweep-dispersion-g-plain": (0, "6b1a2c17bea989e0771f9032cd715417f9393b247ca572d3e408319605c57628"),
+    "sweep-dispersion-g-trap": (0, "b4b98491b21650b880a99cb0f2596725c48334ef9f3d44b497641cb47c8a4213"),
+    "sweep-dispersion-m_eff-plain": (0, "17a598aac40887bf8ce66d549b69fd347fdf5065b90df43f73e7e6b3979648ab"),
+    "sweep-dispersion-m_eff-trap": (0, "197df3105f7bf58e7376cad27c0cf52f90bab7b50ad294c6722b1450e03263af"),
+    "sweep-dispersion-n2-plain": (0, "665e5087108be7b76551a2ce53210e633e9f47535e330b83226688624c7cc117"),
+    "sweep-dispersion-n2-trap": (0, "4fcae61cc919f2c9efdf18c227546966ee3477da803ee4fd6af576edcfe25c58"),
+    "sweep-hopfield-Delta-plain": (0, "3783d6dc60db051824206a4232b4028efecdefa74c8bb8ff750976c1cd1b4496"),
+    "sweep-hopfield-Delta-trap": (0, "b0d5ab42b08740ac29ee87909f6e4d0b70fc161ea196a92206f57f6f76ef9db8"),
+    "sweep-hopfield-T-plain": (0, "1bf0bf3227051ed0b19d2aaa2880a8aed690aadbde00c296e2f5ae05f18b9622"),
+    "sweep-hopfield-T-trap": (0, "f76aec948c4cb15d9da33fa93e98beacfba3d7b61379576bee0be3846da04986"),
+    "sweep-hopfield-g-plain": (0, "069af047a0f49e081cbc064ab0cf90b66bee13c66c54abf1f5ce6945e15eb004"),
+    "sweep-hopfield-g-trap": (0, "e8ee7465041db5f4057e8040c46888baf97a286a508de76a3ba913e5264b7e6f"),
+    "sweep-hopfield-m_eff-plain": (0, "a6891226fc2225f9ae7ee5d5d575f0f36b7460e056fdde9553b5c0f273163a50"),
+    "sweep-hopfield-m_eff-trap": (0, "d0f2759eb88d51f98356fe2082d045c08dc2ef9e3ce9074767fab3ccb89d8cc5"),
+    "sweep-hopfield-n2-plain": (0, "e412dc64e1dce1ff9ff15f7844a5a31626a79b1659e7b44d4aae1b10aafa738f"),
+    "sweep-hopfield-n2-trap": (0, "a80af55611541089665364b2cdcebb0677e9c6e47719448dea415b2fe4388e5a"),
+    "sweep-masses-Delta-n3-only": (0, "2fe9ca104d9f16396d85c80edd662fab86c9cf747a0451e524ba99d14157a1d8"),
+    "sweep-masses-Delta-plain": (0, "cd6ebcc61c816d8dcece563495e6e840de8d8a2de3a361f18250d367ff9a9065"),
+    "sweep-masses-Delta-si": (0, "930ef090a3c51e6080e74e1b8d29d6a4c637b2672870f1346f3ed36ff10c56d1"),
+    "sweep-masses-Delta-trap": (0, "ff86c3b760a6a037ef33274f69618f2189870c85548ef22f8a53a734ca8a249f"),
+    "sweep-masses-T-plain": (0, "4e3011fd0e855872d470b3531e17dd98b875af4079bd6cacc16b19d5cb969d5c"),
+    "sweep-masses-T-trap": (0, "1ff9e7bdc6ec45e6f77a50ddc35280e62ac6aa482e0c3b45ee86d2957dede89e"),
+    "sweep-masses-g-plain": (0, "9c452cd4db44a86ccbbbb6260c2064fad0fd84e936a2c65b01748ea61dbaa603"),
+    "sweep-masses-g-trap": (0, "ab07b3b297b068c8b0bc7b0dc423b89c68339101c27ee00e42b9f466d574c820"),
+    "sweep-masses-m_eff-plain": (0, "86e49884cc1c02d986a41d414c7036bbe01534a6bdc0bb24c51205f5bd099ec8"),
+    "sweep-masses-m_eff-trap": (0, "3071bc4955b30ed31061f42fcda313134b4cc79b35d617df7ef1d34fbd5883c9"),
+    "sweep-masses-n2-plain": (0, "ff1855b18128c5ed56982818b2ed460b25e9a723ae246ee94417b257bfa41054"),
+    "sweep-masses-n2-trap": (0, "28e3f9bd72aff52d0dd99fe7c4d16b3c63ad1d67536299c5dd46ab0862d5a2ee"),
+    "sweep-thresholds-Delta-plain": (0, "d0ddefbb09512d25235c228534049b03a95b294cae1f70fac9c87bbc4b6b7658"),
+    "sweep-thresholds-Delta-trap": (0, "d5e76a57f225ac4a14294a91bb205ebd25dc179f114893a2ed44139e9dfb9072"),
+    "sweep-thresholds-T-n3-only": (0, "eaa9b11dd7c00df9c117973bb51f14f85aa48cc41003a8fea7c97d413d4892bb"),
+    "sweep-thresholds-T-plain": (0, "e6c1fbfc8d78c9e47e9c66279af2a44285983eeca7a95a72a5556c531017829f"),
+    "sweep-thresholds-T-trap": (0, "a943819a9234055865d10445d7f725e7be6233bd0c94f53542938ddab60bf75c"),
+    "sweep-thresholds-g-plain": (0, "0269fea3240386980e2996ffb00b4c7e8bd26fb53b19a3c828fac39c3eb47409"),
+    "sweep-thresholds-g-trap": (0, "06ed47f6f91af969fc2ec0bfe20ffcf6c810562a0104296b93100559c4451fe9"),
+    "sweep-thresholds-m_eff-plain": (0, "9546ebf6e367ed54bc7235657648e365a056697065887f4731bfc77c3cca4b25"),
+    "sweep-thresholds-m_eff-trap": (0, "2eef6912a10c8067ea956e22d2f1e2a2f0ed3aa656d58229b929d92e5d1edeb7"),
+    "sweep-thresholds-n2-plain": (0, "852af42c742d0b10b119ed7645057bafa653717853a81b06769f5dc6951b896c"),
+    "sweep-thresholds-n2-trap": (0, "640dcbe7971c85b79aa1e452ff6a21aeaa33ad07aa582a4bee700752d0361f58"),
+    "sweep-thresholds-omega_eff-through-0": (0, "327754e791a713e14c13b77f38e9cb414f3d96b2f6ced96bf636184db6c59a8b"),
+    "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
+    "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
+    "trap-example": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
+}
+
+
+def run(tmp_path, config: str, argv: list[str]) -> tuple[int, bytes]:
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIGS[config])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+    return code, out.read_bytes() if out.exists() else b""
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_match_recorded_digest(tmp_path, name):
+    code, data = run(tmp_path, *CASES[name])
+    assert (code, hashlib.sha256(data).hexdigest()) == DIGESTS[name]
+
+
+# name -> (config, command line, exact stderr); every one exits 1 and writes
+# nothing.  Negative exponent literals take '--to=' form, because argparse reads
+# '-1e7' as an option.
+ERRORS = {
+    "masses-Delta-past-E0": (
+        "plain", "sweep --param Delta --from 0 --to 4 --steps 3 --command masses",
+        'polbec: error: detuning leaves no positive mode energy\n'),
+    "masses-L_cav-through-0": (
+        "geometry", "sweep --param L_cav --from 1 --to -1 --steps 3 --command masses",
+        'polbec: error: float division by zero\n'),
+    "masses-L_cav-to-0": (
+        "geometry", "sweep --param L_cav --from 1 --to 0 --steps 3 --command masses",
+        'polbec: error: float division by zero\n'),
+    "masses-d_beam-through-0": (
+        "plain", "sweep --param d_beam --from 1e-4 --to=-1e-4 --steps 3 --command masses",
+        'polbec: error: beam_diameter must be strictly positive, got 0.0\n'),
+    "masses-g-through-0": (
+        "trap", "sweep --param g --from -0.001 --to 0.001 --steps 3 --command masses",
+        'polbec: error: g must be strictly positive, got -1.602176634e-15\n'),
+    "masses-mode_index-non-integer": (
+        "plain", "sweep --param mode_index --from 1 --to 2 --steps 3 --command masses",
+        "polbec: config error: sweep over 'mode_index' produced non-integer 1.5\n"),
+    "masses-mode_index-through-0": (
+        "plain", "sweep --param mode_index --from 1 --to -1 --steps 3 --command masses",
+        'polbec: error: length must be strictly positive, got 0.0\n'),
+    "masses-n2-through-0": (
+        "plain", "sweep --param n2 --from=-1e7 --to 1e7 --steps 3 --command masses",
+        'polbec: error: n_s and mass must be positive\n'),
+    "thresholds-E0-through-0": (
+        "plain", "sweep --param E0 --from 2 --to -2 --steps 3 --command thresholds",
+        'polbec: error: detuning leaves no positive mode energy\n'),
+    "thresholds-L_cav-with-Delta": (
+        "plain", "sweep --param L_cav --from 1 --to 2 --steps 3 --command thresholds",
+        "polbec: config error: give either 'L_cav' or 'Delta', not both\n"),
+    "thresholds-T-through-0": (
+        "plain", "sweep --param T --from -1 --to 1 --steps 3 --command thresholds",
+        'polbec: error: temperature must be positive\n'),
+    "thresholds-T-to-0": (
+        "trap", "sweep --param T --from 1 --to 0 --steps 3 --command thresholds",
+        'polbec: error: temperature must be positive\n'),
+    "thresholds-g-through-0": (
+        "plain", "sweep --param g --from 0.001 --to -0.001 --steps 3 --command thresholds",
+        'polbec: error: g must be strictly positive, got 0.0\n'),
+    "thresholds-inconsistent-trap": (
+        "inconsistent-trap", "sweep --param T --from 1 --to 2 --steps 3 --command thresholds",
+        "polbec: error: inconsistent trap: U0 = 1.60218e-15 erg but "
+        "m_eff*Omega_eff^2*r0^2/2 = 9.3768e-18 erg\n"),
+    "thresholds-m_eff-through-0": (
+        "plain", "sweep --param m_eff --from=-1e-33 --to 1e-33 --steps 3 --command thresholds",
+        'polbec: error: m_eff must be positive\n'),
+    "thresholds-mode_index-through-0-geometry": (
+        "geometry", "sweep --param mode_index --from 1 --to -1 --steps 3 --command thresholds",
+        'polbec: error: mode_index must be an integer >= 1, got 0\n'),
+    "thresholds-n2-through-0": (
+        "plain", "sweep --param n2 --from 1e7 --to=-1e7 --steps 3 --command thresholds",
+        'polbec: error: n2 must be positive\n'),
+    "thresholds-n3-through-0": (
+        "n3-only", "sweep --param n3 --from 1e11 --to=-1e11 --steps 3 --command thresholds",
+        'polbec: error: n3 must be positive\n'),
+    "thresholds-n_s-through-0": (
+        "n3-only", "sweep --param n_s --from 1e7 --to=-1e7 --steps 3 --command thresholds",
+        'polbec: error: n_s and mass must be positive\n'),
+    "thresholds-omega_eff-through-0": (
+        "trap", "sweep --param omega_eff --from 1e10 --to=-1e10 --steps 3 --command thresholds",
+        'polbec: error: omega_eff must be non-negative\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_sweep_error_parity(tmp_path, capsys, name):
+    config, argv, err = ERRORS[name]
+    code, data = run(tmp_path, config, argv.split())
+    assert code == 1
+    assert data == b""
+    assert capsys.readouterr().err == err
