@@ -10,6 +10,8 @@ condensation), and gradient-lens trap design.  A deterministic CLI
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .units import (
     Dimension,
     DimensionError,
@@ -30,20 +32,6 @@ from .coupling import (
     make_coupling,
     resonant_cavity_length,
     resonant_coupling,
-)
-from .dispersion import (
-    BranchPoint,
-    DispersionCurve,
-    GridSpec,
-    ModeProblem,
-    NoWellError,
-    ParaxialBoundWarning,
-    WellGeometry,
-    diagonalize_mode,
-    photon_energy_freespace,
-    photon_energy_paraxial,
-    sample_dispersion,
-    well_geometry,
 )
 from .thermo import (
     CondensationReport,
@@ -71,6 +59,15 @@ from .trap import (
     omega_for_lens,
 )
 
+# dispersion is the only module that needs numpy; the scalar commands never
+# touch it, so its names are resolved on first access (PEP 562).
+_DISPERSION_NAMES = (
+    "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
+    "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
+    "photon_energy_freespace", "photon_energy_paraxial",
+    "sample_dispersion", "well_geometry",
+)
+
 __all__ = [
     "__version__",
     # units
@@ -80,11 +77,8 @@ __all__ = [
     "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
     "is_strong_coupling", "make_coupling", "resonant_cavity_length",
     "resonant_coupling",
-    # dispersion
-    "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
-    "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
-    "photon_energy_freespace", "photon_energy_paraxial",
-    "sample_dispersion", "well_geometry",
+    # dispersion (loaded on first use, see __getattr__)
+    *_DISPERSION_NAMES,
     # thermo
     "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
     "chemical_potential", "condensate_fraction", "condensation_report",
@@ -96,3 +90,10 @@ __all__ = [
     "LensProfile", "TrapDesign", "design_trap", "lens_for_omega",
     "omega_for_lens",
 ]
+
+
+def __getattr__(name: str):
+    if name == "dispersion" or name in _DISPERSION_NAMES:
+        dispersion = importlib.import_module(".dispersion", __name__)
+        return dispersion if name == "dispersion" else getattr(dispersion, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,10 @@ numbers are printed with 12 significant digits, rows are assembled in
 grid/sweep order, and the metadata header carries no timestamps.
 Evaluation is serial; --workers is accepted and has no effect.
 
+Only dispersion, hopfield and their sweeps sample a curve; they import the
+numpy-backed dispersion module when they run, so the scalar commands start
+without numpy.
+
 Config values are dimension-checked once, when the config is parsed; the
 masses and thresholds tables are then computed on cgs floats, and a sweep
 of either swaps one float per value into that view of the config.  Every
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -39,12 +44,6 @@ from .coupling import (
     geometry_coupling_cgs,
     is_strong_coupling,
     resonant_coupling_cgs,
-)
-from .dispersion import (
-    GridSpec,
-    NoWellError,
-    sample_dispersion,
-    well_geometry,
 )
 from .thermo import (
     ThresholdLadder,
@@ -244,6 +243,8 @@ def _effective_mass(c: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _dispersion_columns(cfg: RunConfig, samples: int, kmax: float):
+    from .dispersion import GridSpec, sample_dispersion
+
     coupling, cavity = _build_coupling(cfg)
     e_at = cfg.require("E0")
     curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
@@ -268,6 +269,8 @@ def _dispersion_columns(cfg: RunConfig, samples: int, kmax: float):
 
 
 def _hopfield_columns(cfg: RunConfig, samples: int, kmax: float):
+    from .dispersion import GridSpec, sample_dispersion
+
     coupling, _ = _build_coupling(cfg)
     e_at = cfg.require("E0")
     curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
@@ -388,6 +391,8 @@ def cmd_check_coupling(cfg: RunConfig, args) -> int:
 
 
 def cmd_dispersion(cfg: RunConfig, args) -> int:
+    from .dispersion import NoWellError, well_geometry
+
     coupling, cavity, e_at, meta, columns = _dispersion_columns(cfg, args.samples, args.kmax)
     exit_code = EXIT_OK
     masses = effective_masses(coupling)
@@ -559,7 +564,16 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this toolkit reserves 2 for
-    physics warnings, so remap usage errors to exit code 1."""
+    physics warnings, so remap usage errors to exit code 1.
+
+    argparse takes '-1e-3' for an option because its negative-number pattern
+    has no exponent; the wider pattern lets '--to -1e-3' parse as a number.
+    Subparsers are built from this class, so they inherit both changes.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -115,6 +115,8 @@ def _parse_entry(key: str, raw: str) -> object:
             f"key '{key}': unit {unit!r} has dimension "
             f"[{q.dimension.unit_string()}], expected [{spec.dimension.unit_string()}]"
         )
+    if not math.isfinite(q.cgs):
+        raise ConfigError(f"key '{key}': {raw!r} overflows to {q.cgs} in cgs units")
     return q
 
 
@@ -219,10 +221,17 @@ def sweep_values(spec: SweepSpec) -> list[float]:
 def config_value(spec: SweepSpec, value: float) -> object:
     """Turn a swept numeric value back into the leaf's typed config value."""
     key_spec = KEY_SPECS[spec.param]
+    if key_spec.kind == "quantity":
+        typed = qty(value, key_spec.sweep_unit)
+        magnitude = typed.cgs
+    else:
+        typed = magnitude = value
+    if not math.isfinite(magnitude):
+        raise ConfigError(
+            f"sweep over '{spec.param}' produced {value}, which is not finite in cgs units"
+        )
     if key_spec.kind == "int":
         if value != int(value):
             raise ConfigError(f"sweep over '{spec.param}' produced non-integer {value}")
         return int(value)
-    if key_spec.kind == "float":
-        return value
-    return qty(value, key_spec.sweep_unit)
+    return typed

@@ -367,6 +367,29 @@ class TestParsingErrors:
         assert "nan" not in err
         assert "polbec: error:" in err and "'g' = 1e+300 eV" in err
 
+    def test_unit_overflow_names_key(self, tmp_path, capsys):
+        # 1e308 J is finite, but 1e315 erg is not
+        code, data = run(tmp_path, BASE_CFG.replace("E0 = 2.104 eV", "E0 = 1e308 J"),
+                         ["dispersion", "--samples", "5"])
+        assert code == 1
+        assert data == b""
+        assert "'E0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param, start, stop, target",
+        [("g", "1e-3", "-1e-3", "thresholds"), ("Delta", "-1e-3", "1e-3", "masses")],
+        ids=["to", "from"],
+    )
+    def test_exponent_form_negative_endpoint(self, tmp_path, param, start, stop, target):
+        # argparse reads '-1e-3' as an option unless told it is a number
+        tail = ["--steps", "3", "--command", target]
+        code, spaced = run(tmp_path, BASE_CFG, ["sweep", "--param", param,
+                                                "--from", start, "--to", stop, *tail], "a.csv")
+        assert code == 0
+        _, joined = run(tmp_path, BASE_CFG, ["sweep", "--param", param,
+                                             f"--from={start}", f"--to={stop}", *tail], "b.csv")
+        assert spaced == joined
+
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["dispersion"])  # missing --config
@@ -381,3 +404,38 @@ def test_cli_import_loads_no_thread_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_scalar_commands_load_no_numpy():
+    # only dispersion imports numpy; the scalar commands and their sweeps
+    # must start without it.  The last case is the control: it shows that
+    # the probe sees numpy once a curve is sampled.
+    root = Path(polbec.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cases = [
+        ["thresholds"],
+        ["masses"],
+        ["check-coupling"],
+        ["trap", "--target-tc", "300", "--n-particles", "1e6"],
+        ["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "5",
+         "--command", "thresholds"],
+        ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "5",
+         "--command", "masses"],
+        ["dispersion", "--samples", "5"],
+    ]
+    probe = (
+        "import json, os, sys\n"
+        "import polbec.cli\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    rc = polbec.cli.main(argv + ['--config', sys.argv[2], '--out', os.devnull])\n"
+        "    loaded.append((rc, 'numpy' in sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(cases), str(root / "example.cfg")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    after_import, *after_cases = json.loads(result.stdout)
+    assert after_import is False
+    assert after_cases == [[0, False]] * (len(cases) - 1) + [[0, True]]

@@ -79,6 +79,15 @@ class TestParse:
         with pytest.raises(ConfigError, match=f"key '{key}': expected a finite number"):
             RunConfig.parse(line + "\n")
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [("E0 = 1e308 J", "E0"), ("m_eff = 1e306 kg", "m_eff"), ("L_cav = 1e307 m", "L_cav")],
+        ids=["J", "kg", "m"],
+    )
+    def test_overflow_after_unit_factor_rejected(self, line, key):
+        with pytest.raises(ConfigError, match=f"key '{key}': .* overflows to inf"):
+            RunConfig.parse(line + "\n")
+
     def test_bad_choice(self):
         with pytest.raises(ConfigError, match="key 'format'"):
             RunConfig.parse("format = yaml\n")
@@ -156,3 +165,11 @@ class TestSweepSpec:
         assert n == 5.0
         m = config_value(SweepSpec("mode_index", 1, 9, 3), 5.0)
         assert m == 5 and isinstance(m, int)
+
+    @pytest.mark.parametrize("param", ["Delta", "N", "mode_index"])
+    def test_config_value_non_finite_names_key(self, param):
+        # a linear span of +-1.7e308 overflows, and its first value is nan
+        spec = SweepSpec(param, -1.7e308, 1.7e308, 3)
+        value = sweep_values(spec)[0]
+        with pytest.raises(ConfigError, match=f"sweep over '{param}' .* not finite"):
+            config_value(spec, value)

@@ -1,0 +1,75 @@
+"""The package's public names, with dispersion resolved on first access."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polbec
+
+PUBLIC = [
+    "__version__",
+    "Dimension", "DimensionError", "Quantity", "constant", "convert", "qty",
+    "CavityParams", "CouplingParams", "CouplingRegime", "MediumParams",
+    "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
+    "is_strong_coupling", "make_coupling", "resonant_cavity_length",
+    "resonant_coupling",
+    "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
+    "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
+    "photon_energy_freespace", "photon_energy_paraxial",
+    "sample_dispersion", "well_geometry",
+    "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
+    "chemical_potential", "condensate_fraction", "condensation_report",
+    "degeneracy_temperature", "effective_masses", "group_velocity",
+    "kt_temperature", "thermal_wavelength", "transverse_energy",
+    "trapped_bec_temperature", "trapped_bec_temperature_from_N",
+    "trapped_number",
+    "LensProfile", "TrapDesign", "design_trap", "lens_for_omega",
+    "omega_for_lens",
+]
+
+DISPERSION = PUBLIC[PUBLIC.index("BranchPoint"):PUBLIC.index("CondensationReport")]
+
+
+def test_all_is_pinned():
+    assert polbec.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_every_name_resolves(name):
+    value = getattr(polbec, name)
+    if name in DISPERSION:
+        assert value is getattr(polbec.dispersion, name)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from polbec import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC} == {
+        name: getattr(polbec, name) for name in PUBLIC
+    }
+
+
+def test_dispersion_is_the_submodule():
+    assert polbec.dispersion is sys.modules["polbec.dispersion"]
+
+
+def test_dispersion_attribute_loads_it_in_a_fresh_interpreter():
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    probe = (
+        "import sys, polbec\n"
+        "before = 'polbec.dispersion' in sys.modules\n"
+        "module = polbec.dispersion\n"
+        "print(before, module is sys.modules['polbec.dispersion'], 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["False", "True", "True"]
+
+
+def test_unknown_attribute_names_it():
+    with pytest.raises(AttributeError, match="no attribute 'banana'"):
+        polbec.banana
