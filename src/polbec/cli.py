@@ -13,7 +13,10 @@ without numpy.
 Config values are dimension-checked once, when the config is parsed; the
 masses and thresholds tables are then computed on cgs floats, and a sweep
 of either swaps one float per value into that view of the config.  Every
-table is printed column-wise through one '%'-template.
+table is printed column-wise through one '%'-template.  A JSON table writes
+those printed numbers as floats itself, spelled as json spells them, and
+leaves only its header to json.  The argument parser is built once per
+process and shared by every later call of main.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -26,6 +29,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 
 from . import __version__
 from .config import (
@@ -125,11 +129,6 @@ def csv_lines(columns: list) -> list[str]:
     return [template % row for row in zip(*cells)]
 
 
-def json_rows(lines: list[str]) -> list[list[float]]:
-    """CSV lines back as numbers, so JSON rows carry the printed 12 digits."""
-    return [[float(v) for v in line.split(",")] for line in lines]
-
-
 def render_csv(meta: list[str], header: list[str], lines: list[str]) -> str:
     out = [f"# {m}" for m in meta]
     out.append(",".join(header))
@@ -138,7 +137,26 @@ def render_csv(meta: list[str], header: list[str], lines: list[str]) -> str:
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The payload as json.dumps(payload, indent=2) writes it, plus a newline.
+
+    A "rows" entry holds the table's CSV lines; they are written as arrays
+    of the printed numbers in json's indent=2 layout, each spelled as json
+    spells a float (float.__repr__, or NaN and Infinity).  json itself would
+    write them through its pure-Python encoder, which it uses to indent.
+    """
+    lines = payload.get("rows")
+    text = json.dumps(payload if lines is None else {**payload, "rows": []}, indent=2)
+    if lines:
+        rows = "\n    ],\n    [\n      ".join(
+            ",\n      ".join(map(float.__repr__, map(float, line.split(","))))
+            for line in lines
+        )
+        if "n" in rows:  # no finite repr has an 'n'
+            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+        text = text.replace(
+            '\n  "rows": []', '\n  "rows": [\n    [\n      ' + rows + '\n    ]\n  ]', 1
+        )
+    return text + "\n"
 
 
 def emit(text: str, out: str) -> None:
@@ -419,7 +437,7 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": DISPERSION_HEADER,
-            "rows": json_rows(lines),
+            "rows": lines,
         })
     else:
         text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, lines)
@@ -434,7 +452,7 @@ def cmd_hopfield(cfg: RunConfig, args) -> int:
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": HOPFIELD_HEADER,
-            "rows": json_rows(lines),
+            "rows": lines,
         })
     else:
         text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, lines)
@@ -593,7 +611,13 @@ def _add_grid(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1, help="accepted; evaluation is serial")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    parse_args gives each call a fresh Namespace and main changes only that,
+    never the parser, so one parser serves every call in a process.
+    """
     parser = _Parser(prog="polbec", description=__doc__)
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -648,8 +672,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config)
         if args.format is None:

@@ -437,13 +437,20 @@ def degeneracy_temperature(n2: Quantity, m: Quantity) -> Quantity:
 
 
 def chemical_potential(state: GasState) -> Quantity:
-    """mu = kB T ln(1 - exp(-T_d/T)), always negative, -> 0- as T -> 0."""
-    n2 = state.n2
-    if n2 is None:
-        n2 = thermal_wavelength(state.m_eff, state.temperature) * state.n3
-    t_k = state.temperature.cgs
-    x = degeneracy_temperature_K(n2.cgs, state.m_eff.cgs) / t_k
-    return Quantity(KB_CGS * t_k * mu_over_kbt(x), ENERGY)
+    """mu = kB T ln(1 - exp(-T_d/T)), always negative, -> 0- as T -> 0.
+
+    The mu column of condensation_ladder; without n2 it is estimated as
+    lambda_T(T) * n3 there.
+    """
+    return Quantity(
+        condensation_ladder(
+            state.temperature.cgs,
+            state.m_eff.cgs,
+            None if state.n2 is None else state.n2.cgs,
+            None if state.n3 is None else state.n3.cgs,
+        ).mu,
+        ENERGY,
+    )
 
 
 def kt_temperature(n_s: Quantity, m: Quantity) -> Quantity:

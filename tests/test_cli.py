@@ -1,13 +1,15 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polbec
-from polbec.cli import main
+from polbec.cli import build_parser, csv_lines, main, render_json
 
 BASE_CFG = """\
 E0 = 2.104 eV
@@ -439,3 +441,169 @@ def test_scalar_commands_load_no_numpy():
     after_import, *after_cases = json.loads(result.stdout)
     assert after_import is False
     assert after_cases == [[0, False]] * (len(cases) - 1) + [[0, True]]
+
+
+EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")
+
+
+def call(argv, capsys):
+    """(exit code, stdout, stderr) of one in-process main call; argparse's
+    SystemExit counts as a return."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# at COLUMNS=80; the description paragraph of TOP_HELP is the cli module docstring
+TOP_HELP = """\
+usage: polbec [-h] [--version]
+              {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep}
+              ...
+
+Deterministic command-line front end. Subcommands: check-coupling, dispersion,
+hopfield, masses, thresholds, trap, sweep. All file output is byte-stable
+across runs and locales: numbers are printed with 12 significant digits, rows
+are assembled in grid/sweep order, and the metadata header carries no
+timestamps. Evaluation is serial; --workers is accepted and has no effect.
+Only dispersion, hopfield and their sweeps sample a curve; they import the
+numpy-backed dispersion module when they run, so the scalar commands start
+without numpy. Config values are dimension-checked once, when the config is
+parsed; the masses and thresholds tables are then computed on cgs floats, and
+a sweep of either swaps one float per value into that view of the config.
+Every table is printed column-wise through one '%'-template. A JSON table
+writes those printed numbers as floats itself, spelled as json spells them,
+and leaves only its header to json. The argument parser is built once per
+process and shared by every later call of main. Exit codes: 0 success, 1
+usage/config error, 2 physical-regime warning (weak coupling, or no lower-
+branch well in the paraxial window).
+
+positional arguments:
+  {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep}
+    check-coupling      strong-coupling regime test
+    dispersion          sample both polariton branches over k_par
+    hopfield            photon/matter composition along the grid
+    masses              photon and branch curvature masses
+    thresholds          condensation threshold ladder
+    trap                design a lens profile for a target T_c
+    sweep               sweep one config key through a target command
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+SWEEP_USAGE = """\
+usage: polbec sweep [-h] --config CONFIG [--out OUT] [--format {csv,json}]
+                    [--units {cgs,si}] [--samples SAMPLES] [--kmax KMAX]
+                    [--workers WORKERS] --param PARAM --from SWEEP_FROM --to
+                    SWEEP_TO --steps STEPS [--scale {linear,log}] --command
+                    {masses,thresholds,hopfield,dispersion}
+"""
+
+SWEEP_HELP = SWEEP_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       path to key = value config file
+  --out OUT             output path, or - for stdout
+  --format {csv,json}
+  --units {cgs,si}
+  --samples SAMPLES     grid points in k_par
+  --kmax KMAX           k_par window edge over k_perp
+  --workers WORKERS     accepted; evaluation is serial
+  --param PARAM         config key to sweep
+  --from SWEEP_FROM     start value in the key's canonical unit
+  --to SWEEP_TO         stop value in the key's canonical unit
+  --steps STEPS
+  --scale {linear,log}
+  --command {masses,thresholds,hopfield,dispersion}
+"""
+
+SWEEP_USAGE_ERROR = SWEEP_USAGE + (
+    "polbec sweep: error: the following arguments are required: "
+    "--from, --to, --steps, --command\n"
+)
+
+
+def test_help_and_usage_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert call(["--help"], capsys) == (0, TOP_HELP, "")
+    assert call(["sweep", "--help"], capsys) == (0, SWEEP_HELP, "")
+    assert call(["sweep", "--config", EXAMPLE_CFG, "--param", "T"], capsys) == (
+        1, "", SWEEP_USAGE_ERROR)
+
+
+class TestParserReuse:
+    CALLS = [
+        ["dispersion", "--config", EXAMPLE_CFG, "--format", "json"],
+        ["thresholds", "--config", EXAMPLE_CFG],
+        ["sweep", "--config", EXAMPLE_CFG, "--param", "T"],  # usage error
+        ["--version"],
+        ["dispersion", "--config", EXAMPLE_CFG, "--format", "json"],
+    ]
+
+    def test_calls_in_one_process_match_a_fresh_parser(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = []
+        for argv in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(call(argv, capsys))
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
+        assert fresh[-1] == fresh[0]
+        build_parser.cache_clear()
+        reused = [call(argv, capsys) for argv in self.CALLS * 2]
+        assert reused == fresh * 2
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+        probe = (
+            "import polbec.cli as cli\n"
+            "before = cli.build_parser.cache_info().currsize\n"
+            "cli.build_parser()\n"
+            "print(before, cli.build_parser.cache_info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.split() == ["0", "1"]
+
+
+# values whose JSON spelling is easy to get wrong: signed zeros, integers that
+# %.12g writes in exponent form but repr in full, subnormals, +-1e+-300, and
+# the non-finite tokens json writes as NaN and Infinity
+JSON_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
+                     math.nan, math.inf, -math.inf]),
+    st.builds(lambda n, sign: sign * float(n),
+              st.integers(10**12, 10**16 - 1), st.sampled_from([1.0, -1.0])),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.floats(),
+)
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\\'/\n\té°λ€😀'), st.characters()),
+                    max_size=12)
+
+
+@st.composite
+def json_tables(draw):
+    width = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(JSON_VALUES, min_size=width, max_size=width), max_size=12))
+
+
+@settings(deadline=None)
+@given(table=json_tables(), metadata=st.lists(JSON_TEXT, max_size=4),
+       columns=st.lists(JSON_TEXT, max_size=4))
+@example(table=[[0.0, -0.0, 1234567890123.0, 5e-324, math.nan, math.inf, -math.inf]],
+         metadata=['a "quoted" \\ path', "Δ/g = 1 — µ²"], columns=["k_par_over_k_perp"])
+def test_render_json_matches_json_dumps(table, metadata, columns):
+    # the rows json.dumps would write for the same CSV lines, parsed back
+    lines = csv_lines([list(col) for col in zip(*table)])
+    reference = {
+        "metadata": metadata,
+        "columns": columns,
+        "rows": [[float(v) for v in line.split(",")] for line in lines],
+    }
+    expected = json.dumps(reference, indent=2) + "\n"
+    assert render_json({"metadata": metadata, "columns": columns, "rows": lines}) == expected
