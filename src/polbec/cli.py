@@ -11,9 +11,12 @@ numpy-backed dispersion module when they run, so the scalar commands start
 without numpy.
 
 Config values are dimension-checked once, when the config is parsed; the
-masses and thresholds tables are then computed on cgs floats, and a sweep
-of either swaps one float per value into that view of the config.  Every
-table is printed column-wise through one '%'-template.  A JSON table writes
+masses and thresholds tables are then computed on cgs floats.  A masses
+sweep swaps one float per value into that view of the config.  A thresholds
+sweep binds the ladder's arguments once, at the first value, and swaps one
+float per value into them; only a key the derived mass reads rebuilds them.
+The thresholds columns come straight from the ladder tuples.  Every table
+is printed column-wise through one '%'-template.  A JSON table writes
 those printed numbers as floats itself, spelled as json spells them, and
 leaves only its header to json.  The argument parser is built once per
 process and shared by every later call of main.
@@ -36,6 +39,8 @@ from .config import (
     ConfigError,
     RunConfig,
     SweepSpec,
+    check_keys,
+    config_cgs,
     config_value,
     sweep_values,
 )
@@ -207,8 +212,6 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     e0 = c.require("E0")
     g = c.require("g")
     mode_index = c.require("mode_index")
-    if "L_cav" in c.values and "Delta" in c.values:
-        raise ConfigError("give either 'L_cav' or 'Delta', not both")
     if "Delta" in c.values:
         delta = c.values["Delta"]
         k_perp = resonant_coupling_cgs(e0, g, delta)
@@ -344,38 +347,57 @@ def _masses_values(c: RunConfig, units: str):
     return meta, values
 
 
-def _thresholds_ladder(c: RunConfig) -> ThresholdLadder:
+# the config keys behind condensation_ladder's positional arguments
+LADDER_KEYS = ("T", "m_eff", "n2", "n3", "omega_eff", "U0", "r0", "n_s")
+
+# without m_eff in the config, _effective_mass derives it from these keys
+MASS_KEYS = ("E0", "g", "Delta", "L_cav", "mode_index", "d_beam")
+
+
+def _ladder_args(c: RunConfig) -> list:
+    """condensation_ladder's arguments, in LADDER_KEYS order, from a cgs view."""
     t = c.require("T")
-    n2 = c.get("n2")
-    n3 = c.get("n3")
+    get = c.values.get
+    n2 = get("n2")
+    n3 = get("n3")
     if n2 is None and n3 is None:
         raise ConfigError("missing required key: one of 'n2', 'n3'")
-    return condensation_ladder(
-        t, _effective_mass(c), n2, n3,
-        omega_eff=c.get("omega_eff"), u0=c.get("U0"), r0=c.get("r0"), n_s=c.get("n_s"),
-    )
+    return [t, _effective_mass(c), n2, n3, get("omega_eff"), get("U0"), get("r0"), get("n_s")]
 
 
-def _thresholds_values(lad: ThresholdLadder) -> list:
-    # the cgs magnitudes are in the header's units already, except mu (meV)
-    return [
-        lad.temperature,
-        lad.m_eff,
-        lad.n3,
-        lad.n2,
-        lad.lambda_t,
-        lad.r_int,
-        lad.t_degeneracy,
-        lad.t_kt,
-        lad.mu / MEV_ERG,
-        lad.omega_eff,
-        lad.t_c,
-        lad.n_trapped,
-        lad.condensate_frac,
-        lad.degenerate,
-        lad.kt_superfluid,
-        lad.overlap,
-    ]
+def _sweep_ladders(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> list[ThresholdLadder]:
+    """One ladder per swept value.
+
+    The arguments are bound at the first value, after its check, and each
+    later value swaps one float into them; only a key the derived mass
+    reads has them rebuilt per value, as it may change the mass or fail
+    the cavity check.
+    """
+    c = _cgs(cfg)
+    key = spec.param
+    rebuild = key in MASS_KEYS and "m_eff" not in c.values
+    slot = LADDER_KEYS.index(key) if key in LADDER_KEYS else None
+    args = None
+    ladders = []
+    for value in values:
+        x = config_cgs(spec, value)
+        if args is None or rebuild:
+            c.values[key] = x
+            args = _ladder_args(c)
+        elif slot is not None:
+            args[slot] = x
+        ladders.append(condensation_ladder(*args))
+    return ladders
+
+
+def _thresholds_columns(ladders: list[ThresholdLadder]) -> list:
+    """The THRESHOLDS_HEADER columns of the ladders.
+
+    The ladder's fields are in the header's order and units but for two:
+    n2 comes before n3, and mu is in erg (printed in meV).
+    """
+    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, *rest = zip(*ladders)
+    return [t, m, n3, n2, lam, r_int, t_d, t_kt, [v / MEV_ERG for v in mu], *rest[:7]]
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +496,15 @@ def cmd_masses(cfg: RunConfig, args) -> int:
 
 
 def cmd_thresholds(cfg: RunConfig, args) -> int:
-    ladder = _thresholds_ladder(_cgs(cfg))
+    ladder = condensation_ladder(*_ladder_args(_cgs(cfg)))
     meta = _meta_head(cfg) + [f"note: {n}" for n in ladder.notes]
-    values = _thresholds_values(ladder)
+    columns = _thresholds_columns([ladder])
     if args.format == "json":
         payload = {"metadata": meta}
-        payload.update(dict(zip(THRESHOLDS_HEADER, values)))
+        payload.update(zip(THRESHOLDS_HEADER, (col[0] for col in columns)))
         text = render_json(payload)
     else:
-        text = render_csv(meta, THRESHOLDS_HEADER, csv_lines([[v] for v in values]))
+        text = render_csv(meta, THRESHOLDS_HEADER, csv_lines(columns))
     emit(text, args.out)
     return EXIT_OK
 
@@ -533,19 +555,20 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         steps=args.steps,
         scale=args.scale,
     )
+    # the config with the swept key written in must pass what parsing checks
+    check_keys({*cfg.values, spec.param})
     values = sweep_values(spec)
     target = args.target
 
-    if target in ("masses", "thresholds"):
+    if target == "thresholds":
+        columns = [values, *_thresholds_columns(_sweep_ladders(cfg, spec, values))]
+    elif target == "masses":
         # one cgs view of the config; each value swaps in one float
         c = _cgs(cfg)
         rows = []
         for value in values:
-            c.values[spec.param] = _cgs_value(config_value(spec, value))
-            if target == "masses":
-                rows.append([value, *_masses_values(c, args.units)[1]])
-            else:
-                rows.append([value, *_thresholds_values(_thresholds_ladder(c))])
+            c.values[spec.param] = config_cgs(spec, value)
+            rows.append([value, *_masses_values(c, args.units)[1]])
         columns = list(zip(*rows))
     else:
         table_for = _hopfield_columns if target == "hopfield" else _dispersion_columns
@@ -618,7 +641,11 @@ def build_parser() -> _Parser:
     parse_args gives each call a fresh Namespace and main changes only that,
     never the parser, so one parser serves every call in a process.
     """
-    parser = _Parser(prog="polbec", description=__doc__)
+    # --help shows the module docstring's summary, first paragraph and exit
+    # codes; the paragraphs between them are notes on the implementation
+    # (python -OO strips the docstring, leaving no description)
+    paragraphs = (__doc__ or "").split("\n\n")
+    parser = _Parser(prog="polbec", description="\n\n".join(paragraphs[:2] + paragraphs[-1:]))
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

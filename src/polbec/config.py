@@ -25,6 +25,7 @@ from .units import (
     TIME,
     UNITS,
     VOLUME_DENSITY,
+    Quantity,
     qty,
 )
 
@@ -120,6 +121,13 @@ def _parse_entry(key: str, raw: str) -> object:
     return q
 
 
+def check_keys(keys) -> None:
+    """The check across keys that every config passes: L_cav and Delta are
+    two ways to fix the same detuning."""
+    if "L_cav" in keys and "Delta" in keys:
+        raise ConfigError("give either 'L_cav' or 'Delta', not both")
+
+
 @dataclass
 class RunConfig:
     """Parsed configuration; values keyed exactly as in the file."""
@@ -143,8 +151,7 @@ class RunConfig:
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key '{key}'")
             values[key] = _parse_entry(key, raw)
-        if "L_cav" in values and "Delta" in values:
-            raise ConfigError("give either 'L_cav' or 'Delta', not both")
+        check_keys(values)
         return cls(values=values, source_text=text)
 
     @classmethod
@@ -218,14 +225,17 @@ def sweep_values(spec: SweepSpec) -> list[float]:
     return [sign * math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
 
 
-def config_value(spec: SweepSpec, value: float) -> object:
-    """Turn a swept numeric value back into the leaf's typed config value."""
+def config_cgs(spec: SweepSpec, value: float) -> float | int:
+    """A swept numeric value as the cgs magnitude the leaf's config value holds.
+
+    Quantities scale by their sweep unit's factor, which is the float
+    qty(value, unit).cgs gives; int leaves come back as int.
+    """
     key_spec = KEY_SPECS[spec.param]
     if key_spec.kind == "quantity":
-        typed = qty(value, key_spec.sweep_unit)
-        magnitude = typed.cgs
+        magnitude = float(value) * UNITS[key_spec.sweep_unit][0]
     else:
-        typed = magnitude = value
+        magnitude = value
     if not math.isfinite(magnitude):
         raise ConfigError(
             f"sweep over '{spec.param}' produced {value}, which is not finite in cgs units"
@@ -234,4 +244,13 @@ def config_value(spec: SweepSpec, value: float) -> object:
         if value != int(value):
             raise ConfigError(f"sweep over '{spec.param}' produced non-integer {value}")
         return int(value)
-    return typed
+    return magnitude
+
+
+def config_value(spec: SweepSpec, value: float) -> object:
+    """Turn a swept numeric value back into the leaf's typed config value."""
+    magnitude = config_cgs(spec, value)
+    key_spec = KEY_SPECS[spec.param]
+    if key_spec.kind == "quantity":
+        return Quantity(magnitude, key_spec.dimension)
+    return magnitude

@@ -333,19 +333,39 @@ def condensation_ladder(
         "mu = kB T ln(1 - exp(-T_d/T))",
     ]
 
-    lam = lambda_T_cm(m_g, t_k)
     n2_estimated = n2 is None
     if n2_estimated:
-        n2 = lam * n3
         notes.append("n2 estimated as lambda_T(T) * n3")
 
-    # n2 > 0 from here on: a given n2 passed _check_gas, and an estimate that
-    # underflows to 0 stops at this division
-    r_int = 1.0 / math.sqrt(n2)
-    t_d = degeneracy_temperature_K(n2, m_g)
+    # A finite positive input can still take an intermediate out of the float
+    # range.  The try blocks cost nothing until they catch; the error path
+    # then names the config keys behind the value that left the range.
+    lam = 0.0  # kept if lambda_T_cm raises; also its value once 2 pi m kB T overflows
+    try:
+        lam = lambda_T_cm(m_g, t_k)
+        if n2_estimated:
+            n2 = lam * n3
+        # n2 > 0 from here on, unless the estimate underflows to 0
+        r_int = 1.0 / math.sqrt(n2)
+        t_d = degeneracy_temperature_K(n2, m_g)
+    except ZeroDivisionError:
+        if not lam:
+            message = (f"lambda_T: 2 pi m kB T leaves the float range for "
+                       f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g")
+        elif not n2:
+            message = f"n2 = lambda_T * n3 underflows to 0 for 'n3' = {n3:g} cm^-3"
+        else:
+            message = f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g"
+        raise ZeroDivisionError(message) from None
     t_kt = kt_temperature_K(n2 if n_s is None else n_s, m_g)
     x = t_d / t_k
-    mu = KB_CGS * t_k * mu_over_kbt(x)
+    try:
+        mu = KB_CGS * t_k * mu_over_kbt(x)
+    except ValueError:  # log(0): T_d/T = n2 lambda_T^2 underflows to 0
+        density = f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
+        raise ValueError(
+            f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density}, 'm_eff' = {m_g:g} g"
+        ) from None
     mu_zero = x > _MU_ZERO_X
     if mu_zero:
         notes.append("|mu| below 1e-13 kB T; effectively 0-")
@@ -361,7 +381,13 @@ def condensation_ladder(
             notes.append("omega_eff = 0: no trap confinement, T_c = 0")
         else:
             t_c = t_d / TRAP_BEC_ZETA  # trapped_bec_temperature, density form
-            n_trapped = _trapped_number_cgs(n2, t_k, omega_eff, m_g)
+            try:
+                n_trapped = _trapped_number_cgs(n2, t_k, omega_eff, m_g)
+            except ZeroDivisionError:
+                raise ZeroDivisionError(
+                    f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
+                    f"'omega_eff' = {omega_eff:g} s^-1"
+                ) from None
             frac = _condensate_fraction_cgs(t_k, t_c)
 
     return ThresholdLadder(

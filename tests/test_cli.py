@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polbec
+from polbec import cli
 from polbec.cli import build_parser, csv_lines, main, render_json
+from polbec.config import SweepSpec, sweep_values
 
 BASE_CFG = """\
 E0 = 2.104 eV
@@ -398,6 +403,167 @@ class TestParsingErrors:
         assert exc.value.code == 1
 
 
+class TestUnderflowNamesKey:
+    # finite config values that take lambda_T or the n2 estimate out of the
+    # float range; without m_eff the mass is derived from the coupling keys
+    CFG = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
+
+    @pytest.mark.parametrize(
+        "edits, key",
+        [
+            ([("n2 = 0.5e8 cm^-2\n", ""), ("n3 = 3.5e11", "n3 = 1e-321")], "n3"),
+            ([("T = 300 K", "T = 1e-300 K")], "T"),
+        ],
+        ids=["n3-estimate", "T-lambda"],
+    )
+    def test_thresholds_exit_one(self, tmp_path, capsys, edits, key):
+        cfg = self.CFG
+        for old, new in edits:
+            cfg = cfg.replace(old, new)
+        code, data = run(tmp_path, cfg, ["thresholds"])
+        assert code == 1
+        assert data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("polbec: error: ") and f"'{key}'" in err
+        assert "division by zero" not in err
+
+
+class TestSweepBinding:
+    """The thresholds sweep derives the lower-branch mass once, unless the
+    swept key is one the derivation reads."""
+
+    def count_mass_derivations(self, monkeypatch, tmp_path, config_text, param, start, stop):
+        calls = []
+        derive = cli._coupling_cgs
+
+        def counted(c):
+            calls.append(c.values[param])
+            return derive(c)
+
+        monkeypatch.setattr(cli, "_coupling_cgs", counted)
+        code, _ = run(tmp_path, config_text, [
+            "sweep", "--param", param, "--from", start, "--to", stop, "--steps", "50",
+            "--command", "thresholds"])
+        assert code == 0
+        return calls
+
+    def test_T_sweep_derives_the_mass_once(self, monkeypatch, tmp_path):
+        cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
+        calls = self.count_mass_derivations(monkeypatch, tmp_path, cfg, "T", "2", "2000")
+        assert calls == [2.0]
+
+    def test_Delta_sweep_derives_the_mass_per_value(self, monkeypatch, tmp_path):
+        cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
+        calls = self.count_mass_derivations(
+            monkeypatch, tmp_path, cfg, "Delta", "-0.002", "0.002")
+        assert len(calls) == 50 and len(set(calls)) == 50
+
+    def test_Delta_sweep_with_m_eff_derives_no_mass(self, monkeypatch, tmp_path):
+        calls = self.count_mass_derivations(
+            monkeypatch, tmp_path, BASE_CFG, "Delta", "-0.002", "0.002")
+        assert calls == []
+
+
+# sweepable keys: the eight the ladder reads, one the derived mass reads
+# (Delta) and one neither reads (tau_coh); (unit, low, high) of the drawn
+# magnitudes
+ROW_KEYS = {
+    "T": ("K", 1e-2, 1e6),
+    "n2": ("cm^-2", 1.0, 1e16),
+    "n3": ("cm^-3", 1e3, 1e20),
+    "omega_eff": ("s^-1", 1e6, 1e14),
+    "U0": ("eV", 1e-9, 1.0),
+    "r0": ("cm", 1e-6, 1e-1),
+    "n_s": ("cm^-2", 1.0, 1e16),
+    "m_eff": ("g", 1e-36, 1e-28),
+    "Delta": ("eV", 1e-5, 1e-2),
+    "tau_coh": ("s", 1e-12, 1e-6),
+}
+
+
+def _magnitude(key):
+    _, low, high = ROW_KEYS[key]
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@st.composite
+def row_configs(draw):
+    """Config text for the thresholds ladder: always T and the coupling keys,
+    and any of m_eff, n2, n3, n_s and a trap, with n2 or n3 present."""
+    lines = ["E0 = 2.104 eV", "d = 1 D", "tau_coh = 1e-8 s", "mode_index = 33940",
+             "g = 1 meV", "d_beam = 2e-4 cm", f"T = {draw(_magnitude('T'))!r} K"]
+    if draw(st.booleans()):
+        lines.append(f"Delta = {draw(st.floats(-0.01, 0.01))!r} eV")
+    else:  # the geometry form; a Delta sweep then fails with 'L_cav' or 'Delta'
+        lines.append("L_cav = 1 cm")
+    density = draw(st.sampled_from(["n2", "n3", "both"]))
+    for key in ("n2", "n3"):
+        if density in (key, "both"):
+            lines.append(f"{key} = {draw(_magnitude(key))!r} {ROW_KEYS[key][0]}")
+    for key in ("m_eff", "n_s", "omega_eff"):
+        if draw(st.booleans()):
+            lines.append(f"{key} = {draw(_magnitude(key))!r} {ROW_KEYS[key][0]}")
+    if draw(st.booleans()):
+        # U(r0) = U0 rarely holds for drawn values: the error path
+        lines.append(f"U0 = {draw(_magnitude('U0'))!r} eV")
+        lines.append(f"r0 = {draw(_magnitude('r0'))!r} cm")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def row_sweeps(draw):
+    """(key, start, stop, steps, scale); a linear sweep crosses 0, so it can
+    reach the values a key rejects."""
+    key = draw(st.sampled_from(sorted(ROW_KEYS)))
+    a, b = draw(_magnitude(key)), draw(_magnitude(key))
+    if draw(st.booleans()):
+        start, stop, scale = -a, b, "linear"
+    else:
+        assume(a != b)
+        start, stop, scale = a, b, "log"
+    return key, start, stop, draw(st.integers(2, 4)), scale
+
+
+def with_value(config_text, key, value):
+    """The config with key set to value written in the key's sweep unit."""
+    line = f"{key} = {value!r} {ROW_KEYS[key][0]}"
+    kept = [ln for ln in config_text.splitlines() if ln.split(" = ")[0] != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+def main_io(config_text, argv):
+    """(exit code, output bytes, stderr) of one main call on a config text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out.csv"
+        cfg.write_text(config_text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+        return code, out.read_bytes() if out.exists() else b"", err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(config_text=row_configs(), sweep=row_sweeps())
+@example(  # the n3-only path, swept over n3
+    config_text=BASE_CFG.replace("n2 = 0.5e8 cm^-2\n", "").replace("m_eff = 5e-33 g\n", ""),
+    sweep=("n3", 1e9, 1e13, 3, "log"))
+def test_sweep_row_equals_one_shot_row(config_text, sweep):
+    key, start, stop, steps, scale = sweep
+    code, data, err = main_io(config_text, [
+        "sweep", "--param", key, f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps),
+        "--scale", scale, "--command", "thresholds"])
+    expected = []
+    for value in sweep_values(SweepSpec(key, start, stop, steps, scale)):
+        one_code, one_data, one_err = main_io(with_value(config_text, key, value), ["thresholds"])
+        if one_code != 0:  # the sweep stops at its first failing value
+            assert (code, data, err) == (one_code, b"", one_err)
+            return
+        expected.append(one_data.decode().splitlines()[-1])
+    assert (code, err) == (0, "")
+    rows = [ln for ln in data.decode().splitlines() if not ln.startswith("#")][1:]
+    assert [row.split(",", 1)[1] for row in rows] == expected
+
+
 def test_cli_import_loads_no_thread_pool():
     # evaluation is serial; --workers is a documented no-op
     env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
@@ -457,7 +623,8 @@ def call(argv, capsys):
     return code, out, err
 
 
-# at COLUMNS=80; the description paragraph of TOP_HELP is the cli module docstring
+# at COLUMNS=80; the description is the summary, the first paragraph and the
+# exit-code paragraph of the cli module docstring
 TOP_HELP = """\
 usage: polbec [-h] [--version]
               {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep}
@@ -468,17 +635,8 @@ hopfield, masses, thresholds, trap, sweep. All file output is byte-stable
 across runs and locales: numbers are printed with 12 significant digits, rows
 are assembled in grid/sweep order, and the metadata header carries no
 timestamps. Evaluation is serial; --workers is accepted and has no effect.
-Only dispersion, hopfield and their sweeps sample a curve; they import the
-numpy-backed dispersion module when they run, so the scalar commands start
-without numpy. Config values are dimension-checked once, when the config is
-parsed; the masses and thresholds tables are then computed on cgs floats, and
-a sweep of either swaps one float per value into that view of the config.
-Every table is printed column-wise through one '%'-template. A JSON table
-writes those printed numbers as floats itself, spelled as json spells them,
-and leaves only its header to json. The argument parser is built once per
-process and shared by every later call of main. Exit codes: 0 success, 1
-usage/config error, 2 physical-regime warning (weak coupling, or no lower-
-branch well in the paraxial window).
+Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning (weak
+coupling, or no lower-branch well in the paraxial window).
 
 positional arguments:
   {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep}

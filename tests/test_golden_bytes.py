@@ -4,8 +4,11 @@ Every case runs ``main`` in-process and compares the sha256 of the output
 bytes, and the exit code, with a digest recorded from the per-value
 implementation (one ``RunConfig`` and one set of validated dataclasses per
 sweep value, one ``fmt`` call per printed number) that the column-native
-sweep and the single row template replaced.  Error cases pin the exact
-stderr line instead.  All cases run with RuntimeWarning raised as an
+sweep and the single row template replaced.  The thresholds sweeps over
+n3, n_s, r0 and tau_coh, and the two error cases whose failing value is
+not the first, were recorded from the sweep that still rebuilt the
+ladder's arguments per value, before it bound them once.  Error cases pin
+the exact stderr line instead.  All cases run with RuntimeWarning raised as an
 error, so no evaluation path may overflow or divide 0/0 inside numpy on
 these inputs.
 """
@@ -39,6 +42,9 @@ CONFIGS = {
     "n3-only": PLAIN.replace("n2 = 0.5e8 cm^-2\n", "n_s = 2e7 cm^-2\n"),
     "geometry": PLAIN.replace("Delta = 0 eV", "L_cav = 1 cm"),
     "inconsistent-trap": PLAIN + "omega_eff = 5.0e10 s^-1\nU0 = 1 meV\nr0 = 1e-3 cm\n",
+    # U(r0) = U0 holds at r0 = 1e-3 cm only: 0.5 * 5e-33 g * (5e10 s^-1)^2 * (1e-3 cm)^2
+    "consistent-trap": PLAIN + "m_eff = 5e-33 g\nomega_eff = 5.0e10 s^-1\n"
+                               "U0 = 6.25e-18 erg\nr0 = 1e-3 cm\n",
     "example": (Path(__file__).resolve().parents[1] / "example.cfg").read_text(),
 }
 
@@ -69,6 +75,20 @@ def _cases() -> dict:
         "sweep-thresholds-omega_eff-through-0": ("trap", [
             "sweep", "--param", "omega_eff", "--from", "0", "--to", "1e11", "--steps", "5",
             "--command", "thresholds"]),
+        # keys the ladder reads, swapped into arguments bound at the first value,
+        # and tau_coh, which neither the ladder nor the derived mass reads
+        "sweep-thresholds-n3-n3-only": ("n3-only", [
+            "sweep", "--param", "n3", "--from", "1e9", "--to", "1e13", "--steps", "17",
+            "--scale", "log", "--command", "thresholds"]),
+        "sweep-thresholds-n_s-plain": ("plain", [
+            "sweep", "--param", "n_s", "--from", "1e6", "--to", "1e9", "--steps", "13",
+            "--scale", "log", "--command", "thresholds"]),
+        "sweep-thresholds-r0-trap": ("trap", [
+            "sweep", "--param", "r0", "--from", "1e-4", "--to", "1e-2", "--steps", "5",
+            "--scale", "log", "--command", "thresholds"]),
+        "sweep-thresholds-tau_coh-plain": ("plain", [
+            "sweep", "--param", "tau_coh", "--from", "1e-9", "--to", "1e-7", "--steps", "5",
+            "--scale", "log", "--command", "thresholds"]),
         "dispersion-100001-csv": ("example", ["dispersion", "--samples", "100001"]),
         "dispersion-100001-json": ("example", ["dispersion", "--samples", "100001",
                                                "--format", "json"]),
@@ -139,7 +159,11 @@ DIGESTS = {
     "sweep-thresholds-m_eff-trap": (0, "2eef6912a10c8067ea956e22d2f1e2a2f0ed3aa656d58229b929d92e5d1edeb7"),
     "sweep-thresholds-n2-plain": (0, "852af42c742d0b10b119ed7645057bafa653717853a81b06769f5dc6951b896c"),
     "sweep-thresholds-n2-trap": (0, "640dcbe7971c85b79aa1e452ff6a21aeaa33ad07aa582a4bee700752d0361f58"),
+    "sweep-thresholds-n3-n3-only": (0, "f70d31cffaacc12703369f1671713aa57b01b8665e970f6fafcca6a71a6780b3"),
+    "sweep-thresholds-n_s-plain": (0, "3ab7417da14e4f40cfcf59af85b4b92371fcbd6503097c2e8d01e28e8fdca514"),
     "sweep-thresholds-omega_eff-through-0": (0, "327754e791a713e14c13b77f38e9cb414f3d96b2f6ced96bf636184db6c59a8b"),
+    "sweep-thresholds-r0-trap": (0, "cc777efec5b94286eb41020e731b576e93cc2bf93f5148bc3842ae6254968276"),
+    "sweep-thresholds-tau_coh-plain": (0, "ab680a67052f9a87a459a12ebf048ecc4c4c75d72c990573cd74ec52fb1ba636"),
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
     "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
     "trap-example": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
@@ -205,6 +229,15 @@ ERRORS = {
     "thresholds-g-through-0": (
         "plain", "sweep --param g --from 0.001 --to -0.001 --steps 3 --command thresholds",
         'polbec: error: g must be strictly positive, got 0.0\n'),
+    # the first value passes; the second fails once the arguments are bound
+    "thresholds-r0-leaves-consistent-trap": (
+        "consistent-trap", "sweep --param r0 --from 1e-3 --to 2e-3 --steps 3 --command thresholds",
+        "polbec: error: inconsistent trap: U0 = 6.25e-18 erg but "
+        "m_eff*Omega_eff^2*r0^2/2 = 1.40625e-17 erg\n"),
+    # the mass is derived per value, and the second value fails the cavity check
+    "thresholds-d_beam-through-0": (
+        "plain", "sweep --param d_beam --from 1e-4 --to=-1e-4 --steps 3 --command thresholds",
+        'polbec: error: beam_diameter must be strictly positive, got 0.0\n'),
     "thresholds-inconsistent-trap": (
         "inconsistent-trap", "sweep --param T --from 1 --to 2 --steps 3 --command thresholds",
         "polbec: error: inconsistent trap: U0 = 1.60218e-15 erg but "

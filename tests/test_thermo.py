@@ -11,6 +11,7 @@ from polbec.thermo import (
     TrapSpec,
     chemical_potential,
     condensate_fraction,
+    condensation_ladder,
     condensation_report,
     degeneracy_temperature,
     effective_masses,
@@ -418,3 +419,28 @@ class TestCondensationReport:
         assert not dilute.degenerate
         assert dilute.t_degeneracy.cgs == pytest.approx(18.593354, rel=1e-6)
         assert dilute.t_degeneracy.cgs < 300.0 / 10
+
+
+class TestLadderRangeErrors:
+    """Finite positive inputs whose lambda_T, n2 estimate, T_d, T_d/T or
+    m Omega_eff^2 leaves the float range fail with the keys named."""
+
+    @pytest.mark.parametrize(
+        "args, error, match",
+        [
+            ((1e-300, 5e-33, 5e7), ZeroDivisionError, "lambda_T: .*'T' = 1e-300 K, 'm_eff'"),
+            ((math.inf, 5e-33, None, 1e11), ZeroDivisionError, "lambda_T: .*'T' = inf K"),
+            ((300.0, 5e-33, None, 1e-321), ZeroDivisionError, "n2 = lambda_T \\* n3 .*'n3'"),
+            ((300.0, 1.45e-308, 5e7), ZeroDivisionError, "T_d: m kB .*'m_eff' = 1.45e-308 g"),
+            ((math.inf, 5e-33, 1e8), ValueError, "mu: T_d/T underflows .*'T' = inf K"),
+            ((300.0, 5e-33, 1e-320), ValueError, "mu: .*'T' = 300 K, 'n2' = "),
+            ((300.0, 5e-33, None, 1e-310), ValueError, "mu: .*'n3' = 1e-310 cm\\^-3, 'm_eff'"),
+            ((300.0, 5e-33, 5e7, None, 1e-150), ZeroDivisionError,
+             "N2: .*'m_eff' = 5e-33 g, 'omega_eff' = 1e-150 s\\^-1"),
+        ],
+        ids=["T-tiny", "T-inf-n3", "n3-tiny", "m-kB", "T-inf-n2", "n2-tiny", "n3-tiny-mu",
+             "trap"],
+    )
+    def test_names_the_key(self, args, error, match):
+        with pytest.raises(error, match=match):
+            condensation_ladder(*args)
