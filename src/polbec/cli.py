@@ -16,10 +16,12 @@ sweep swaps one float per value into that view of the config.  A thresholds
 sweep binds the ladder's arguments once, at the first value, and swaps one
 float per value into them; only a key the derived mass reads rebuilds them.
 The thresholds columns come straight from the ladder tuples.  Every table
-is printed column-wise through one '%'-template.  A JSON table writes
-those printed numbers as floats itself, spelled as json spells them, and
-leaves only its header to json.  The argument parser is built once per
-process and shared by every later call of main.
+is printed column-wise through one '%'-template, into which a column with
+one value throughout is printed once.  A JSON table prints its rows
+straight from the float columns, each number formatted once in json's
+spelling of the 12-digit value, and leaves only its header to json.  The
+argument parser is built once per process and shared by every later call
+of main.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -33,6 +35,7 @@ import math
 import re
 import sys
 from functools import cache
+from itertools import repeat, starmap
 
 from . import __version__
 from .config import (
@@ -100,6 +103,10 @@ HOPFIELD_HEADER = ["k_par_over_k_perp", "delta_eV", "delta_over_g", "mu_sq", "nu
 NUMBER = "%.12g"
 
 
+# what csv_lines prints for a bool cell, or for an empty (None) one
+BOOL_TEXT = {True: "true", False: "false", None: ""}
+
+
 def fmt(x: float) -> str:
     return NUMBER % x
 
@@ -112,25 +119,49 @@ def fmt_bool(b: bool | None) -> str:
     return "" if b is None else ("true" if b else "false")
 
 
+def text_column(col: list) -> list:
+    """col as csv_lines takes it: printed to strings when it holds None in
+    some cells but not all, else as it is."""
+    if None in col and col.count(None) != len(col):
+        return [fmt_opt(v) for v in col]
+    return col
+
+
+def _constant(col: list) -> bool:
+    """Whether every cell of col prints as its first does: one value
+    throughout, never NaN, and zeros of one sign (-0.0 == 0.0)."""
+    first = col[0]
+    if not (col[-1] == first and col.count(first) == len(col)):
+        return False
+    return first != 0 or len(set(map(math.copysign, repeat(1.0), col))) == 1
+
+
 def csv_lines(columns: list) -> list[str]:
     """The rows of a table given as columns, all through one '%' template.
 
-    A column of floats prints through NUMBER as it is.  A column of bools,
-    or one holding None (a trap or density column left empty), is turned
-    into strings first and prints through '%s'.
+    A column with one value throughout is printed once, into the template.
+    Otherwise a column of floats prints through NUMBER as it is, a column of
+    bools through BOOL_TEXT, and one of strings through '%s'.  The columns
+    are never scanned for None: a column empty in some cells but not all
+    must come as strings, through text_column.
     """
+    if not columns:
+        return []
     specs, cells = [], []
     for col in columns:
-        if isinstance(col[0], bool):
+        first = col[0]
+        if _constant(col):
+            specs.append(BOOL_TEXT[first] if first is None or isinstance(first, bool)
+                         else NUMBER % first)
+        elif isinstance(first, bool):
             specs.append("%s")
-            cells.append([fmt_bool(v) for v in col])
-        elif None in col:
-            specs.append("%s")
-            cells.append([fmt_opt(v) for v in col])
+            cells.append(list(map(BOOL_TEXT.__getitem__, col)))
         else:
-            specs.append(NUMBER)
+            specs.append("%s" if isinstance(first, str) else NUMBER)
             cells.append(col)
     template = ",".join(specs)
+    if not cells:
+        return [template] * len(columns[0])
     return [template % row for row in zip(*cells)]
 
 
@@ -141,25 +172,47 @@ def render_csv(meta: list[str], header: list[str], lines: list[str]) -> str:
     return "\n".join(out) + "\n"
 
 
+# json's indent=2 separators inside "rows": between rows and between cells
+JSON_ROW_SEP = "\n    ],\n    [\n      "
+JSON_CELL_SEP = ",\n      "
+
+
+def _json_rows(columns: list) -> str:
+    """The rows of a table of float columns as json writes them in "rows".
+
+    Each cell is the number NUMBER prints, spelled as json spells that
+    float.  format(x, ".12") gives NUMBER's 12 digits in float.__repr__'s
+    spelling except for a printed exponent of 11 to 15 (repr writes those
+    digits in full) and for subnormals (repr is shorter); a block with an
+    "e+1" or "e-3" in it is written again from the CSV lines, each number
+    read back and spelled by float.__repr__.
+    """
+    row = JSON_CELL_SEP.join(["{:.12}"] * len(columns)).format
+    rows = JSON_ROW_SEP.join(starmap(row, zip(*columns)))
+    if "e+1" in rows or "e-3" in rows:
+        rows = JSON_ROW_SEP.join(
+            JSON_CELL_SEP.join(map(float.__repr__, map(float, line.split(","))))
+            for line in csv_lines(columns)
+        )
+    if "n" in rows:  # no finite number has an 'n'
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return rows
+
+
 def render_json(payload: dict) -> str:
     """The payload as json.dumps(payload, indent=2) writes it, plus a newline.
 
-    A "rows" entry holds the table's CSV lines; they are written as arrays
-    of the printed numbers in json's indent=2 layout, each spelled as json
-    spells a float (float.__repr__, or NaN and Infinity).  json itself would
-    write them through its pure-Python encoder, which it uses to indent.
+    A "rows" entry holds the table's float columns; it is written as the
+    rows of the printed numbers, as json writes a list of lists of floats
+    with indent=2 (_json_rows).  json itself would write them through its
+    pure-Python encoder, which it uses to indent.
     """
-    lines = payload.get("rows")
-    text = json.dumps(payload if lines is None else {**payload, "rows": []}, indent=2)
-    if lines:
-        rows = "\n    ],\n    [\n      ".join(
-            ",\n      ".join(map(float.__repr__, map(float, line.split(","))))
-            for line in lines
-        )
-        if "n" in rows:  # no finite repr has an 'n'
-            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    columns = payload.get("rows")
+    text = json.dumps(payload if columns is None else {**payload, "rows": []}, indent=2)
+    if columns and columns[0]:
         text = text.replace(
-            '\n  "rows": []', '\n  "rows": [\n    [\n      ' + rows + '\n    ]\n  ]', 1
+            '\n  "rows": []',
+            '\n  "rows": [\n    [\n      ' + _json_rows(columns) + '\n    ]\n  ]', 1
         )
     return text + "\n"
 
@@ -394,10 +447,13 @@ def _thresholds_columns(ladders: list[ThresholdLadder]) -> list:
     """The THRESHOLDS_HEADER columns of the ladders.
 
     The ladder's fields are in the header's order and units but for two:
-    n2 comes before n3, and mu is in erg (printed in meV).
+    n2 comes before n3, and mu is in erg (printed in meV).  n3 and the trap
+    columns are None in every row or in none, but N2 is None where
+    omega_eff = 0, so it goes through text_column.
     """
-    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, *rest = zip(*ladders)
-    return [t, m, n3, n2, lam, r_int, t_d, t_kt, [v / MEV_ERG for v in mu], *rest[:7]]
+    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, omega, t_c, n_trapped, *rest = zip(*ladders)
+    return [t, m, n3, n2, lam, r_int, t_d, t_kt, [v / MEV_ERG for v in mu],
+            omega, t_c, text_column(n_trapped), *rest[:4]]
 
 
 # ---------------------------------------------------------------------------
@@ -454,30 +510,28 @@ def cmd_dispersion(cfg: RunConfig, args) -> int:
         meta.append(f"well: none ({exc})")
         exit_code = EXIT_REGIME
 
-    lines = csv_lines(columns)
     if args.format == "json":
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": DISPERSION_HEADER,
-            "rows": lines,
+            "rows": columns,
         })
     else:
-        text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, lines)
+        text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, csv_lines(columns))
     emit(text, args.out)
     return exit_code
 
 
 def cmd_hopfield(cfg: RunConfig, args) -> int:
     meta, columns = _hopfield_columns(cfg, args.samples, args.kmax)
-    lines = csv_lines(columns)
     if args.format == "json":
         text = render_json({
             "metadata": _meta_head(cfg) + meta,
             "columns": HOPFIELD_HEADER,
-            "rows": lines,
+            "rows": columns,
         })
     else:
-        text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, lines)
+        text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, csv_lines(columns))
     emit(text, args.out)
     return EXIT_OK
 
@@ -569,6 +623,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         for value in values:
             c.values[spec.param] = config_cgs(spec, value)
             rows.append([value, *_masses_values(c, args.units)[1]])
+        # the T_KT columns are None in every row (no n_s or n2) or in none
         columns = list(zip(*rows))
     else:
         table_for = _hopfield_columns if target == "hopfield" else _dispersion_columns

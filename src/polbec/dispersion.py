@@ -307,8 +307,10 @@ def sample_dispersion(
     e_ph = photon_paraxial_erg(k, k_perp)
     e1, e2 = branch_energies(e_at, e_ph, g)
     # 4 g^2 overflows once g passes ~7e153 erg and leaves NaN fractions; the
-    # check below reports that with g named, in place of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # check below reports that with g named, in place of numpy's warnings.
+    # Far out of the window s + delta cancels to 0 in the branch np.where
+    # discards, so that division is silenced too.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
     e_free = photon_freespace_erg(k, k_perp)
 

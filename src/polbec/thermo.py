@@ -108,8 +108,11 @@ class GasState:
     n3: Quantity | None = None
 
     def __post_init__(self) -> None:
+        t_k = magnitude_in_cgs(self.temperature, TEMPERATURE, "temperature")
+        if t_k == math.inf:
+            raise ValueError("temperature must be finite")
         _check_gas(
-            magnitude_in_cgs(self.temperature, TEMPERATURE, "temperature"),
+            t_k,
             magnitude_in_cgs(self.m_eff, MASS, "m_eff"),
             None if self.n2 is None else magnitude_in_cgs(self.n2, AREA_DENSITY, "n2"),
             None if self.n3 is None else magnitude_in_cgs(self.n3, VOLUME_DENSITY, "n3"),
@@ -210,17 +213,21 @@ class ThresholdLadder(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _check_gas(t_k: float, m_g: float, n2: float | None, n3: float | None) -> None:
-    """Value checks of GasState."""
+    """Value checks of GasState.
+
+    An infinite T passes here: condensation_ladder rejects it with 'T'
+    named (lambda_T or mu leaves the float range), and GasState before it.
+    """
     if not t_k > 0:
         raise ValueError("temperature must be positive")
-    if not m_g > 0:
-        raise ValueError("m_eff must be positive")
+    if not 0 < m_g < math.inf:
+        raise ValueError("m_eff must be finite" if m_g > 0 else "m_eff must be positive")
     if n2 is None and n3 is None:
         raise ValueError("GasState needs n2 or n3")
     if n2 is not None and not n2 > 0:
         raise ValueError("n2 must be positive")
-    if n3 is not None and not n3 > 0:
-        raise ValueError("n3 must be positive")
+    if n3 is not None and not 0 < n3 < math.inf:
+        raise ValueError("n3 must be finite" if n3 > 0 else "n3 must be positive")
 
 
 def _check_trap(omega: float) -> None:
@@ -358,6 +365,14 @@ def condensation_ladder(
             message = f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g"
         raise ZeroDivisionError(message) from None
     t_kt = kt_temperature_K(n2 if n_s is None else n_s, m_g)
+    # both are >= 0, so their difference is finite exactly when both are
+    if not math.isfinite(t_d - t_kt):
+        if t_d == math.inf:
+            density = f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
+            message = f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density}"
+        else:
+            message = f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for 'n_s' = {n_s:g} cm^-2"
+        raise OverflowError(f"{message}, 'm_eff' = {m_g:g} g")
     x = t_d / t_k
     try:
         mu = KB_CGS * t_k * mu_over_kbt(x)

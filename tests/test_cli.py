@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import polbec
 from polbec import cli
-from polbec.cli import build_parser, csv_lines, main, render_json
+from polbec.cli import build_parser, csv_lines, fmt, fmt_bool, fmt_opt, main, render_json
 from polbec.config import SweepSpec, sweep_values
 
 BASE_CFG = """\
@@ -428,6 +429,25 @@ class TestUnderflowNamesKey:
         assert "division by zero" not in err
 
 
+@pytest.mark.parametrize(
+    "config_text, keys",
+    [
+        ("T = 300 K\nm_eff = 1e-47 g\nn2 = 1e300 cm^-2\n", ("'n2'", "'m_eff'")),
+        ("T = 300 K\nm_eff = 1e-45 g\nn2 = 1e300 cm^-2\nn_s = 1e308 cm^-2\n",
+         ("'n_s'", "'m_eff'")),
+    ],
+    ids=["T_d", "T_KT"],
+)
+def test_thresholds_overflow_exit_one(tmp_path, capsys, config_text, keys):
+    # finite inputs whose T_d or T_KT passes the largest float
+    code, data = run(tmp_path, config_text, ["thresholds"])
+    assert code == 1
+    assert data == b""
+    err = capsys.readouterr().err
+    assert err.startswith("polbec: error: ") and err.count("\n") == 1
+    assert all(key in err for key in keys)
+
+
 class TestSweepBinding:
     """The thresholds sweep derives the lower-branch mass once, unless the
     swept key is one the derivation reads."""
@@ -730,13 +750,18 @@ class TestParserReuse:
 
 
 # values whose JSON spelling is easy to get wrong: signed zeros, integers that
-# %.12g writes in exponent form but repr in full, subnormals, +-1e+-300, and
-# the non-finite tokens json writes as NaN and Infinity
+# %.12g writes in exponent form but repr in full, numbers in [1e11, 1e12)
+# that format(x, ".12") writes in exponent form but %.12g does not, values
+# that %.12g rounds up (or not) across 1e11 and 1e16, the smallest normal,
+# subnormals, +-1e+-300, and the non-finite tokens json writes as NaN and
+# Infinity
 JSON_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300,
-                     math.nan, math.inf, -math.inf]),
+                     99999999999.95, 99999999999.97, 9999999999999998.0,
+                     sys.float_info.min, math.nan, math.inf, -math.inf]),
     st.builds(lambda n, sign: sign * float(n),
               st.integers(10**12, 10**16 - 1), st.sampled_from([1.0, -1.0])),
+    st.builds(lambda x, sign: sign * x, st.floats(1e11, 1e12), st.sampled_from([1.0, -1.0])),
     st.floats(-sys.float_info.min, sys.float_info.min),
     st.floats(),
 )
@@ -755,13 +780,97 @@ def json_tables(draw):
        columns=st.lists(JSON_TEXT, max_size=4))
 @example(table=[[0.0, -0.0, 1234567890123.0, 5e-324, math.nan, math.inf, -math.inf]],
          metadata=['a "quoted" \\ path', "Δ/g = 1 — µ²"], columns=["k_par_over_k_perp"])
+@example(table=[[5e-324, -2.5e-320, 1.0]], metadata=[], columns=[])  # subnormals alone
 def test_render_json_matches_json_dumps(table, metadata, columns):
     # the rows json.dumps would write for the same CSV lines, parsed back
-    lines = csv_lines([list(col) for col in zip(*table)])
+    table_columns = [list(col) for col in zip(*table)]
+    lines = csv_lines(table_columns)
     reference = {
         "metadata": metadata,
         "columns": columns,
         "rows": [[float(v) for v in line.split(",")] for line in lines],
     }
     expected = json.dumps(reference, indent=2) + "\n"
-    assert render_json({"metadata": metadata, "columns": columns, "rows": lines}) == expected
+    payload = {"metadata": metadata, "columns": columns, "rows": table_columns}
+    assert render_json(payload) == expected
+
+
+CELL_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf, 5e-324]), st.floats())
+
+
+@st.composite
+def csv_tables(draw):
+    n = draw(st.integers(1, 6))
+    cells = lambda values: st.lists(values, min_size=n, max_size=n)
+    column = st.one_of(
+        cells(CELL_FLOATS),
+        CELL_FLOATS.map(lambda v: [v] * n),  # one value throughout; NaN never counts
+        cells(st.sampled_from([0.0, -0.0])),  # equal, but printed apart
+        cells(st.booleans()),
+        st.sampled_from([None, True, False]).map(lambda v: [v] * n),
+        cells(st.one_of(st.none(), CELL_FLOATS)),  # empty in some cells
+    )
+    columns = draw(st.lists(column, min_size=1, max_size=8))
+    # sweep builders hand over tuples from zip
+    return [tuple(col) if draw(st.booleans()) else col for col in columns]
+
+
+@settings(deadline=None)
+@given(columns=csv_tables())
+@example(columns=[[0.0, -0.0], [-0.0, -0.0], [math.nan, math.nan], [None, None],
+                  [None, 1.0], [True, True], [False, True], [1e300, 1e300]])
+def test_csv_lines_matches_per_cell_formatting(columns):
+    # the builders hand a column that may be empty in some cells through
+    # text_column, which leaves every other column as it is
+    lines = csv_lines([cli.text_column(col) for col in columns])
+    cell = lambda v: fmt_bool(v) if isinstance(v, bool) else fmt_opt(v)
+    assert lines == [",".join(map(cell, row)) for row in zip(*columns)]
+
+
+class TestFormatOnce:
+    """A JSON curve prints its rows from the columns; only the fallback for
+    numbers whose json spelling is not the 12-digit one, and CSV output,
+    go through csv_lines."""
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["dispersion", "--format", "json"], 0),
+            (["hopfield", "--format", "json"], 0),
+            # prints 263000000002 and 1.052e+12
+            (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 1),
+            (["dispersion"], 1),
+        ],
+        ids=["json", "hopfield-json", "json-fallback", "csv"],
+    )
+    def test_csv_lines_calls(self, monkeypatch, argv, calls):
+        seen = []
+        real = cli.csv_lines
+
+        def counted(columns):
+            seen.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(cli, "csv_lines", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
+            code = main([argv[0], "--config", EXAMPLE_CFG, "--out", os.devnull, *argv[1:]])
+        assert code == 0
+        assert len(seen) == calls
+
+
+@pytest.mark.parametrize("command", ["dispersion", "hopfield"])
+def test_far_window_raises_no_runtime_warning(tmp_path, command):
+    # far out of the window s + delta cancels to 0 in the Hopfield branch
+    # that np.where discards; numpy must not warn about that division
+    out = tmp_path / "out"
+    argv = [command, "--config", EXAMPLE_CFG, "--out", str(out), "--kmax", "1e6",
+            "--samples", "3"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    assert [w.category for w in caught] == [polbec.ParaxialBoundWarning]
+    table = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert len(table) == 4  # the header and 3 samples

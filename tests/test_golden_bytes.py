@@ -7,7 +7,10 @@ sweep value, one ``fmt`` call per printed number) that the column-native
 sweep and the single row template replaced.  The thresholds sweeps over
 n3, n_s, r0 and tau_coh, and the two error cases whose failing value is
 not the first, were recorded from the sweep that still rebuilt the
-ladder's arguments per value, before it bound them once.  Error cases pin
+ladder's arguments per value, before it bound them once.  The JSON curves
+far out of the window (--kmax 1e6) and the masses sweep without a density
+were recorded while JSON rows were still read back from the CSV lines and
+every column was printed per value.  Error cases pin
 the exact stderr line instead.  All cases run with RuntimeWarning raised as an
 error, so no evaluation path may overflow or divide 0/0 inside numpy on
 these inputs.
@@ -41,6 +44,8 @@ CONFIGS = {
     # n2 estimated as lambda_T(T) * n3; n_s given apart from n2
     "n3-only": PLAIN.replace("n2 = 0.5e8 cm^-2\n", "n_s = 2e7 cm^-2\n"),
     "geometry": PLAIN.replace("Delta = 0 eV", "L_cav = 1 cm"),
+    # neither n2 nor n_s: both masses T_KT columns are empty throughout
+    "no-density": PLAIN.replace("n2 = 0.5e8 cm^-2\n", ""),
     "inconsistent-trap": PLAIN + "omega_eff = 5.0e10 s^-1\nU0 = 1 meV\nr0 = 1e-3 cm\n",
     # U(r0) = U0 holds at r0 = 1e-3 cm only: 0.5 * 5e-33 g * (5e10 s^-1)^2 * (1e-3 cm)^2
     "consistent-trap": PLAIN + "m_eff = 5e-33 g\nomega_eff = 5.0e10 s^-1\n"
@@ -89,6 +94,14 @@ def _cases() -> dict:
         "sweep-thresholds-tau_coh-plain": ("plain", [
             "sweep", "--param", "tau_coh", "--from", "1e-9", "--to", "1e-7", "--steps", "5",
             "--scale", "log", "--command", "thresholds"]),
+        "sweep-masses-Delta-no-density": ("no-density", ["sweep", "--param", "Delta",
+                                                        *SWEEPS["Delta"], "--command", "masses"]),
+        # printed numbers 263000000002 and 1.052e+12, whose json spelling is
+        # not the 12-digit one
+        "dispersion-example-json-kmax-1e6": ("example", ["dispersion", "--format", "json",
+                                                         "--kmax", "1e6", "--samples", "3"]),
+        "hopfield-example-json-kmax-1e6": ("example", ["hopfield", "--format", "json",
+                                                       "--kmax", "1e6", "--samples", "3"]),
         "dispersion-100001-csv": ("example", ["dispersion", "--samples", "100001"]),
         "dispersion-100001-json": ("example", ["dispersion", "--samples", "100001",
                                                "--format", "json"]),
@@ -110,8 +123,10 @@ DIGESTS = {
     "dispersion-100001-csv": (0, "9bccd790dff1b75a57bbac1a4c2b31ad66c8e4dc650009e67cde5f9d7ec3fbbe"),
     "dispersion-100001-json": (0, "e7260fccfc1d17a1605eaa72f38965fd42289657ce8a3e6b7b2a77bbf2e43afa"),
     "dispersion-example": (0, "832802bc93882a6fd0f8b36e38feb5b4e6cd2b50f63d115d40ad6c217132ad18"),
+    "dispersion-example-json-kmax-1e6": (0, "2b9648777e166870fe58bcfbac4d5464581941109994d07bf249ed4fe8c78a51"),
     "dispersion-example-json": (0, "ec6f198678b868118c9a28124ebe4a6e2fa8c6de2ed19fa9a35b51a4a188fc04"),
     "hopfield-example": (0, "76633c7ca0599bdfe02778dbb968a2f0df6a42108a0cd981d4853cc74dd3273f"),
+    "hopfield-example-json-kmax-1e6": (0, "559d69f3e1f2dd4aa3e0558928ee0ca2276964d95bae9955c7820fab87b07abe"),
     "hopfield-example-json": (0, "291141eeca94c873ca83d1a1cca84c6bb9cf352f863570d1fa2f6d5b8bf69bab"),
     "masses-example": (0, "31347a1de5cbee081a7f0b25d7b47ed12e212884b069ba4addcd2ad6432b3102"),
     "masses-example-json": (0, "f15c50d8d85ab61cbe7bdfac3cc6dc29357b6f6f5b1c3f67c77f1b2b8af1a2bc"),
@@ -137,6 +152,7 @@ DIGESTS = {
     "sweep-hopfield-n2-plain": (0, "e412dc64e1dce1ff9ff15f7844a5a31626a79b1659e7b44d4aae1b10aafa738f"),
     "sweep-hopfield-n2-trap": (0, "a80af55611541089665364b2cdcebb0677e9c6e47719448dea415b2fe4388e5a"),
     "sweep-masses-Delta-n3-only": (0, "2fe9ca104d9f16396d85c80edd662fab86c9cf747a0451e524ba99d14157a1d8"),
+    "sweep-masses-Delta-no-density": (0, "70f64220226c3ae572412d9330b42ee59643e551895f6b5dd840c4374ab0ac74"),
     "sweep-masses-Delta-plain": (0, "cd6ebcc61c816d8dcece563495e6e840de8d8a2de3a361f18250d367ff9a9065"),
     "sweep-masses-Delta-si": (0, "930ef090a3c51e6080e74e1b8d29d6a4c637b2672870f1346f3ed36ff10c56d1"),
     "sweep-masses-Delta-trap": (0, "ff86c3b760a6a037ef33274f69618f2189870c85548ef22f8a53a734ca8a249f"),

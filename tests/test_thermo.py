@@ -437,10 +437,43 @@ class TestLadderRangeErrors:
             ((300.0, 5e-33, None, 1e-310), ValueError, "mu: .*'n3' = 1e-310 cm\\^-3, 'm_eff'"),
             ((300.0, 5e-33, 5e7, None, 1e-150), ZeroDivisionError,
              "N2: .*'m_eff' = 5e-33 g, 'omega_eff' = 1e-150 s\\^-1"),
+            ((300.0, 1e-47, 1e300), OverflowError,
+             "T_d = .*'n2' = 1e\\+300 cm\\^-2, 'm_eff' = 1e-47 g"),
+            ((300.0, 1e-45, None, 1e300), OverflowError,
+             "T_d = .*'n3' = 1e\\+300 cm\\^-3, 'm_eff' = 1e-45 g"),
+            ((300.0, 1e-45, 1e300, None, None, None, None, 1e308), OverflowError,
+             "T_KT = .*'n_s' = 1e\\+308 cm\\^-2, 'm_eff' = 1e-45 g"),
         ],
         ids=["T-tiny", "T-inf-n3", "n3-tiny", "m-kB", "T-inf-n2", "n2-tiny", "n3-tiny-mu",
-             "trap"],
+             "trap", "T_d-huge", "T_d-huge-n3", "T_KT-huge"],
     )
     def test_names_the_key(self, args, error, match):
         with pytest.raises(error, match=match):
             condensation_ladder(*args)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((300.0, math.inf, 5e7), "m_eff must be finite"),
+            ((300.0, 5e-33, None, math.inf), "n3 must be finite"),
+            ((300.0, 5e-33, 5e7, math.inf), "n3 must be finite"),
+        ],
+        ids=["m_eff", "n3-only", "n3"],
+    )
+    def test_rejects_non_finite_input(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            condensation_ladder(*args)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"temperature": qty(math.inf, "K")}, "temperature must be finite"),
+            ({"m_eff": qty(math.inf, "g")}, "m_eff must be finite"),
+            ({"n3": qty(math.inf, "cm^-3")}, "n3 must be finite"),
+        ],
+        ids=["T", "m_eff", "n3"],
+    )
+    def test_gas_state_rejects_non_finite_input(self, kwargs, match):
+        state = {"temperature": T_REF, "m_eff": M_REF, "n2": qty(5e7, "cm^-2"), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            GasState(**state)
