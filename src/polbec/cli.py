@@ -13,15 +13,14 @@ without numpy.
 Config values are dimension-checked once, when the config is parsed; the
 masses and thresholds tables are then computed on cgs floats.  A masses
 sweep swaps one float per value into that view of the config.  A thresholds
-sweep binds the ladder's arguments once, at the first value, and swaps one
-float per value into them; only a key the derived mass reads rebuilds them.
-The thresholds columns come straight from the ladder tuples.  Every table
-is printed column-wise through one '%'-template, into which a column with
-one value throughout is printed once.  A JSON table prints its rows
-straight from the float columns, each number formatted once in json's
-spelling of the 12-digit value, and leaves only its header to json.  The
-argument parser is built once per process and shared by every later call
-of main.
+sweep calls the ladder once, with the swept values as one argument's column
+(or the derived masses', for a key the mass reads), and its fields are the
+table's columns.  Every table is printed column-wise through one
+'%'-template, into which a column with one value throughout is printed
+once.  A JSON table prints its rows straight from the float columns, each
+number formatted once in json's spelling of the 12-digit value, and leaves
+only its header to json.  The argument parser is built once per process and
+shared by every later call of main.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -373,6 +372,8 @@ def _masses_header(units: str) -> list[str]:
 
 
 def _masses_values(c: RunConfig, units: str):
+    """The masses row, with g (erg) and whether a mass saturated, which
+    cmd_masses reports in its metadata."""
     g, k_perp, delta, _ = _coupling_cgs(c)
     m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
         delta, g, k_perp
@@ -392,12 +393,7 @@ def _masses_values(c: RunConfig, units: str):
         t_kt_up,
         t_kt_lo,
     ]
-    meta = [
-        f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}",
-    ]
-    if upper_saturated or lower_saturated:
-        meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
-    return meta, values
+    return values, g, upper_saturated or lower_saturated
 
 
 # the config keys behind condensation_ladder's positional arguments
@@ -418,42 +414,50 @@ def _ladder_args(c: RunConfig) -> list:
     return [t, _effective_mass(c), n2, n3, get("omega_eff"), get("U0"), get("r0"), get("n_s")]
 
 
-def _sweep_ladders(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> list[ThresholdLadder]:
-    """One ladder per swept value.
+def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> ThresholdLadder:
+    """The ladder over the swept values, from one call with the swept column.
 
-    The arguments are bound at the first value, after its check, and each
-    later value swaps one float into them; only a key the derived mass
-    reads has them rebuilt per value, as it may change the mass or fail
-    the cavity check.
+    The arguments are bound at the first value and the swept key's column
+    takes its slot.  Without m_eff in the config, a key the derived mass
+    reads gives the column of the masses derived per value instead.  On a
+    failure the values are replayed one at a time, so the sweep stops with
+    the error of its first failing value.
     """
     c = _cgs(cfg)
     key = spec.param
-    rebuild = key in MASS_KEYS and "m_eff" not in c.values
-    slot = LADDER_KEYS.index(key) if key in LADDER_KEYS else None
-    args = None
-    ladders = []
-    for value in values:
-        x = config_cgs(spec, value)
-        if args is None or rebuild:
-            c.values[key] = x
-            args = _ladder_args(c)
-        elif slot is not None:
-            args[slot] = x
-        ladders.append(condensation_ladder(*args))
-    return ladders
+    try:
+        column = [config_cgs(spec, value) for value in values]
+        c.values[key] = column[0]
+        if key in MASS_KEYS and "m_eff" not in c.values:
+            masses = []
+            for c.values[key] in column:
+                masses.append(_effective_mass(c))
+            c.values["m_eff"] = masses
+        args = _ladder_args(c)
+        if key in LADDER_KEYS:
+            args[LADDER_KEYS.index(key)] = column
+        return condensation_ladder(*args)
+    except (ValueError, ArithmeticError):  # ConfigError is a ValueError
+        c = _cgs(cfg)
+        for value in values:
+            c.values[key] = config_cgs(spec, value)
+            condensation_ladder(*_ladder_args(c))
+        raise
 
 
-def _thresholds_columns(ladders: list[ThresholdLadder]) -> list:
-    """The THRESHOLDS_HEADER columns of the ladders.
+def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
+    """The THRESHOLDS_HEADER columns of a ladder over `rows` values.
 
-    The ladder's fields are in the header's order and units but for two:
-    n2 comes before n3, and mu is in erg (printed in meV).  n3 and the trap
-    columns are None in every row or in none, but N2 is None where
-    omega_eff = 0, so it goes through text_column.
+    A field that is not a column holds for every row.  The ladder's fields
+    are in the header's order and units but for two: n2 comes before n3,
+    and mu is in erg (printed in meV).  n3 and the trap columns are None in
+    every row or in none, but N2 is None where omega_eff = 0, so it goes
+    through text_column.
     """
-    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, omega, t_c, n_trapped, *rest = zip(*ladders)
+    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, omega, t_c, n_trapped, *rest = (
+        f if type(f) is list else [f] * rows for f in ladder[:16])
     return [t, m, n3, n2, lam, r_int, t_d, t_kt, [v / MEV_ERG for v in mu],
-            omega, t_c, text_column(n_trapped), *rest[:4]]
+            omega, t_c, text_column(n_trapped), *rest]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +541,10 @@ def cmd_hopfield(cfg: RunConfig, args) -> int:
 
 
 def cmd_masses(cfg: RunConfig, args) -> int:
-    meta, values = _masses_values(_cgs(cfg), args.units)
+    values, g, saturated = _masses_values(_cgs(cfg), args.units)
+    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}"]
+    if saturated:
+        meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
     header = _masses_header(args.units)
     if args.format == "json":
         payload = {"metadata": _meta_head(cfg) + meta}
@@ -552,7 +559,7 @@ def cmd_masses(cfg: RunConfig, args) -> int:
 def cmd_thresholds(cfg: RunConfig, args) -> int:
     ladder = condensation_ladder(*_ladder_args(_cgs(cfg)))
     meta = _meta_head(cfg) + [f"note: {n}" for n in ladder.notes]
-    columns = _thresholds_columns([ladder])
+    columns = _thresholds_columns(ladder, 1)
     if args.format == "json":
         payload = {"metadata": meta}
         payload.update(zip(THRESHOLDS_HEADER, (col[0] for col in columns)))
@@ -615,14 +622,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     target = args.target
 
     if target == "thresholds":
-        columns = [values, *_thresholds_columns(_sweep_ladders(cfg, spec, values))]
+        columns = [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))]
     elif target == "masses":
         # one cgs view of the config; each value swaps in one float
         c = _cgs(cfg)
         rows = []
         for value in values:
             c.values[spec.param] = config_cgs(spec, value)
-            rows.append([value, *_masses_values(c, args.units)[1]])
+            rows.append([value, *_masses_values(c, args.units)[0]])
         # the T_KT columns are None in every row (no n_s or n2) or in none
         columns = list(zip(*rows))
     else:

@@ -22,7 +22,9 @@ Conventions fixed here (and echoed as notes in every report):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from .coupling import CouplingParams
@@ -178,7 +180,8 @@ class ThresholdLadder(NamedTuple):
     """The threshold ladder as cgs floats: K, g, cm^-2, cm^-3, cm, erg, s^-1.
 
     Field for field the magnitudes of CondensationReport, None where the
-    report has None.
+    report has None.  A field that depends on a list argument of
+    condensation_ladder (a column) is the list of its values.
     """
 
     temperature: float
@@ -208,8 +211,11 @@ class ThresholdLadder(NamedTuple):
 # The Quantity operations below check dimensions and then call these; a
 # caller that has already fixed every dimension (the CLI, once per config)
 # calls them directly.  Value checks live here, so both paths raise the same
-# errors.  Everything is scalar math/Python float arithmetic: numpy's
-# transcendental functions differ from math's in the last ulp.
+# errors.  condensation_ladder also takes one argument as a column (a list)
+# and computes each intermediate once, as a column only where it depends on
+# that argument.  Everything is scalar math/Python float arithmetic, value by
+# value in a column: numpy's transcendental functions differ from math's in
+# the last ulp.
 # ---------------------------------------------------------------------------
 
 def _check_gas(t_k: float, m_g: float, n2: float | None, n3: float | None) -> None:
@@ -281,10 +287,13 @@ def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
 
 
 def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
-    """N2 = 2 pi n2 kB T / (m Omega_eff^2)."""
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite."""
     if omega == 0.0:
         raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
-    return 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
+    n_trapped = 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
+    if not math.isfinite(n_trapped):
+        raise OverflowError("N2 = 2 pi n2 kB T / (m Omega_eff^2) leaves the float range")
+    return n_trapped
 
 
 def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
@@ -317,44 +326,78 @@ def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, 
     return m_ph, 2.0 * m_ph / den_upper, 2.0 * m_ph / den_lower, upper_saturated, lower_saturated
 
 
-def condensation_ladder(
-    t_k: float,
-    m_g: float,
-    n2: float | None = None,
-    n3: float | None = None,
-    omega_eff: float | None = None,
-    u0: float | None = None,
-    r0: float | None = None,
-    n_s: float | None = None,
-) -> ThresholdLadder:
+class _ColumnError(ArithmeticError):
+    """A value of a column failed; condensation_ladder replays the column's
+    values one at a time, so that the first failing one raises its own error."""
+
+
+def _each(f, *args):
+    """f(*args), or with a list (a column) among args the list of f over its
+    values, the other args repeated; a failing value raises _ColumnError."""
+    if list not in map(type, args):
+        return f(*args)
+    try:
+        return list(map(f, *[a if type(a) is list else repeat(a) for a in args]))
+    except (ValueError, ArithmeticError):
+        raise _ColumnError from None
+
+
+def _finite(x) -> bool:
+    """math.isfinite(x); a column with a value that is not finite raises _ColumnError."""
+    if type(x) is not list:
+        return math.isfinite(x)
+    if not all(map(math.isfinite, x)):
+        raise _ColumnError
+    return True
+
+
+# a cgs magnitude, or a column of them
+_Cgs = float | list[float]
+
+
+def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs | None = None,
+                        omega_eff: _Cgs | None = None, u0: _Cgs | None = None,
+                        r0: _Cgs | None = None, n_s: _Cgs | None = None) -> ThresholdLadder:
     """The threshold ladder of condensation_report from cgs magnitudes.
 
     omega_eff None means no trap (u0 and r0 are then ignored); the checks of
-    GasState and TrapSpec run first, in that order.
+    GasState and TrapSpec run first, in that order.  Any argument may be a
+    list, a column of values, with the others scalars: each field that
+    depends on it is then the column of the scalar call's values, and the
+    call fails as the scalar call of its first failing value does.
     """
-    _check_gas(t_k, m_g, n2, n3)
-    if omega_eff is not None:
-        _check_trap(omega_eff)
-    notes = [
-        "lambda_T = h / sqrt(2 pi m kB T)",
-        "mu = kB T ln(1 - exp(-T_d/T))",
-    ]
+    args = (t_k, m_g, n2, n3, omega_eff, u0, r0, n_s)
+    try:
+        return _ladder(*args)
+    except _ColumnError:
+        for row in zip(*[a if type(a) is list else repeat(a) for a in args]):
+            _ladder(*row)
+        raise
 
+
+def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
+    _each(_check_gas, t_k, m_g, n2, n3)
+    if omega_eff is not None:
+        _each(_check_trap, omega_eff)
+    notes = ("lambda_T = h / sqrt(2 pi m kB T)", "mu = kB T ln(1 - exp(-T_d/T))")
     n2_estimated = n2 is None
     if n2_estimated:
-        notes.append("n2 estimated as lambda_T(T) * n3")
+        notes += ("n2 estimated as lambda_T(T) * n3",)
+
+    def density() -> str:  # the key behind n2, in the messages below
+        return f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
 
     # A finite positive input can still take an intermediate out of the float
     # range.  The try blocks cost nothing until they catch; the error path
     # then names the config keys behind the value that left the range.
     lam = 0.0  # kept if lambda_T_cm raises; also its value once 2 pi m kB T overflows
     try:
-        lam = lambda_T_cm(m_g, t_k)
+        lam = _each(lambda_T_cm, m_g, t_k)
         if n2_estimated:
-            n2 = lam * n3
+            n2 = _each(operator.mul, lam, n3)
         # n2 > 0 from here on, unless the estimate underflows to 0
-        r_int = 1.0 / math.sqrt(n2)
-        t_d = degeneracy_temperature_K(n2, m_g)
+        r_int = _each(lambda n: 1.0 / math.sqrt(n), n2)
+        t_d = _each(degeneracy_temperature_K, n2, m_g)
     except ZeroDivisionError:
         if not lam:
             message = (f"lambda_T: 2 pi m kB T leaves the float range for "
@@ -364,55 +407,54 @@ def condensation_ladder(
         else:
             message = f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g"
         raise ZeroDivisionError(message) from None
-    t_kt = kt_temperature_K(n2 if n_s is None else n_s, m_g)
+    t_kt = _each(kt_temperature_K, n2 if n_s is None else n_s, m_g)
     # both are >= 0, so their difference is finite exactly when both are
-    if not math.isfinite(t_d - t_kt):
+    if not _finite(_each(operator.sub, t_d, t_kt)):
         if t_d == math.inf:
-            density = f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
-            message = f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density}"
+            message = f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density()}"
         else:
             message = f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for 'n_s' = {n_s:g} cm^-2"
         raise OverflowError(f"{message}, 'm_eff' = {m_g:g} g")
-    x = t_d / t_k
+    x = _each(operator.truediv, t_d, t_k)
     try:
-        mu = KB_CGS * t_k * mu_over_kbt(x)
+        mu = _each(lambda t, r: KB_CGS * t * mu_over_kbt(r), t_k, x)
     except ValueError:  # log(0): T_d/T = n2 lambda_T^2 underflows to 0
-        density = f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
         raise ValueError(
-            f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density}, 'm_eff' = {m_g:g} g"
+            f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density()}, 'm_eff' = {m_g:g} g"
         ) from None
-    mu_zero = x > _MU_ZERO_X
-    if mu_zero:
-        notes.append("|mu| below 1e-13 kB T; effectively 0-")
+    mu_zero = _each(operator.gt, x, _MU_ZERO_X)
 
-    t_c = None
-    n_trapped = None
-    frac = None
+    t_c = n_trapped = frac = None
     if omega_eff is not None:
-        _check_trap_consistency(m_g, omega_eff, u0, r0)
-        if omega_eff == 0.0:
-            t_c = 0.0
-            frac = 0.0
-            notes.append("omega_eff = 0: no trap confinement, T_c = 0")
-        else:
-            t_c = t_d / TRAP_BEC_ZETA  # trapped_bec_temperature, density form
-            try:
-                n_trapped = _trapped_number_cgs(n2, t_k, omega_eff, m_g)
-            except ZeroDivisionError:
-                raise ZeroDivisionError(
-                    f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
-                    f"'omega_eff' = {omega_eff:g} s^-1"
-                ) from None
-            frac = _condensate_fraction_cgs(t_k, t_c)
+        _each(_check_trap_consistency, m_g, omega_eff, u0, r0)
+        # omega_eff = 0 confines nothing: T_c = 0, no N2 and no condensate
+        t_c = _each(lambda w, d: 0.0 if w == 0.0 else d / TRAP_BEC_ZETA, omega_eff, t_d)
+        try:
+            n_trapped = _each(lambda n, t, w, m: None if w == 0.0 else
+                              _trapped_number_cgs(n, t, w, m), n2, t_k, omega_eff, m_g)
+        except ZeroDivisionError:
+            raise ZeroDivisionError(
+                f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
+                f"'omega_eff' = {omega_eff:g} s^-1"
+            ) from None
+        except OverflowError:
+            raise OverflowError(
+                f"N2 = 2 pi n2 kB T / (m Omega_eff^2) overflows for {density()}, "
+                f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g, 'omega_eff' = {omega_eff:g} s^-1"
+            ) from None
+        frac = _each(lambda t, w, c: 0.0 if w == 0.0 else _condensate_fraction_cgs(t, c),
+                     t_k, omega_eff, t_c)
 
     return ThresholdLadder(
         t_k, m_g, n2, n3, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
-        degenerate=t_k <= t_d,
-        kt_superfluid=t_k <= t_kt,
-        overlap=lam >= r_int,
+        degenerate=_each(operator.le, t_k, t_d),
+        kt_superfluid=_each(operator.le, t_k, t_kt),
+        overlap=_each(operator.ge, lam, r_int),
         n2_estimated=n2_estimated,
         mu_effectively_zero=mu_zero,
-        notes=tuple(notes),
+        notes=_each(lambda z, w: notes + ("|mu| below 1e-13 kB T; effectively 0-",) * z
+                    + ("omega_eff = 0: no trap confinement, T_c = 0",) * (w == 0.0),
+                    mu_zero, omega_eff),
     )
 
 

@@ -435,11 +435,13 @@ class TestUnderflowNamesKey:
         ("T = 300 K\nm_eff = 1e-47 g\nn2 = 1e300 cm^-2\n", ("'n2'", "'m_eff'")),
         ("T = 300 K\nm_eff = 1e-45 g\nn2 = 1e300 cm^-2\nn_s = 1e308 cm^-2\n",
          ("'n_s'", "'m_eff'")),
+        ("T = 1e300 K\nm_eff = 5e-33 g\nn2 = 1e300 cm^-2\nomega_eff = 1e-10 s^-1\n",
+         ("'n2'", "'T'", "'m_eff'", "'omega_eff'")),
     ],
-    ids=["T_d", "T_KT"],
+    ids=["T_d", "T_KT", "N2"],
 )
 def test_thresholds_overflow_exit_one(tmp_path, capsys, config_text, keys):
-    # finite inputs whose T_d or T_KT passes the largest float
+    # finite inputs whose T_d, T_KT or N2 passes the largest float
     code, data = run(tmp_path, config_text, ["thresholds"])
     assert code == 1
     assert data == b""
@@ -482,6 +484,34 @@ class TestSweepBinding:
         calls = self.count_mass_derivations(
             monkeypatch, tmp_path, BASE_CFG, "Delta", "-0.002", "0.002")
         assert calls == []
+
+
+def test_T_sweep_calls_the_ladder_once(monkeypatch, tmp_path):
+    # one ladder call over the column of swept values, not one per value
+    calls = []
+    ladder = cli.condensation_ladder
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(cli, "condensation_ladder", counted)
+    code, _ = run(tmp_path, TRAP_CFG, [
+        "sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "50",
+        "--command", "thresholds"])
+    assert code == 0
+    assert len(calls) == 1 and calls[0][0] == sweep_values(SweepSpec("T", 2.0, 2000.0, 50))
+
+
+def test_sweep_stops_at_its_first_failing_value(tmp_path, capsys):
+    # mu underflows at every value and mode_index 1.5 is no integer: the
+    # sweep fails with the ladder's error at 1, not the config error at 1.5
+    cfg = BASE_CFG.replace("n2 = 0.5e8 cm^-2", "n2 = 1e-320 cm^-2")
+    code, data = run(tmp_path, cfg, [
+        "sweep", "--param", "mode_index", "--from", "1", "--to", "2", "--steps", "3",
+        "--command", "thresholds"])
+    assert (code, data) == (1, b"")
+    assert capsys.readouterr().err.startswith("polbec: error: mu: T_d/T underflows")
 
 
 # sweepable keys: the eight the ladder reads, one the derived mass reads

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 from polbec.coupling import resonant_coupling
 from polbec.thermo import (
     GasState,
     TRAP_BEC_ZETA,
+    ThresholdLadder,
     TrapSpec,
     chemical_potential,
     condensate_fraction,
@@ -443,9 +445,15 @@ class TestLadderRangeErrors:
              "T_d = .*'n3' = 1e\\+300 cm\\^-3, 'm_eff' = 1e-45 g"),
             ((300.0, 1e-45, 1e300, None, None, None, None, 1e308), OverflowError,
              "T_KT = .*'n_s' = 1e\\+308 cm\\^-2, 'm_eff' = 1e-45 g"),
+            ((1e300, 5e-33, 1e300, None, 1e-10), OverflowError,
+             "N2 = .*'n2' = 1e\\+300 cm\\^-2, 'T' = 1e\\+300 K, 'm_eff' = 5e-33 g, "
+             "'omega_eff' = 1e-10 s\\^-1"),
+            ((1e300, 5e-33, None, 1e300, 1e-10), OverflowError,
+             "N2 = .*'n3' = 1e\\+300 cm\\^-3, 'T' = 1e\\+300 K, 'm_eff' = 5e-33 g, "
+             "'omega_eff' = 1e-10 s\\^-1"),
         ],
         ids=["T-tiny", "T-inf-n3", "n3-tiny", "m-kB", "T-inf-n2", "n2-tiny", "n3-tiny-mu",
-             "trap", "T_d-huge", "T_d-huge-n3", "T_KT-huge"],
+             "trap", "T_d-huge", "T_d-huge-n3", "T_KT-huge", "N2-huge", "N2-huge-n3"],
     )
     def test_names_the_key(self, args, error, match):
         with pytest.raises(error, match=match):
@@ -477,3 +485,89 @@ class TestLadderRangeErrors:
         state = {"temperature": T_REF, "m_eff": M_REF, "n2": qty(5e7, "cm^-2"), **kwargs}
         with pytest.raises(ValueError, match=match):
             GasState(**state)
+
+
+def _logs(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+# drawn cgs magnitudes at condensation_ladder's positions: T (K), m_eff (g),
+# n2 (cm^-2), n3 (cm^-3), omega_eff (s^-1, 0 included), U0 (erg; drawn
+# consistent with the trap), r0 (cm), n_s (cm^-2)
+LADDER_VALUES = [_logs(1e-2, 1e6), _logs(1e-36, 1e-28), _logs(1.0, 1e16), _logs(1e3, 1e20),
+                 st.just(0.0) | _logs(1e-3, 1e14), None, _logs(1e-6, 1e-1), _logs(1.0, 1e16)]
+
+# a value at each position that fails (n3 with n2 absent)
+LADDER_FAILING = [-1.0, -1.0, 1e-320, 1e-321, -1.0, -1.0, 1e200, -1.0]
+
+
+@st.composite
+def ladder_columns(draw):
+    """(args, k, column): condensation_ladder's arguments as scalars, with
+    n2, n3 or both, and a column of 1 to 6 values for position k."""
+    k = draw(st.integers(0, 7))
+    t, m, n2, n3, omega, r0, n_s = (draw(LADDER_VALUES[i]) for i in (0, 1, 2, 3, 4, 6, 7))
+    density = draw(st.sampled_from(["n2", "n3", "both"]))
+    args = [t, m, None if density == "n3" else n2, None if density == "n2" else n3,
+            None, None, None, None]
+    if k in (4, 5, 6) or draw(st.booleans()):
+        args[4] = omega
+        if k in (5, 6) or draw(st.booleans()):
+            args[5:7] = [0.5 * m * omega**2 * r0**2, r0]
+    if k == 7 or draw(st.booleans()):
+        args[7] = n_s
+    size = draw(st.integers(1, 6))
+    if k in (5, 6):  # near the consistent value: within rel_tol 1e-6 or not
+        column = [args[k] * (1.0 + d) for d in draw(
+            st.lists(st.floats(-1e-5, 1e-5), min_size=size, max_size=size))]
+    else:
+        column = draw(st.lists(LADDER_VALUES[k], min_size=size, max_size=size))
+    return args, k, column
+
+
+def assert_column_parity(args, k, column):
+    """condensation_ladder with a column at position k against the scalar
+    call on each value: every field equal bit for bit (repr tells -0.0 from
+    0.0), or the error of the first failing value."""
+    with_column = [*args[:k], column, *args[k + 1:]]
+    expected = []
+    for value in column:
+        try:
+            expected.append(condensation_ladder(*args[:k], value, *args[k + 1:]))
+        except (ValueError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as info:
+                condensation_ladder(*with_column)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return
+    ladder = condensation_ladder(*with_column)
+    for name, field in zip(ThresholdLadder._fields, ladder):
+        values = field if isinstance(field, list) else [field] * len(column)
+        assert list(map(repr, values)) == [repr(getattr(e, name)) for e in expected], name
+
+
+class TestLadderColumns:
+    """condensation_ladder over a column equals the scalar call per value."""
+
+    @given(case=ladder_columns())
+    @example(case=([300.0, 5e-33, None, 3.5e11, None, None, None, None], 0, [2.0, 300.0, 2e3]))
+    @example(case=([300.0, 5e-33, 5e7, None, 5e10, None, None, None], 4, [5e10, 0.0, 1e12]))
+    def test_column_equals_scalar_calls(self, case):
+        assert_column_parity(*case)
+
+    @given(case=ladder_columns(), data=st.data())
+    def test_first_failing_value_raises(self, case, data):
+        args, k, column = case
+        if k == 3:
+            args[2] = None  # the n3-only path, where a tiny n3 fails
+        i = data.draw(st.integers(0, len(column) - 1))
+        column[i] = LADDER_FAILING[k]
+        with pytest.raises((ValueError, ArithmeticError)):
+            condensation_ladder(*args[:k], column[i], *args[k + 1:])
+        assert_column_parity(args, k, column)
+
+    def test_T_column_computes_the_rest_once(self):
+        lad = condensation_ladder([2.0, 300.0, 2e3], 5e-33, 5e7, None, 5e10)
+        assert all(isinstance(f, list) for f in (lad.lambda_t, lad.mu, lad.n_trapped,
+                                                 lad.condensate_frac, lad.degenerate))
+        assert not any(isinstance(f, list) for f in (lad.t_degeneracy, lad.t_kt, lad.r_int,
+                                                     lad.t_c))
