@@ -10,14 +10,15 @@ Only dispersion, hopfield and their sweeps sample a curve; they import the
 numpy-backed dispersion module when they run, so the scalar commands start
 without numpy.
 
-Config values are dimension-checked once, when the config is parsed; the
-masses and thresholds tables are then computed on cgs floats.  A masses
-sweep swaps one float per value into that view of the config.  A thresholds
-sweep calls the ladder once, with the swept values as one argument's column
-(or the derived masses', for a key the mass reads), and its fields are the
-table's columns.  Every table is printed column-wise through one
-'%'-template, into which a column with one value throughout is printed
-once.  A JSON table prints its rows straight from the float columns, each
+Config values are dimension-checked once, when the config is parsed; every
+command then computes on cgs floats through the library's cgs cores, whose
+value and range checks name the keys.  A masses, dispersion or hopfield
+sweep swaps one float per value into that view of the config.  A
+thresholds sweep calls the ladder once, with the swept values as one
+argument's column (or the derived masses', for a key the mass reads), and
+its fields are the table's columns.  Every table is printed column-wise
+through one '%'-template, into which a column with one value throughout is
+printed once.  A JSON table prints its rows straight from the float columns, each
 number formatted once in json's spelling of the 12-digit value, and leaves
 only its header to json.  The argument parser is built once per process and
 shared by every later call of main.
@@ -43,40 +44,30 @@ from .config import (
     SweepSpec,
     check_keys,
     config_cgs,
-    config_value,
     sweep_values,
 )
 from .coupling import (
-    CavityParams,
-    CouplingParams,
     CouplingRegime,
-    MediumParams,
     check_cavity,
     geometry_coupling_cgs,
-    is_strong_coupling,
     resonant_coupling_cgs,
+    strong_coupling_cgs,
 )
 from .thermo import (
     ThresholdLadder,
     condensation_ladder,
-    effective_masses,
     effective_masses_cgs,
     kt_temperature_K,
-    transverse_energy,
+    transverse_energy_erg,
 )
-from .trap import design_trap
+from .trap import ENERGY_SCALE_NOTE, design_trap_cgs
 from .units import (
     DimensionError,
-    ENERGY,
     EV_ERG,
     KB_CGS,
-    LENGTH,
-    MASS,
     MEV_ERG,
     UNITS,
-    WAVENUMBER,
     Quantity,
-    qty,
 )
 
 __all__ = ["main"]
@@ -229,32 +220,19 @@ def _meta_head(cfg: RunConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# config -> cgs floats -> domain objects
+# config -> cgs floats
 # ---------------------------------------------------------------------------
-
-def _cgs_value(value: object) -> object:
-    return value.cgs if isinstance(value, Quantity) else value
-
 
 def _cgs(cfg: RunConfig) -> RunConfig:
     """The config with every Quantity replaced by its cgs magnitude.
 
-    _parse_entry and config_value fix the dimension of every value they
+    _parse_entry and config_cgs fix the dimension of every value they
     store, so this is where dimension checking ends: the float cores below
     take the magnitudes as they are.
     """
     return RunConfig(
-        values={key: _cgs_value(v) for key, v in cfg.values.items()},
+        values={key: v.cgs if isinstance(v, Quantity) else v for key, v in cfg.values.items()},
         source_text=cfg.source_text,
-    )
-
-
-def _build_medium(cfg: RunConfig) -> MediumParams:
-    return MediumParams(
-        transition_energy=cfg.require("E0"),
-        dipole_moment=cfg.require("d"),
-        density=cfg.require("n3"),
-        coherence_time=cfg.require("tau_coh"),
     )
 
 
@@ -277,24 +255,6 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     return g, k_perp, delta, length
 
 
-def _build_coupling(cfg: RunConfig) -> tuple[CouplingParams, CavityParams | None]:
-    c = _cgs(cfg)
-    g, k_perp, delta, length = _coupling_cgs(c)
-    coupling = CouplingParams(
-        g=Quantity(g, ENERGY),
-        k_perp=Quantity(k_perp, WAVENUMBER),
-        delta=Quantity(delta, ENERGY),
-    )
-    cavity = None
-    if "d_beam" in c.values:
-        cavity = CavityParams(
-            length=Quantity(length, LENGTH),
-            mode_index=c.values["mode_index"],
-            beam_diameter=cfg.values["d_beam"],
-        )
-    return coupling, cavity
-
-
 def _effective_mass(c: RunConfig) -> float:
     """m_eff in g from the config, or the lower-branch mass derived from coupling keys."""
     if "m_eff" in c.values:
@@ -315,85 +275,53 @@ def _effective_mass(c: RunConfig) -> float:
 # table builders (shared between direct commands and sweep)
 # ---------------------------------------------------------------------------
 
-def _dispersion_columns(cfg: RunConfig, samples: int, kmax: float):
-    from .dispersion import GridSpec, sample_dispersion
+def _curve_table(c: RunConfig, command: str, args):
+    """(meta, header, columns) of the dispersion or hopfield table of a cgs view."""
+    from .dispersion import sample_dispersion_cgs
 
-    coupling, cavity = _build_coupling(cfg)
-    e_at = cfg.require("E0")
-    curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
-    k_perp = coupling.k_perp.cgs
-    columns = [
-        (curve.k_par / k_perp).tolist(),
-        (curve.e_upper / EV_ERG).tolist(),
-        (curve.e_lower / EV_ERG).tolist(),
-        curve.mu_sq.tolist(),
-        curve.nu_sq.tolist(),
-        (curve.e_ph_paraxial / EV_ERG).tolist(),
-        (curve.e_ph_freespace / EV_ERG).tolist(),
-    ]
-    meta = [
-        f"Delta_eV = {fmt(coupling.delta.in_unit('eV'))}",
-        f"g_eV = {fmt(coupling.g.in_unit('eV'))}",
+    g, k_perp, delta, _ = _coupling_cgs(c)
+    e_at = c.require("E0")
+    k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
+        e_at, g, k_perp, args.samples, args.kmax)
+    meta = [f"Delta_eV = {fmt(delta / EV_ERG)}", f"g_eV = {fmt(g / EV_ERG)}"]
+    # each scaled array is made into a list and dropped before the next
+    if command == "hopfield":
+        mismatch = e_at - e_ph
+        columns = [(k / k_perp).tolist(), (mismatch / EV_ERG).tolist(),
+                   (mismatch / g).tolist(), mu2.tolist(), nu2.tolist()]
+        meta.append("mu_sq is the photon fraction of the upper branch")
+        return meta, HOPFIELD_HEADER, columns
+    columns = [(k / k_perp).tolist(), (e1 / EV_ERG).tolist(), (e2 / EV_ERG).tolist(),
+               mu2.tolist(), nu2.tolist(), (e_ph / EV_ERG).tolist(), (e_free / EV_ERG).tolist()]
+    meta += [
         f"k_perp_cm^-1 = {fmt(k_perp)}",
-        f"grid: {samples} samples, k_par in [0, {fmt(kmax)}] * k_perp",
+        f"grid: {args.samples} samples, k_par in [0, {fmt(args.kmax)}] * k_perp",
         "E_ph_freespace = hbar*c*sqrt(k_perp^2 + k_par^2)",
     ]
-    return coupling, cavity, e_at, meta, columns
+    return meta, DISPERSION_HEADER, columns
 
 
-def _hopfield_columns(cfg: RunConfig, samples: int, kmax: float):
-    from .dispersion import GridSpec, sample_dispersion
-
-    coupling, _ = _build_coupling(cfg)
-    e_at = cfg.require("E0")
-    curve = sample_dispersion(coupling, e_at, GridSpec(n_samples=samples, k_max_frac=kmax))
-    delta = e_at.cgs - curve.e_ph_paraxial
-    columns = [
-        (curve.k_par / coupling.k_perp.cgs).tolist(),
-        (delta / EV_ERG).tolist(),
-        (delta / coupling.g.cgs).tolist(),
-        curve.mu_sq.tolist(),
-        curve.nu_sq.tolist(),
-    ]
-    meta = [
-        f"Delta_eV = {fmt(coupling.delta.in_unit('eV'))}",
-        f"g_eV = {fmt(coupling.g.in_unit('eV'))}",
-        "mu_sq is the photon fraction of the upper branch",
-    ]
-    return meta, columns
-
-
-def _masses_header(units: str) -> list[str]:
-    suffix = "g" if units == "cgs" else "kg"
-    return [
-        "Delta_eV", "g_eV", f"m_ph_{suffix}", f"m_upper_{suffix}", f"m_lower_{suffix}",
-        "T_KT_upper_K", "T_KT_lower_K",
-    ]
-
-
-def _masses_values(c: RunConfig, units: str):
-    """The masses row, with g (erg) and whether a mass saturated, which
-    cmd_masses reports in its metadata."""
+def _masses_table(c: RunConfig, command: str, args):
+    """(meta, header, columns) of the one-row masses table of a cgs view."""
     g, k_perp, delta, _ = _coupling_cgs(c)
     m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
-        delta, g, k_perp
-    )
-    grams_per_unit = UNITS["g" if units == "cgs" else "kg"][0]
+        delta, g, k_perp)
     n_s = c.get("n_s", c.get("n2"))
-    t_kt_up = t_kt_lo = None
-    if n_s is not None:
-        t_kt_up = kt_temperature_K(n_s, m_upper)
-        t_kt_lo = kt_temperature_K(n_s, m_lower)
-    values = [
-        delta / EV_ERG,
-        g / EV_ERG,
-        m_ph / grams_per_unit,
-        m_upper / grams_per_unit,
-        m_lower / grams_per_unit,
-        t_kt_up,
-        t_kt_lo,
-    ]
-    return values, g, upper_saturated or lower_saturated
+    t_kt = [None, None] if n_s is None else [kt_temperature_K(n_s, m) for m in (m_upper, m_lower)]
+    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}"]
+    if upper_saturated or lower_saturated:
+        meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
+    unit = "g" if args.units == "cgs" else "kg"
+    grams_per_unit = UNITS[unit][0]
+    header = ["Delta_eV", "g_eV", f"m_ph_{unit}", f"m_upper_{unit}", f"m_lower_{unit}",
+              "T_KT_upper_K", "T_KT_lower_K"]
+    values = [delta / EV_ERG, g / EV_ERG, m_ph / grams_per_unit, m_upper / grams_per_unit,
+              m_lower / grams_per_unit, *t_kt]
+    return meta, header, [[v] for v in values]
+
+
+# the table of each command that prints one per config, as a sweep repeats it
+TABLES = {"masses": _masses_table, "hopfield": _curve_table, "dispersion": _curve_table}
 
 
 # the config keys behind condensation_ladder's positional arguments
@@ -464,109 +392,74 @@ def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], columns: list) -> None:
+    """Write a command's table as CSV or JSON.  In JSON a curve is "columns"
+    and "rows"; the one row of masses or thresholds gives one key per column."""
+    meta = _meta_head(cfg) + meta
+    if args.format != "json":
+        text = render_csv(meta, header, csv_lines(columns))
+    elif args.command in ("dispersion", "hopfield"):
+        text = render_json({"metadata": meta, "columns": header, "rows": columns})
+    else:
+        text = render_json({"metadata": meta, **{h: col[0] for h, col in zip(header, columns)}})
+    emit(text, args.out)
+
+
 def cmd_check_coupling(cfg: RunConfig, args) -> int:
-    medium = _build_medium(cfg)
-    check = is_strong_coupling(medium, threshold=args.threshold)
-    regime = check.regime.value
+    c = _cgs(cfg)
+    omega_c, rate, ratio, regime = strong_coupling_cgs(
+        c.require("E0"), c.require("d"), c.require("n3"), c.require("tau_coh"), args.threshold
+    )
+    numbers = {"omega_c_s1": omega_c, "decoherence_rate_s1": rate, "ratio": ratio,
+               "threshold": args.threshold}
     if args.format == "json":
-        text = render_json({
-            "omega_c_s1": check.omega_c.cgs,
-            "decoherence_rate_s1": check.decoherence_rate.cgs,
-            "ratio": check.ratio,
-            "threshold": check.threshold,
-            "regime": regime,
-        })
+        text = render_json({**numbers, "regime": regime.value})
     else:
         lines = [f"# {m}" for m in _meta_head(cfg)]
-        lines += [
-            f"omega_c_s1 = {fmt(check.omega_c.cgs)}",
-            f"decoherence_rate_s1 = {fmt(check.decoherence_rate.cgs)}",
-            f"ratio = {fmt(check.ratio)}",
-            f"threshold = {fmt(check.threshold)}",
-            f"regime = {regime}",
-        ]
-        text = "\n".join(lines) + "\n"
+        lines += [f"{key} = {fmt(value)}" for key, value in numbers.items()]
+        text = "\n".join(lines + [f"regime = {regime.value}"]) + "\n"
     emit(text, args.out)
-    return EXIT_OK if check.regime is CouplingRegime.STRONG else EXIT_REGIME
+    return EXIT_OK if regime is CouplingRegime.STRONG else EXIT_REGIME
 
 
-def cmd_dispersion(cfg: RunConfig, args) -> int:
-    from .dispersion import NoWellError, well_geometry
+def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
+    """The metadata lines on the lower-branch well, and the exit code."""
+    from .dispersion import NoWellError, well_geometry_cgs
 
-    coupling, cavity, e_at, meta, columns = _dispersion_columns(cfg, args.samples, args.kmax)
-    exit_code = EXIT_OK
-    masses = effective_masses(coupling)
-    meta.append("well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)")
+    g, k_perp, delta, length = _coupling_cgs(c)
+    m_lower = effective_masses_cgs(delta, g, k_perp)[2]
+    meta = ["well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)"]
     try:
-        well = well_geometry(coupling, e_at, cavity, paraxial_bound=args.kmax)
-        curvature = transverse_energy(well.inflection_k, masses.m_lower)
-        meta.append(
-            f"well: inflection_k/k_perp = {fmt(well.angular_halfwidth)}, "
-            f"depth_eV = {fmt(well.depth.in_unit('eV'))}, "
-            f"curvature_energy_over_g = {fmt(curvature.cgs / coupling.g.cgs)}"
-        )
-        if well.diffraction_limit is not None:
-            meta.append(
-                f"well: diffraction limit phi_rad = {fmt(well.diffraction_limit)}, "
-                f"beam resolvable = {fmt_bool(well.diffraction_ok)}"
-            )
+        inflection, depth, halfwidth, phi, resolvable = well_geometry_cgs(
+            c.values["E0"], g, k_perp, delta, kmax, length, c.get("d_beam"))
     except NoWellError as exc:
-        meta.append(f"well: none ({exc})")
-        exit_code = EXIT_REGIME
+        return meta + [f"well: none ({exc})"], EXIT_REGIME
+    curvature = transverse_energy_erg(inflection, m_lower)
+    meta.append(f"well: inflection_k/k_perp = {fmt(halfwidth)}, "
+                f"depth_eV = {fmt(depth / EV_ERG)}, "
+                f"curvature_energy_over_g = {fmt(curvature / g)}")
+    if phi is not None:
+        meta.append(f"well: diffraction limit phi_rad = {fmt(phi)}, "
+                    f"beam resolvable = {fmt_bool(resolvable)}")
+    return meta, EXIT_OK
 
-    if args.format == "json":
-        text = render_json({
-            "metadata": _meta_head(cfg) + meta,
-            "columns": DISPERSION_HEADER,
-            "rows": columns,
-        })
-    else:
-        text = render_csv(_meta_head(cfg) + meta, DISPERSION_HEADER, csv_lines(columns))
-    emit(text, args.out)
+
+def cmd_table(cfg: RunConfig, args) -> int:
+    """dispersion, hopfield and masses; dispersion also reports the well."""
+    c = _cgs(cfg)
+    meta, header, columns = TABLES[args.command](c, args.command, args)
+    exit_code = EXIT_OK
+    if args.command == "dispersion":
+        well, exit_code = _well_meta(c, args.kmax)
+        meta += well
+    _emit_table(cfg, args, meta, header, columns)
     return exit_code
-
-
-def cmd_hopfield(cfg: RunConfig, args) -> int:
-    meta, columns = _hopfield_columns(cfg, args.samples, args.kmax)
-    if args.format == "json":
-        text = render_json({
-            "metadata": _meta_head(cfg) + meta,
-            "columns": HOPFIELD_HEADER,
-            "rows": columns,
-        })
-    else:
-        text = render_csv(_meta_head(cfg) + meta, HOPFIELD_HEADER, csv_lines(columns))
-    emit(text, args.out)
-    return EXIT_OK
-
-
-def cmd_masses(cfg: RunConfig, args) -> int:
-    values, g, saturated = _masses_values(_cgs(cfg), args.units)
-    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}"]
-    if saturated:
-        meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
-    header = _masses_header(args.units)
-    if args.format == "json":
-        payload = {"metadata": _meta_head(cfg) + meta}
-        payload.update(dict(zip(header, values)))
-        text = render_json(payload)
-    else:
-        text = render_csv(_meta_head(cfg) + meta, header, csv_lines([[v] for v in values]))
-    emit(text, args.out)
-    return EXIT_OK
 
 
 def cmd_thresholds(cfg: RunConfig, args) -> int:
     ladder = condensation_ladder(*_ladder_args(_cgs(cfg)))
-    meta = _meta_head(cfg) + [f"note: {n}" for n in ladder.notes]
-    columns = _thresholds_columns(ladder, 1)
-    if args.format == "json":
-        payload = {"metadata": meta}
-        payload.update(zip(THRESHOLDS_HEADER, (col[0] for col in columns)))
-        text = render_json(payload)
-    else:
-        text = render_csv(meta, THRESHOLDS_HEADER, csv_lines(columns))
-    emit(text, args.out)
+    _emit_table(cfg, args, [f"note: {n}" for n in ladder.notes], THRESHOLDS_HEADER,
+                _thresholds_columns(ladder, 1))
     return EXIT_OK
 
 
@@ -575,31 +468,26 @@ def cmd_trap(cfg: RunConfig, args) -> int:
         raise ConfigError("trap requires --target-tc and --n-particles")
     if args.target_tc <= 0 or args.n_particles <= 0:
         raise ConfigError("--target-tc and --n-particles must be positive")
-    m_eff = Quantity(_effective_mass(_cgs(cfg)), MASS)
-    e_char = cfg.get("E_char", cfg.get("E0"))
+    c = _cgs(cfg)
+    m_eff = _effective_mass(c)
+    e_char = c.get("E_char", c.get("E0"))
     if e_char is None:
         raise ConfigError("missing required key 'E_char' (or 'E0' as its default)")
-    design = design_trap(
-        target_tc=qty(args.target_tc, "K"),
-        n_particles=args.n_particles,
-        m_eff=m_eff,
-        energy_scale=e_char,
-        omega_at=cfg.get("omega_at"),
-        n0=cfg.get("n0", 1.0),
-        beam_diameter=cfg.get("d_beam"),
-    )
-    if design.beam_fits_profile is False:
+    n0 = c.get("n0", 1.0)
+    omega, n_prime, r_max, fits = design_trap_cgs(
+        args.target_tc, args.n_particles, m_eff, e_char, n0, c.get("d_beam"))
+    if fits is False:
         sys.stderr.write(
             "warning: beam diameter exceeds the harmonic region of the lens profile\n"
         )
     text = render_json({
-        "omega_eff_s1": design.omega_eff.cgs,
-        "omega_at_s1": None if design.omega_at is None else design.omega_at.cgs,
-        "n_prime_cm2": design.lens.n_prime.cgs,
-        "n0": design.lens.n0,
-        "r_max_cm": design.lens.r_max.cgs,
-        "E_char_eV": design.energy_scale.in_unit("eV"),
-        "assumption_note": design.assumption_note,
+        "omega_eff_s1": omega,
+        "omega_at_s1": c.get("omega_at"),
+        "n_prime_cm2": n_prime,
+        "n0": n0,
+        "r_max_cm": r_max,
+        "E_char_eV": e_char / EV_ERG,
+        "assumption_note": ENERGY_SCALE_NOTE,
     })
     emit(text, args.out)
     return EXIT_OK
@@ -609,55 +497,35 @@ SWEEP_TARGETS = ("masses", "thresholds", "hopfield", "dispersion")
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
-    spec = SweepSpec(
-        param=args.param,
-        start=args.sweep_from,
-        stop=args.sweep_to,
-        steps=args.steps,
-        scale=args.scale,
-    )
+    spec = SweepSpec(args.param, args.sweep_from, args.sweep_to, args.steps, args.scale)
     # the config with the swept key written in must pass what parsing checks
     check_keys({*cfg.values, spec.param})
     values = sweep_values(spec)
     target = args.target
 
     if target == "thresholds":
+        header = THRESHOLDS_HEADER
         columns = [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))]
-    elif target == "masses":
-        # one cgs view of the config; each value swaps in one float
-        c = _cgs(cfg)
-        rows = []
-        for value in values:
-            c.values[spec.param] = config_cgs(spec, value)
-            rows.append([value, *_masses_values(c, args.units)[0]])
-        # the T_KT columns are None in every row (no n_s or n2) or in none
-        columns = list(zip(*rows))
     else:
-        table_for = _hopfield_columns if target == "hopfield" else _dispersion_columns
+        # one cgs view of the config; each value swaps in one float and
+        # gives one group of rows
+        c = _cgs(cfg)
         groups = []
         for value in values:
-            sub_cfg = cfg.with_value(spec.param, config_value(spec, value))
-            group = table_for(sub_cfg, args.samples, args.kmax)[-1]
+            c.values[spec.param] = config_cgs(spec, value)
+            _, header, group = TABLES[target](c, target, args)
             groups.append([[value] * len(group[0]), *group])
         columns = [[v for part in parts for v in part] for parts in zip(*groups)]
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
-    if target == "masses":
-        header = [sweep_col] + _masses_header(args.units)
-    elif target == "thresholds":
-        header = [sweep_col] + THRESHOLDS_HEADER
-    elif target == "hopfield":
-        header = [sweep_col] + HOPFIELD_HEADER
-    else:
-        header = [sweep_col] + DISPERSION_HEADER
     meta = _meta_head(cfg) + [
         f"sweep: {spec.param} from {fmt(spec.start)} to {fmt(spec.stop)} "
         f"in {spec.steps} steps ({spec.scale})"
         + (f", values in {unit}" if unit else ""),
         f"target: {target}",
     ]
-    emit(render_csv(meta, header, csv_lines(columns)), args.out)
+    emit(render_csv(meta, [sweep_col, *header], csv_lines(columns)), args.out)
     return EXIT_OK
 
 
@@ -683,17 +551,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="path to key = value config file")
-    sub.add_argument("--out", default="-", help="output path, or - for stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--units", choices=("cgs", "si"), default=None)
-
-
-def _add_grid(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=int, default=101, help="grid points in k_par")
-    sub.add_argument("--kmax", type=float, default=0.2, help="k_par window edge over k_perp")
-    sub.add_argument("--workers", type=int, default=1, help="accepted; evaluation is serial")
+def _add_command(sub, name: str, help_text: str, grid: bool = False) -> argparse.ArgumentParser:
+    """A subcommand with the options every command takes, and with grid
+    the options of a curve."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--config", required=True, help="path to key = value config file")
+    p.add_argument("--out", default="-", help="output path, or - for stdout")
+    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--units", choices=("cgs", "si"), default=None)
+    if grid:
+        p.add_argument("--samples", type=int, default=101, help="grid points in k_par")
+        p.add_argument("--kmax", type=float, default=0.2, help="k_par window edge over k_perp")
+        p.add_argument("--workers", type=int, default=1, help="accepted; evaluation is serial")
+    return p
 
 
 @cache
@@ -711,33 +581,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-coupling", help="strong-coupling regime test")
-    _add_common(p)
+    p = _add_command(sub, "check-coupling", "strong-coupling regime test")
     p.add_argument("--threshold", type=float, default=10.0,
                    help="ratio above which the regime counts as strong")
-
-    p = sub.add_parser("dispersion", help="sample both polariton branches over k_par")
-    _add_common(p)
-    _add_grid(p)
-
-    p = sub.add_parser("hopfield", help="photon/matter composition along the grid")
-    _add_common(p)
-    _add_grid(p)
-
-    p = sub.add_parser("masses", help="photon and branch curvature masses")
-    _add_common(p)
-
-    p = sub.add_parser("thresholds", help="condensation threshold ladder")
-    _add_common(p)
-
-    p = sub.add_parser("trap", help="design a lens profile for a target T_c")
-    _add_common(p)
+    _add_command(sub, "dispersion", "sample both polariton branches over k_par", grid=True)
+    _add_command(sub, "hopfield", "photon/matter composition along the grid", grid=True)
+    _add_command(sub, "masses", "photon and branch curvature masses")
+    _add_command(sub, "thresholds", "condensation threshold ladder")
+    p = _add_command(sub, "trap", "design a lens profile for a target T_c")
     p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
     p.add_argument("--n-particles", type=float, default=None, help="particle number N")
-
-    p = sub.add_parser("sweep", help="sweep one config key through a target command")
-    _add_common(p)
-    _add_grid(p)
+    p = _add_command(sub, "sweep", "sweep one config key through a target command", grid=True)
     p.add_argument("--param", required=True, help="config key to sweep")
     p.add_argument("--from", dest="sweep_from", type=float, required=True,
                    help="start value in the key's canonical unit")
@@ -751,9 +605,9 @@ def build_parser() -> _Parser:
 
 _COMMANDS = {
     "check-coupling": cmd_check_coupling,
-    "dispersion": cmd_dispersion,
-    "hopfield": cmd_hopfield,
-    "masses": cmd_masses,
+    "dispersion": cmd_table,
+    "hopfield": cmd_table,
+    "masses": cmd_table,
     "thresholds": cmd_thresholds,
     "trap": cmd_trap,
     "sweep": cmd_sweep,

@@ -25,7 +25,6 @@ from .units import (
     TIME,
     UNITS,
     VOLUME_DENSITY,
-    Quantity,
     qty,
 )
 
@@ -244,13 +243,4 @@ def config_cgs(spec: SweepSpec, value: float) -> float | int:
         if value != int(value):
             raise ConfigError(f"sweep over '{spec.param}' produced non-integer {value}")
         return int(value)
-    return magnitude
-
-
-def config_value(spec: SweepSpec, value: float) -> object:
-    """Turn a swept numeric value back into the leaf's typed config value."""
-    magnitude = config_cgs(spec, value)
-    key_spec = KEY_SPECS[spec.param]
-    if key_spec.kind == "quantity":
-        return Quantity(magnitude, key_spec.dimension)
     return magnitude

@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 from .units import (
     C_CGS,
+    DEBYE_ESU_CM,
     DIPOLE_MOMENT,
     ENERGY,
+    EV_ERG,
     FREQUENCY,
     HBAR_CGS,
     LENGTH,
@@ -28,6 +30,7 @@ from .units import (
     VOLUME_DENSITY,
     WAVENUMBER,
     magnitude_in_cgs,
+    range_error,
 )
 
 __all__ = [
@@ -45,6 +48,7 @@ __all__ = [
     "check_cavity",
     "geometry_coupling_cgs",
     "resonant_coupling_cgs",
+    "strong_coupling_cgs",
     "DEFAULT_STRONG_THRESHOLD",
 ]
 
@@ -76,6 +80,14 @@ def _check_coupling(g: float, k_perp: float) -> None:
     _require_positive(k_perp, "k_perp")
 
 
+def _check_medium(e0: float, d: float, n3: float, tau: float) -> None:
+    """Value checks of MediumParams on cgs magnitudes."""
+    _require_positive(e0, "transition_energy")
+    _require_positive(d, "dipole_moment")
+    _require_positive(n3, "density")
+    _require_positive(tau, "coherence_time")
+
+
 @dataclass(frozen=True)
 class MediumParams:
     """Two-level atomic medium: transition energy E0, Gaussian dipole moment,
@@ -87,10 +99,12 @@ class MediumParams:
     coherence_time: Quantity      # tau_coh, s
 
     def __post_init__(self) -> None:
-        _require_positive(magnitude_in_cgs(self.transition_energy, ENERGY, "transition_energy"), "transition_energy")
-        _require_positive(magnitude_in_cgs(self.dipole_moment, DIPOLE_MOMENT, "dipole_moment"), "dipole_moment")
-        _require_positive(magnitude_in_cgs(self.density, VOLUME_DENSITY, "density"), "density")
-        _require_positive(magnitude_in_cgs(self.coherence_time, TIME, "coherence_time"), "coherence_time")
+        _check_medium(
+            magnitude_in_cgs(self.transition_energy, ENERGY, "transition_energy"),
+            magnitude_in_cgs(self.dipole_moment, DIPOLE_MOMENT, "dipole_moment"),
+            magnitude_in_cgs(self.density, VOLUME_DENSITY, "density"),
+            magnitude_in_cgs(self.coherence_time, TIME, "coherence_time"),
+        )
 
     @property
     def transition_frequency(self) -> Quantity:
@@ -147,16 +161,42 @@ class StrongCouplingCheck:
     regime: CouplingRegime
 
 
+def _cooperative_frequency_cgs(e0: float, d: float, n3: float) -> float:
+    """omega_c = sqrt(2 pi d^2 omega0 n3 / hbar) in s^-1, omega0 = E0 / hbar,
+    for the checked magnitudes of a medium."""
+    omega0 = e0 / HBAR_CGS
+    omega_c = math.sqrt(2.0 * math.pi * d * d * omega0 * n3 / HBAR_CGS)
+    if not 0.0 < omega_c < math.inf:
+        raise range_error("omega_c = sqrt(2 pi d^2 omega0 n3 / hbar)", d=f"{d / DEBYE_ESU_CM:g} D",
+                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV")
+    return omega_c
+
+
+def strong_coupling_cgs(
+    e0: float, d: float, n3: float, tau: float, threshold: float = DEFAULT_STRONG_THRESHOLD
+) -> tuple[float, float, float, CouplingRegime]:
+    """(omega_c, decoherence rate 1/(2 tau_coh), ratio, regime) in cgs, with
+    the checks of MediumParams; strong iff ratio = omega_c * 2 tau_coh > threshold."""
+    _check_medium(e0, d, n3, tau)
+    omega_c = _cooperative_frequency_cgs(e0, d, n3)
+    rate = 0.5 / tau
+    if rate == math.inf:
+        raise range_error("decoherence rate 1/(2 tau_coh)", tau_coh=f"{tau:g} s")
+    ratio = omega_c * 2.0 * tau
+    if not 0.0 < ratio < math.inf:
+        raise range_error("ratio = omega_c * 2 tau_coh", d=f"{d / DEBYE_ESU_CM:g} D",
+                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV", tau_coh=f"{tau:g} s")
+    regime = CouplingRegime.STRONG if ratio > threshold else CouplingRegime.WEAK
+    return omega_c, rate, ratio, regime
+
+
 def cooperative_frequency(medium: MediumParams) -> Quantity:
     """Cooperative frequency omega_c = sqrt(2 pi d^2 omega0 n / hbar).
 
     Scales as sqrt(n) and linearly in d.
     """
-    d = medium.dipole_moment.cgs
-    omega0 = medium.transition_frequency.cgs
-    n = medium.density.cgs
-    omega_c = math.sqrt(2.0 * math.pi * d * d * omega0 * n / HBAR_CGS)
-    return Quantity(omega_c, FREQUENCY)
+    return Quantity(_cooperative_frequency_cgs(
+        medium.transition_energy.cgs, medium.dipole_moment.cgs, medium.density.cgs), FREQUENCY)
 
 
 def is_strong_coupling(
@@ -166,12 +206,13 @@ def is_strong_coupling(
 
     ratio = omega_c * 2 tau_coh; strong iff ratio > threshold.
     """
-    omega_c = cooperative_frequency(medium)
-    tau = medium.coherence_time.cgs
-    rate = Quantity(0.5 / tau, FREQUENCY)
-    ratio = omega_c.cgs * 2.0 * tau
-    regime = CouplingRegime.STRONG if ratio > threshold else CouplingRegime.WEAK
-    return StrongCouplingCheck(omega_c, rate, ratio, threshold, regime)
+    omega_c, rate, ratio, regime = strong_coupling_cgs(
+        medium.transition_energy.cgs, medium.dipole_moment.cgs, medium.density.cgs,
+        medium.coherence_time.cgs, threshold,
+    )
+    return StrongCouplingCheck(
+        Quantity(omega_c, FREQUENCY), Quantity(rate, FREQUENCY), ratio, threshold, regime
+    )
 
 
 def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) -> tuple[float, float]:
@@ -181,6 +222,8 @@ def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) ->
     k_perp = math.pi * mode_index / l_cav
     delta = e0 - HBAR_CGS * C_CGS * k_perp
     _check_coupling(g, k_perp)
+    if k_perp == math.inf:
+        raise range_error("k_perp = pi m / L_cav", L_cav=f"{l_cav:g} cm", mode_index=mode_index)
     return k_perp, delta
 
 
@@ -197,27 +240,27 @@ def coupling_from_geometry(
         mode_index,
         magnitude_in_cgs(g, ENERGY, "g"),
     )
-    return CouplingParams(
-        g=g,
-        k_perp=Quantity(k_perp, WAVENUMBER),
-        delta=Quantity(delta, ENERGY),
-    )
+    return CouplingParams(g, Quantity(k_perp, WAVENUMBER), Quantity(delta, ENERGY))
 
 
 def make_coupling(medium: MediumParams, cavity: CavityParams, g: Quantity) -> CouplingParams:
     """Coupling parameters for a given medium/cavity pair."""
-    return coupling_from_geometry(
-        medium.transition_energy, cavity.length, cavity.mode_index, g
-    )
+    return coupling_from_geometry(medium.transition_energy, cavity.length, cavity.mode_index, g)
+
+
+def _resonant_length_cgs(e0: float, mode_index: int) -> float:
+    """L = pi*m*hbar*c/E0 in cm for a checked E0."""
+    _require_mode_index(mode_index)
+    length = math.pi * mode_index * HBAR_CGS * C_CGS / e0
+    if length == math.inf:
+        raise range_error("L = pi m hbar c / E0", E0=f"{e0 / EV_ERG:g} eV", mode_index=mode_index)
+    return length
 
 
 def resonant_cavity_length(medium: MediumParams, mode_index: int) -> Quantity:
     """Cavity length L = pi*m*hbar*c/E0 putting the selected mode on resonance
     (Delta = 0); equals half the transition wavelength times the mode index."""
-    if mode_index < 1:
-        raise ValueError(f"mode_index must be >= 1, got {mode_index}")
-    e0 = medium.transition_energy.cgs
-    return Quantity(math.pi * mode_index * HBAR_CGS * C_CGS / e0, LENGTH)
+    return Quantity(_resonant_length_cgs(medium.transition_energy.cgs, mode_index), LENGTH)
 
 
 def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
@@ -228,6 +271,9 @@ def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
         raise ValueError("detuning leaves no positive mode energy")
     k_perp = e_mode / (HBAR_CGS * C_CGS)
     _check_coupling(g, k_perp)
+    if k_perp == math.inf:
+        raise range_error("k_perp = (E0 - Delta) / (hbar c)", E0=f"{e0 / EV_ERG:g} eV",
+                          Delta=f"{delta / EV_ERG:g} eV")
     return k_perp
 
 
@@ -241,8 +287,4 @@ def resonant_coupling(transition_energy: Quantity, g: Quantity, detuning: Quanti
     e0 = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
     delta = 0.0 if detuning is None else magnitude_in_cgs(detuning, ENERGY, "detuning")
     k_perp = resonant_coupling_cgs(e0, magnitude_in_cgs(g, ENERGY, "g"), delta)
-    return CouplingParams(
-        g=g,
-        k_perp=Quantity(k_perp, WAVENUMBER),
-        delta=Quantity(delta, ENERGY),
-    )
+    return CouplingParams(g, Quantity(k_perp, WAVENUMBER), Quantity(delta, ENERGY))

@@ -56,6 +56,8 @@ __all__ = [
     "diagonalize_mode",
     "sample_dispersion",
     "well_geometry",
+    "sample_dispersion_cgs",
+    "well_geometry_cgs",
     "DEFAULT_PARAXIAL_BOUND",
 ]
 
@@ -81,15 +83,11 @@ class ModeProblem:
     g: Quantity
 
     def __post_init__(self) -> None:
-        e_at = magnitude_in_cgs(self.transition_energy, ENERGY, "transition_energy")
-        e_ph = magnitude_in_cgs(self.photon_energy, ENERGY, "photon_energy")
-        g = magnitude_in_cgs(self.g, ENERGY, "g")
-        if not e_at > 0:
-            raise ValueError(f"transition_energy must be positive, got {e_at}")
-        if not e_ph > 0:
-            raise ValueError(f"photon_energy must be positive, got {e_ph}")
-        if not g > 0:
-            raise ValueError(f"g must be positive, got {g}")
+        energies = {name: magnitude_in_cgs(getattr(self, name), ENERGY, name)
+                    for name in ("transition_energy", "photon_energy", "g")}
+        for name, value in energies.items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def delta(self) -> Quantity:
@@ -127,10 +125,7 @@ class GridSpec:
     k_max_frac: float = DEFAULT_PARAXIAL_BOUND
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError(f"grid needs at least 2 samples, got {self.n_samples}")
-        if not self.k_max_frac > 0:
-            raise ValueError(f"k_max_frac must be positive, got {self.k_max_frac}")
+        _check_grid(self.n_samples, self.k_max_frac)
 
 
 @dataclass(frozen=True)
@@ -154,8 +149,7 @@ class DispersionCurve:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        if not np.all(np.diff(self.k_par) > 0):
-            raise ValueError("k_par grid must be strictly increasing")
+        _check_increasing(self.k_par)
 
     def __len__(self) -> int:
         return len(self.k_par)
@@ -195,8 +189,23 @@ class WellGeometry:
 
 
 # ---------------------------------------------------------------------------
-# numeric cores (plain floats / numpy arrays, cgs magnitudes)
+# numeric cores (plain floats / numpy arrays, cgs magnitudes), which the
+# operations below wrap and the CLI calls directly
 # ---------------------------------------------------------------------------
+
+def _check_grid(n_samples: int, k_max_frac: float) -> None:
+    """Value checks of GridSpec."""
+    if n_samples < 2:
+        raise ValueError(f"grid needs at least 2 samples, got {n_samples}")
+    if not k_max_frac > 0:
+        raise ValueError(f"k_max_frac must be positive, got {k_max_frac}")
+
+
+def _check_increasing(k_par: np.ndarray) -> None:
+    """Value check of DispersionCurve."""
+    if not np.all(np.diff(k_par) > 0):
+        raise ValueError("k_par grid must be strictly increasing")
+
 
 def branch_energies(e_at, e_ph, g):
     """Upper/lower branch energies of the 2x2 mode problem (closed form)."""
@@ -233,77 +242,42 @@ def photon_freespace_erg(k_par, k_perp):
     return HBAR_CGS * C_CGS * np.hypot(k_perp, k_par)
 
 
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def photon_energy_paraxial(
-    k_par: Quantity,
-    coupling: CouplingParams,
-    paraxial_bound: float = DEFAULT_PARAXIAL_BOUND,
-) -> Quantity:
-    """Resonator photon energy in the paraxial (quadratic) approximation.
-
-    Emits a ParaxialBoundWarning, not an error, when |k_par| exceeds
-    paraxial_bound * k_perp.
-    """
-    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
-    k_perp = coupling.k_perp.cgs
-    if abs(k) > paraxial_bound * k_perp:
+def _paraxial_checked_erg(k_par: float, k_perp: float, paraxial_bound: float) -> float:
+    """photon_paraxial_erg, warning past paraxial_bound * k_perp."""
+    if abs(k_par) > paraxial_bound * k_perp:
         warnings.warn(
-            f"|k_par| = {abs(k):.3e} cm^-1 exceeds the paraxial bound "
+            f"|k_par| = {abs(k_par):.3e} cm^-1 exceeds the paraxial bound "
             f"{paraxial_bound:g} * k_perp = {paraxial_bound * k_perp:.3e} cm^-1",
             ParaxialBoundWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of photon_energy_paraxial
         )
-    return Quantity(float(photon_paraxial_erg(k, k_perp)), ENERGY)
+    return float(photon_paraxial_erg(k_par, k_perp))
 
 
-def photon_energy_freespace(k_par: Quantity, coupling: CouplingParams) -> Quantity:
-    """Exact photon energy hbar*c*sqrt(k_perp^2 + k_par^2)."""
-    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
-    return Quantity(float(photon_freespace_erg(k, coupling.k_perp.cgs)), ENERGY)
-
-
-def diagonalize_mode(prob: ModeProblem) -> BranchPoint:
-    """Branch energies and Hopfield fractions for one mode problem (closed form)."""
-    e_at = prob.transition_energy.cgs
-    e_ph = prob.photon_energy.cgs
-    g = prob.g.cgs
+def _diagonalize_cgs(e_at: float, e_ph: float, g: float) -> tuple[float, float, float, float]:
+    """(E_upper, E_lower, mu^2, nu^2) of one mode problem."""
     e1, e2 = branch_energies(e_at, e_ph, g)
     mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
-    return BranchPoint(
-        k_par=None,
-        e_upper=Quantity(float(e1), ENERGY),
-        e_lower=Quantity(float(e2), ENERGY),
-        mu_sq=float(mu2),
-        nu_sq=float(nu2),
-    )
+    return float(e1), float(e2), float(mu2), float(nu2)
 
 
-def sample_dispersion(
-    coupling: CouplingParams,
-    transition_energy: Quantity,
-    grid: GridSpec = GridSpec(),
-    workers: int = 1,
-) -> DispersionCurve:
-    """Sample both branches over a uniform k_par grid.
-
-    The grid is evaluated in one elementwise numpy pass.  ``workers`` is
-    accepted for compatibility and ignored: evaluation is serial, so the
-    arrays are identical for any value.
+def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int = 101,
+                          k_max_frac: float = DEFAULT_PARAXIAL_BOUND):
+    """Both branches over a uniform k_par grid of n_samples points on
+    [0, k_max_frac * k_perp], in one elementwise numpy pass, with the checks
+    of GridSpec and DispersionCurve: the arrays (k_par, e_upper, e_lower,
+    mu_sq, nu_sq, e_ph_paraxial, e_ph_freespace), cgs.
     """
-    e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
-    k_perp = coupling.k_perp.cgs
-    g = coupling.g.cgs
-    if grid.k_max_frac > DEFAULT_PARAXIAL_BOUND:
+    _check_grid(n_samples, k_max_frac)
+    if k_max_frac > DEFAULT_PARAXIAL_BOUND:
         warnings.warn(
-            f"grid edge {grid.k_max_frac:g} * k_perp exceeds the paraxial bound "
+            f"grid edge {k_max_frac:g} * k_perp exceeds the paraxial bound "
             f"{DEFAULT_PARAXIAL_BOUND:g} * k_perp",
             ParaxialBoundWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of sample_dispersion
         )
-    k = np.linspace(0.0, grid.k_max_frac * k_perp, grid.n_samples)
+    k = np.linspace(0.0, k_max_frac * k_perp, n_samples)
+    _check_increasing(k)
     e_ph = photon_paraxial_erg(k, k_perp)
     e1, e2 = branch_energies(e_at, e_ph, g)
     # 4 g^2 overflows once g passes ~7e153 erg and leaves NaN fractions; the
@@ -322,23 +296,97 @@ def sample_dispersion(
             f"Hopfield normalization mu_sq + nu_sq = 1 fails ({detail}) "
             f"at 'g' = {g / EV_ERG:.6g} eV"
         )
+    return k, e1, e2, mu2, nu2, e_ph, e_free
+
+
+def well_geometry_cgs(e_at: float, g: float, k_perp: float, delta: float,
+                      paraxial_bound: float = DEFAULT_PARAXIAL_BOUND,
+                      length: float | None = None, beam_diameter: float | None = None):
+    """(inflection_k, depth, angular_halfwidth, diffraction_limit,
+    diffraction_ok) of well_geometry, cgs; the last two are None without a
+    beam_diameter, and phi = beam_diameter / length otherwise.
+    """
+    k_edge = paraxial_bound * k_perp
+
+    r = delta / g
+    lo, hi = 0.0, 2.0 * abs(r) + 4.0
+    v = 0.5 * hi
+    while lo < v < hi:
+        w = r - v
+        s2 = w * w + 4.0
+        s = math.sqrt(s2)
+        if s2 * (s + w if w >= 0.0 else 4.0 / (s - w)) > 8.0 * v:
+            lo = v
+        else:
+            hi = v
+        v = 0.5 * (lo + hi)
+    inflection = k_perp * math.sqrt(2.0 * v * g / (HBAR_CGS * C_CGS * k_perp))
+
+    e_lower = [branch_energies(e_at, photon_paraxial_erg(k, k_perp), g)[1] for k in (0.0, k_edge)]
+    depth = e_lower[1] - e_lower[0]
+    if not (inflection < k_edge and depth > 0.0):
+        raise NoWellError(
+            "no inflection of the lower branch inside the paraxial window "
+            "(weak coupling or |Delta| too large)"
+        )
+    phi = ok = None
+    if beam_diameter is not None:
+        phi = beam_diameter / length
+        ok = inflection / k_perp > phi
+    return inflection, float(depth), inflection / k_perp, phi, ok
+
+
+# ---------------------------------------------------------------------------
+# operations
+# ---------------------------------------------------------------------------
+
+def photon_energy_paraxial(
+    k_par: Quantity,
+    coupling: CouplingParams,
+    paraxial_bound: float = DEFAULT_PARAXIAL_BOUND,
+) -> Quantity:
+    """Resonator photon energy in the paraxial (quadratic) approximation.
+
+    Emits a ParaxialBoundWarning, not an error, when |k_par| exceeds
+    paraxial_bound * k_perp.
+    """
+    return Quantity(_paraxial_checked_erg(magnitude_in_cgs(k_par, WAVENUMBER, "k_par"),
+                                          coupling.k_perp.cgs, paraxial_bound), ENERGY)
+
+
+def photon_energy_freespace(k_par: Quantity, coupling: CouplingParams) -> Quantity:
+    """Exact photon energy hbar*c*sqrt(k_perp^2 + k_par^2)."""
+    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
+    return Quantity(float(photon_freespace_erg(k, coupling.k_perp.cgs)), ENERGY)
+
+
+def diagonalize_mode(prob: ModeProblem) -> BranchPoint:
+    """Branch energies and Hopfield fractions for one mode problem (closed form)."""
+    e1, e2, mu2, nu2 = _diagonalize_cgs(prob.transition_energy.cgs, prob.photon_energy.cgs,
+                                        prob.g.cgs)
+    return BranchPoint(k_par=None, e_upper=Quantity(e1, ENERGY), e_lower=Quantity(e2, ENERGY),
+                       mu_sq=mu2, nu_sq=nu2)
+
+
+def sample_dispersion(
+    coupling: CouplingParams,
+    transition_energy: Quantity,
+    grid: GridSpec = GridSpec(),
+    workers: int = 1,
+) -> DispersionCurve:
+    """Sample both branches over a uniform k_par grid (sample_dispersion_cgs).
+
+    ``workers`` is accepted for compatibility and ignored: evaluation is
+    serial, so the arrays are identical for any value.
+    """
+    e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
     return DispersionCurve(
-        k_par=k,
-        e_upper=e1,
-        e_lower=e2,
-        mu_sq=mu2,
-        nu_sq=nu2,
-        e_ph_paraxial=e_ph,
-        e_ph_freespace=e_free,
+        *sample_dispersion_cgs(e_at, coupling.g.cgs, coupling.k_perp.cgs, grid.n_samples,
+                               grid.k_max_frac),
         coupling=coupling,
         transition_energy=Quantity(e_at, ENERGY),
         grid=grid,
     )
-
-
-def _lower_branch_erg(k, e_at, k_perp, g):
-    e_ph = photon_paraxial_erg(k, k_perp)
-    return 0.5 * (e_at + e_ph - np.hypot(e_at - e_ph, 2.0 * g))
 
 
 def well_geometry(
@@ -364,40 +412,11 @@ def well_geometry(
     when the depth is not positive in double precision (g below the
     rounding of E0).
     """
-    e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
-    k_perp = coupling.k_perp.cgs
-    g = coupling.g.cgs
-    k_edge = paraxial_bound * k_perp
-
-    r = coupling.delta.cgs / g
-    lo, hi = 0.0, 2.0 * abs(r) + 4.0
-    v = 0.5 * hi
-    while lo < v < hi:
-        w = r - v
-        s2 = w * w + 4.0
-        s = math.sqrt(s2)
-        if s2 * (s + w if w >= 0.0 else 4.0 / (s - w)) > 8.0 * v:
-            lo = v
-        else:
-            hi = v
-        v = 0.5 * (lo + hi)
-    inflection = k_perp * math.sqrt(2.0 * v * g / (HBAR_CGS * C_CGS * k_perp))
-
-    depth = _lower_branch_erg(k_edge, e_at, k_perp, g) - _lower_branch_erg(0.0, e_at, k_perp, g)
-    if not (inflection < k_edge and depth > 0.0):
-        raise NoWellError(
-            "no inflection of the lower branch inside the paraxial window "
-            "(weak coupling or |Delta| too large)"
-        )
-    phi = None
-    ok = None
-    if cavity is not None:
-        phi = cavity.beam_diameter.cgs / cavity.length.cgs
-        ok = inflection / k_perp > phi
-    return WellGeometry(
-        inflection_k=Quantity(inflection, WAVENUMBER),
-        depth=Quantity(float(depth), ENERGY),
-        angular_halfwidth=inflection / k_perp,
-        diffraction_limit=phi,
-        diffraction_ok=ok,
+    inflection, depth, halfwidth, phi, ok = well_geometry_cgs(
+        magnitude_in_cgs(transition_energy, ENERGY, "transition_energy"),
+        coupling.g.cgs, coupling.k_perp.cgs, coupling.delta.cgs, paraxial_bound,
+        None if cavity is None else cavity.length.cgs,
+        None if cavity is None else cavity.beam_diameter.cgs,
     )
+    return WellGeometry(Quantity(inflection, WAVENUMBER), Quantity(depth, ENERGY), halfwidth,
+                        phi, ok)

@@ -44,6 +44,7 @@ from .units import (
     VOLUME_DENSITY,
     WAVENUMBER,
     magnitude_in_cgs,
+    range_error,
 )
 
 __all__ = [
@@ -70,6 +71,8 @@ __all__ = [
     "kt_temperature_K",
     "lambda_T_cm",
     "degeneracy_temperature_K",
+    "trapped_bec_temperature_K",
+    "transverse_energy_erg",
     "mu_over_kbt",
 ]
 
@@ -85,6 +88,11 @@ _LOG2 = math.log(2.0)
 
 # |mu| below ~1e-13 kB T (T_d/T > 30): flagged as effectively zero
 _MU_ZERO_X = 30.0
+
+
+def _opt_cgs(q: Quantity | None) -> float | None:
+    """The cgs magnitude of an optional Quantity that is checked already."""
+    return None if q is None else q.cgs
 
 
 @dataclass(frozen=True)
@@ -143,12 +151,7 @@ class TrapSpec:
     def check_consistency(self, m_eff: Quantity, rel_tol: float = 1e-6) -> None:
         """Verify U(r0) = U0 against m_eff Omega^2 r0^2 / 2 when both given."""
         _check_trap_consistency(
-            m_eff.cgs,
-            self.omega_eff.cgs,
-            None if self.u0 is None else self.u0.cgs,
-            None if self.r0 is None else self.r0.cgs,
-            rel_tol,
-        )
+            m_eff.cgs, self.omega_eff.cgs, _opt_cgs(self.u0), _opt_cgs(self.r0), rel_tol)
 
 
 @dataclass(frozen=True)
@@ -208,12 +211,13 @@ class ThresholdLadder(NamedTuple):
 # ---------------------------------------------------------------------------
 # numeric cores (cgs floats)
 #
-# The Quantity operations below check dimensions and then call these; a
-# caller that has already fixed every dimension (the CLI, once per config)
-# calls them directly.  Value checks live here, so both paths raise the same
-# errors.  condensation_ladder also takes one argument as a column (a list)
-# and computes each intermediate once, as a column only where it depends on
-# that argument.  Everything is scalar math/Python float arithmetic, value by
+# Each Quantity operation below checks dimensions and then calls one of
+# these; a caller that has already fixed every dimension (the CLI, once per
+# config) calls them directly.  Value checks live here, and so does the check
+# that a result stays in the float range, each naming its arguments; both
+# paths raise the same errors.  condensation_ladder also takes one argument
+# as a column (a list) and computes each intermediate once, as a column only
+# where it depends on that argument.  Everything is scalar math/Python float arithmetic, value by
 # value in a column: numpy's transcendental functions differ from math's in
 # the last ulp.
 # ---------------------------------------------------------------------------
@@ -263,13 +267,39 @@ def _check_trap_consistency(
 
 
 def lambda_T_cm(m_g: float, t_k: float) -> float:
-    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) in cm."""
-    return H_CGS / math.sqrt(2.0 * math.pi * m_g * KB_CGS * t_k)
+    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) in cm.
+
+    An infinite T gives the limit 0; a finite m and T whose 2 pi m kB T
+    leaves the float range raise ZeroDivisionError, with both named.  A
+    ladder column calls this once per value, so the checks cost one test
+    unless one fails.
+    """
+    product = 2.0 * math.pi * m_g * KB_CGS * t_k
+    if not (0.0 < product < math.inf and m_g > 0):
+        if not (m_g > 0 and t_k > 0):
+            raise ValueError("mass and temperature must be positive")
+        if t_k != math.inf:
+            raise ZeroDivisionError(f"lambda_T: 2 pi m kB T leaves the float range for "
+                                    f"'m' = {m_g:g} g, 'temperature' = {t_k:g} K")
+    return H_CGS / math.sqrt(product)
 
 
 def degeneracy_temperature_K(n2_cm2: float, m_g: float) -> float:
     """T_d = 2 pi hbar^2 n2 / (m kB); satisfies n2 lambda_T(T_d)^2 = 1."""
-    return 2.0 * math.pi * HBAR_CGS**2 * n2_cm2 / (m_g * KB_CGS)
+    if not (n2_cm2 > 0 and m_g > 0):
+        raise ValueError("n2 and mass must be positive")
+    m_kb = m_g * KB_CGS
+    if m_kb == 0.0:
+        raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g")
+    t_d = 2.0 * math.pi * HBAR_CGS**2 * n2_cm2 / m_kb
+    if t_d == math.inf:
+        raise range_error("T_d = 2 pi hbar^2 n2 / (m kB)", n2=f"{n2_cm2:g} cm^-2", m=f"{m_g:g} g")
+    return t_d
+
+
+def trapped_bec_temperature_K(n2_cm2: float, m_g: float) -> float:
+    """Trapped-gas T_c in the density form, T_d / 1.645."""
+    return degeneracy_temperature_K(n2_cm2, m_g) / TRAP_BEC_ZETA
 
 
 def mu_over_kbt(x: float) -> float:
@@ -283,17 +313,49 @@ def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     """T_KT = pi hbar^2 n_s / (2 m kB)."""
     if not (n_s_cm2 > 0 and m_g > 0):
         raise ValueError("n_s and mass must be positive")
-    return math.pi * HBAR_CGS**2 * n_s_cm2 / (2.0 * m_g * KB_CGS)
+    two_m_kb = 2.0 * m_g * KB_CGS
+    if two_m_kb == 0.0:
+        raise ZeroDivisionError(f"T_KT: 2 m kB underflows to 0 for 'm' = {m_g:g} g")
+    t_kt = math.pi * HBAR_CGS**2 * n_s_cm2 / two_m_kb
+    if t_kt == math.inf:
+        raise range_error("T_KT = pi hbar^2 n_s / (2 m kB)", n_s=f"{n_s_cm2:g} cm^-2",
+                          m=f"{m_g:g} g")
+    return t_kt
+
+
+def _trapped_bec_temperature_from_N_K(n_particles: float, omega: float) -> float:
+    """T_c = (hbar Omega_eff / kB) sqrt(N / 1.645); zero without a trap."""
+    if not n_particles > 0:
+        raise ValueError("particle number must be positive")
+    _check_trap(omega)
+    t_c = HBAR_CGS * omega / KB_CGS * math.sqrt(n_particles / TRAP_BEC_ZETA)
+    if not t_c < math.inf:
+        raise range_error("T_c = (hbar Omega_eff / kB) sqrt(N / 1.645)",
+                          n_particles=f"{n_particles:g}", omega_eff=f"{omega:g} s^-1")
+    return t_c
 
 
 def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
-    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite."""
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite.
+
+    A ladder column calls this once per value, so the checks run on the
+    result and look at the arguments only once one fails.
+    """
+    try:
+        n_trapped = 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
+    except ZeroDivisionError:
+        n_trapped = None
+    if n_trapped is not None and 0.0 <= n_trapped < math.inf and n2_cm2 > 0 < m_g and omega > 0:
+        return n_trapped
     if omega == 0.0:
         raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
-    n_trapped = 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
-    if not math.isfinite(n_trapped):
-        raise OverflowError("N2 = 2 pi n2 kB T / (m Omega_eff^2) leaves the float range")
-    return n_trapped
+    if not (n2_cm2 > 0 and t_k >= 0 and omega > 0 and m_g > 0):
+        raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
+    if n_trapped is None:
+        raise ZeroDivisionError(f"N2: m Omega_eff^2 underflows to 0 for 'm' = {m_g:g} g, "
+                                f"'omega_eff' = {omega:g} s^-1")
+    raise range_error("N2 = 2 pi n2 kB T / (m Omega_eff^2)", n2=f"{n2_cm2:g} cm^-2",
+                      temperature=f"{t_k:g} K", omega_eff=f"{omega:g} s^-1", m=f"{m_g:g} g")
 
 
 def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
@@ -326,6 +388,26 @@ def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, 
     return m_ph, 2.0 * m_ph / den_upper, 2.0 * m_ph / den_lower, upper_saturated, lower_saturated
 
 
+def transverse_energy_erg(k_par: float, m_g: float) -> float:
+    """Quadratic transverse dispersion hbar^2 k_par^2 / (2 m) in erg."""
+    if not m_g > 0:
+        raise ValueError("mass must be positive")
+    energy = HBAR_CGS * HBAR_CGS * k_par * k_par / (2.0 * m_g)
+    if not math.isfinite(energy):
+        raise range_error("hbar^2 k_par^2 / (2 m)", k_par=f"{k_par:g} cm^-1", m=f"{m_g:g} g")
+    return energy
+
+
+def _group_velocity_cm_s(k_par: float, m_g: float) -> float:
+    """v = hbar k_par / m in cm/s."""
+    if not m_g > 0:
+        raise ValueError("mass must be positive")
+    velocity = HBAR_CGS * k_par / m_g
+    if not math.isfinite(velocity):
+        raise range_error("hbar k_par / m", k_par=f"{k_par:g} cm^-1", m=f"{m_g:g} g")
+    return velocity
+
+
 class _ColumnError(ArithmeticError):
     """A value of a column failed; condensation_ladder replays the column's
     values one at a time, so that the first failing one raises its own error."""
@@ -340,15 +422,6 @@ def _each(f, *args):
         return list(map(f, *[a if type(a) is list else repeat(a) for a in args]))
     except (ValueError, ArithmeticError):
         raise _ColumnError from None
-
-
-def _finite(x) -> bool:
-    """math.isfinite(x); a column with a value that is not finite raises _ColumnError."""
-    if type(x) is not list:
-        return math.isfinite(x)
-    if not all(map(math.isfinite, x)):
-        raise _ColumnError
-    return True
 
 
 # a cgs magnitude, or a column of them
@@ -388,9 +461,9 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
         return f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
 
     # A finite positive input can still take an intermediate out of the float
-    # range.  The try blocks cost nothing until they catch; the error path
-    # then names the config keys behind the value that left the range.
-    lam = 0.0  # kept if lambda_T_cm raises; also its value once 2 pi m kB T overflows
+    # range.  The cores raise then; the try blocks cost nothing until they
+    # catch, and re-raise naming the config keys behind the value.
+    lam = 0.0  # kept if lambda_T_cm raises; also its value at T = inf
     try:
         lam = _each(lambda_T_cm, m_g, t_k)
         if n2_estimated:
@@ -407,14 +480,15 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
         else:
             message = f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g"
         raise ZeroDivisionError(message) from None
-    t_kt = _each(kt_temperature_K, n2 if n_s is None else n_s, m_g)
-    # both are >= 0, so their difference is finite exactly when both are
-    if not _finite(_each(operator.sub, t_d, t_kt)):
-        if t_d == math.inf:
-            message = f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density()}"
-        else:
-            message = f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for 'n_s' = {n_s:g} cm^-2"
-        raise OverflowError(f"{message}, 'm_eff' = {m_g:g} g")
+    except OverflowError:
+        raise OverflowError(
+            f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density()}, 'm_eff' = {m_g:g} g"
+        ) from None
+    try:  # T_KT <= T_d at n_s = n2, so only an n_s of its own overflows
+        t_kt = _each(kt_temperature_K, n2 if n_s is None else n_s, m_g)
+    except OverflowError:
+        raise OverflowError(f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for "
+                            f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g") from None
     x = _each(operator.truediv, t_d, t_k)
     try:
         mu = _each(lambda t, r: KB_CGS * t * mu_over_kbt(r), t_k, x)
@@ -428,7 +502,8 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
     if omega_eff is not None:
         _each(_check_trap_consistency, m_g, omega_eff, u0, r0)
         # omega_eff = 0 confines nothing: T_c = 0, no N2 and no condensate
-        t_c = _each(lambda w, d: 0.0 if w == 0.0 else d / TRAP_BEC_ZETA, omega_eff, t_d)
+        t_c = _each(lambda w, n, m: 0.0 if w == 0.0 else trapped_bec_temperature_K(n, m),
+                    omega_eff, n2, m_g)
         try:
             n_trapped = _each(lambda n, t, w, m: None if w == 0.0 else
                               _trapped_number_cgs(n, t, w, m), n2, t_k, omega_eff, m_g)
@@ -470,53 +545,35 @@ def effective_masses(coupling: CouplingParams) -> PolaritonMasses:
     diverging sign) the mass is clamped there and flagged as saturated
     instead of returning infinity.
     """
-    m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
-        coupling.delta.cgs, coupling.g.cgs, coupling.k_perp.cgs
-    )
-    return PolaritonMasses(
-        m_ph=Quantity(m_ph, MASS),
-        m_upper=Quantity(m_upper, MASS),
-        m_lower=Quantity(m_lower, MASS),
-        detuning=coupling.delta,
-        upper_saturated=upper_saturated,
-        lower_saturated=lower_saturated,
-    )
+    m_ph, m_upper, m_lower, *saturated = effective_masses_cgs(
+        coupling.delta.cgs, coupling.g.cgs, coupling.k_perp.cgs)
+    return PolaritonMasses(Quantity(m_ph, MASS), Quantity(m_upper, MASS),
+                           Quantity(m_lower, MASS), coupling.delta, *saturated)
 
 
 def transverse_energy(k_par: Quantity, m: Quantity) -> Quantity:
     """Quadratic transverse dispersion hbar^2 k_par^2 / (2 m)."""
-    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    if not m_g > 0:
-        raise ValueError("mass must be positive")
-    return Quantity(HBAR_CGS * HBAR_CGS * k * k / (2.0 * m_g), ENERGY)
+    return Quantity(transverse_energy_erg(magnitude_in_cgs(k_par, WAVENUMBER, "k_par"),
+                                          magnitude_in_cgs(m, MASS, "m")), ENERGY)
 
 
 def group_velocity(k_par: Quantity, m: Quantity) -> Quantity:
     """v = d E_tr / d(hbar k) = hbar k / m; equals k c / (2 k_perp) at Delta = 0."""
-    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    if not m_g > 0:
-        raise ValueError("mass must be positive")
-    return Quantity(HBAR_CGS * k / m_g, VELOCITY)
+    return Quantity(_group_velocity_cm_s(magnitude_in_cgs(k_par, WAVENUMBER, "k_par"),
+                                         magnitude_in_cgs(m, MASS, "m")), VELOCITY)
 
 
 def thermal_wavelength(m: Quantity, temperature: Quantity) -> Quantity:
     """Thermal de Broglie wavelength lambda_T = h / sqrt(2 pi m kB T)."""
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
-    if not (m_g > 0 and t_k > 0):
-        raise ValueError("mass and temperature must be positive")
-    return Quantity(lambda_T_cm(m_g, t_k), LENGTH)
+    return Quantity(lambda_T_cm(magnitude_in_cgs(m, MASS, "m"),
+                                magnitude_in_cgs(temperature, TEMPERATURE, "temperature")),
+                    LENGTH)
 
 
 def degeneracy_temperature(n2: Quantity, m: Quantity) -> Quantity:
     """Degeneracy temperature T_d = 2 pi hbar^2 n2 / (m kB)."""
-    n = magnitude_in_cgs(n2, AREA_DENSITY, "n2")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    if not (n > 0 and m_g > 0):
-        raise ValueError("n2 and mass must be positive")
-    return Quantity(degeneracy_temperature_K(n, m_g), TEMPERATURE)
+    return Quantity(degeneracy_temperature_K(magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
+                                             magnitude_in_cgs(m, MASS, "m")), TEMPERATURE)
 
 
 def chemical_potential(state: GasState) -> Quantity:
@@ -525,22 +582,14 @@ def chemical_potential(state: GasState) -> Quantity:
     The mu column of condensation_ladder; without n2 it is estimated as
     lambda_T(T) * n3 there.
     """
-    return Quantity(
-        condensation_ladder(
-            state.temperature.cgs,
-            state.m_eff.cgs,
-            None if state.n2 is None else state.n2.cgs,
-            None if state.n3 is None else state.n3.cgs,
-        ).mu,
-        ENERGY,
-    )
+    return Quantity(condensation_ladder(state.temperature.cgs, state.m_eff.cgs,
+                                        _opt_cgs(state.n2), _opt_cgs(state.n3)).mu, ENERGY)
 
 
 def kt_temperature(n_s: Quantity, m: Quantity) -> Quantity:
     """Kosterlitz-Thouless temperature pi hbar^2 n_s / (2 m kB) = T_d/4 at n_s = n2."""
-    n = magnitude_in_cgs(n_s, AREA_DENSITY, "n_s")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    return Quantity(kt_temperature_K(n, m_g), TEMPERATURE)
+    return Quantity(kt_temperature_K(magnitude_in_cgs(n_s, AREA_DENSITY, "n_s"),
+                                     magnitude_in_cgs(m, MASS, "m")), TEMPERATURE)
 
 
 def trapped_bec_temperature(n2: Quantity, m: Quantity) -> Quantity:
@@ -551,33 +600,25 @@ def trapped_bec_temperature(n2: Quantity, m: Quantity) -> Quantity:
     R_T^2 = 2 kB T / (m Omega_eff^2), the relation `trapped_number` uses;
     it is not the peak density, which for the 2D ideal gas diverges at T_c.
     """
-    n = magnitude_in_cgs(n2, AREA_DENSITY, "n2")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    if not (n > 0 and m_g > 0):
-        raise ValueError("n2 and mass must be positive")
-    return Quantity(degeneracy_temperature_K(n, m_g) / TRAP_BEC_ZETA, TEMPERATURE)
+    return Quantity(trapped_bec_temperature_K(magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
+                                              magnitude_in_cgs(m, MASS, "m")), TEMPERATURE)
 
 
 def trapped_bec_temperature_from_N(n_particles: float, omega_eff: Quantity) -> Quantity:
     """Trapped-gas condensation temperature, particle-number form:
     T_c = (hbar Omega_eff / kB) sqrt(N / 1.645); zero without a trap."""
-    if not n_particles > 0:
-        raise ValueError("particle number must be positive")
-    omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
-    if omega < 0:
-        raise ValueError("omega_eff must be non-negative")
-    return Quantity(
-        HBAR_CGS * omega / KB_CGS * math.sqrt(n_particles / TRAP_BEC_ZETA), TEMPERATURE
-    )
+    return Quantity(_trapped_bec_temperature_from_N_K(
+        n_particles, magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")), TEMPERATURE)
 
 
 def trapped_number(n2: Quantity, temperature: Quantity, omega_eff: Quantity, m: Quantity) -> float:
     """Particles held by the harmonic trap: N2 = 2 pi n2 kB T / (m Omega_eff^2)."""
-    n = magnitude_in_cgs(n2, AREA_DENSITY, "n2")
-    t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
-    omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
-    m_g = magnitude_in_cgs(m, MASS, "m")
-    return _trapped_number_cgs(n, t_k, omega, m_g)
+    return _trapped_number_cgs(
+        magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
+        magnitude_in_cgs(temperature, TEMPERATURE, "temperature"),
+        magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff"),
+        magnitude_in_cgs(m, MASS, "m"),
+    )
 
 
 def condensate_fraction(temperature: Quantity, t_c: Quantity) -> float:
@@ -601,33 +642,19 @@ def condensation_report(
     yields T_c = 0 (no condensation), which is distinct from "no trap".
     """
     lad = condensation_ladder(
-        state.temperature.cgs,
-        state.m_eff.cgs,
-        None if state.n2 is None else state.n2.cgs,
-        None if state.n3 is None else state.n3.cgs,
-        None if trap is None else trap.omega_eff.cgs,
-        None if trap is None or trap.u0 is None else trap.u0.cgs,
-        None if trap is None or trap.r0 is None else trap.r0.cgs,
+        state.temperature.cgs, state.m_eff.cgs, _opt_cgs(state.n2), _opt_cgs(state.n3),
+        *(_opt_cgs(getattr(trap, name, None)) for name in ("omega_eff", "u0", "r0")),
         None if n_s is None else magnitude_in_cgs(n_s, AREA_DENSITY, "n_s"),
     )
-    return CondensationReport(
-        temperature=state.temperature,
-        m_eff=state.m_eff,
-        n2=Quantity(lad.n2, AREA_DENSITY) if lad.n2_estimated else state.n2,
-        lambda_t=Quantity(lad.lambda_t, LENGTH),
-        r_int=Quantity(lad.r_int, LENGTH),
-        t_degeneracy=Quantity(lad.t_degeneracy, TEMPERATURE),
-        t_kt=Quantity(lad.t_kt, TEMPERATURE),
-        mu=Quantity(lad.mu, ENERGY),
-        n3=state.n3,
-        omega_eff=None if trap is None else trap.omega_eff,
-        t_c=None if lad.t_c is None else Quantity(lad.t_c, TEMPERATURE),
-        n_trapped=lad.n_trapped,
-        condensate_frac=lad.condensate_frac,
-        degenerate=lad.degenerate,
-        kt_superfluid=lad.kt_superfluid,
-        overlap=lad.overlap,
-        n2_estimated=lad.n2_estimated,
-        mu_effectively_zero=lad.mu_effectively_zero,
-        notes=lad.notes,
-    )
+    quantities = {"lambda_t": LENGTH, "r_int": LENGTH, "t_degeneracy": TEMPERATURE,
+                  "t_kt": TEMPERATURE, "mu": ENERGY}
+    return CondensationReport(**{
+        **lad._asdict(),
+        **{name: Quantity(getattr(lad, name), dim) for name, dim in quantities.items()},
+        "temperature": state.temperature,
+        "m_eff": state.m_eff,
+        "n2": Quantity(lad.n2, AREA_DENSITY) if lad.n2_estimated else state.n2,
+        "n3": state.n3,
+        "omega_eff": None if trap is None else trap.omega_eff,
+        "t_c": None if lad.t_c is None else Quantity(lad.t_c, TEMPERATURE),
+    })

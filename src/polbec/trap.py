@@ -33,6 +33,7 @@ from .units import (
     Quantity,
     TEMPERATURE,
     magnitude_in_cgs,
+    range_error,
 )
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "lens_for_omega",
     "omega_for_lens",
     "design_trap",
+    "design_trap_cgs",
     "ENERGY_SCALE_NOTE",
 ]
 
@@ -62,16 +64,11 @@ class LensProfile:
     r_max: Quantity      # cm
 
     def __post_init__(self) -> None:
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be positive, got {self.n0}")
-        n_prime = magnitude_in_cgs(self.n_prime, CURVATURE, "n_prime")
-        if n_prime < 0:
-            raise ValueError(f"n_prime must be non-negative, got {n_prime}")
-        r_max = magnitude_in_cgs(self.r_max, LENGTH, "r_max")
-        if n_prime > 0 and r_max * r_max * n_prime >= 1.0:
-            raise ValueError(
-                "r_max reaches the index zero crossing: need r_max < 1/sqrt(n')"
-            )
+        _check_lens(
+            self.n0,
+            magnitude_in_cgs(self.n_prime, CURVATURE, "n_prime"),
+            magnitude_in_cgs(self.r_max, LENGTH, "r_max"),
+        )
 
     def index_squared(self, r: Quantity) -> float:
         """n^2(r) at transverse radius r."""
@@ -100,6 +97,70 @@ class TrapDesign:
             raise ValueError("omega_eff must be positive")
 
 
+# ---------------------------------------------------------------------------
+# numeric cores (cgs floats), which the operations below wrap and the CLI
+# calls directly; value and range checks live here, naming the arguments
+# ---------------------------------------------------------------------------
+
+def _check_lens(n0: float, n_prime: float, r_max: float) -> None:
+    """Value checks of LensProfile on cgs magnitudes."""
+    if not n0 > 0:
+        raise ValueError(f"n0 must be positive, got {n0}")
+    if n_prime < 0:
+        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
+    if n_prime > 0 and r_max * math.sqrt(n_prime) >= 1.0:
+        raise ValueError(
+            "r_max reaches the index zero crossing: need r_max < 1/sqrt(n')"
+        )
+
+
+def _lens_cgs(omega: float, m: float, e_char: float, r_max_frac: float) -> tuple[float, float]:
+    """(n', r_max) in cgs: n' = m_eff Omega^2 / E_char, r_max = r_max_frac / sqrt(n')."""
+    if omega < 0 or not m > 0 or not e_char > 0:
+        raise ValueError("omega_eff must be >= 0; m_eff and energy_scale positive")
+    n_prime = m * omega * omega / e_char
+    if not (0.0 < n_prime < math.inf or omega == 0.0):
+        raise range_error("n' = m_eff Omega_eff^2 / E_char", omega_eff=f"{omega:g} s^-1",
+                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
+    r_max = math.inf if n_prime == 0.0 else r_max_frac / math.sqrt(n_prime)
+    return n_prime, r_max
+
+
+def _omega_for_lens_cgs(n_prime: float, m: float, e_char: float) -> float:
+    """Omega_eff = sqrt(n' E_char / m_eff) in s^-1."""
+    if not m > 0 or not e_char > 0:
+        raise ValueError("m_eff and energy_scale must be positive")
+    omega = math.sqrt(n_prime * e_char / m)
+    if not (0.0 < omega < math.inf or n_prime == 0.0):
+        raise range_error("Omega_eff = sqrt(n' E_char / m_eff)", n_prime=f"{n_prime:g} cm^-2",
+                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
+    return omega
+
+
+def design_trap_cgs(
+    t_c: float, n_particles: float, m: float, e_char: float, n0: float = 1.0,
+    beam_diameter: float | None = None,
+) -> tuple[float, float, float, bool | None]:
+    """(Omega_eff, n', r_max, beam_fits_profile) in cgs for design_trap, with
+    the checks of LensProfile."""
+    if not t_c > 0:
+        raise ValueError(f"target_tc must be positive, got {t_c}")
+    if not n_particles > 0:
+        raise ValueError(f"n_particles must be positive, got {n_particles}")
+    omega = KB_CGS * t_c * math.sqrt(TRAP_BEC_ZETA / n_particles) / HBAR_CGS
+    if not 0.0 < omega < math.inf:
+        raise range_error("Omega_eff = kB T_c sqrt(1.645 / N) / hbar", target_tc=f"{t_c:g} K",
+                          n_particles=f"{n_particles:g}")
+    n_prime, r_max = _lens_cgs(omega, m, e_char, _DEFAULT_R_MAX_FRAC)
+    _check_lens(n0, n_prime, r_max)
+    fits = None if beam_diameter is None else 2.0 * r_max >= beam_diameter
+    return omega, n_prime, r_max, fits
+
+
+# ---------------------------------------------------------------------------
+# operations
+# ---------------------------------------------------------------------------
+
 def lens_for_omega(
     omega_eff: Quantity,
     m_eff: Quantity,
@@ -112,27 +173,22 @@ def lens_for_omega(
     Omega_eff = 0 gives the flat (untrapped) profile.  r_max defaults to
     half the profile's zero-crossing radius 1/sqrt(n').
     """
-    omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
-    m = magnitude_in_cgs(m_eff, MASS, "m_eff")
-    e_char = magnitude_in_cgs(energy_scale, ENERGY, "energy_scale")
-    if omega < 0 or not m > 0 or not e_char > 0:
-        raise ValueError("omega_eff must be >= 0; m_eff and energy_scale positive")
-    n_prime = m * omega * omega / e_char
-    r_max = math.inf if n_prime == 0.0 else r_max_frac / math.sqrt(n_prime)
-    return LensProfile(
-        n0=n0,
-        n_prime=Quantity(n_prime, CURVATURE),
-        r_max=Quantity(r_max, LENGTH),
+    n_prime, r_max = _lens_cgs(
+        magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff"),
+        magnitude_in_cgs(m_eff, MASS, "m_eff"),
+        magnitude_in_cgs(energy_scale, ENERGY, "energy_scale"),
+        r_max_frac,
     )
+    return LensProfile(n0, Quantity(n_prime, CURVATURE), Quantity(r_max, LENGTH))
 
 
 def omega_for_lens(lens: LensProfile, m_eff: Quantity, energy_scale: Quantity) -> Quantity:
     """Exact inverse of lens_for_omega: Omega_eff = sqrt(n' E_char / m_eff)."""
-    m = magnitude_in_cgs(m_eff, MASS, "m_eff")
-    e_char = magnitude_in_cgs(energy_scale, ENERGY, "energy_scale")
-    if not m > 0 or not e_char > 0:
-        raise ValueError("m_eff and energy_scale must be positive")
-    return Quantity(math.sqrt(lens.n_prime.cgs * e_char / m), FREQUENCY)
+    return Quantity(_omega_for_lens_cgs(
+        lens.n_prime.cgs,
+        magnitude_in_cgs(m_eff, MASS, "m_eff"),
+        magnitude_in_cgs(energy_scale, ENERGY, "energy_scale"),
+    ), FREQUENCY)
 
 
 def design_trap(
@@ -151,22 +207,14 @@ def design_trap(
     profile for that frequency.  When a beam diameter is given, the design
     records whether the harmonic region 2*r_max covers the beam.
     """
-    t_c = magnitude_in_cgs(target_tc, TEMPERATURE, "target_tc")
-    if not t_c > 0:
-        raise ValueError(f"target_tc must be positive, got {t_c}")
-    if not n_particles > 0:
-        raise ValueError(f"n_particles must be positive, got {n_particles}")
-    omega = KB_CGS * t_c * math.sqrt(TRAP_BEC_ZETA / n_particles) / HBAR_CGS
-    omega_eff = Quantity(omega, FREQUENCY)
-    lens = lens_for_omega(omega_eff, m_eff, energy_scale, n0)
-    fits = None
-    if beam_diameter is not None:
-        d = magnitude_in_cgs(beam_diameter, LENGTH, "beam_diameter")
-        fits = 2.0 * lens.r_max.cgs >= d
-    return TrapDesign(
-        lens=lens,
-        omega_eff=omega_eff,
-        energy_scale=energy_scale,
-        omega_at=omega_at,
-        beam_fits_profile=fits,
+    omega, n_prime, r_max, fits = design_trap_cgs(
+        magnitude_in_cgs(target_tc, TEMPERATURE, "target_tc"),
+        n_particles,
+        magnitude_in_cgs(m_eff, MASS, "m_eff"),
+        magnitude_in_cgs(energy_scale, ENERGY, "energy_scale"),
+        n0,
+        None if beam_diameter is None else magnitude_in_cgs(beam_diameter, LENGTH, "beam_diameter"),
     )
+    lens = LensProfile(n0, Quantity(n_prime, CURVATURE), Quantity(r_max, LENGTH))
+    return TrapDesign(lens, Quantity(omega, FREQUENCY), energy_scale, omega_at,
+                      beam_fits_profile=fits)

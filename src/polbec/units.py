@@ -428,3 +428,10 @@ def magnitude_in_cgs(q: Quantity, dim: Dimension, name: str) -> float:
             f"got [{q.dimension.unit_string()}]"
         )
     return q.cgs
+
+
+def range_error(formula: str, **named: str) -> OverflowError:
+    """The error for a formula whose result leaves the float range; named
+    maps each argument behind it to its printed value."""
+    return OverflowError(f"{formula} leaves the float range for "
+                         + ", ".join(f"'{name}' = {value}" for name, value in named.items()))

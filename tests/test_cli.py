@@ -450,6 +450,55 @@ def test_thresholds_overflow_exit_one(tmp_path, capsys, config_text, keys):
     assert all(key in err for key in keys)
 
 
+# the coupling keys of a masses run, with Delta or L_cav appended
+RANGE_CFG = """\
+E0 = 2.104 eV
+g = 1 meV
+mode_index = 1
+T = 300 K
+n2 = 1e8 cm^-2
+"""
+
+
+@pytest.mark.parametrize(
+    "config_text, argv, keys",
+    [
+        # k_perp = (E0 - Delta) / (hbar c) overflows: inf masses and exit 0
+        (RANGE_CFG + "Delta = -1e305 eV\n", ["masses"], ("'E0'", "'Delta'")),
+        # k_perp = pi m / L_cav overflows: 'n_s and mass must be positive'
+        (RANGE_CFG + "L_cav = 1e-320 cm\n", ["masses"], ("'L_cav'", "'mode_index'")),
+        # Omega_eff overflows: Infinity and r_max 0 with exit 0
+        (BASE_CFG, ["trap", "--target-tc", "1e300", "--n-particles", "1e-300"],
+         ("'target_tc'", "'n_particles'")),
+        # Omega_eff underflows to 0: 'omega_eff must be positive'
+        (BASE_CFG, ["trap", "--target-tc", "1e-300", "--n-particles", "1e300"],
+         ("'target_tc'", "'n_particles'")),
+        # omega_c overflows: inf and regime = strong with exit 0
+        (BASE_CFG.replace("d = 1 D", "d = 1e150 D").replace("n3 = 3.5e11", "n3 = 1e300"),
+         ["check-coupling"], ("'d'", "'n3'", "'E0'")),
+        # the decoherence rate overflows: inf with exit 2
+        (BASE_CFG.replace("tau_coh = 1e-8 s", "tau_coh = 1e-320 s"), ["check-coupling"],
+         ("'tau_coh'",)),
+    ],
+    ids=["k_perp-Delta", "k_perp-L_cav", "trap-omega-inf", "trap-omega-0", "omega_c", "rate"],
+)
+def test_result_out_of_range_exit_one(tmp_path, capsys, config_text, argv, keys):
+    # finite inputs whose result leaves the float range; the core that
+    # computes it names the keys behind it
+    code, data = run(tmp_path, config_text, argv)
+    assert (code, data) == (1, b"")
+    err = capsys.readouterr().err
+    assert err.startswith("polbec: error: ") and "leaves the float range" in err
+    assert all(key in err for key in keys)
+
+
+def test_check_coupling_keeps_the_medium_messages(tmp_path, capsys):
+    code, _ = run(tmp_path, BASE_CFG.replace("d = 1 D", "d = -1 D"), ["check-coupling"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "polbec: error: dipole_moment must be strictly positive, got -1e-18\n")
+
+
 class TestSweepBinding:
     """The thresholds sweep derives the lower-branch mass once, unless the
     swept key is one the derivation reads."""

@@ -6,10 +6,10 @@ from polbec.config import (
     ConfigError,
     RunConfig,
     SweepSpec,
-    config_value,
+    config_cgs,
     sweep_values,
 )
-from polbec.units import ENERGY, LENGTH, TEMPERATURE
+from polbec.units import ENERGY, EV_ERG, LENGTH, TEMPERATURE
 
 GOOD = """\
 # comment line
@@ -158,12 +158,12 @@ class TestSweepSpec:
             SweepSpec("Delta", math.nan, 1, 5)
 
     def test_config_value_types(self):
-        q = config_value(SweepSpec("Delta", -1, 1, 3), 0.5)
-        assert q.dimension == ENERGY
-        assert q.in_unit("eV") == pytest.approx(0.5)
-        n = config_value(SweepSpec("N", 1, 9, 3), 5.0)
+        # a swept value as the config's cgs view holds it
+        q = config_cgs(SweepSpec("Delta", -1, 1, 3), 0.5)
+        assert q == 0.5 * EV_ERG and isinstance(q, float)
+        n = config_cgs(SweepSpec("N", 1, 9, 3), 5.0)
         assert n == 5.0
-        m = config_value(SweepSpec("mode_index", 1, 9, 3), 5.0)
+        m = config_cgs(SweepSpec("mode_index", 1, 9, 3), 5.0)
         assert m == 5 and isinstance(m, int)
 
     @pytest.mark.parametrize("param", ["Delta", "N", "mode_index"])
@@ -172,4 +172,4 @@ class TestSweepSpec:
         spec = SweepSpec(param, -1.7e308, 1.7e308, 3)
         value = sweep_values(spec)[0]
         with pytest.raises(ConfigError, match=f"sweep over '{param}' .* not finite"):
-            config_value(spec, value)
+            config_cgs(spec, value)

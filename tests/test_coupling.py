@@ -1,19 +1,27 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from polbec.coupling import (
     CavityParams,
     CouplingRegime,
     MediumParams,
+    _cooperative_frequency_cgs,
+    _resonant_length_cgs,
     cooperative_frequency,
     coupling_from_geometry,
+    geometry_coupling_cgs,
     is_strong_coupling,
     make_coupling,
     resonant_cavity_length,
     resonant_coupling,
+    resonant_coupling_cgs,
+    strong_coupling_cgs,
 )
 from polbec.units import ENERGY, HBAR_CGS, C_CGS, Quantity, qty
+
+from core_pairs import assert_same_outcome, magnitudes
 
 
 def example_medium(tau_coh=1e-8):
@@ -175,3 +183,65 @@ class TestCouplingParams:
             CavityParams(qty(1.0, "cm"), 0, qty(0.1, "cm"))
         with pytest.raises(ValueError):
             MediumParams(qty(-1.0, "eV"), qty(1.0, "D"), qty(1e11, "cm^-3"), qty(1e-8, "s"))
+
+
+class TestResonantCavityLength:
+    @pytest.mark.parametrize("mode_index", [0, -1, 1.5])
+    def test_rejects_a_mode_index_that_is_no_positive_integer(self, mode_index):
+        with pytest.raises(ValueError, match="mode_index must be an integer >= 1"):
+            resonant_cavity_length(example_medium(), mode_index)
+
+
+# cgs magnitudes: E0 (erg, ~0.1 meV to 100 eV), d (esu cm, ~1e-3 to 1e3 D),
+# n3 (cm^-3), tau_coh (s), L_cav (cm), g (erg), Delta (erg, signed)
+E0 = (1e-16, 1e-10)
+D = (1e-21, 1e-15)
+N3 = (1e3, 1e20)
+TAU = (1e-15, 1e-3)
+L_CAV = (1e-5, 1e2)
+G = (1e-18, 1e-12)
+MODE_INDEX = st.integers(1, 10**6) | st.sampled_from([0, -1])
+
+
+def medium(e0, d, n3, tau):
+    return MediumParams(qty(e0, "erg"), qty(d, "esu*cm"), qty(n3, "cm^-3"), qty(tau, "s"))
+
+
+class TestOperationsEqualTheirCores:
+    """Each operation on magnitudes against the core it wraps: the same
+    value bit for bit, or the same error."""
+
+    @given(e0=magnitudes(*E0), d=magnitudes(*D), n3=magnitudes(*N3), tau=magnitudes(*TAU),
+           threshold=st.floats(1e-3, 1e3))
+    def test_is_strong_coupling(self, e0, d, n3, tau, threshold):
+        assert_same_outcome(
+            lambda *a: is_strong_coupling(medium(*a[:4]), a[4]), strong_coupling_cgs,
+            [e0, d, n3, tau, threshold], [e0, d, n3, tau, threshold],
+            view=lambda c: (c.omega_c.cgs, c.decoherence_rate.cgs, c.ratio, c.regime))
+
+    @given(e0=magnitudes(*E0, invalid=False), d=magnitudes(*D, invalid=False),
+           n3=magnitudes(*N3, invalid=False))
+    def test_cooperative_frequency(self, e0, d, n3):
+        assert_same_outcome(lambda *a: cooperative_frequency(medium(*a, 1e-8)),
+                            _cooperative_frequency_cgs, [e0, d, n3], [e0, d, n3])
+
+    @given(e0=magnitudes(*E0, invalid=False), mode_index=MODE_INDEX)
+    def test_resonant_cavity_length(self, e0, mode_index):
+        assert_same_outcome(resonant_cavity_length, _resonant_length_cgs,
+                            [medium(e0, 1e-18, 3.5e11, 1e-8), mode_index], [e0, mode_index])
+
+    @given(e0=magnitudes(*E0), length=magnitudes(*L_CAV), mode_index=MODE_INDEX,
+           g=magnitudes(*G))
+    def test_coupling_from_geometry(self, e0, length, mode_index, g):
+        assert_same_outcome(
+            coupling_from_geometry, geometry_coupling_cgs,
+            [qty(e0, "erg"), qty(length, "cm"), mode_index, qty(g, "erg")],
+            [e0, length, mode_index, g], view=lambda c: (c.k_perp.cgs, c.delta.cgs))
+
+    @given(e0=magnitudes(*E0), g=magnitudes(*G), delta=st.just(0.0) | magnitudes(*E0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_resonant_coupling(self, e0, g, delta, sign):
+        delta *= sign
+        assert_same_outcome(resonant_coupling, resonant_coupling_cgs,
+                            [qty(e0, "erg"), qty(g, "erg"), qty(delta, "erg")], [e0, g, delta],
+                            view=lambda c: c.k_perp.cgs)

@@ -277,6 +277,23 @@ ERRORS = {
         "trap", "sweep --param omega_eff --from 1e10 --to=-1e10 --steps 3 --command thresholds",
         'polbec: error: omega_eff must be non-negative\n'),
 }
+# the curve targets: the same failures on their path, recorded from the sweep
+# that rebuilt a RunConfig per value
+for _target in ("dispersion", "hopfield"):
+    ERRORS.update({
+        f"{_target}-g-through-0": (
+            "plain", f"sweep --param g --from 0.001 --to -0.001 --steps 3 --command {_target}",
+            'polbec: error: g must be strictly positive, got 0.0\n'),
+        f"{_target}-d_beam-through-0": (
+            "plain", f"sweep --param d_beam --from 1e-4 --to=-1e-4 --steps 3 --command {_target}",
+            'polbec: error: beam_diameter must be strictly positive, got 0.0\n'),
+        f"{_target}-E0-through-0": (
+            "plain", f"sweep --param E0 --from 2 --to -2 --steps 3 --command {_target}",
+            'polbec: error: detuning leaves no positive mode energy\n'),
+        f"{_target}-mode_index-non-integer": (
+            "plain", f"sweep --param mode_index --from 1 --to 2 --steps 3 --command {_target}",
+            "polbec: config error: sweep over 'mode_index' produced non-integer 1.5\n"),
+    })
 
 
 @pytest.mark.parametrize("name", sorted(ERRORS))

@@ -5,27 +5,39 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from polbec.coupling import resonant_coupling
+from polbec.coupling import CouplingParams, resonant_coupling
 from polbec.thermo import (
     GasState,
     TRAP_BEC_ZETA,
     ThresholdLadder,
     TrapSpec,
+    _condensate_fraction_cgs,
+    _group_velocity_cm_s,
+    _trapped_bec_temperature_from_N_K,
+    _trapped_number_cgs,
     chemical_potential,
     condensate_fraction,
     condensation_ladder,
     condensation_report,
     degeneracy_temperature,
+    degeneracy_temperature_K,
     effective_masses,
+    effective_masses_cgs,
     group_velocity,
     kt_temperature,
+    kt_temperature_K,
+    lambda_T_cm,
     thermal_wavelength,
     transverse_energy,
+    transverse_energy_erg,
     trapped_bec_temperature,
+    trapped_bec_temperature_K,
     trapped_bec_temperature_from_N,
     trapped_number,
 )
 from polbec.units import ENERGY, HBAR_CGS, C_CGS, KB_CGS, Quantity, qty
+
+from core_pairs import assert_same_outcome, logs, magnitudes
 
 M_REF = qty(5e-33, "g")
 T_REF = qty(300.0, "K")
@@ -487,15 +499,11 @@ class TestLadderRangeErrors:
             GasState(**state)
 
 
-def _logs(low, high):
-    return st.floats(math.log(low), math.log(high)).map(math.exp)
-
-
 # drawn cgs magnitudes at condensation_ladder's positions: T (K), m_eff (g),
 # n2 (cm^-2), n3 (cm^-3), omega_eff (s^-1, 0 included), U0 (erg; drawn
 # consistent with the trap), r0 (cm), n_s (cm^-2)
-LADDER_VALUES = [_logs(1e-2, 1e6), _logs(1e-36, 1e-28), _logs(1.0, 1e16), _logs(1e3, 1e20),
-                 st.just(0.0) | _logs(1e-3, 1e14), None, _logs(1e-6, 1e-1), _logs(1.0, 1e16)]
+LADDER_VALUES = [logs(1e-2, 1e6), logs(1e-36, 1e-28), logs(1.0, 1e16), logs(1e3, 1e20),
+                 st.just(0.0) | logs(1e-3, 1e14), None, logs(1e-6, 1e-1), logs(1.0, 1e16)]
 
 # a value at each position that fails (n3 with n2 absent)
 LADDER_FAILING = [-1.0, -1.0, 1e-320, 1e-321, -1.0, -1.0, 1e200, -1.0]
@@ -571,3 +579,101 @@ class TestLadderColumns:
                                                  lad.condensate_frac, lad.degenerate))
         assert not any(isinstance(f, list) for f in (lad.t_degeneracy, lad.t_kt, lad.r_int,
                                                      lad.t_c))
+
+
+# the ranges of the drawn magnitudes, in cgs units
+T_K = (1e-2, 1e6)
+M_G = (1e-36, 1e-28)
+N2_CM2 = (1.0, 1e16)
+N3_CM3 = (1e3, 1e20)
+OMEGA_S1 = (1e-3, 1e14)  # 0 is drawn too, as an invalid value or through omega()
+K_CM1 = (1e-3, 1e9)
+
+
+def omega():
+    return st.just(0.0) | magnitudes(*OMEGA_S1)
+
+
+# operation -> (operation, its core, each argument as (unit, strategy)); a
+# unit of None passes the drawn float as it is
+PAIRS = {
+    "thermal_wavelength": (thermal_wavelength, lambda_T_cm,
+                           [("g", magnitudes(*M_G)), ("K", magnitudes(*T_K))]),
+    "degeneracy_temperature": (degeneracy_temperature, degeneracy_temperature_K,
+                               [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
+    "kt_temperature": (kt_temperature, kt_temperature_K,
+                       [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
+    "trapped_bec_temperature": (trapped_bec_temperature, trapped_bec_temperature_K,
+                                [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
+    "trapped_bec_temperature_from_N": (
+        trapped_bec_temperature_from_N, _trapped_bec_temperature_from_N_K,
+        [(None, magnitudes(1.0, 1e12)), ("s^-1", omega())]),
+    "trapped_number": (trapped_number, _trapped_number_cgs,
+                       [("cm^-2", magnitudes(*N2_CM2)), ("K", magnitudes(*T_K)),
+                        ("s^-1", omega()), ("g", magnitudes(*M_G))]),
+    "condensate_fraction": (condensate_fraction, _condensate_fraction_cgs,
+                            [("K", magnitudes(*T_K)), ("K", magnitudes(*T_K))]),
+    "transverse_energy": (transverse_energy, transverse_energy_erg,
+                          [("cm^-1", magnitudes(*K_CM1)), ("g", magnitudes(*M_G))]),
+    "group_velocity": (group_velocity, _group_velocity_cm_s,
+                       [("cm^-1", magnitudes(*K_CM1)), ("g", magnitudes(*M_G))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+@given(data=st.data())
+def test_operation_equals_its_core(name, data):
+    op, core, args = PAIRS[name]
+    values = [data.draw(strategy) for _, strategy in args]
+    quantities = [v if unit is None else qty(v, unit) for (unit, _), v in zip(args, values)]
+    assert_same_outcome(op, core, quantities, values)
+
+
+@given(g=logs(1e-18, 1e-12), ratio=st.just(0.0) | logs(1e-8, 1e8), sign=st.sampled_from([-1, 1]),
+       k_perp=logs(1e2, 1e7))
+def test_effective_masses_equal_their_core(g, ratio, sign, k_perp):
+    delta = sign * ratio * g
+    coupling = CouplingParams(qty(g, "erg"), qty(k_perp, "cm^-1"), qty(delta, "erg"))
+    assert_same_outcome(
+        effective_masses, effective_masses_cgs, [coupling], [delta, g, k_perp],
+        view=lambda m: (m.m_ph.cgs, m.m_upper.cgs, m.m_lower.cgs, m.upper_saturated,
+                        m.lower_saturated))
+
+
+@given(t=logs(*T_K), m=logs(*M_G), n2=st.none() | logs(*N2_CM2), n3=logs(*N3_CM3),
+       omega_eff=st.none() | st.just(0.0) | logs(*OMEGA_S1), n_s=st.none() | logs(*N2_CM2))
+def test_gas_operations_equal_the_ladder(t, m, n2, n3, omega_eff, n_s):
+    state = GasState(qty(t, "K"), qty(m, "g"), None if n2 is None else qty(n2, "cm^-2"),
+                     qty(n3, "cm^-3"))
+    trap = None if omega_eff is None else TrapSpec(qty(omega_eff, "s^-1"))
+    ladder = [t, m, n2, n3, omega_eff, None, None, n_s]
+    assert_same_outcome(chemical_potential, lambda *a: condensation_ladder(*a).mu,
+                        [state], ladder[:4])
+    assert_same_outcome(
+        condensation_report, condensation_ladder,
+        [state, trap, None if n_s is None else qty(n_s, "cm^-2")], ladder,
+        view=lambda report: ThresholdLadder(*(
+            getattr(report, name).cgs if isinstance(getattr(report, name), Quantity)
+            else getattr(report, name) for name in ThresholdLadder._fields)))
+
+
+@pytest.mark.parametrize(
+    "op, args, error, names",
+    [
+        (degeneracy_temperature, (qty(1e300, "cm^-2"), qty(1e-47, "g")), OverflowError,
+         ("'n2' = 1e+300 cm^-2", "'m' = 1e-47 g")),
+        (kt_temperature, (qty(1e308, "cm^-2"), qty(1e-45, "g")), OverflowError,
+         ("'n_s' = 1e+308 cm^-2", "'m' = 1e-45 g")),
+        (trapped_bec_temperature, (qty(1e300, "cm^-2"), qty(1e-47, "g")), OverflowError,
+         ("'n2' = 1e+300 cm^-2", "'m' = 1e-47 g")),
+        (thermal_wavelength, (qty(5e-33, "g"), qty(1e-300, "K")), ZeroDivisionError,
+         ("'m' = 5e-33 g", "'temperature' = 1e-300 K")),
+    ],
+    ids=["T_d", "T_KT", "T_c", "lambda_T"],
+)
+def test_out_of_range_result_names_the_arguments(op, args, error, names):
+    # finite inputs whose result left the float range: inf K, or a bare
+    # ZeroDivisionError, before the operations called the ladder's cores
+    with pytest.raises(error) as info:
+        op(*args)
+    assert all(name in str(info.value) for name in names)

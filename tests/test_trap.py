@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from polbec.thermo import trapped_bec_temperature_from_N
 from polbec.trap import (
     LensProfile,
+    _lens_cgs,
+    _omega_for_lens_cgs,
     design_trap,
+    design_trap_cgs,
     lens_for_omega,
     omega_for_lens,
 )
 from polbec.units import CURVATURE, Quantity, qty
+
+from core_pairs import assert_same_outcome, magnitudes
 
 M_EFF = qty(5e-33, "g")
 E_CHAR = qty(2.1, "eV")
@@ -123,3 +129,47 @@ class TestDesignTrap:
             design_trap(qty(-1.0, "K"), 1e6, M_EFF, E_CHAR)
         with pytest.raises(ValueError):
             design_trap(qty(300.0, "K"), 0.0, M_EFF, E_CHAR)
+
+
+# cgs magnitudes: T_c (K), N, m_eff (g), E_char (erg), Omega_eff (s^-1),
+# n' (cm^-2), beam diameter (cm)
+T_C = (1e-2, 1e6)
+N = (1.0, 1e12)
+M = (1e-36, 1e-28)
+E_CHAR_ERG = (1e-16, 1e-10)
+OMEGA = (1e-3, 1e14)
+N_PRIME = (1e-12, 1e12)
+BEAM = (1e-6, 1.0)
+
+
+class TestOperationsEqualTheirCores:
+    """Each operation on magnitudes against the core it wraps: the same
+    value bit for bit, or the same error."""
+
+    @given(t_c=magnitudes(*T_C), n=magnitudes(*N), m=magnitudes(*M),
+           e_char=magnitudes(*E_CHAR_ERG), beam=st.none() | magnitudes(*BEAM))
+    def test_design_trap(self, t_c, n, m, e_char, beam):
+        assert_same_outcome(
+            design_trap, design_trap_cgs,
+            [qty(t_c, "K"), n, qty(m, "g"), qty(e_char, "erg"), None, 1.0,
+             None if beam is None else qty(beam, "cm")],
+            [t_c, n, m, e_char, 1.0, beam],
+            view=lambda d: (d.omega_eff.cgs, d.lens.n_prime.cgs, d.lens.r_max.cgs,
+                            d.beam_fits_profile))
+
+    @given(omega=st.just(0.0) | magnitudes(*OMEGA), m=magnitudes(*M),
+           e_char=magnitudes(*E_CHAR_ERG))
+    # n' ~ 1e-323: r_max^2 overflowed in the zero-crossing check
+    @example(omega=math.exp(6.0), m=math.exp(-65.0), e_char=1e300)
+    def test_lens_for_omega(self, omega, m, e_char):
+        assert_same_outcome(
+            lens_for_omega, lambda *a: _lens_cgs(*a, 0.5),
+            [qty(omega, "s^-1"), qty(m, "g"), qty(e_char, "erg"), 1.0], [omega, m, e_char],
+            view=lambda lens: (lens.n_prime.cgs, lens.r_max.cgs))
+
+    @given(n_prime=st.just(0.0) | magnitudes(*N_PRIME, invalid=False), m=magnitudes(*M),
+           e_char=magnitudes(*E_CHAR_ERG))
+    def test_omega_for_lens(self, n_prime, m, e_char):
+        lens = LensProfile(1.0, Quantity(n_prime, CURVATURE), qty(0.0, "cm"))
+        assert_same_outcome(omega_for_lens, _omega_for_lens_cgs,
+                            [lens, qty(m, "g"), qty(e_char, "erg")], [n_prime, m, e_char])
