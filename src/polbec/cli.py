@@ -10,13 +10,13 @@ Only dispersion, hopfield and their sweeps sample a curve; they import the
 numpy-backed dispersion module when they run, so the scalar commands start
 without numpy.
 
-Config values are dimension-checked once, when the config is parsed; every
-command then computes on cgs floats through the library's cgs cores, whose
-value and range checks name the keys.  A masses, dispersion or hopfield
-sweep swaps one float per value into that view of the config.  A
-thresholds sweep calls the ladder once, with the swept values as one
-argument's column (or the derived masses', for a key the mass reads), and
-its fields are the table's columns.  Every table is printed column-wise
+Config values are dimension-checked once, when the config is parsed, and
+stored as cgs floats; every command computes on those floats through the
+library's cgs cores, whose value and range checks name the keys.  A masses,
+dispersion or hopfield sweep swaps one float per value into one copy of the
+config.  A thresholds sweep calls the ladder once, with the swept values as
+one argument's column (or the derived masses', for a key the mass reads),
+and its fields are the table's columns.  Every table is printed column-wise
 through one '%'-template, into which a column with one value throughout is
 printed once.  A JSON table prints its rows straight from the float columns, each
 number formatted once in json's spelling of the 12-digit value, and leaves
@@ -61,14 +61,7 @@ from .thermo import (
     transverse_energy_erg,
 )
 from .trap import ENERGY_SCALE_NOTE, design_trap_cgs
-from .units import (
-    DimensionError,
-    EV_ERG,
-    KB_CGS,
-    MEV_ERG,
-    UNITS,
-    Quantity,
-)
+from .units import EV_ERG, KB_CGS, MEV_ERG, UNITS
 
 __all__ = ["main"]
 
@@ -103,10 +96,6 @@ def fmt(x: float) -> str:
 
 def fmt_opt(x: float | None) -> str:
     return "" if x is None else fmt(x)
-
-
-def fmt_bool(b: bool | None) -> str:
-    return "" if b is None else ("true" if b else "false")
 
 
 def text_column(col: list) -> list:
@@ -220,21 +209,8 @@ def _meta_head(cfg: RunConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# config -> cgs floats
+# config -> coupling and mass
 # ---------------------------------------------------------------------------
-
-def _cgs(cfg: RunConfig) -> RunConfig:
-    """The config with every Quantity replaced by its cgs magnitude.
-
-    _parse_entry and config_cgs fix the dimension of every value they
-    store, so this is where dimension checking ends: the float cores below
-    take the magnitudes as they are.
-    """
-    return RunConfig(
-        values={key: v.cgs if isinstance(v, Quantity) else v for key, v in cfg.values.items()},
-        source_text=cfg.source_text,
-    )
-
 
 def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     """(g, k_perp, Delta, L_cav) in cgs from E0, g, mode_index and either
@@ -276,7 +252,7 @@ def _effective_mass(c: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _curve_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the dispersion or hopfield table of a cgs view."""
+    """(meta, header, columns) of the dispersion or hopfield table of a config."""
     from .dispersion import sample_dispersion_cgs
 
     g, k_perp, delta, _ = _coupling_cgs(c)
@@ -302,7 +278,7 @@ def _curve_table(c: RunConfig, command: str, args):
 
 
 def _masses_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the one-row masses table of a cgs view."""
+    """(meta, header, columns) of the one-row masses table of a config."""
     g, k_perp, delta, _ = _coupling_cgs(c)
     m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
         delta, g, k_perp)
@@ -332,7 +308,7 @@ MASS_KEYS = ("E0", "g", "Delta", "L_cav", "mode_index", "d_beam")
 
 
 def _ladder_args(c: RunConfig) -> list:
-    """condensation_ladder's arguments, in LADDER_KEYS order, from a cgs view."""
+    """condensation_ladder's arguments, in LADDER_KEYS order, from a config."""
     t = c.require("T")
     get = c.values.get
     n2 = get("n2")
@@ -351,11 +327,10 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     failure the values are replayed one at a time, so the sweep stops with
     the error of its first failing value.
     """
-    c = _cgs(cfg)
     key = spec.param
     try:
         column = [config_cgs(spec, value) for value in values]
-        c.values[key] = column[0]
+        c = cfg.with_value(key, column[0])
         if key in MASS_KEYS and "m_eff" not in c.values:
             masses = []
             for c.values[key] in column:
@@ -366,10 +341,8 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
             args[LADDER_KEYS.index(key)] = column
         return condensation_ladder(*args)
     except (ValueError, ArithmeticError):  # ConfigError is a ValueError
-        c = _cgs(cfg)
         for value in values:
-            c.values[key] = config_cgs(spec, value)
-            condensation_ladder(*_ladder_args(c))
+            condensation_ladder(*_ladder_args(cfg.with_value(key, config_cgs(spec, value))))
         raise
 
 
@@ -406,10 +379,8 @@ def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], column
 
 
 def cmd_check_coupling(cfg: RunConfig, args) -> int:
-    c = _cgs(cfg)
     omega_c, rate, ratio, regime = strong_coupling_cgs(
-        c.require("E0"), c.require("d"), c.require("n3"), c.require("tau_coh"), args.threshold
-    )
+        *map(cfg.require, ("E0", "d", "n3", "tau_coh")), args.threshold)
     numbers = {"omega_c_s1": omega_c, "decoherence_rate_s1": rate, "ratio": ratio,
                "threshold": args.threshold}
     if args.format == "json":
@@ -440,24 +411,23 @@ def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
                 f"curvature_energy_over_g = {fmt(curvature / g)}")
     if phi is not None:
         meta.append(f"well: diffraction limit phi_rad = {fmt(phi)}, "
-                    f"beam resolvable = {fmt_bool(resolvable)}")
+                    f"beam resolvable = {BOOL_TEXT[resolvable]}")
     return meta, EXIT_OK
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
     """dispersion, hopfield and masses; dispersion also reports the well."""
-    c = _cgs(cfg)
-    meta, header, columns = TABLES[args.command](c, args.command, args)
+    meta, header, columns = TABLES[args.command](cfg, args.command, args)
     exit_code = EXIT_OK
     if args.command == "dispersion":
-        well, exit_code = _well_meta(c, args.kmax)
+        well, exit_code = _well_meta(cfg, args.kmax)
         meta += well
     _emit_table(cfg, args, meta, header, columns)
     return exit_code
 
 
 def cmd_thresholds(cfg: RunConfig, args) -> int:
-    ladder = condensation_ladder(*_ladder_args(_cgs(cfg)))
+    ladder = condensation_ladder(*_ladder_args(cfg))
     _emit_table(cfg, args, [f"note: {n}" for n in ladder.notes], THRESHOLDS_HEADER,
                 _thresholds_columns(ladder, 1))
     return EXIT_OK
@@ -468,21 +438,20 @@ def cmd_trap(cfg: RunConfig, args) -> int:
         raise ConfigError("trap requires --target-tc and --n-particles")
     if args.target_tc <= 0 or args.n_particles <= 0:
         raise ConfigError("--target-tc and --n-particles must be positive")
-    c = _cgs(cfg)
-    m_eff = _effective_mass(c)
-    e_char = c.get("E_char", c.get("E0"))
+    m_eff = _effective_mass(cfg)
+    e_char = cfg.get("E_char", cfg.get("E0"))
     if e_char is None:
         raise ConfigError("missing required key 'E_char' (or 'E0' as its default)")
-    n0 = c.get("n0", 1.0)
+    n0 = cfg.get("n0", 1.0)
     omega, n_prime, r_max, fits = design_trap_cgs(
-        args.target_tc, args.n_particles, m_eff, e_char, n0, c.get("d_beam"))
+        args.target_tc, args.n_particles, m_eff, e_char, n0, cfg.get("d_beam"))
     if fits is False:
         sys.stderr.write(
             "warning: beam diameter exceeds the harmonic region of the lens profile\n"
         )
     text = render_json({
         "omega_eff_s1": omega,
-        "omega_at_s1": c.get("omega_at"),
+        "omega_at_s1": cfg.get("omega_at"),
         "n_prime_cm2": n_prime,
         "n0": n0,
         "r_max_cm": r_max,
@@ -507,9 +476,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         header = THRESHOLDS_HEADER
         columns = [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))]
     else:
-        # one cgs view of the config; each value swaps in one float and
-        # gives one group of rows
-        c = _cgs(cfg)
+        # one copy of the config; each value swaps in one float and gives
+        # one group of rows
+        c = cfg.with_value(spec.param, None)
         groups = []
         for value in values:
             c.values[spec.param] = config_cgs(spec, value)
@@ -623,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.units is None:
             args.units = cfg.get("units", "cgs")
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, DimensionError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"polbec: config error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:

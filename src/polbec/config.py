@@ -25,7 +25,6 @@ from .units import (
     TIME,
     UNITS,
     VOLUME_DENSITY,
-    qty,
 )
 
 __all__ = ["ConfigError", "RunConfig", "SweepSpec", "KEY_SPECS", "sweep_values"]
@@ -109,15 +108,16 @@ def _parse_entry(key: str, raw: str) -> object:
     unit = parts[1]
     if unit not in UNITS:
         raise ConfigError(f"key '{key}': unknown unit {unit!r}")
-    q = qty(value, unit)
-    if q.dimension != spec.dimension:
+    factor, dimension = UNITS[unit]
+    if dimension != spec.dimension:
         raise ConfigError(
             f"key '{key}': unit {unit!r} has dimension "
-            f"[{q.dimension.unit_string()}], expected [{spec.dimension.unit_string()}]"
+            f"[{dimension.unit_string()}], expected [{spec.dimension.unit_string()}]"
         )
-    if not math.isfinite(q.cgs):
-        raise ConfigError(f"key '{key}': {raw!r} overflows to {q.cgs} in cgs units")
-    return q
+    magnitude = value * factor
+    if not math.isfinite(magnitude):
+        raise ConfigError(f"key '{key}': {raw!r} overflows to {magnitude} in cgs units")
+    return magnitude
 
 
 def check_keys(keys) -> None:
@@ -129,7 +129,8 @@ def check_keys(keys) -> None:
 
 @dataclass
 class RunConfig:
-    """Parsed configuration; values keyed exactly as in the file."""
+    """Parsed configuration, keyed exactly as in the file; a dimensioned
+    value is held as its cgs magnitude, the unit's dimension checked."""
 
     values: dict[str, object] = field(default_factory=dict)
     source_text: str = ""
@@ -227,8 +228,8 @@ def sweep_values(spec: SweepSpec) -> list[float]:
 def config_cgs(spec: SweepSpec, value: float) -> float | int:
     """A swept numeric value as the cgs magnitude the leaf's config value holds.
 
-    Quantities scale by their sweep unit's factor, which is the float
-    qty(value, unit).cgs gives; int leaves come back as int.
+    Quantities scale by their sweep unit's factor, as parsing scales a
+    value by its unit's; int leaves come back as int.
     """
     key_spec = KEY_SPECS[spec.param]
     if key_spec.kind == "quantity":

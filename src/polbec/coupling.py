@@ -219,6 +219,7 @@ def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) ->
     """(k_perp, Delta) in cgs from the bare resonator geometry, with the
     checks of CouplingParams: k_perp = pi*m/L_cav, Delta = E0 - hbar*c*k_perp."""
     _require_mode_index(mode_index)
+    _require_positive(e0, "transition_energy")
     k_perp = math.pi * mode_index / l_cav
     delta = e0 - HBAR_CGS * C_CGS * k_perp
     _check_coupling(g, k_perp)

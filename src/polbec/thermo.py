@@ -376,6 +376,9 @@ def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
 def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, float, float, bool, bool]:
     """(m_ph, m_upper, m_lower, upper_saturated, lower_saturated) in g."""
     m_ph = HBAR_CGS * k_perp / C_CGS
+    if m_ph == 0:
+        raise ArithmeticError(f"m_ph: hbar k_perp / c underflows to 0 for 'k_perp' = "
+                              f"{k_perp:g} cm^-1")
     ratio = delta / math.hypot(delta, 2.0 * g)
     den_upper = 1.0 - ratio
     den_lower = 1.0 + ratio

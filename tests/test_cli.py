@@ -14,8 +14,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import polbec
 from polbec import cli
-from polbec.cli import build_parser, csv_lines, fmt, fmt_bool, fmt_opt, main, render_json
+from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main, render_json
 from polbec.config import SweepSpec, sweep_values
+from polbec.units import EV_ERG
 
 BASE_CFG = """\
 E0 = 2.104 eV
@@ -499,6 +500,36 @@ def test_check_coupling_keeps_the_medium_messages(tmp_path, capsys):
         "polbec: error: dipole_moment must be strictly positive, got -1e-18\n")
 
 
+# a bare resonator of one mode, with L_cav appended
+GEOMETRY_CFG = """\
+g = 1 meV
+mode_index = 1
+T = 300 K
+n2 = 0.5e8 cm^-2
+"""
+
+
+@pytest.mark.parametrize("argv", [["thresholds"], ["dispersion"]])
+def test_geometry_path_rejects_non_positive_e0(tmp_path, capsys, argv):
+    # the Delta path rejects it through the mode energy; on the L_cav path
+    # a negative E0 gave a derived mass and a curve
+    code, data = run(tmp_path, GEOMETRY_CFG + "E0 = -2 eV\nL_cav = 1 cm\n", argv)
+    assert (code, data) == (1, b"")
+    assert capsys.readouterr().err == (
+        f"polbec: error: transition_energy must be strictly positive, got {-2 * EV_ERG}\n")
+
+
+@pytest.mark.parametrize("argv", [["masses"], ["thresholds"]])
+def test_photon_mass_underflow_names_k_perp(tmp_path, capsys, argv):
+    # hbar k_perp / c rounds to 0 for a long cavity; both commands failed
+    # with an unrelated message, and masses without a density printed 0
+    code, data = run(tmp_path, GEOMETRY_CFG + "E0 = 2.104 eV\nL_cav = 1e300 cm\n", argv)
+    assert (code, data) == (1, b"")
+    assert capsys.readouterr().err == (
+        f"polbec: error: m_ph: hbar k_perp / c underflows to 0 for 'k_perp' = "
+        f"{math.pi / 1e300:g} cm^-1\n")
+
+
 class TestSweepBinding:
     """The thresholds sweep derives the lower-branch mass once, unless the
     swept key is one the derivation reads."""
@@ -722,6 +753,33 @@ def call(argv, capsys):
     return code, out, err
 
 
+# one run of each subcommand and of each sweep target on example.cfg
+QUANTITY_FREE_RUNS = [
+    ["check-coupling"],
+    ["dispersion", "--samples", "5"],
+    ["hopfield", "--samples", "5"],
+    ["masses"],
+    ["thresholds"],
+    ["trap", "--target-tc", "300", "--n-particles", "1e6"],
+    *[["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
+       "--samples", "5", "--command", target] for target in cli.SWEEP_TARGETS],
+]
+
+
+@pytest.mark.parametrize("argv", QUANTITY_FREE_RUNS,
+                         ids=[f"sweep-{a[-1]}" if a[0] == "sweep" else a[0]
+                              for a in QUANTITY_FREE_RUNS])
+def test_cli_runs_construct_no_quantity(monkeypatch, tmp_path, argv):
+    # the parser stores cgs floats, and every command computes on them
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CLI run constructed a Quantity")
+
+    monkeypatch.setattr(polbec.units.Quantity, "__init__", refuse)
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--config", EXAMPLE_CFG, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
 # at COLUMNS=80; the description is the summary, the first paragraph and the
 # exit-code paragraph of the cli module docstring
 TOP_HELP = """\
@@ -903,7 +961,7 @@ def test_csv_lines_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
     # text_column, which leaves every other column as it is
     lines = csv_lines([cli.text_column(col) for col in columns])
-    cell = lambda v: fmt_bool(v) if isinstance(v, bool) else fmt_opt(v)
+    cell = lambda v: BOOL_TEXT[v] if isinstance(v, bool) else fmt_opt(v)
     assert lines == [",".join(map(cell, row)) for row in zip(*columns)]
 
 

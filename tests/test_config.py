@@ -1,15 +1,17 @@
 import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from polbec.config import (
+    KEY_SPECS,
     ConfigError,
     RunConfig,
     SweepSpec,
     config_cgs,
     sweep_values,
 )
-from polbec.units import ENERGY, EV_ERG, LENGTH, TEMPERATURE
+from polbec.units import EV_ERG, MEV_ERG, UNITS, qty
 
 GOOD = """\
 # comment line
@@ -25,14 +27,14 @@ format = csv
 
 class TestParse:
     def test_typed_values(self):
+        # a dimensioned value is stored as its cgs magnitude
         cfg = RunConfig.parse(GOOD)
-        assert cfg.values["E0"].dimension == ENERGY
-        assert cfg.values["E0"].in_unit("eV") == pytest.approx(2.104)
-        assert cfg.values["g"].in_unit("meV") == pytest.approx(1.0)
+        assert cfg.values["E0"] == 2.104 * EV_ERG and type(cfg.values["E0"]) is float
+        assert cfg.values["g"] == 1.0 * MEV_ERG
         assert cfg.values["mode_index"] == 3
         assert isinstance(cfg.values["mode_index"], int)
-        assert cfg.values["L_cav"].dimension == LENGTH
-        assert cfg.values["T"].dimension == TEMPERATURE
+        assert cfg.values["L_cav"] == 1.0 and type(cfg.values["L_cav"]) is float
+        assert cfg.values["T"] == 300.0 and type(cfg.values["T"]) is float
         assert cfg.values["N"] == 1e6
         assert cfg.values["format"] == "csv"
 
@@ -118,6 +120,41 @@ class TestParse:
         assert cfg2.values["n0"] == 1.5
         assert cfg2.digest() == cfg.digest()
         assert "n0" not in cfg.values
+
+
+QUANTITY_KEYS = sorted(key for key, spec in KEY_SPECS.items() if spec.kind == "quantity")
+
+
+@given(
+    key=st.sampled_from(QUANTITY_KEYS),
+    unit=st.sampled_from(sorted(UNITS) + ["furlong"]),
+    x=st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(key="E0", unit="J", x=1e308)
+@example(key="m_eff", unit="kg", x=-1e306)
+@example(key="E0", unit="cm", x=1e308)
+@example(key="Delta", unit="eV", x=-0.0)
+@example(key="T", unit="K", x=5e-324)
+def test_quantity_value_is_its_cgs_magnitude(key, unit, x):
+    # the float parsing stores is qty(x, unit).cgs bit for bit; a wrong
+    # dimension is reported before an overflow, each in its own words
+    raw = f"{x!r} {unit}"
+    expected_dim = KEY_SPECS[key].dimension
+    if unit not in UNITS:
+        message = f"key '{key}': unknown unit {unit!r}"
+    elif UNITS[unit][1] != expected_dim:
+        message = (f"key '{key}': unit {unit!r} has dimension [{UNITS[unit][1].unit_string()}], "
+                   f"expected [{expected_dim.unit_string()}]")
+    elif not math.isfinite(qty(x, unit).cgs):
+        message = f"key '{key}': {raw!r} overflows to {qty(x, unit).cgs} in cgs units"
+    else:
+        value = RunConfig.parse(f"{key} = {raw}\n").values[key]
+        assert type(value) is float
+        assert value.hex() == qty(x, unit).cgs.hex()
+        return
+    with pytest.raises(ConfigError) as info:
+        RunConfig.parse(f"{key} = {raw}\n")
+    assert str(info.value) == message
 
 
 class TestSweepSpec:

@@ -1,5 +1,7 @@
-"""The package's public names, with dispersion resolved on first access."""
+"""The package's public names, with dispersion resolved on first access, and
+no module importing a name it never uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -73,3 +75,29 @@ def test_dispersion_attribute_loads_it_in_a_fresh_interpreter():
 def test_unknown_attribute_names_it():
     with pytest.raises(AttributeError, match="no attribute 'banana'"):
         polbec.banana
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(polbec.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
