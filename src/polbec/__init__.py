@@ -12,88 +12,42 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .units import (
-    Dimension,
-    DimensionError,
-    Quantity,
-    constant,
-    convert,
-    qty,
-)
-from .coupling import (
-    CavityParams,
-    CouplingParams,
-    CouplingRegime,
-    MediumParams,
-    StrongCouplingCheck,
-    cooperative_frequency,
-    coupling_from_geometry,
-    is_strong_coupling,
-    make_coupling,
-    resonant_cavity_length,
-    resonant_coupling,
-)
-from .thermo import (
-    CondensationReport,
-    GasState,
-    PolaritonMasses,
-    TrapSpec,
-    chemical_potential,
-    condensate_fraction,
-    condensation_report,
-    degeneracy_temperature,
-    effective_masses,
-    group_velocity,
-    kt_temperature,
-    thermal_wavelength,
-    transverse_energy,
-    trapped_bec_temperature,
-    trapped_bec_temperature_from_N,
-    trapped_number,
-)
-from .trap import (
-    LensProfile,
-    TrapDesign,
-    design_trap,
-    lens_for_omega,
-    omega_for_lens,
-)
+# Every public name, by the submodule that defines it.  Nothing is imported
+# here: a name, or the submodule itself, is resolved on first access
+# (PEP 562), so `import polbec.cli` loads the float cores and the config
+# parser only, and only dispersion needs numpy.
+_SUBMODULE_NAMES = {
+    "units": ("Dimension", "DimensionError", "Quantity", "constant", "convert", "qty"),
+    "coupling": (
+        "CavityParams", "CouplingParams", "CouplingRegime", "MediumParams",
+        "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
+        "is_strong_coupling", "make_coupling", "resonant_cavity_length",
+        "resonant_coupling",
+    ),
+    "dispersion": (
+        "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
+        "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
+        "photon_energy_freespace", "photon_energy_paraxial",
+        "sample_dispersion", "well_geometry",
+    ),
+    "thermo": (
+        "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
+        "chemical_potential", "condensate_fraction", "condensation_report",
+        "degeneracy_temperature", "effective_masses", "group_velocity",
+        "kt_temperature", "thermal_wavelength", "transverse_energy",
+        "trapped_bec_temperature", "trapped_bec_temperature_from_N",
+        "trapped_number",
+    ),
+    "trap": ("LensProfile", "TrapDesign", "design_trap", "lens_for_omega", "omega_for_lens"),
+}
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
-# dispersion is the only module that needs numpy; the scalar commands never
-# touch it, so its names are resolved on first access (PEP 562).
-_DISPERSION_NAMES = (
-    "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
-    "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
-    "photon_energy_freespace", "photon_energy_paraxial",
-    "sample_dispersion", "well_geometry",
-)
-
-__all__ = [
-    "__version__",
-    # units
-    "Dimension", "DimensionError", "Quantity", "constant", "convert", "qty",
-    # coupling
-    "CavityParams", "CouplingParams", "CouplingRegime", "MediumParams",
-    "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
-    "is_strong_coupling", "make_coupling", "resonant_cavity_length",
-    "resonant_coupling",
-    # dispersion (loaded on first use, see __getattr__)
-    *_DISPERSION_NAMES,
-    # thermo
-    "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
-    "chemical_potential", "condensate_fraction", "condensation_report",
-    "degeneracy_temperature", "effective_masses", "group_velocity",
-    "kt_temperature", "thermal_wavelength", "transverse_energy",
-    "trapped_bec_temperature", "trapped_bec_temperature_from_N",
-    "trapped_number",
-    # trap
-    "LensProfile", "TrapDesign", "design_trap", "lens_for_omega",
-    "omega_for_lens",
-]
+__all__ = ["__version__", *_SUBMODULE_OF]
 
 
 def __getattr__(name: str):
-    if name == "dispersion" or name in _DISPERSION_NAMES:
-        dispersion = importlib.import_module(".dispersion", __name__)
-        return dispersion if name == "dispersion" else getattr(dispersion, name)
+    if name in _SUBMODULE_NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _SUBMODULE_OF:
+        return getattr(importlib.import_module(f".{_SUBMODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

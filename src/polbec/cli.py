@@ -6,9 +6,13 @@ numbers are printed with 12 significant digits, rows are assembled in
 grid/sweep order, and the metadata header carries no timestamps.
 Evaluation is serial; --workers is accepted and has no effect.
 
-Only dispersion, hopfield and their sweeps sample a curve; they import the
-numpy-backed dispersion module when they run, so the scalar commands start
-without numpy.
+The CLI imports polbec.core (the cgs float cores, the constants and the
+unit table) and polbec.config, and from the standard library argparse,
+json, math, re, sys, functools, itertools and, for the config digest,
+hashlib.  Only dispersion, hopfield and their sweeps sample a curve; they
+import the numpy-backed dispersion module, and with it the Quantity layer
+(units, coupling and their dataclasses), when they run.  So the scalar
+commands start without numpy, dataclasses, fractions or any Quantity.
 
 Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
@@ -46,22 +50,24 @@ from .config import (
     config_cgs,
     sweep_values,
 )
-from .coupling import (
+from .core import (
+    CGS_UNITS,
+    ENERGY_SCALE_NOTE,
+    EV_ERG,
+    KB_CGS,
+    MEV_ERG,
     CouplingRegime,
+    ThresholdLadder,
     check_cavity,
+    condensation_ladder,
+    design_trap_cgs,
+    effective_masses_cgs,
     geometry_coupling_cgs,
+    kt_temperature_K,
     resonant_coupling_cgs,
     strong_coupling_cgs,
-)
-from .thermo import (
-    ThresholdLadder,
-    condensation_ladder,
-    effective_masses_cgs,
-    kt_temperature_K,
     transverse_energy_erg,
 )
-from .trap import ENERGY_SCALE_NOTE, design_trap_cgs
-from .units import EV_ERG, KB_CGS, MEV_ERG, UNITS
 
 __all__ = ["main"]
 
@@ -288,7 +294,7 @@ def _masses_table(c: RunConfig, command: str, args):
     if upper_saturated or lower_saturated:
         meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
     unit = "g" if args.units == "cgs" else "kg"
-    grams_per_unit = UNITS[unit][0]
+    grams_per_unit = CGS_UNITS[unit][0]
     header = ["Delta_eV", "g_eV", f"m_ph_{unit}", f"m_upper_{unit}", f"m_lower_{unit}",
               "T_KT_upper_K", "T_KT_lower_K"]
     values = [delta / EV_ERG, g / EV_ERG, m_ph / grams_per_unit, m_upper / grams_per_unit,
@@ -439,9 +445,13 @@ def cmd_trap(cfg: RunConfig, args) -> int:
     if args.target_tc <= 0 or args.n_particles <= 0:
         raise ConfigError("--target-tc and --n-particles must be positive")
     m_eff = _effective_mass(cfg)
-    e_char = cfg.get("E_char", cfg.get("E0"))
+    key = "E_char" if "E_char" in cfg.values else "E0"
+    e_char = cfg.get(key)
     if e_char is None:
         raise ConfigError("missing required key 'E_char' (or 'E0' as its default)")
+    if not e_char > 0:
+        default = " (the default of 'E_char')" if key == "E0" else ""
+        raise ConfigError(f"key '{key}'{default} must be positive, got {e_char / EV_ERG:g} eV")
     n0 = cfg.get("n0", 1.0)
     omega, n_prime, r_max, fits = design_trap_cgs(
         args.target_tc, args.n_particles, m_eff, e_char, n0, cfg.get("d_beam"))

@@ -11,20 +11,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .units import (
-    AREA_DENSITY,
-    DIPOLE_MOMENT,
-    Dimension,
-    ENERGY,
-    FREQUENCY,
-    LENGTH,
-    MASS,
-    TEMPERATURE,
-    TIME,
-    UNITS,
-    VOLUME_DENSITY,
+from .core import (
+    AREA_DENSITY_DIM,
+    CGS_UNITS,
+    DIPOLE_MOMENT_DIM,
+    ENERGY_DIM,
+    FREQUENCY_DIM,
+    LENGTH_DIM,
+    MASS_DIM,
+    TEMPERATURE_DIM,
+    TIME_DIM,
+    VOLUME_DENSITY_DIM,
 )
 
 __all__ = ["ConfigError", "RunConfig", "SweepSpec", "KEY_SPECS", "sweep_values"]
@@ -34,37 +33,36 @@ class ConfigError(ValueError):
     """Malformed, unknown, missing, or inconsistent configuration input."""
 
 
-@dataclass(frozen=True)
-class KeySpec:
+class KeySpec(NamedTuple):
     kind: str                      # "quantity" | "int" | "float" | "choice"
-    dimension: Dimension | None = None
+    dimension: str | None = None   # a quantity's cgs base-unit string, as in core.CGS_UNITS
     sweep_unit: str | None = None  # canonical unit for sweep from/to values
     choices: tuple[str, ...] = ()
 
 
 KEY_SPECS: dict[str, KeySpec] = {
     # medium
-    "E0": KeySpec("quantity", ENERGY, "eV"),
-    "d": KeySpec("quantity", DIPOLE_MOMENT, "D"),
-    "n3": KeySpec("quantity", VOLUME_DENSITY, "cm^-3"),
-    "tau_coh": KeySpec("quantity", TIME, "s"),
+    "E0": KeySpec("quantity", ENERGY_DIM, "eV"),
+    "d": KeySpec("quantity", DIPOLE_MOMENT_DIM, "D"),
+    "n3": KeySpec("quantity", VOLUME_DENSITY_DIM, "cm^-3"),
+    "tau_coh": KeySpec("quantity", TIME_DIM, "s"),
     # cavity / coupling
-    "L_cav": KeySpec("quantity", LENGTH, "cm"),
+    "L_cav": KeySpec("quantity", LENGTH_DIM, "cm"),
     "mode_index": KeySpec("int"),
-    "d_beam": KeySpec("quantity", LENGTH, "cm"),
-    "g": KeySpec("quantity", ENERGY, "eV"),
-    "Delta": KeySpec("quantity", ENERGY, "eV"),
+    "d_beam": KeySpec("quantity", LENGTH_DIM, "cm"),
+    "g": KeySpec("quantity", ENERGY_DIM, "eV"),
+    "Delta": KeySpec("quantity", ENERGY_DIM, "eV"),
     # gas
-    "T": KeySpec("quantity", TEMPERATURE, "K"),
-    "n2": KeySpec("quantity", AREA_DENSITY, "cm^-2"),
-    "n_s": KeySpec("quantity", AREA_DENSITY, "cm^-2"),
-    "m_eff": KeySpec("quantity", MASS, "g"),
+    "T": KeySpec("quantity", TEMPERATURE_DIM, "K"),
+    "n2": KeySpec("quantity", AREA_DENSITY_DIM, "cm^-2"),
+    "n_s": KeySpec("quantity", AREA_DENSITY_DIM, "cm^-2"),
+    "m_eff": KeySpec("quantity", MASS_DIM, "g"),
     # trap
-    "omega_eff": KeySpec("quantity", FREQUENCY, "s^-1"),
-    "omega_at": KeySpec("quantity", FREQUENCY, "s^-1"),
-    "U0": KeySpec("quantity", ENERGY, "eV"),
-    "r0": KeySpec("quantity", LENGTH, "cm"),
-    "E_char": KeySpec("quantity", ENERGY, "eV"),
+    "omega_eff": KeySpec("quantity", FREQUENCY_DIM, "s^-1"),
+    "omega_at": KeySpec("quantity", FREQUENCY_DIM, "s^-1"),
+    "U0": KeySpec("quantity", ENERGY_DIM, "eV"),
+    "r0": KeySpec("quantity", LENGTH_DIM, "cm"),
+    "E_char": KeySpec("quantity", ENERGY_DIM, "eV"),
     "N": KeySpec("float"),
     "n0": KeySpec("float"),
     # output
@@ -106,13 +104,12 @@ def _parse_entry(key: str, raw: str) -> object:
         )
     value = _parse_number(parts[0], key)
     unit = parts[1]
-    if unit not in UNITS:
+    if unit not in CGS_UNITS:
         raise ConfigError(f"key '{key}': unknown unit {unit!r}")
-    factor, dimension = UNITS[unit]
+    factor, dimension = CGS_UNITS[unit]
     if dimension != spec.dimension:
         raise ConfigError(
-            f"key '{key}': unit {unit!r} has dimension "
-            f"[{dimension.unit_string()}], expected [{spec.dimension.unit_string()}]"
+            f"key '{key}': unit {unit!r} has dimension [{dimension}], expected [{spec.dimension}]"
         )
     magnitude = value * factor
     if not math.isfinite(magnitude):
@@ -127,13 +124,13 @@ def check_keys(keys) -> None:
         raise ConfigError("give either 'L_cav' or 'Delta', not both")
 
 
-@dataclass
 class RunConfig:
     """Parsed configuration, keyed exactly as in the file; a dimensioned
     value is held as its cgs magnitude, the unit's dimension checked."""
 
-    values: dict[str, object] = field(default_factory=dict)
-    source_text: str = ""
+    def __init__(self, values: dict[str, object] | None = None, source_text: str = ""):
+        self.values = {} if values is None else values
+        self.source_text = source_text
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -183,17 +180,16 @@ class RunConfig:
         return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
 class SweepSpec:
     """One swept config leaf: from/to in the leaf's canonical unit."""
 
-    param: str
-    start: float
-    stop: float
-    steps: int
-    scale: str = "linear"
-
-    def __post_init__(self) -> None:
+    def __init__(self, param: str, start: float, stop: float, steps: int,
+                 scale: str = "linear"):
+        self.param = param
+        self.start = start
+        self.stop = stop
+        self.steps = steps
+        self.scale = scale
         if self.param not in KEY_SPECS:
             raise ConfigError(f"unknown sweep parameter '{self.param}'")
         if KEY_SPECS[self.param].kind == "choice":
@@ -233,7 +229,7 @@ def config_cgs(spec: SweepSpec, value: float) -> float | int:
     """
     key_spec = KEY_SPECS[spec.param]
     if key_spec.kind == "quantity":
-        magnitude = float(value) * UNITS[key_spec.sweep_unit][0]
+        magnitude = float(value) * CGS_UNITS[key_spec.sweep_unit][0]
     else:
         magnitude = value
     if not math.isfinite(magnitude):

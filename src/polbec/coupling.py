@@ -8,20 +8,31 @@ formula is touched.
 
 The coupling energy g between field and a single atom is a direct user
 input; no microscopic formula tying it to (d, n, omega0) is adopted here.
+
+The formulas and value checks are cgs float cores in polbec.core,
+re-exported here; this module wraps them in the dimension-checked
+Quantity operations and their parameter dataclasses.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 
+from .core import (
+    DEFAULT_STRONG_THRESHOLD,
+    CouplingRegime,
+    _check_coupling,
+    _check_medium,
+    _cooperative_frequency_cgs,
+    _resonant_length_cgs,
+    check_cavity,
+    geometry_coupling_cgs,
+    resonant_coupling_cgs,
+    strong_coupling_cgs,
+)
 from .units import (
-    C_CGS,
-    DEBYE_ESU_CM,
     DIPOLE_MOMENT,
     ENERGY,
-    EV_ERG,
     FREQUENCY,
     HBAR_CGS,
     LENGTH,
@@ -30,7 +41,6 @@ from .units import (
     VOLUME_DENSITY,
     WAVENUMBER,
     magnitude_in_cgs,
-    range_error,
 )
 
 __all__ = [
@@ -51,41 +61,6 @@ __all__ = [
     "strong_coupling_cgs",
     "DEFAULT_STRONG_THRESHOLD",
 ]
-
-# "much greater" margin for the strong-coupling inequality; not quantified
-# by the model, so it is a configuration knob.
-DEFAULT_STRONG_THRESHOLD = 10.0
-
-
-def _require_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be strictly positive, got {value}")
-
-
-def _require_mode_index(mode_index) -> None:
-    if not (isinstance(mode_index, int) and mode_index >= 1):
-        raise ValueError(f"mode_index must be an integer >= 1, got {mode_index!r}")
-
-
-def check_cavity(length: float, mode_index: int, beam_diameter: float) -> None:
-    """Value checks of CavityParams on cgs magnitudes."""
-    _require_positive(length, "length")
-    _require_positive(beam_diameter, "beam_diameter")
-    _require_mode_index(mode_index)
-
-
-def _check_coupling(g: float, k_perp: float) -> None:
-    """Value checks of CouplingParams on cgs magnitudes."""
-    _require_positive(g, "g")
-    _require_positive(k_perp, "k_perp")
-
-
-def _check_medium(e0: float, d: float, n3: float, tau: float) -> None:
-    """Value checks of MediumParams on cgs magnitudes."""
-    _require_positive(e0, "transition_energy")
-    _require_positive(d, "dipole_moment")
-    _require_positive(n3, "density")
-    _require_positive(tau, "coherence_time")
 
 
 @dataclass(frozen=True)
@@ -145,11 +120,6 @@ class CouplingParams:
         magnitude_in_cgs(self.delta, ENERGY, "delta")
 
 
-class CouplingRegime(enum.Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-
-
 @dataclass(frozen=True)
 class StrongCouplingCheck:
     """Outcome of the strong-coupling inequality omega_c >> 1/(2 tau_coh)."""
@@ -159,35 +129,6 @@ class StrongCouplingCheck:
     ratio: float                 # omega_c * 2 tau_coh
     threshold: float
     regime: CouplingRegime
-
-
-def _cooperative_frequency_cgs(e0: float, d: float, n3: float) -> float:
-    """omega_c = sqrt(2 pi d^2 omega0 n3 / hbar) in s^-1, omega0 = E0 / hbar,
-    for the checked magnitudes of a medium."""
-    omega0 = e0 / HBAR_CGS
-    omega_c = math.sqrt(2.0 * math.pi * d * d * omega0 * n3 / HBAR_CGS)
-    if not 0.0 < omega_c < math.inf:
-        raise range_error("omega_c = sqrt(2 pi d^2 omega0 n3 / hbar)", d=f"{d / DEBYE_ESU_CM:g} D",
-                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV")
-    return omega_c
-
-
-def strong_coupling_cgs(
-    e0: float, d: float, n3: float, tau: float, threshold: float = DEFAULT_STRONG_THRESHOLD
-) -> tuple[float, float, float, CouplingRegime]:
-    """(omega_c, decoherence rate 1/(2 tau_coh), ratio, regime) in cgs, with
-    the checks of MediumParams; strong iff ratio = omega_c * 2 tau_coh > threshold."""
-    _check_medium(e0, d, n3, tau)
-    omega_c = _cooperative_frequency_cgs(e0, d, n3)
-    rate = 0.5 / tau
-    if rate == math.inf:
-        raise range_error("decoherence rate 1/(2 tau_coh)", tau_coh=f"{tau:g} s")
-    ratio = omega_c * 2.0 * tau
-    if not 0.0 < ratio < math.inf:
-        raise range_error("ratio = omega_c * 2 tau_coh", d=f"{d / DEBYE_ESU_CM:g} D",
-                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV", tau_coh=f"{tau:g} s")
-    regime = CouplingRegime.STRONG if ratio > threshold else CouplingRegime.WEAK
-    return omega_c, rate, ratio, regime
 
 
 def cooperative_frequency(medium: MediumParams) -> Quantity:
@@ -215,19 +156,6 @@ def is_strong_coupling(
     )
 
 
-def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) -> tuple[float, float]:
-    """(k_perp, Delta) in cgs from the bare resonator geometry, with the
-    checks of CouplingParams: k_perp = pi*m/L_cav, Delta = E0 - hbar*c*k_perp."""
-    _require_mode_index(mode_index)
-    _require_positive(e0, "transition_energy")
-    k_perp = math.pi * mode_index / l_cav
-    delta = e0 - HBAR_CGS * C_CGS * k_perp
-    _check_coupling(g, k_perp)
-    if k_perp == math.inf:
-        raise range_error("k_perp = pi m / L_cav", L_cav=f"{l_cav:g} cm", mode_index=mode_index)
-    return k_perp, delta
-
-
 def coupling_from_geometry(
     transition_energy: Quantity, length: Quantity, mode_index: int, g: Quantity
 ) -> CouplingParams:
@@ -249,33 +177,10 @@ def make_coupling(medium: MediumParams, cavity: CavityParams, g: Quantity) -> Co
     return coupling_from_geometry(medium.transition_energy, cavity.length, cavity.mode_index, g)
 
 
-def _resonant_length_cgs(e0: float, mode_index: int) -> float:
-    """L = pi*m*hbar*c/E0 in cm for a checked E0."""
-    _require_mode_index(mode_index)
-    length = math.pi * mode_index * HBAR_CGS * C_CGS / e0
-    if length == math.inf:
-        raise range_error("L = pi m hbar c / E0", E0=f"{e0 / EV_ERG:g} eV", mode_index=mode_index)
-    return length
-
-
 def resonant_cavity_length(medium: MediumParams, mode_index: int) -> Quantity:
     """Cavity length L = pi*m*hbar*c/E0 putting the selected mode on resonance
     (Delta = 0); equals half the transition wavelength times the mode index."""
     return Quantity(_resonant_length_cgs(medium.transition_energy.cgs, mode_index), LENGTH)
-
-
-def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
-    """k_perp = (E0 - Delta)/(hbar c) in cgs for a prescribed detuning, with
-    the checks of CouplingParams."""
-    e_mode = e0 - delta
-    if e_mode <= 0:
-        raise ValueError("detuning leaves no positive mode energy")
-    k_perp = e_mode / (HBAR_CGS * C_CGS)
-    _check_coupling(g, k_perp)
-    if k_perp == math.inf:
-        raise range_error("k_perp = (E0 - Delta) / (hbar c)", E0=f"{e0 / EV_ERG:g} eV",
-                          Delta=f"{delta / EV_ERG:g} eV")
-    return k_perp
 
 
 def resonant_coupling(transition_energy: Quantity, g: Quantity, detuning: Quantity | None = None) -> CouplingParams:

@@ -14,26 +14,33 @@ is the paraxial photon of energy ~E0.  That assumption is printed into
 every trap design.  The magnetic-trap frequency Omega_at for the atomic
 component is carried as user input and echoed, never derived; no
 constraint equation ties it to Omega_eff.
+
+The inverse and its checks are cgs float cores in polbec.core,
+re-exported here; this module wraps them in the dimension-checked
+Quantity operations and the lens and design dataclasses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .thermo import TRAP_BEC_ZETA
+from .core import (
+    ENERGY_SCALE_NOTE,
+    _DEFAULT_R_MAX_FRAC,
+    _check_lens,
+    _lens_cgs,
+    _omega_for_lens_cgs,
+    design_trap_cgs,
+)
 from .units import (
     CURVATURE,
     ENERGY,
     FREQUENCY,
-    HBAR_CGS,
-    KB_CGS,
     LENGTH,
     MASS,
     Quantity,
     TEMPERATURE,
     magnitude_in_cgs,
-    range_error,
 )
 
 __all__ = [
@@ -45,14 +52,6 @@ __all__ = [
     "design_trap_cgs",
     "ENERGY_SCALE_NOTE",
 ]
-
-ENERGY_SCALE_NOTE = (
-    "optical potential normalization: n' = m_eff * omega_eff^2 / E_char, "
-    "E_char defaulting to the transition energy of the trapped photon"
-)
-
-# keep the harmonic approximation honest: half the index-zero-crossing radius
-_DEFAULT_R_MAX_FRAC = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,66 +94,6 @@ class TrapDesign:
     def __post_init__(self) -> None:
         if not magnitude_in_cgs(self.omega_eff, FREQUENCY, "omega_eff") > 0:
             raise ValueError("omega_eff must be positive")
-
-
-# ---------------------------------------------------------------------------
-# numeric cores (cgs floats), which the operations below wrap and the CLI
-# calls directly; value and range checks live here, naming the arguments
-# ---------------------------------------------------------------------------
-
-def _check_lens(n0: float, n_prime: float, r_max: float) -> None:
-    """Value checks of LensProfile on cgs magnitudes."""
-    if not n0 > 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    if n_prime < 0:
-        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
-    if n_prime > 0 and r_max * math.sqrt(n_prime) >= 1.0:
-        raise ValueError(
-            "r_max reaches the index zero crossing: need r_max < 1/sqrt(n')"
-        )
-
-
-def _lens_cgs(omega: float, m: float, e_char: float, r_max_frac: float) -> tuple[float, float]:
-    """(n', r_max) in cgs: n' = m_eff Omega^2 / E_char, r_max = r_max_frac / sqrt(n')."""
-    if omega < 0 or not m > 0 or not e_char > 0:
-        raise ValueError("omega_eff must be >= 0; m_eff and energy_scale positive")
-    n_prime = m * omega * omega / e_char
-    if not (0.0 < n_prime < math.inf or omega == 0.0):
-        raise range_error("n' = m_eff Omega_eff^2 / E_char", omega_eff=f"{omega:g} s^-1",
-                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
-    r_max = math.inf if n_prime == 0.0 else r_max_frac / math.sqrt(n_prime)
-    return n_prime, r_max
-
-
-def _omega_for_lens_cgs(n_prime: float, m: float, e_char: float) -> float:
-    """Omega_eff = sqrt(n' E_char / m_eff) in s^-1."""
-    if not m > 0 or not e_char > 0:
-        raise ValueError("m_eff and energy_scale must be positive")
-    omega = math.sqrt(n_prime * e_char / m)
-    if not (0.0 < omega < math.inf or n_prime == 0.0):
-        raise range_error("Omega_eff = sqrt(n' E_char / m_eff)", n_prime=f"{n_prime:g} cm^-2",
-                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
-    return omega
-
-
-def design_trap_cgs(
-    t_c: float, n_particles: float, m: float, e_char: float, n0: float = 1.0,
-    beam_diameter: float | None = None,
-) -> tuple[float, float, float, bool | None]:
-    """(Omega_eff, n', r_max, beam_fits_profile) in cgs for design_trap, with
-    the checks of LensProfile."""
-    if not t_c > 0:
-        raise ValueError(f"target_tc must be positive, got {t_c}")
-    if not n_particles > 0:
-        raise ValueError(f"n_particles must be positive, got {n_particles}")
-    omega = KB_CGS * t_c * math.sqrt(TRAP_BEC_ZETA / n_particles) / HBAR_CGS
-    if not 0.0 < omega < math.inf:
-        raise range_error("Omega_eff = kB T_c sqrt(1.645 / N) / hbar", target_tc=f"{t_c:g} K",
-                          n_particles=f"{n_particles:g}")
-    n_prime, r_max = _lens_cgs(omega, m, e_char, _DEFAULT_R_MAX_FRAC)
-    _check_lens(n0, n_prime, r_max)
-    fits = None if beam_diameter is None else 2.0 * r_max >= beam_diameter
-    return omega, n_prime, r_max, fits
 
 
 # ---------------------------------------------------------------------------

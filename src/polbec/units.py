@@ -1,17 +1,22 @@
 """Unit-safe physical quantities in CGS-Gaussian base units.
 
-Every number that crosses a module boundary in this package is a
-:class:`Quantity`: a float magnitude plus a :class:`Dimension` over the
-mechanical base set {length, mass, time, temperature}.  Charge is handled
-in the Gaussian convention and folded into the mechanical base set
-(1 esu = g^1/2 cm^3/2 s^-1), which is why dimension exponents are exact
-`Fraction`s rather than ints.
+The library's public operations (thermo, coupling, trap, dispersion) take
+and return :class:`Quantity` values: a float magnitude plus a
+:class:`Dimension` over the mechanical base set {length, mass, time,
+temperature}.  Each one checks the dimensions of its arguments once and
+then calls a cgs float core (polbec.core, or dispersion's own); the cores
+pass plain floats between them, and the CLI, whose config parser checks
+each value's unit once, calls the cores without building a Quantity.
+Charge is handled in the Gaussian convention and folded into the
+mechanical base set (1 esu = g^1/2 cm^3/2 s^-1), which is why dimension
+exponents are exact `Fraction`s rather than ints.
 
 The internal base system is CGS-Gaussian (cm, g, s, K); SI is a
 presentation layer reached through :func:`convert`.  Dimension checking
 happens at runtime on every arithmetic operation, so a mistranscribed
 formula fails loudly in the test suite instead of producing a silently
-wrong number.
+wrong number.  The constants and the unit factors are defined once, in
+polbec.core, and re-exported here.
 """
 
 from __future__ import annotations
@@ -20,6 +25,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+from .core import (
+    C_CGS,
+    CGS_UNITS,
+    DEBYE_ESU_CM,
+    EV_ERG,
+    H_CGS,
+    HBAR_CGS,
+    KB_CGS,
+    MEV_ERG,
+)
 
 __all__ = [
     "Dimension",
@@ -329,18 +345,8 @@ def convert(q: Quantity, target: str) -> Quantity:
 
 
 # ---------------------------------------------------------------------------
-# Constants (CODATA 2018, expressed in cgs base units)
+# Constants (CODATA 2018 values in cgs base units, defined in polbec.core)
 # ---------------------------------------------------------------------------
-
-H_CGS = 6.62607015e-27      # erg s (exact by definition)
-# hbar derived from h so identities like n2 * lambda_T(T_d)^2 = 1 hold to
-# machine precision; equals the quoted 1.054571817e-27 at its 10 digits
-HBAR_CGS = H_CGS / (2.0 * math.pi)
-C_CGS = 2.99792458e10       # cm/s (exact)
-KB_CGS = 1.380649e-16       # erg/K (exact)
-EV_ERG = 1.602176634e-12    # erg (exact)
-MEV_ERG = EV_ERG * 1e-3
-DEBYE_ESU_CM = 1e-18        # esu cm
 
 _CONSTANTS = {
     "hbar": (HBAR_CGS, ENERGY * TIME),
@@ -368,44 +374,14 @@ def constant(name: str) -> Quantity:
 # Named units (factor to cgs base, dimension)
 # ---------------------------------------------------------------------------
 
+# the factor of each unit in polbec.core's table, paired with the Dimension
+# whose base-unit string that table gives
+_DIMENSIONS = {dim.unit_string(): dim for dim in (
+    ENERGY, LENGTH, MASS, TIME, TEMPERATURE, FREQUENCY, WAVENUMBER, VOLUME_DENSITY,
+    AREA_DENSITY, VELOCITY, DIPOLE_MOMENT)}
+
 UNITS: dict[str, tuple[float, Dimension]] = {
-    # energy
-    "erg": (1.0, ENERGY),
-    "eV": (EV_ERG, ENERGY),
-    "meV": (MEV_ERG, ENERGY),
-    "J": (1e7, ENERGY),
-    # length
-    "cm": (1.0, LENGTH),
-    "m": (1e2, LENGTH),
-    "um": (1e-4, LENGTH),
-    "nm": (1e-7, LENGTH),
-    # mass
-    "g": (1.0, MASS),
-    "kg": (1e3, MASS),
-    # time
-    "s": (1.0, TIME),
-    "ns": (1e-9, TIME),
-    "us": (1e-6, TIME),
-    "ps": (1e-12, TIME),
-    "fs": (1e-15, TIME),
-    # temperature
-    "K": (1.0, TEMPERATURE),
-    # rates and wavenumbers
-    "s^-1": (1.0, FREQUENCY),
-    "rad/s": (1.0, FREQUENCY),
-    "cm^-1": (1.0, WAVENUMBER),
-    "m^-1": (1e-2, WAVENUMBER),
-    # densities
-    "cm^-3": (1.0, VOLUME_DENSITY),
-    "m^-3": (1e-6, VOLUME_DENSITY),
-    "cm^-2": (1.0, AREA_DENSITY),
-    "m^-2": (1e-4, AREA_DENSITY),
-    # velocity
-    "cm/s": (1.0, VELOCITY),
-    "m/s": (1e2, VELOCITY),
-    # Gaussian dipole moment
-    "esu*cm": (1.0, DIPOLE_MOMENT),
-    "D": (DEBYE_ESU_CM, DIPOLE_MOMENT),
+    unit: (factor, _DIMENSIONS[dimension]) for unit, (factor, dimension) in CGS_UNITS.items()
 }
 
 
@@ -428,10 +404,3 @@ def magnitude_in_cgs(q: Quantity, dim: Dimension, name: str) -> float:
             f"got [{q.dimension.unit_string()}]"
         )
     return q.cgs
-
-
-def range_error(formula: str, **named: str) -> OverflowError:
-    """The error for a formula whose result leaves the float range; named
-    maps each argument behind it to its printed value."""
-    return OverflowError(f"{formula} leaves the float range for "
-                         + ", ".join(f"'{name}' = {value}" for name, value in named.items()))

@@ -705,11 +705,16 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_scalar_commands_load_no_numpy():
-    # only dispersion imports numpy; the scalar commands and their sweeps
-    # must start without it.  The last case is the control: it shows that
-    # the probe sees numpy once a curve is sampled.
+    # only dispersion imports numpy and the Quantity layer; the scalar
+    # commands and their sweeps must start on the float cores and config
+    # alone.  dataclasses would pull in inspect, dis, tokenize and ast.
+    # typing and enum are not watched: site loads them before polbec.  The
+    # last case is the control: it shows that the probe sees numpy and the
+    # Quantity layer once a curve is sampled.
     root = Path(polbec.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    watched = ["numpy", "dataclasses", "fractions", "inspect", "polbec.units",
+               "polbec.thermo", "polbec.coupling", "polbec.trap"]
     cases = [
         ["thresholds"],
         ["masses"],
@@ -724,19 +729,25 @@ def test_scalar_commands_load_no_numpy():
     probe = (
         "import json, os, sys\n"
         "import polbec.cli\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "watched = json.loads(sys.argv[3])\n"
+        "def seen():\n"
+        "    return [name for name in watched if name in sys.modules]\n"
+        "loaded = [seen()]\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    rc = polbec.cli.main(argv + ['--config', sys.argv[2], '--out', os.devnull])\n"
-        "    loaded.append((rc, 'numpy' in sys.modules))\n"
+        "    loaded.append([rc, seen()])\n"
         "print(json.dumps(loaded))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(cases), str(root / "example.cfg")],
+        [sys.executable, "-c", probe, json.dumps(cases), str(root / "example.cfg"),
+         json.dumps(watched)],
         capture_output=True, text=True, env=env, check=True,
     )
-    after_import, *after_cases = json.loads(result.stdout)
-    assert after_import is False
-    assert after_cases == [[0, False]] * (len(cases) - 1) + [[0, True]]
+    after_import, *after_cases, (control_rc, control) = json.loads(result.stdout)
+    assert after_import == []
+    assert after_cases == [[0, []]] * (len(cases) - 1)
+    assert control_rc == 0
+    assert {"numpy", "dataclasses", "polbec.units"} <= set(control)
 
 
 EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")

@@ -139,12 +139,12 @@ def test_quantity_value_is_its_cgs_magnitude(key, unit, x):
     # the float parsing stores is qty(x, unit).cgs bit for bit; a wrong
     # dimension is reported before an overflow, each in its own words
     raw = f"{x!r} {unit}"
-    expected_dim = KEY_SPECS[key].dimension
+    expected_dim = KEY_SPECS[key].dimension  # the dimension's cgs base-unit string
     if unit not in UNITS:
         message = f"key '{key}': unknown unit {unit!r}"
-    elif UNITS[unit][1] != expected_dim:
+    elif UNITS[unit][1].unit_string() != expected_dim:
         message = (f"key '{key}': unit {unit!r} has dimension [{UNITS[unit][1].unit_string()}], "
-                   f"expected [{expected_dim.unit_string()}]")
+                   f"expected [{expected_dim}]")
     elif not math.isfinite(qty(x, unit).cgs):
         message = f"key '{key}': {raw!r} overflows to {qty(x, unit).cgs} in cgs units"
     else:

@@ -51,6 +51,9 @@ CONFIGS = {
     "consistent-trap": PLAIN + "m_eff = 5e-33 g\nomega_eff = 5.0e10 s^-1\n"
                                "U0 = 6.25e-18 erg\nr0 = 1e-3 cm\n",
     "example": (Path(__file__).resolve().parents[1] / "example.cfg").read_text(),
+    # trap's energy scale: E0 as the default of E_char, or E_char itself, not positive
+    "negative-E0": PLAIN.replace("E0 = 2.104 eV", "E0 = -2 eV") + "m_eff = 5e-33 g\n",
+    "negative-E_char": PLAIN + "E_char = -2 eV\n",
 }
 
 SWEEPS = {
@@ -276,6 +279,14 @@ ERRORS = {
     "thresholds-omega_eff-through-0": (
         "trap", "sweep --param omega_eff --from 1e10 --to=-1e10 --steps 3 --command thresholds",
         'polbec: error: omega_eff must be non-negative\n'),
+    # recorded with the check that names the key; before it, both exited 1 with
+    # the lens core's "omega_eff must be >= 0; m_eff and energy_scale positive"
+    "trap-E0-negative": (
+        "negative-E0", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: config error: key 'E0' (the default of 'E_char') must be positive, got -2 eV\n"),
+    "trap-E_char-negative": (
+        "negative-E_char", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: config error: key 'E_char' must be positive, got -2 eV\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value

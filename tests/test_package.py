@@ -1,7 +1,8 @@
-"""The package's public names, with dispersion resolved on first access, and
-no module importing a name it never uses."""
+"""The package's public names, each resolved from its submodule on first
+access, and no module importing a name it never uses."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,28 +12,34 @@ import pytest
 
 import polbec
 
-PUBLIC = [
-    "__version__",
-    "Dimension", "DimensionError", "Quantity", "constant", "convert", "qty",
-    "CavityParams", "CouplingParams", "CouplingRegime", "MediumParams",
-    "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
-    "is_strong_coupling", "make_coupling", "resonant_cavity_length",
-    "resonant_coupling",
-    "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
-    "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
-    "photon_energy_freespace", "photon_energy_paraxial",
-    "sample_dispersion", "well_geometry",
-    "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
-    "chemical_potential", "condensate_fraction", "condensation_report",
-    "degeneracy_temperature", "effective_masses", "group_velocity",
-    "kt_temperature", "thermal_wavelength", "transverse_energy",
-    "trapped_bec_temperature", "trapped_bec_temperature_from_N",
-    "trapped_number",
-    "LensProfile", "TrapDesign", "design_trap", "lens_for_omega",
-    "omega_for_lens",
-]
+# every public name but __version__, by the submodule that defines it
+DEFINED_IN = {
+    "units": ["Dimension", "DimensionError", "Quantity", "constant", "convert", "qty"],
+    "coupling": [
+        "CavityParams", "CouplingParams", "CouplingRegime", "MediumParams",
+        "StrongCouplingCheck", "cooperative_frequency", "coupling_from_geometry",
+        "is_strong_coupling", "make_coupling", "resonant_cavity_length",
+        "resonant_coupling",
+    ],
+    "dispersion": [
+        "BranchPoint", "DispersionCurve", "GridSpec", "ModeProblem", "NoWellError",
+        "ParaxialBoundWarning", "WellGeometry", "diagonalize_mode",
+        "photon_energy_freespace", "photon_energy_paraxial",
+        "sample_dispersion", "well_geometry",
+    ],
+    "thermo": [
+        "CondensationReport", "GasState", "PolaritonMasses", "TrapSpec",
+        "chemical_potential", "condensate_fraction", "condensation_report",
+        "degeneracy_temperature", "effective_masses", "group_velocity",
+        "kt_temperature", "thermal_wavelength", "transverse_energy",
+        "trapped_bec_temperature", "trapped_bec_temperature_from_N",
+        "trapped_number",
+    ],
+    "trap": ["LensProfile", "TrapDesign", "design_trap", "lens_for_omega", "omega_for_lens"],
+}
 
-DISPERSION = PUBLIC[PUBLIC.index("BranchPoint"):PUBLIC.index("CondensationReport")]
+PUBLIC = ["__version__", *DEFINED_IN["units"], *DEFINED_IN["coupling"],
+          *DEFINED_IN["dispersion"], *DEFINED_IN["thermo"], *DEFINED_IN["trap"]]
 
 
 def test_all_is_pinned():
@@ -41,9 +48,13 @@ def test_all_is_pinned():
 
 @pytest.mark.parametrize("name", PUBLIC)
 def test_every_name_resolves(name):
+    # each name is the very object its defining submodule holds
     value = getattr(polbec, name)
-    if name in DISPERSION:
-        assert value is getattr(polbec.dispersion, name)
+    if name == "__version__":
+        assert isinstance(value, str)
+        return
+    (module,) = [module for module, names in DEFINED_IN.items() if name in names]
+    assert value is getattr(importlib.import_module(f"polbec.{module}"), name)
 
 
 def test_star_import_binds_every_name():
@@ -70,6 +81,15 @@ def test_dispersion_attribute_loads_it_in_a_fresh_interpreter():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.split() == ["False", "True", "True"]
+
+
+def test_bare_import_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    probe = "import sys, polbec\nprint(sorted(m for m in sys.modules if m.startswith('polbec.')))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_attribute_names_it():
