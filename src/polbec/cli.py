@@ -9,10 +9,9 @@ Evaluation is serial; --workers is accepted and has no effect.
 The CLI imports polbec.core (the cgs float cores, the constants and the
 unit table) and polbec.config, and from the standard library argparse,
 json, math, re, sys, functools, itertools and, for the config digest,
-hashlib.  Only dispersion, hopfield and their sweeps sample a curve; they
-import the numpy-backed dispersion module, and with it the Quantity layer
-(units, coupling and their dataclasses), when they run.  So the scalar
-commands start without numpy, dataclasses, fractions or any Quantity.
+hashlib.  Only dispersion, hopfield and their sweeps sample a curve; the
+branch cores import numpy when they run.  So the scalar commands start
+without numpy, and no command loads dataclasses, fractions or any Quantity.
 
 Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
@@ -57,6 +56,7 @@ from .core import (
     KB_CGS,
     MEV_ERG,
     CouplingRegime,
+    NoWellError,
     ThresholdLadder,
     check_cavity,
     condensation_ladder,
@@ -65,8 +65,10 @@ from .core import (
     geometry_coupling_cgs,
     kt_temperature_K,
     resonant_coupling_cgs,
+    sample_dispersion_cgs,
     strong_coupling_cgs,
     transverse_energy_erg,
+    well_geometry_cgs,
 )
 
 __all__ = ["main"]
@@ -259,8 +261,6 @@ def _effective_mass(c: RunConfig) -> float:
 
 def _curve_table(c: RunConfig, command: str, args):
     """(meta, header, columns) of the dispersion or hopfield table of a config."""
-    from .dispersion import sample_dispersion_cgs
-
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
     k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
@@ -401,8 +401,6 @@ def cmd_check_coupling(cfg: RunConfig, args) -> int:
 
 def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
     """The metadata lines on the lower-branch well, and the exit code."""
-    from .dispersion import NoWellError, well_geometry_cgs
-
     g, k_perp, delta, length = _coupling_cgs(c)
     m_lower = effective_masses_cgs(delta, g, k_perp)[2]
     meta = ["well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)"]

@@ -9,9 +9,9 @@ formula is touched.
 The coupling energy g between field and a single atom is a direct user
 input; no microscopic formula tying it to (d, n, omega0) is adopted here.
 
-The formulas and value checks are cgs float cores in polbec.core,
-re-exported here; this module wraps them in the dimension-checked
-Quantity operations and their parameter dataclasses.
+The formulas and value checks are cgs float cores in polbec.core; this
+module wraps them in the dimension-checked Quantity operations and their
+parameter dataclasses.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .core import (
     DEFAULT_STRONG_THRESHOLD,
+    HBAR_CGS,
     CouplingRegime,
     _check_coupling,
     _check_medium,
@@ -34,7 +35,6 @@ from .units import (
     DIPOLE_MOMENT,
     ENERGY,
     FREQUENCY,
-    HBAR_CGS,
     LENGTH,
     Quantity,
     TIME,
@@ -55,11 +55,6 @@ __all__ = [
     "make_coupling",
     "resonant_cavity_length",
     "resonant_coupling",
-    "check_cavity",
-    "geometry_coupling_cgs",
-    "resonant_coupling_cgs",
-    "strong_coupling_cgs",
-    "DEFAULT_STRONG_THRESHOLD",
 ]
 
 

@@ -5,8 +5,8 @@ its group velocity, and the 2D Bose-gas threshold ladder: thermal
 wavelength, degeneracy temperature, chemical potential, the
 Kosterlitz-Thouless temperature, and the trapped-gas condensation
 temperature with its condensate fraction.  The formulas are cgs float
-cores in polbec.core, re-exported here; this module wraps them in the
-dimension-checked Quantity operations and their result dataclasses.
+cores in polbec.core; this module wraps them in the dimension-checked
+Quantity operations and their result dataclasses.
 
 Conventions fixed by those cores (and echoed as notes in every report):
 
@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 from .core import (
-    TRAP_BEC_ZETA,
-    ThresholdLadder,
     _check_gas,
     _check_trap,
     _check_trap_consistency,
@@ -41,7 +39,6 @@ from .core import (
     effective_masses_cgs,
     kt_temperature_K,
     lambda_T_cm,
-    mu_over_kbt,
     transverse_energy_erg,
     trapped_bec_temperature_K,
 )
@@ -65,8 +62,6 @@ __all__ = [
     "GasState",
     "TrapSpec",
     "CondensationReport",
-    "ThresholdLadder",
-    "TRAP_BEC_ZETA",
     "effective_masses",
     "transverse_energy",
     "group_velocity",
@@ -79,14 +74,6 @@ __all__ = [
     "trapped_number",
     "condensate_fraction",
     "condensation_report",
-    "condensation_ladder",
-    "effective_masses_cgs",
-    "kt_temperature_K",
-    "lambda_T_cm",
-    "degeneracy_temperature_K",
-    "trapped_bec_temperature_K",
-    "transverse_energy_erg",
-    "mu_over_kbt",
 ]
 
 
@@ -150,8 +137,8 @@ class TrapSpec:
 
     def check_consistency(self, m_eff: Quantity, rel_tol: float = 1e-6) -> None:
         """Verify U(r0) = U0 against m_eff Omega^2 r0^2 / 2 when both given."""
-        _check_trap_consistency(
-            m_eff.cgs, self.omega_eff.cgs, _opt_cgs(self.u0), _opt_cgs(self.r0), rel_tol)
+        _check_trap_consistency(magnitude_in_cgs(m_eff, MASS, "m_eff"), self.omega_eff.cgs,
+                                _opt_cgs(self.u0), _opt_cgs(self.r0), rel_tol)
 
 
 @dataclass(frozen=True)

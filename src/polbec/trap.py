@@ -15,9 +15,9 @@ every trap design.  The magnetic-trap frequency Omega_at for the atomic
 component is carried as user input and echoed, never derived; no
 constraint equation ties it to Omega_eff.
 
-The inverse and its checks are cgs float cores in polbec.core,
-re-exported here; this module wraps them in the dimension-checked
-Quantity operations and the lens and design dataclasses.
+The inverse and its checks are cgs float cores in polbec.core; this
+module wraps them in the dimension-checked Quantity operations and the
+lens and design dataclasses.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ __all__ = [
     "lens_for_omega",
     "omega_for_lens",
     "design_trap",
-    "design_trap_cgs",
-    "ENERGY_SCALE_NOTE",
 ]
 
 

@@ -4,9 +4,9 @@ The library's public operations (thermo, coupling, trap, dispersion) take
 and return :class:`Quantity` values: a float magnitude plus a
 :class:`Dimension` over the mechanical base set {length, mass, time,
 temperature}.  Each one checks the dimensions of its arguments once and
-then calls a cgs float core (polbec.core, or dispersion's own); the cores
-pass plain floats between them, and the CLI, whose config parser checks
-each value's unit once, calls the cores without building a Quantity.
+then calls a cgs float core in polbec.core; the cores pass plain floats
+between them, and the CLI, whose config parser checks each value's unit
+once, calls the cores without building a Quantity.
 Charge is handled in the Gaussian convention and folded into the
 mechanical base set (1 esu = g^1/2 cm^3/2 s^-1), which is why dimension
 exponents are exact `Fraction`s rather than ints.
@@ -16,7 +16,7 @@ presentation layer reached through :func:`convert`.  Dimension checking
 happens at runtime on every arithmetic operation, so a mistranscribed
 formula fails loudly in the test suite instead of producing a silently
 wrong number.  The constants and the unit factors are defined once, in
-polbec.core, and re-exported here.
+polbec.core; UNITS and constant() pair them with their Dimensions here.
 """
 
 from __future__ import annotations
@@ -26,16 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .core import (
-    C_CGS,
-    CGS_UNITS,
-    DEBYE_ESU_CM,
-    EV_ERG,
-    H_CGS,
-    HBAR_CGS,
-    KB_CGS,
-    MEV_ERG,
-)
+from .core import C_CGS, CGS_UNITS, H_CGS, HBAR_CGS, KB_CGS
 
 __all__ = [
     "Dimension",
@@ -58,13 +49,6 @@ __all__ = [
     "DIPOLE_MOMENT",
     "CURVATURE",
     "UNITS",
-    "HBAR_CGS",
-    "H_CGS",
-    "C_CGS",
-    "KB_CGS",
-    "EV_ERG",
-    "MEV_ERG",
-    "DEBYE_ESU_CM",
 ]
 
 

@@ -14,14 +14,9 @@ import scipy.constants
 from scipy.integrate import quad
 
 from polbec.cli import main
+from polbec.core import C_CGS, HBAR_CGS, KB_CGS, branch_energies, hopfield_fractions
 from polbec.coupling import resonant_coupling
-from polbec.dispersion import (
-    ModeProblem,
-    branch_energies,
-    diagonalize_mode,
-    hopfield_fractions,
-    well_geometry,
-)
+from polbec.dispersion import ModeProblem, diagonalize_mode, well_geometry
 from polbec.thermo import (
     GasState,
     TrapSpec,
@@ -38,7 +33,7 @@ from polbec.thermo import (
     trapped_number,
 )
 from polbec.trap import design_trap, lens_for_omega, omega_for_lens
-from polbec.units import ENERGY, HBAR_CGS, C_CGS, KB_CGS, Quantity, qty
+from polbec.units import ENERGY, Quantity, qty
 
 from eigen_oracle import oracle_branch_arrays
 

@@ -16,7 +16,7 @@ import polbec
 from polbec import cli
 from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main, render_json
 from polbec.config import SweepSpec, sweep_values
-from polbec.units import EV_ERG
+from polbec.core import EV_ERG
 
 BASE_CFG = """\
 E0 = 2.104 eV
@@ -705,17 +705,16 @@ def test_cli_import_loads_no_thread_pool():
 
 
 def test_scalar_commands_load_no_numpy():
-    # only dispersion imports numpy and the Quantity layer; the scalar
-    # commands and their sweeps must start on the float cores and config
-    # alone.  dataclasses would pull in inspect, dis, tokenize and ast.
+    # the scalar commands and their sweeps must start on the float cores and
+    # config alone.  dataclasses would pull in inspect, dis, tokenize and ast.
     # typing and enum are not watched: site loads them before polbec.  The
-    # last case is the control: it shows that the probe sees numpy and the
-    # Quantity layer once a curve is sampled.
+    # curve commands, run last, load numpy (which loads inspect) when they
+    # sample, and still no module of the Quantity layer.
     root = Path(polbec.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     watched = ["numpy", "dataclasses", "fractions", "inspect", "polbec.units",
-               "polbec.thermo", "polbec.coupling", "polbec.trap"]
-    cases = [
+               "polbec.thermo", "polbec.coupling", "polbec.trap", "polbec.dispersion"]
+    scalar = [
         ["thresholds"],
         ["masses"],
         ["check-coupling"],
@@ -724,8 +723,14 @@ def test_scalar_commands_load_no_numpy():
          "--command", "thresholds"],
         ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "5",
          "--command", "masses"],
-        ["dispersion", "--samples", "5"],
     ]
+    curves = [
+        ["dispersion", "--samples", "5"],
+        ["hopfield", "--samples", "5"],
+        ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
+         "--samples", "5", "--command", "dispersion"],
+    ]
+    cases = scalar + curves
     probe = (
         "import json, os, sys\n"
         "import polbec.cli\n"
@@ -743,11 +748,12 @@ def test_scalar_commands_load_no_numpy():
          json.dumps(watched)],
         capture_output=True, text=True, env=env, check=True,
     )
-    after_import, *after_cases, (control_rc, control) = json.loads(result.stdout)
+    after_import, *after_cases = json.loads(result.stdout)
     assert after_import == []
-    assert after_cases == [[0, []]] * (len(cases) - 1)
-    assert control_rc == 0
-    assert {"numpy", "dataclasses", "polbec.units"} <= set(control)
+    assert after_cases[:len(scalar)] == [[0, []]] * len(scalar)
+    for rc, seen in after_cases[len(scalar):]:
+        assert rc == 0
+        assert set(seen) - {"inspect"} == {"numpy"}
 
 
 EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")

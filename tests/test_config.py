@@ -11,7 +11,8 @@ from polbec.config import (
     config_cgs,
     sweep_values,
 )
-from polbec.units import EV_ERG, MEV_ERG, UNITS, qty
+from polbec.core import EV_ERG, MEV_ERG
+from polbec.units import UNITS, qty
 
 GOOD = """\
 # comment line

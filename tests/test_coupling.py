@@ -3,23 +3,27 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from polbec.core import (
+    C_CGS,
+    HBAR_CGS,
+    _cooperative_frequency_cgs,
+    _resonant_length_cgs,
+    geometry_coupling_cgs,
+    resonant_coupling_cgs,
+    strong_coupling_cgs,
+)
 from polbec.coupling import (
     CavityParams,
     CouplingRegime,
     MediumParams,
-    _cooperative_frequency_cgs,
-    _resonant_length_cgs,
     cooperative_frequency,
     coupling_from_geometry,
-    geometry_coupling_cgs,
     is_strong_coupling,
     make_coupling,
     resonant_cavity_length,
     resonant_coupling,
-    resonant_coupling_cgs,
-    strong_coupling_cgs,
 )
-from polbec.units import ENERGY, HBAR_CGS, C_CGS, Quantity, qty
+from polbec.units import ENERGY, Quantity, qty
 
 from core_pairs import assert_same_outcome, magnitudes
 

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from polbec.core import C_CGS, HBAR_CGS, branch_energies, hopfield_fractions
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import (
     GridSpec,
     ModeProblem,
     NoWellError,
     ParaxialBoundWarning,
-    branch_energies,
     diagonalize_mode,
-    hopfield_fractions,
     photon_energy_freespace,
     photon_energy_paraxial,
     sample_dispersion,
     well_geometry,
 )
-from polbec.units import ENERGY, HBAR_CGS, C_CGS, Quantity, qty
+from polbec.units import ENERGY, Quantity, qty
 
 from eigen_oracle import oracle_branch_arrays, oracle_diagonalize
 

@@ -54,6 +54,7 @@ CONFIGS = {
     # trap's energy scale: E0 as the default of E_char, or E_char itself, not positive
     "negative-E0": PLAIN.replace("E0 = 2.104 eV", "E0 = -2 eV") + "m_eff = 5e-33 g\n",
     "negative-E_char": PLAIN + "E_char = -2 eV\n",
+    "negative-m_eff": PLAIN.replace("E0 = 2.104 eV", "E0 = 2 eV") + "m_eff = -5e-33 g\n",
 }
 
 SWEEPS = {
@@ -287,6 +288,11 @@ ERRORS = {
     "trap-E_char-negative": (
         "negative-E_char", "trap --target-tc 300 --n-particles 1e6",
         "polbec: config error: key 'E_char' must be positive, got -2 eV\n"),
+    # recorded once the lens core checked each argument on its own; before,
+    # it said "omega_eff must be >= 0; m_eff and energy_scale positive"
+    "trap-m_eff-negative": (
+        "negative-m_eff", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: error: m_eff must be positive\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value

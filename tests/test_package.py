@@ -1,5 +1,6 @@
 """The package's public names, each resolved from its submodule on first
-access, and no module importing a name it never uses."""
+access, each core name exported from one module only, and no module
+importing a name it never uses."""
 
 import ast
 import importlib
@@ -70,17 +71,21 @@ def test_dispersion_is_the_submodule():
 
 
 def test_dispersion_attribute_loads_it_in_a_fresh_interpreter():
+    # the module loads on first access; numpy only once a curve is sampled
     env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
     probe = (
         "import sys, polbec\n"
         "before = 'polbec.dispersion' in sys.modules\n"
         "module = polbec.dispersion\n"
         "print(before, module is sys.modules['polbec.dispersion'], 'numpy' in sys.modules)\n"
+        "coupling = polbec.resonant_coupling(polbec.qty(2.104, 'eV'), polbec.qty(1, 'meV'))\n"
+        "module.sample_dispersion(coupling, polbec.qty(2.104, 'eV'))\n"
+        "print('numpy' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.split() == ["False", "True", "True"]
+    assert result.stdout.split() == ["False", "True", "False", "True"]
 
 
 def test_bare_import_loads_no_submodule():
@@ -90,6 +95,20 @@ def test_bare_import_loads_no_submodule():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+MODULE_PATHS = sorted(Path(polbec.__file__).parent.glob("*.py"))
+SUBMODULES = [path.stem for path in MODULE_PATHS
+              if path.stem not in ("__init__", "__main__", "core")]
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_each_core_name_has_one_home(module):
+    # a submodule lists a polbec.core name in __all__ only when polbec.__all__
+    # maps that name to it
+    core_names = set(importlib.import_module("polbec.core").__all__)
+    exported = set(importlib.import_module(f"polbec.{module}").__all__)
+    assert exported & core_names == set(DEFINED_IN.get(module, ())) & core_names
 
 
 def test_unknown_attribute_names_it():
@@ -117,7 +136,6 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(polbec.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []

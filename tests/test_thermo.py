@@ -5,37 +5,42 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from polbec.coupling import CouplingParams, resonant_coupling
-from polbec.thermo import (
-    GasState,
+from polbec.core import (
+    C_CGS,
+    HBAR_CGS,
+    KB_CGS,
     TRAP_BEC_ZETA,
     ThresholdLadder,
-    TrapSpec,
     _condensate_fraction_cgs,
     _group_velocity_cm_s,
     _trapped_bec_temperature_from_N_K,
     _trapped_number_cgs,
-    chemical_potential,
-    condensate_fraction,
     condensation_ladder,
-    condensation_report,
-    degeneracy_temperature,
     degeneracy_temperature_K,
-    effective_masses,
     effective_masses_cgs,
-    group_velocity,
-    kt_temperature,
     kt_temperature_K,
     lambda_T_cm,
+    transverse_energy_erg,
+    trapped_bec_temperature_K,
+)
+from polbec.coupling import CouplingParams, resonant_coupling
+from polbec.thermo import (
+    GasState,
+    TrapSpec,
+    chemical_potential,
+    condensate_fraction,
+    condensation_report,
+    degeneracy_temperature,
+    effective_masses,
+    group_velocity,
+    kt_temperature,
     thermal_wavelength,
     transverse_energy,
-    transverse_energy_erg,
     trapped_bec_temperature,
-    trapped_bec_temperature_K,
     trapped_bec_temperature_from_N,
     trapped_number,
 )
-from polbec.units import ENERGY, HBAR_CGS, C_CGS, KB_CGS, Quantity, qty
+from polbec.units import ENERGY, DimensionError, Quantity, qty
 
 from core_pairs import assert_same_outcome, logs, magnitudes
 
@@ -154,7 +159,7 @@ class TestChemicalPotential:
         assert -1e-21 * KB_CGS * t_d < mu < 0
 
     def test_evaluation_branches_agree_at_switchover(self):
-        from polbec.thermo import mu_over_kbt
+        from polbec.core import mu_over_kbt
 
         x = math.log(2.0)
         assert mu_over_kbt(x) == pytest.approx(math.log(0.5), rel=1e-14)
@@ -415,6 +420,16 @@ class TestCondensationReport:
         assert report.t_c is not None
         with pytest.raises(ValueError, match="inconsistent trap"):
             condensation_report(state, TrapSpec(omega_eff=omega, u0=2 * u0_good, r0=r0))
+
+    @pytest.mark.parametrize("m_eff", [qty(5e-33, "erg"), 5e-33], ids=["energy", "float"])
+    def test_trap_consistency_checks_the_mass_dimension(self, m_eff):
+        omega = qty(5.0e10, "s^-1")
+        r0 = qty(1e-3, "cm")
+        u0 = Quantity(0.5 * M_REF.cgs * omega.cgs**2 * r0.cgs**2, ENERGY)
+        trap = TrapSpec(omega_eff=omega, u0=u0, r0=r0)
+        trap.check_consistency(M_REF)
+        with pytest.raises(DimensionError, match="m_eff"):
+            trap.check_consistency(m_eff)
 
     def test_custom_superfluid_density(self):
         state = GasState(temperature=T_REF, m_eff=M_REF, n2=qty(0.5e8, "cm^-2"))

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from polbec.core import _lens_cgs, _omega_for_lens_cgs, design_trap_cgs
 from polbec.thermo import trapped_bec_temperature_from_N
-from polbec.trap import (
-    LensProfile,
-    _lens_cgs,
-    _omega_for_lens_cgs,
-    design_trap,
-    design_trap_cgs,
-    lens_for_omega,
-    omega_for_lens,
-)
+from polbec.trap import LensProfile, design_trap, lens_for_omega, omega_for_lens
 from polbec.units import CURVATURE, Quantity, qty
 
 from core_pairs import assert_same_outcome, magnitudes
