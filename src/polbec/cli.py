@@ -10,8 +10,10 @@ The CLI imports polbec.core (the cgs float cores, the constants and the
 unit table) and polbec.config, and from the standard library argparse,
 json, math, re, sys, functools, itertools and, for the config digest,
 hashlib.  Only dispersion, hopfield and their sweeps sample a curve; the
-branch cores import numpy when they run.  So the scalar commands start
-without numpy, and no command loads dataclasses, fractions or any Quantity.
+branch cores import numpy when they run, and a CSV curve is printed
+through polbec.numtext, imported when it prints.  So the scalar commands
+start without numpy, and no command loads dataclasses, fractions or any
+Quantity.
 
 Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
@@ -19,12 +21,14 @@ library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
 config.  A thresholds sweep calls the ladder once, with the swept values as
 one argument's column (or the derived masses', for a key the mass reads),
-and its fields are the table's columns.  Every table is printed column-wise
-through one '%'-template, into which a column with one value throughout is
-printed once.  A JSON table prints its rows straight from the float columns, each
-number formatted once in json's spelling of the 12-digit value, and leaves
-only its header to json.  The argument parser is built once per process and
-shared by every later call of main.
+and its fields are the table's columns.  Every number is printed as '%.12g'
+prints it.  A CSV curve keeps its numpy columns and is printed by the
+numtext kernel, a block of rows at a time; every other table is printed
+column-wise through one '%'-template, into which a column with one value
+throughout is printed once.  A JSON table prints its rows straight from the
+float columns, each number formatted once in json's spelling of the 12-digit
+value, and leaves only its header to json.  The argument parser is built
+once per process and shared by every later call of main.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -152,11 +156,23 @@ def csv_lines(columns: list) -> list[str]:
     return [template % row for row in zip(*cells)]
 
 
-def render_csv(meta: list[str], header: list[str], lines: list[str]) -> str:
-    out = [f"# {m}" for m in meta]
-    out.append(",".join(header))
-    out.extend(lines)
-    return "\n".join(out) + "\n"
+def table_rows(columns: list) -> str:
+    """The CSV rows of a table of list columns, through csv_lines, each ended
+    by a newline."""
+    return "\n".join([*csv_lines(columns), ""])
+
+
+def curve_rows(tables: list) -> str:
+    """The CSV rows of curve tables given as lists of float columns, one table
+    after another, through the numtext kernel (which loads numpy)."""
+    import numpy as np
+    from .numtext import csv_rows
+    return csv_rows(np.concatenate([np.column_stack(columns) for columns in tables]))
+
+
+def render_csv(meta: list[str], header: list[str], rows: str) -> str:
+    """A CSV table: the metadata lines, the header and the rows' text."""
+    return "".join(f"# {m}\n" for m in meta) + ",".join(header) + "\n" + rows
 
 
 # json's indent=2 separators inside "rows": between rows and between cells
@@ -260,21 +276,23 @@ def _effective_mass(c: RunConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def _curve_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the dispersion or hopfield table of a config."""
+    """(meta, header, columns) of the dispersion or hopfield table of a config;
+    the columns are numpy arrays."""
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
-    k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
-        e_at, g, k_perp, args.samples, args.kmax)
+    try:
+        k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
+            e_at, g, k_perp, args.samples, args.kmax)
+    except MemoryError:
+        raise ValueError(
+            f"--samples {args.samples}: the k_par grid does not fit in memory") from None
     meta = [f"Delta_eV = {fmt(delta / EV_ERG)}", f"g_eV = {fmt(g / EV_ERG)}"]
-    # each scaled array is made into a list and dropped before the next
     if command == "hopfield":
         mismatch = e_at - e_ph
-        columns = [(k / k_perp).tolist(), (mismatch / EV_ERG).tolist(),
-                   (mismatch / g).tolist(), mu2.tolist(), nu2.tolist()]
+        columns = [k / k_perp, mismatch / EV_ERG, mismatch / g, mu2, nu2]
         meta.append("mu_sq is the photon fraction of the upper branch")
         return meta, HOPFIELD_HEADER, columns
-    columns = [(k / k_perp).tolist(), (e1 / EV_ERG).tolist(), (e2 / EV_ERG).tolist(),
-               mu2.tolist(), nu2.tolist(), (e_ph / EV_ERG).tolist(), (e_free / EV_ERG).tolist()]
+    columns = [k / k_perp, e1 / EV_ERG, e2 / EV_ERG, mu2, nu2, e_ph / EV_ERG, e_free / EV_ERG]
     meta += [
         f"k_perp_cm^-1 = {fmt(k_perp)}",
         f"grid: {args.samples} samples, k_par in [0, {fmt(args.kmax)}] * k_perp",
@@ -304,6 +322,9 @@ def _masses_table(c: RunConfig, command: str, args):
 
 # the table of each command that prints one per config, as a sweep repeats it
 TABLES = {"masses": _masses_table, "hopfield": _curve_table, "dispersion": _curve_table}
+
+# the commands whose table is a curve: numpy columns, printed through numtext
+CURVES = ("dispersion", "hopfield")
 
 
 # the config keys behind condensation_ladder's positional arguments
@@ -372,13 +393,16 @@ def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], columns: list) -> None:
-    """Write a command's table as CSV or JSON.  In JSON a curve is "columns"
-    and "rows"; the one row of masses or thresholds gives one key per column."""
+    """Write a command's table as CSV or JSON.  A curve's CSV rows come from
+    the numtext kernel; in JSON a curve is "columns" and "rows" (its columns
+    as lists).  The one row of masses or thresholds gives one key per column."""
     meta = _meta_head(cfg) + meta
+    curve = args.command in CURVES
     if args.format != "json":
-        text = render_csv(meta, header, csv_lines(columns))
-    elif args.command in ("dispersion", "hopfield"):
-        text = render_json({"metadata": meta, "columns": header, "rows": columns})
+        text = render_csv(meta, header, curve_rows([columns]) if curve else table_rows(columns))
+    elif curve:
+        rows = [col.tolist() for col in columns]
+        text = render_json({"metadata": meta, "columns": header, "rows": rows})
     else:
         text = render_json({"metadata": meta, **{h: col[0] for h, col in zip(header, columns)}})
     emit(text, args.out)
@@ -483,6 +507,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     if target == "thresholds":
         header = THRESHOLDS_HEADER
         columns = [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))]
+        rows = table_rows(columns)
     else:
         # one copy of the config; each value swaps in one float and gives
         # one group of rows
@@ -492,7 +517,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             c.values[spec.param] = config_cgs(spec, value)
             _, header, group = TABLES[target](c, target, args)
             groups.append([[value] * len(group[0]), *group])
-        columns = [[v for part in parts for v in part] for parts in zip(*groups)]
+        if target in CURVES:
+            rows = curve_rows(groups)
+        else:
+            rows = table_rows([[v for part in parts for v in part] for parts in zip(*groups)])
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
@@ -502,7 +530,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         + (f", values in {unit}" if unit else ""),
         f"target: {target}",
     ]
-    emit(render_csv(meta, [sweep_col, *header], csv_lines(columns)), args.out)
+    emit(render_csv(meta, [sweep_col, *header], rows), args.out)
     return EXIT_OK
 
 

@@ -712,6 +712,18 @@ def _check_grid(n_samples: int, k_max_frac: float) -> None:
         raise ValueError(f"k_max_frac must be positive, got {k_max_frac}")
 
 
+def _check_window(e_at: float, g: float, k_perp: float, k_max_frac: float) -> None:
+    """The grid edge k_max_frac * k_perp, the paraxial photon energy there and
+    twice the upper branch there (the sum branch_energies forms) stay in the
+    float range; both energies grow with k_par, so then they do on the grid."""
+    e_ph = photon_paraxial_erg(k_max_frac * k_perp, k_perp)
+    if not math.isfinite(e_at + e_ph + math.hypot(e_at - e_ph, 2.0 * g)):
+        raise OverflowError(
+            f"kmax = {k_max_frac:g} puts the grid edge kmax * k_perp out of range: "
+            f"the photon energy there overflows"
+        )
+
+
 def _check_increasing(k_par) -> None:
     """Value check of DispersionCurve, on an array."""
     import numpy as np
@@ -785,6 +797,7 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
     """
     import numpy as np
     _check_grid(n_samples, k_max_frac)
+    _check_window(e_at, g, k_perp, k_max_frac)
     if k_max_frac > DEFAULT_PARAXIAL_BOUND:
         warnings.warn(
             f"grid edge {k_max_frac:g} * k_perp exceeds the paraxial bound "

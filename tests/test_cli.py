@@ -709,10 +709,11 @@ def test_scalar_commands_load_no_numpy():
     # config alone.  dataclasses would pull in inspect, dis, tokenize and ast.
     # typing and enum are not watched: site loads them before polbec.  The
     # curve commands, run last, load numpy (which loads inspect) when they
-    # sample, and still no module of the Quantity layer.
+    # sample and the numtext kernel when they print CSV, and still no module
+    # of the Quantity layer.
     root = Path(polbec.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    watched = ["numpy", "dataclasses", "fractions", "inspect", "polbec.units",
+    watched = ["numpy", "polbec.numtext", "dataclasses", "fractions", "inspect", "polbec.units",
                "polbec.thermo", "polbec.coupling", "polbec.trap", "polbec.dispersion"]
     scalar = [
         ["thresholds"],
@@ -753,7 +754,7 @@ def test_scalar_commands_load_no_numpy():
     assert after_cases[:len(scalar)] == [[0, []]] * len(scalar)
     for rc, seen in after_cases[len(scalar):]:
         assert rc == 0
-        assert set(seen) - {"inspect"} == {"numpy"}
+        assert set(seen) - {"inspect"} == {"numpy", "polbec.numtext"}
 
 
 EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")
@@ -984,34 +985,37 @@ def test_csv_lines_matches_per_cell_formatting(columns):
 
 class TestFormatOnce:
     """A JSON curve prints its rows from the columns; only the fallback for
-    numbers whose json spelling is not the 12-digit one, and CSV output,
-    go through csv_lines."""
+    numbers whose json spelling is not the 12-digit one goes through
+    csv_lines.  A CSV curve goes through the numtext kernel once."""
 
     @pytest.mark.parametrize(
-        "argv, calls",
+        "argv, calls, kernel_calls",
         [
-            (["dispersion", "--format", "json"], 0),
-            (["hopfield", "--format", "json"], 0),
+            (["dispersion", "--format", "json"], 0, 0),
+            (["hopfield", "--format", "json"], 0, 0),
             # prints 263000000002 and 1.052e+12
-            (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 1),
-            (["dispersion"], 1),
+            (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 1, 0),
+            (["dispersion"], 0, 1),
         ],
         ids=["json", "hopfield-json", "json-fallback", "csv"],
     )
-    def test_csv_lines_calls(self, monkeypatch, argv, calls):
-        seen = []
-        real = cli.csv_lines
+    def test_csv_lines_calls(self, monkeypatch, argv, calls, kernel_calls):
+        from polbec import numtext
+        seen, kernel_seen = [], []
 
-        def counted(columns):
-            seen.append(len(columns))
-            return real(columns)
+        def counted(real, log):
+            def call(arg):
+                log.append(len(arg))
+                return real(arg)
+            return call
 
-        monkeypatch.setattr(cli, "csv_lines", counted)
+        monkeypatch.setattr(cli, "csv_lines", counted(cli.csv_lines, seen))
+        monkeypatch.setattr(numtext, "csv_rows", counted(numtext.csv_rows, kernel_seen))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
             code = main([argv[0], "--config", EXAMPLE_CFG, "--out", os.devnull, *argv[1:]])
         assert code == 0
-        assert len(seen) == calls
+        assert (len(seen), len(kernel_seen)) == (calls, kernel_calls)
 
 
 @pytest.mark.parametrize("command", ["dispersion", "hopfield"])

@@ -206,6 +206,9 @@ def test_output_bytes_match_recorded_digest(tmp_path, name):
     assert (code, hashlib.sha256(data).hexdigest()) == DIGESTS[name]
 
 
+KMAX_OVERFLOW = ("kmax = %s puts the grid edge kmax * k_perp out of range: "
+                 "the photon energy there overflows")
+
 # name -> (config, command line, exact stderr); every one exits 1 and writes
 # nothing.  Negative exponent literals take '--to=' form, because argparse reads
 # '-1e7' as an option.
@@ -293,11 +296,32 @@ ERRORS = {
     "trap-m_eff-negative": (
         "negative-m_eff", "trap --target-tc 300 --n-particles 1e6",
         "polbec: error: m_eff must be positive\n"),
+    # recorded with the grid-edge check; before it, numpy warned and the run
+    # failed on "k_par grid must be strictly increasing", or blamed 'g'
+    "dispersion-kmax-inf": (
+        "example", "dispersion --kmax inf",
+        f"polbec: error: {KMAX_OVERFLOW % 'inf'}\n"),
+    "hopfield-kmax-1e308": (
+        "example", "hopfield --kmax 1e308",
+        f"polbec: error: {KMAX_OVERFLOW % '1e+308'}\n"),
+    "hopfield-kmax-1e300-3-samples": (
+        "example", "hopfield --samples 3 --kmax 1e300",
+        f"polbec: error: {KMAX_OVERFLOW % '1e+300'}\n"),
+    # a grid no 64-bit address space holds, so the allocation fails at once;
+    # before, the run ended in numpy's _ArrayMemoryError traceback
+    "dispersion-samples-1e17": (
+        "example", "dispersion --samples 100000000000000000",
+        "polbec: error: --samples 100000000000000000: "
+        "the k_par grid does not fit in memory\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
-# that rebuilt a RunConfig per value
+# that rebuilt a RunConfig per value (the kmax case after the grid-edge check)
 for _target in ("dispersion", "hopfield"):
     ERRORS.update({
+        f"{_target}-Delta-kmax-inf": (
+            "plain", f"sweep --param Delta --from -0.001 --to 0.001 --steps 3 --kmax inf "
+                     f"--command {_target}",
+            f"polbec: error: {KMAX_OVERFLOW % 'inf'}\n"),
         f"{_target}-g-through-0": (
             "plain", f"sweep --param g --from 0.001 --to -0.001 --steps 3 --command {_target}",
             'polbec: error: g must be strictly positive, got 0.0\n'),
