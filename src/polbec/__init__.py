@@ -12,10 +12,11 @@ __version__ = "0.1.0"
 
 import importlib
 
-# Every public name, by the submodule that defines it.  Nothing is imported
-# here: a name, or the submodule itself, is resolved on first access
-# (PEP 562), so `import polbec.cli` loads the float cores and the config
-# parser only, and only dispersion needs numpy.
+# Every public name, by the submodule that defines it; each submodule's
+# __all__ is its entry here (units adds its named dimensions and UNITS).
+# Nothing is imported here: a name, or the submodule itself, is resolved on
+# first access (PEP 562), so `import polbec.cli` loads the float cores and
+# the config parser only, and only dispersion needs numpy.
 _SUBMODULE_NAMES = {
     "units": ("Dimension", "DimensionError", "Quantity", "constant", "convert", "qty"),
     "coupling": (

@@ -58,10 +58,10 @@ from .core import (
     ENERGY_SCALE_NOTE,
     EV_ERG,
     KB_CGS,
-    MEV_ERG,
     CouplingRegime,
     NoWellError,
     ThresholdLadder,
+    range_error,
     check_cavity,
     condensation_ladder,
     design_trap_cgs,
@@ -281,6 +281,8 @@ def _curve_table(c: RunConfig, command: str, args):
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
     try:
+        if args.samples > sys.maxsize // 16:  # near 2^63 bytes numpy raises ValueError
+            raise MemoryError
         k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
             e_at, g, k_perp, args.samples, args.kmax)
     except MemoryError:
@@ -289,6 +291,10 @@ def _curve_table(c: RunConfig, command: str, args):
     meta = [f"Delta_eV = {fmt(delta / EV_ERG)}", f"g_eV = {fmt(g / EV_ERG)}"]
     if command == "hopfield":
         mismatch = e_at - e_ph
+        # mismatch falls along the grid, so its ends bound mismatch / g
+        if max(-mismatch[-1], mismatch[0]).item() / g == math.inf:
+            raise OverflowError(f"(E0 - E_ph) / g leaves the float range on the grid for "
+                                f"--kmax {args.kmax:g}, 'g' = {g / EV_ERG:g} eV")
         columns = [k / k_perp, mismatch / EV_ERG, mismatch / g, mu2, nu2]
         meta.append("mu_sq is the photon fraction of the upper branch")
         return meta, HOPFIELD_HEADER, columns
@@ -308,7 +314,10 @@ def _masses_table(c: RunConfig, command: str, args):
         delta, g, k_perp)
     n_s = c.get("n_s", c.get("n2"))
     t_kt = [None, None] if n_s is None else [kt_temperature_K(n_s, m) for m in (m_upper, m_lower)]
-    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(g / KB_CGS)}"]
+    t_eff = g / KB_CGS  # above g / EV_ERG, so g_eV is finite with it
+    if t_eff == math.inf:
+        raise range_error("T_eff = g / kB", g=f"{g:g} erg")
+    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(t_eff)}"]
     if upper_saturated or lower_saturated:
         meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
     unit = "g" if args.units == "cgs" else "kg"
@@ -377,15 +386,14 @@ def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
     """The THRESHOLDS_HEADER columns of a ladder over `rows` values.
 
     A field that is not a column holds for every row.  The ladder's fields
-    are in the header's order and units but for two: n2 comes before n3,
-    and mu is in erg (printed in meV).  n3 and the trap columns are None in
-    every row or in none, but N2 is None where omega_eff = 0, so it goes
-    through text_column.
+    are in the header's order and units but for n2, which comes before n3.
+    n3 and the trap columns are None in every row or in none, but N2 is None
+    where omega_eff = 0, so it goes through text_column.
     """
     t, m, n2, n3, lam, r_int, t_d, t_kt, mu, omega, t_c, n_trapped, *rest = (
         f if type(f) is list else [f] * rows for f in ladder[:16])
-    return [t, m, n3, n2, lam, r_int, t_d, t_kt, [v / MEV_ERG for v in mu],
-            omega, t_c, text_column(n_trapped), *rest]
+    return [t, m, n3, n2, lam, r_int, t_d, t_kt, mu, omega, t_c, text_column(n_trapped),
+            *rest]
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +470,11 @@ def cmd_thresholds(cfg: RunConfig, args) -> int:
 
 
 def cmd_trap(cfg: RunConfig, args) -> int:
-    if args.target_tc is None or args.n_particles is None:
-        raise ConfigError("trap requires --target-tc and --n-particles")
-    if args.target_tc <= 0 or args.n_particles <= 0:
-        raise ConfigError("--target-tc and --n-particles must be positive")
+    n_particles = cfg.get("N") if args.n_particles is None else args.n_particles
+    if args.target_tc is None or n_particles is None:
+        raise ConfigError("trap requires --target-tc and --n-particles (or the key 'N')")
+    if args.target_tc <= 0 or n_particles <= 0:
+        raise ConfigError("--target-tc and --n-particles (or the key 'N') must be positive")
     m_eff = _effective_mass(cfg)
     key = "E_char" if "E_char" in cfg.values else "E0"
     e_char = cfg.get(key)
@@ -474,9 +483,12 @@ def cmd_trap(cfg: RunConfig, args) -> int:
     if not e_char > 0:
         default = " (the default of 'E_char')" if key == "E0" else ""
         raise ConfigError(f"key '{key}'{default} must be positive, got {e_char / EV_ERG:g} eV")
+    e_char_ev = e_char / EV_ERG
+    if e_char_ev == math.inf:
+        raise range_error("E_char in eV", **{key: f"{e_char:g} erg"})
     n0 = cfg.get("n0", 1.0)
     omega, n_prime, r_max, fits = design_trap_cgs(
-        args.target_tc, args.n_particles, m_eff, e_char, n0, cfg.get("d_beam"))
+        args.target_tc, n_particles, m_eff, e_char, n0, cfg.get("d_beam"))
     if fits is False:
         sys.stderr.write(
             "warning: beam diameter exceeds the harmonic region of the lens profile\n"
@@ -487,7 +499,7 @@ def cmd_trap(cfg: RunConfig, args) -> int:
         "n_prime_cm2": n_prime,
         "n0": n0,
         "r_max_cm": r_max,
-        "E_char_eV": e_char / EV_ERG,
+        "E_char_eV": e_char_ev,
         "assumption_note": ENERGY_SCALE_NOTE,
     })
     emit(text, args.out)
@@ -556,10 +568,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(sub, name: str, help_text: str, grid: bool = False) -> argparse.ArgumentParser:
-    """A subcommand with the options every command takes, and with grid
-    the options of a curve."""
+def _add_command(sub, name: str, handler, help_text: str,
+                 grid: bool = False) -> argparse.ArgumentParser:
+    """A subcommand that main runs through handler, with the options every
+    command takes, and with grid the options of a curve."""
     p = sub.add_parser(name, help=help_text)
+    p.set_defaults(handler=handler)
     p.add_argument("--config", required=True, help="path to key = value config file")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -586,17 +600,20 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "check-coupling", "strong-coupling regime test")
+    p = _add_command(sub, "check-coupling", cmd_check_coupling, "strong-coupling regime test")
     p.add_argument("--threshold", type=float, default=10.0,
                    help="ratio above which the regime counts as strong")
-    _add_command(sub, "dispersion", "sample both polariton branches over k_par", grid=True)
-    _add_command(sub, "hopfield", "photon/matter composition along the grid", grid=True)
-    _add_command(sub, "masses", "photon and branch curvature masses")
-    _add_command(sub, "thresholds", "condensation threshold ladder")
-    p = _add_command(sub, "trap", "design a lens profile for a target T_c")
+    _add_command(sub, "dispersion", cmd_table, "sample both polariton branches over k_par",
+                 grid=True)
+    _add_command(sub, "hopfield", cmd_table, "photon/matter composition along the grid",
+                 grid=True)
+    _add_command(sub, "masses", cmd_table, "photon and branch curvature masses")
+    _add_command(sub, "thresholds", cmd_thresholds, "condensation threshold ladder")
+    p = _add_command(sub, "trap", cmd_trap, "design a lens profile for a target T_c")
     p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
     p.add_argument("--n-particles", type=float, default=None, help="particle number N")
-    p = _add_command(sub, "sweep", "sweep one config key through a target command", grid=True)
+    p = _add_command(sub, "sweep", cmd_sweep, "sweep one config key through a target command",
+                     grid=True)
     p.add_argument("--param", required=True, help="config key to sweep")
     p.add_argument("--from", dest="sweep_from", type=float, required=True,
                    help="start value in the key's canonical unit")
@@ -608,17 +625,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_COMMANDS = {
-    "check-coupling": cmd_check_coupling,
-    "dispersion": cmd_table,
-    "hopfield": cmd_table,
-    "masses": cmd_table,
-    "thresholds": cmd_thresholds,
-    "trap": cmd_trap,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -627,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
             args.format = cfg.get("format", "csv")
         if args.units is None:
             args.units = cfg.get("units", "cgs")
-        return _COMMANDS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"polbec: config error: {exc}\n")
         return EXIT_USAGE

@@ -155,11 +155,13 @@ _MU_ZERO_X = 30.0
 
 
 class ThresholdLadder(NamedTuple):
-    """The threshold ladder as cgs floats: K, g, cm^-2, cm^-3, cm, erg, s^-1.
+    """The threshold ladder as cgs floats: K, g, cm^-2, cm^-3, cm, s^-1, but
+    mu in meV, the unit the thresholds table prints, so that it stays a normal
+    double where its value in erg would be subnormal.
 
-    Field for field the magnitudes of thermo.CondensationReport, None where
-    the report has None.  A field that depends on a list argument of
-    condensation_ladder (a column) is the list of its values.
+    Field for field the magnitudes of thermo.CondensationReport (whose mu is
+    in erg), None where the report has None.  A field that depends on a list
+    argument of condensation_ladder (a column) is the list of its values.
     """
 
     temperature: float
@@ -455,7 +457,7 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
                             f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g") from None
     x = _each(operator.truediv, t_d, t_k)
     try:
-        mu = _each(lambda t, r: KB_CGS * t * mu_over_kbt(r), t_k, x)
+        mu = _each(lambda t, r: (KB_CGS * t / MEV_ERG) * mu_over_kbt(r), t_k, x)
     except ValueError:  # log(0): T_d/T = n2 lambda_T^2 underflows to 0
         raise ValueError(
             f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density()}, 'm_eff' = {m_g:g} g"

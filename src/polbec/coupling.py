@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _SUBMODULE_NAMES
 from .core import (
     DEFAULT_STRONG_THRESHOLD,
     HBAR_CGS,
@@ -43,19 +44,7 @@ from .units import (
     magnitude_in_cgs,
 )
 
-__all__ = [
-    "MediumParams",
-    "CavityParams",
-    "CouplingParams",
-    "CouplingRegime",
-    "StrongCouplingCheck",
-    "cooperative_frequency",
-    "is_strong_coupling",
-    "coupling_from_geometry",
-    "make_coupling",
-    "resonant_cavity_length",
-    "resonant_coupling",
-]
+__all__ = list(_SUBMODULE_NAMES["coupling"])
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from . import _SUBMODULE_NAMES
 from .core import (
     DEFAULT_PARAXIAL_BOUND,
     NoWellError,
@@ -50,20 +51,7 @@ from .units import ENERGY, Quantity, WAVENUMBER, magnitude_in_cgs
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "ModeProblem",
-    "BranchPoint",
-    "GridSpec",
-    "DispersionCurve",
-    "WellGeometry",
-    "NoWellError",
-    "ParaxialBoundWarning",
-    "photon_energy_paraxial",
-    "photon_energy_freespace",
-    "diagonalize_mode",
-    "sample_dispersion",
-    "well_geometry",
-]
+__all__ = list(_SUBMODULE_NAMES["dispersion"])
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from . import _SUBMODULE_NAMES
 from .core import (
+    MEV_ERG,
     _check_gas,
     _check_trap,
     _check_trap_consistency,
@@ -57,24 +59,7 @@ from .units import (
     magnitude_in_cgs,
 )
 
-__all__ = [
-    "PolaritonMasses",
-    "GasState",
-    "TrapSpec",
-    "CondensationReport",
-    "effective_masses",
-    "transverse_energy",
-    "group_velocity",
-    "thermal_wavelength",
-    "degeneracy_temperature",
-    "chemical_potential",
-    "kt_temperature",
-    "trapped_bec_temperature",
-    "trapped_bec_temperature_from_N",
-    "trapped_number",
-    "condensate_fraction",
-    "condensation_report",
-]
+__all__ = list(_SUBMODULE_NAMES["thermo"])
 
 
 def _opt_cgs(q: Quantity | None) -> float | None:
@@ -212,11 +197,12 @@ def degeneracy_temperature(n2: Quantity, m: Quantity) -> Quantity:
 def chemical_potential(state: GasState) -> Quantity:
     """mu = kB T ln(1 - exp(-T_d/T)), always negative, -> 0- as T -> 0.
 
-    The mu column of condensation_ladder; without n2 it is estimated as
-    lambda_T(T) * n3 there.
+    The mu column of condensation_ladder, which is in meV; without n2 it is
+    estimated as lambda_T(T) * n3 there.
     """
     return Quantity(condensation_ladder(state.temperature.cgs, state.m_eff.cgs,
-                                        _opt_cgs(state.n2), _opt_cgs(state.n3)).mu, ENERGY)
+                                        _opt_cgs(state.n2), _opt_cgs(state.n3)).mu * MEV_ERG,
+                    ENERGY)
 
 
 def kt_temperature(n_s: Quantity, m: Quantity) -> Quantity:
@@ -280,10 +266,11 @@ def condensation_report(
         None if n_s is None else magnitude_in_cgs(n_s, AREA_DENSITY, "n_s"),
     )
     quantities = {"lambda_t": LENGTH, "r_int": LENGTH, "t_degeneracy": TEMPERATURE,
-                  "t_kt": TEMPERATURE, "mu": ENERGY}
+                  "t_kt": TEMPERATURE}
     return CondensationReport(**{
         **lad._asdict(),
         **{name: Quantity(getattr(lad, name), dim) for name, dim in quantities.items()},
+        "mu": Quantity(lad.mu * MEV_ERG, ENERGY),
         "temperature": state.temperature,
         "m_eff": state.m_eff,
         "n2": Quantity(lad.n2, AREA_DENSITY) if lad.n2_estimated else state.n2,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _SUBMODULE_NAMES
 from .core import (
     ENERGY_SCALE_NOTE,
     _DEFAULT_R_MAX_FRAC,
@@ -43,13 +44,7 @@ from .units import (
     magnitude_in_cgs,
 )
 
-__all__ = [
-    "LensProfile",
-    "TrapDesign",
-    "lens_for_omega",
-    "omega_for_lens",
-    "design_trap",
-]
+__all__ = list(_SUBMODULE_NAMES["trap"])
 
 
 @dataclass(frozen=True)

@@ -26,29 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from . import _SUBMODULE_NAMES
 from .core import C_CGS, CGS_UNITS, H_CGS, HBAR_CGS, KB_CGS
 
 __all__ = [
-    "Dimension",
-    "DimensionError",
-    "Quantity",
-    "qty",
-    "constant",
-    "convert",
-    "DIMENSIONLESS",
-    "LENGTH",
-    "MASS",
-    "TIME",
-    "TEMPERATURE",
-    "ENERGY",
-    "FREQUENCY",
-    "VELOCITY",
-    "WAVENUMBER",
-    "VOLUME_DENSITY",
-    "AREA_DENSITY",
-    "DIPOLE_MOMENT",
-    "CURVATURE",
-    "UNITS",
+    *_SUBMODULE_NAMES["units"],
+    "DIMENSIONLESS", "LENGTH", "MASS", "TIME", "TEMPERATURE", "ENERGY", "FREQUENCY",
+    "VELOCITY", "WAVENUMBER", "VOLUME_DENSITY", "AREA_DENSITY", "DIPOLE_MOMENT",
+    "CURVATURE", "UNITS",
 ]
 
 

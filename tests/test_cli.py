@@ -224,6 +224,36 @@ class TestThresholds:
         assert data.endswith(b"\n")
         assert b"\r" not in data
 
+    def test_mu_where_its_erg_value_is_subnormal(self, tmp_path):
+        # T_d/T from 767 down to 703: mu in erg would be subnormal or 0 in
+        # every row; in meV it is a normal double at 0.72 K, and below the
+        # smallest double at 0.66 and 0.68 K.  The oracle is the closed form
+        # at 40 digits in mpmath, with h, kB and e from scipy.constants.
+        import mpmath
+        import scipy.constants
+
+        cfg = "T = 1 K\nm_eff = 5e-33 g\nn2 = 0.5e8 cm^-2\n"
+        code, data = run(tmp_path, cfg, ["sweep", "--param", "T", "--from", "0.66", "--to",
+                                         "0.72", "--steps", "4", "--command", "thresholds"])
+        assert code == 0
+        _, header, rows = parse_csv(data)
+        printed = {row[0]: row[header.index("mu_meV")] for row in rows}
+        with mpmath.workdps(40):
+            hbar = mpmath.mpf(scipy.constants.h) * 10**7 / (2 * mpmath.pi)
+            kb = mpmath.mpf(scipy.constants.k) * 10**7
+            mev = mpmath.mpf(scipy.constants.e) * 10**4  # erg
+            t_d = 2 * mpmath.pi * hbar**2 * mpmath.mpf("0.5e8") / (mpmath.mpf("5e-33") * kb)
+
+            def mu_mev(t):
+                t = mpmath.mpf(t)
+                return kb * t * mpmath.log1p(-mpmath.exp(-t_d / t)) / mev
+
+            expected = float(mu_mev("0.72"))
+            assert float(printed["0.72"]) == pytest.approx(expected, rel=1e-11, abs=0)
+            for t in ("0.66", "0.68"):
+                assert printed[t] == "-0"
+                assert 0 < -mu_mev(t) < mpmath.mpf(math.ulp(0.0)) / 2  # rounds to -0
+
 
 class TestTrap:
     def test_reference_design(self, tmp_path):
@@ -258,6 +288,25 @@ class TestTrap:
         assert code == 1
         code, _ = run(tmp_path, BASE_CFG, ["trap", "--target-tc", "300", "--n-particles", "0"])
         assert code == 1
+
+    def test_n_particles_wins_over_the_key(self, tmp_path):
+        _, flag = run(tmp_path, BASE_CFG + "N = 1e6\n",
+                      ["trap", "--target-tc", "300", "--n-particles", "2e6"], "a")
+        _, key = run(tmp_path, BASE_CFG + "N = 2e6\n", ["trap", "--target-tc", "300"], "b")
+        assert flag == key
+
+    @pytest.mark.parametrize("config_text, argv", [
+        (BASE_CFG, []),
+        (BASE_CFG + "N = 0\n", []),
+        (BASE_CFG + "N = -1e6\n", []),
+        (BASE_CFG + "N = 1e6\n", ["--n-particles", "0"]),
+    ])
+    def test_missing_or_non_positive_count_names_flag_and_key(
+            self, tmp_path, capsys, config_text, argv):
+        code, data = run(tmp_path, config_text, ["trap", "--target-tc", "300", *argv])
+        assert (code, data) == (1, b"")
+        err = capsys.readouterr().err
+        assert "--n-particles" in err and "'N'" in err
 
 
 class TestSweep:

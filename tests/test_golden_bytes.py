@@ -55,6 +55,16 @@ CONFIGS = {
     "negative-E0": PLAIN.replace("E0 = 2.104 eV", "E0 = -2 eV") + "m_eff = 5e-33 g\n",
     "negative-E_char": PLAIN + "E_char = -2 eV\n",
     "negative-m_eff": PLAIN.replace("E0 = 2.104 eV", "E0 = 2 eV") + "m_eff = -5e-33 g\n",
+    # the particle count as a key, the default of trap --n-particles
+    "example-N": (Path(__file__).resolve().parents[1] / "example.cfg").read_text() + "N = 1e6\n",
+    # energies the eV and kelvin columns cannot hold, once scaled
+    "g-1e300-erg": PLAIN.replace("g = 1 meV", "g = 1e300 erg"),
+    "E_char-1e300-erg": PLAIN + "m_eff = 5e-33 g\nE_char = 1e300 erg\n",
+    # a one-wavelength mode with a tiny coupling: (E0 - E_ph) / g overflows far out
+    "tiny-coupling": PLAIN.replace("E0 = 2.104 eV", "E0 = 1e-9 eV")
+                          .replace("mode_index = 33940", "mode_index = 1")
+                          .replace("g = 1 meV", "g = 1e-20 eV")
+                          .replace("d_beam = 2e-4 cm\n", "") + "m_eff = 5e-33 g\n",
 }
 
 SWEEPS = {
@@ -115,6 +125,7 @@ def _cases() -> dict:
         cases[f"{command}-example-json"] = ("example", [command, "--format", "json"])
     cases["masses-example-si"] = ("example", ["masses", "--units", "si"])
     cases["trap-example"] = ("example", ["trap", "--target-tc", "300", "--n-particles", "1e6"])
+    cases["trap-example-N"] = ("example-N", ["trap", "--target-tc", "300"])
     return cases
 
 
@@ -187,6 +198,8 @@ DIGESTS = {
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
     "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
     "trap-example": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
+    # N = 1e6 in the config gives the bytes of --n-particles 1e6
+    "trap-example-N": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
 }
 
 
@@ -313,6 +326,24 @@ ERRORS = {
         "example", "dispersion --samples 100000000000000000",
         "polbec: error: --samples 100000000000000000: "
         "the k_par grid does not fit in memory\n"),
+    # past 2^59 samples numpy cannot size the grid and raised a ValueError that
+    # named no flag ("Maximum allowed size exceeded")
+    "dispersion-samples-1e20": (
+        "example", "dispersion --samples 100000000000000000000",
+        "polbec: error: --samples 100000000000000000000: "
+        "the k_par grid does not fit in memory\n"),
+    # recorded with the checks of the scaled values; before them, each printed
+    # inf (or json's Infinity) with exit 0
+    "hopfield-delta-over-g-overflows": (
+        "tiny-coupling", "hopfield --samples 3 --kmax 1e150",
+        "polbec: error: (E0 - E_ph) / g leaves the float range on the grid for "
+        "--kmax 1e+150, 'g' = 1e-20 eV\n"),
+    "masses-g-1e300-erg": (
+        "g-1e300-erg", "masses",
+        "polbec: error: T_eff = g / kB leaves the float range for 'g' = 1e+300 erg\n"),
+    "trap-E_char-1e300-erg": (
+        "E_char-1e300-erg", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: error: E_char in eV leaves the float range for 'E_char' = 1e+300 erg\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)

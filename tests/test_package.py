@@ -111,13 +111,35 @@ def test_each_core_name_has_one_home(module):
     assert exported & core_names == set(DEFINED_IN.get(module, ())) & core_names
 
 
+# the names units exports beside its entry in polbec._SUBMODULE_NAMES
+UNITS_OWN = ["DIMENSIONLESS", "LENGTH", "MASS", "TIME", "TEMPERATURE", "ENERGY", "FREQUENCY",
+             "VELOCITY", "WAVENUMBER", "VOLUME_DENSITY", "AREA_DENSITY", "DIPOLE_MOMENT",
+             "CURVATURE", "UNITS"]
+
+
+@pytest.mark.parametrize("module", list(DEFINED_IN))
+def test_submodule_all_is_its_table_entry(module):
+    own = UNITS_OWN if module == "units" else []
+    exported = importlib.import_module(f"polbec.{module}").__all__
+    assert exported == [*polbec._SUBMODULE_NAMES[module], *own]
+    assert sorted(exported) == sorted([*DEFINED_IN[module], *own])
+
+
 def test_unknown_attribute_names_it():
     with pytest.raises(AttributeError, match="no attribute 'banana'"):
         polbec.banana
 
 
+def _runtime_all(path: Path) -> tuple:
+    """The module's __all__ as it is once imported, or () without one."""
+    if path.stem == "__main__":  # importing it runs the CLI, and it has no __all__
+        return ()
+    module = "polbec" if path.stem == "__init__" else f"polbec.{path.stem}"
+    return getattr(importlib.import_module(module), "__all__", ())
+
+
 def _unused_imports(path: Path) -> list[str]:
-    """Names a module imports but neither uses nor lists in __all__."""
+    """Names a module imports but neither uses nor lists in its __all__."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
@@ -128,11 +150,7 @@ def _unused_imports(path: Path) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(c.value for c in ast.walk(node.value)
-                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    used.update(_runtime_all(path))
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 

@@ -9,6 +9,7 @@ from polbec.core import (
     C_CGS,
     HBAR_CGS,
     KB_CGS,
+    MEV_ERG,
     TRAP_BEC_ZETA,
     ThresholdLadder,
     _condensate_fraction_cgs,
@@ -655,6 +656,13 @@ def test_effective_masses_equal_their_core(g, ratio, sign, k_perp):
                         m.lower_saturated))
 
 
+def ladder_mu_in_erg(*args) -> ThresholdLadder:
+    """condensation_ladder with its mu (in meV) in erg, as the Quantity
+    operations build it."""
+    ladder = condensation_ladder(*args)
+    return ladder._replace(mu=ladder.mu * MEV_ERG)
+
+
 @given(t=logs(*T_K), m=logs(*M_G), n2=st.none() | logs(*N2_CM2), n3=logs(*N3_CM3),
        omega_eff=st.none() | st.just(0.0) | logs(*OMEGA_S1), n_s=st.none() | logs(*N2_CM2))
 def test_gas_operations_equal_the_ladder(t, m, n2, n3, omega_eff, n_s):
@@ -662,10 +670,10 @@ def test_gas_operations_equal_the_ladder(t, m, n2, n3, omega_eff, n_s):
                      qty(n3, "cm^-3"))
     trap = None if omega_eff is None else TrapSpec(qty(omega_eff, "s^-1"))
     ladder = [t, m, n2, n3, omega_eff, None, None, n_s]
-    assert_same_outcome(chemical_potential, lambda *a: condensation_ladder(*a).mu,
+    assert_same_outcome(chemical_potential, lambda *a: condensation_ladder(*a).mu * MEV_ERG,
                         [state], ladder[:4])
     assert_same_outcome(
-        condensation_report, condensation_ladder,
+        condensation_report, ladder_mu_in_erg,
         [state, trap, None if n_s is None else qty(n_s, "cm^-2")], ladder,
         view=lambda report: ThresholdLadder(*(
             getattr(report, name).cgs if isinstance(getattr(report, name), Quantity)
