@@ -19,16 +19,21 @@ Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
 library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
-config.  A thresholds sweep calls the ladder once, with the swept values as
-one argument's column (or the derived masses', for a key the mass reads),
-and its fields are the table's columns.  Every number is printed as '%.12g'
-prints it.  A CSV curve keeps its numpy columns and is printed by the
-numtext kernel, a block of rows at a time; every other table is printed
-column-wise through one '%'-template, into which a column with one value
-throughout is printed once.  A JSON table prints its rows straight from the
-float columns, each number formatted once in json's spelling of the 12-digit
-value, and leaves only its header to json.  The argument parser is built
-once per process and shared by every later call of main.
+config.  A thresholds sweep converts the swept values to cgs in one pass and
+calls the ladder once, with them as one argument's column (or the derived
+masses', for a key the mass reads); the ladder checks its other arguments
+once and the column value by value, and its fields are the table's columns.
+It builds no notes: only a one-shot thresholds run prints them, from
+ladder_notes.  Every number is printed as '%.12g' prints it.  A CSV curve
+keeps its numpy columns and is printed by the numtext kernel, a block of
+rows at a time; every other table is printed column-wise through one
+'%'-template, into which a column with one value throughout is printed
+once, and a float column that prints as an earlier one does (the sweep
+column and the swept key's) is formatted once for both.  A JSON table
+prints its rows straight from the float columns, each number formatted once
+in json's spelling of the 12-digit value, and leaves only its header to
+json.  The argument parser is built once per process and shared by every
+later call of main.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -59,6 +64,7 @@ from .core import (
     EV_ERG,
     KB_CGS,
     CouplingRegime,
+    GridSizeError,
     NoWellError,
     ThresholdLadder,
     range_error,
@@ -68,6 +74,7 @@ from .core import (
     effective_masses_cgs,
     geometry_coupling_cgs,
     kt_temperature_K,
+    ladder_notes,
     resonant_coupling_cgs,
     sample_dispersion_cgs,
     strong_coupling_cgs,
@@ -118,13 +125,25 @@ def text_column(col: list) -> list:
     return col
 
 
+def _signs(col: list) -> list:
+    """The sign of each cell of a float column, which tells -0.0 from 0.0."""
+    return list(map(math.copysign, repeat(1.0), col))
+
+
 def _constant(col: list) -> bool:
     """Whether every cell of col prints as its first does: one value
     throughout, never NaN, and zeros of one sign (-0.0 == 0.0)."""
     first = col[0]
     if not (col[-1] == first and col.count(first) == len(col)):
         return False
-    return first != 0 or len(set(map(math.copysign, repeat(1.0), col))) == 1
+    return first != 0 or len(set(_signs(col))) == 1
+
+
+def _same_floats(col: list, other: list) -> bool:
+    """Whether two float columns print alike cell for cell: equal under ==,
+    which takes a NaN as equal only to the same object, and with zeros of
+    the same signs."""
+    return col == other and (0.0 not in col or _signs(col) == _signs(other))
 
 
 def csv_lines(columns: list) -> list[str]:
@@ -132,25 +151,31 @@ def csv_lines(columns: list) -> list[str]:
 
     A column with one value throughout is printed once, into the template.
     Otherwise a column of floats prints through NUMBER as it is, a column of
-    bools through BOOL_TEXT, and one of strings through '%s'.  The columns
-    are never scanned for None: a column empty in some cells but not all
-    must come as strings, through text_column.
+    bools through BOOL_TEXT, and one of strings through '%s'.  A float
+    column that prints as an earlier one does (a sweep's column and the
+    swept key's) is formatted once, and both print that through '%s'.  The
+    columns are never scanned for None: a column empty in some cells but
+    not all must come as strings, through text_column.
     """
     if not columns:
         return []
-    specs, cells = [], []
+    specs, cells = [], []  # a spec is a constant's text, or the index of its cells
     for col in columns:
         first = col[0]
         if _constant(col):
             specs.append(BOOL_TEXT[first] if first is None or isinstance(first, bool)
                          else NUMBER % first)
-        elif isinstance(first, bool):
-            specs.append("%s")
-            cells.append(list(map(BOOL_TEXT.__getitem__, col)))
-        else:
-            specs.append("%s" if isinstance(first, str) else NUMBER)
-            cells.append(col)
-    template = ",".join(specs)
+            continue
+        if isinstance(first, bool):
+            col = list(map(BOOL_TEXT.__getitem__, col))
+        elif not isinstance(first, str):
+            i = next((i for i, other in enumerate(cells) if _same_floats(col, other)), None)
+            if i is not None:  # one '%' for the column costs less than one per cell
+                col = cells[i] = ("\n".join([NUMBER] * len(col)) % tuple(col)).split("\n")
+        specs.append(len(cells))
+        cells.append(col)
+    template = ",".join(s if type(s) is str else "%s" if type(cells[s][0]) is str else NUMBER
+                        for s in specs)
     if not cells:
         return [template] * len(columns[0])
     return [template % row for row in zip(*cells)]
@@ -281,13 +306,10 @@ def _curve_table(c: RunConfig, command: str, args):
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
     try:
-        if args.samples > sys.maxsize // 16:  # near 2^63 bytes numpy raises ValueError
-            raise MemoryError
         k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
             e_at, g, k_perp, args.samples, args.kmax)
-    except MemoryError:
-        raise ValueError(
-            f"--samples {args.samples}: the k_par grid does not fit in memory") from None
+    except GridSizeError:
+        raise GridSizeError(args.samples, "--samples") from None
     meta = [f"Delta_eV = {fmt(delta / EV_ERG)}", f"g_eV = {fmt(g / EV_ERG)}"]
     if command == "hopfield":
         mismatch = e_at - e_ph
@@ -365,7 +387,7 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     """
     key = spec.param
     try:
-        column = [config_cgs(spec, value) for value in values]
+        column = config_cgs(spec, values)
         c = cfg.with_value(key, column[0])
         if key in MASS_KEYS and "m_eff" not in c.values:
             masses = []
@@ -378,7 +400,7 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
         return condensation_ladder(*args)
     except (ValueError, ArithmeticError):  # ConfigError is a ValueError
         for value in values:
-            condensation_ladder(*_ladder_args(cfg.with_value(key, config_cgs(spec, value))))
+            condensation_ladder(*_ladder_args(cfg.with_value(key, *config_cgs(spec, [value]))))
         raise
 
 
@@ -464,7 +486,7 @@ def cmd_table(cfg: RunConfig, args) -> int:
 
 def cmd_thresholds(cfg: RunConfig, args) -> int:
     ladder = condensation_ladder(*_ladder_args(cfg))
-    _emit_table(cfg, args, [f"note: {n}" for n in ladder.notes], THRESHOLDS_HEADER,
+    _emit_table(cfg, args, [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER,
                 _thresholds_columns(ladder, 1))
     return EXIT_OK
 
@@ -522,11 +544,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         rows = table_rows(columns)
     else:
         # one copy of the config; each value swaps in one float and gives
-        # one group of rows
+        # one group of rows.  A value is converted when its turn comes, so
+        # the sweep stops at the error of its first failing value.
         c = cfg.with_value(spec.param, None)
         groups = []
         for value in values:
-            c.values[spec.param] = config_cgs(spec, value)
+            c.values[spec.param], = config_cgs(spec, [value])
             _, header, group = TABLES[target](c, target, args)
             groups.append([[value] * len(group[0]), *group])
         if target in CURVES:

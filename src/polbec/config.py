@@ -212,32 +212,36 @@ class SweepSpec:
 
 def sweep_values(spec: SweepSpec) -> list[float]:
     """Grid in the leaf's unit; linear grids hit symmetric midpoints exactly."""
-    n = spec.steps
+    n, last, start = spec.steps, spec.steps - 1, spec.start
     if spec.scale == "linear":
-        span = spec.stop - spec.start
-        return [spec.start + span * i / (n - 1) for i in range(n)]
-    la, lb = math.log(abs(spec.start)), math.log(abs(spec.stop))
-    sign = 1.0 if spec.start > 0 else -1.0
-    return [sign * math.exp(la + (lb - la) * i / (n - 1)) for i in range(n)]
+        span = spec.stop - start
+        return [start + span * i / last for i in range(n)]
+    la, lb = math.log(abs(start)), math.log(abs(spec.stop))
+    sign, span, exp = 1.0 if start > 0 else -1.0, lb - la, math.exp
+    return [sign * exp(la + span * i / last) for i in range(n)]
 
 
-def config_cgs(spec: SweepSpec, value: float) -> float | int:
-    """A swept numeric value as the cgs magnitude the leaf's config value holds.
+def config_cgs(spec: SweepSpec, values: list[float]) -> list:
+    """Swept numeric values as the cgs magnitudes the leaf's config value holds.
 
     Quantities scale by their sweep unit's factor, as parsing scales a
-    value by its unit's; int leaves come back as int.
+    value by its unit's; int leaves come back as int.  The column is checked
+    in one pass; on a failure the values are checked one at a time, so that
+    the first failing one names itself.
     """
     key_spec = KEY_SPECS[spec.param]
-    if key_spec.kind == "quantity":
-        magnitude = float(value) * CGS_UNITS[key_spec.sweep_unit][0]
-    else:
-        magnitude = value
-    if not math.isfinite(magnitude):
-        raise ConfigError(
-            f"sweep over '{spec.param}' produced {value}, which is not finite in cgs units"
-        )
-    if key_spec.kind == "int":
-        if value != int(value):
+    column = (list(map(CGS_UNITS[key_spec.sweep_unit][0].__mul__, values))
+              if key_spec.kind == "quantity" else list(values))
+    if all(map(math.isfinite, column)):
+        if key_spec.kind != "int":
+            return column
+        ints = list(map(int, column))
+        if ints == column:
+            return ints
+    for value, magnitude in zip(values, column):
+        if not math.isfinite(magnitude):
+            raise ConfigError(
+                f"sweep over '{spec.param}' produced {value}, which is not finite in cgs units"
+            )
+        if key_spec.kind == "int" and value != int(value):
             raise ConfigError(f"sweep over '{spec.param}' produced non-integer {value}")
-        return int(value)
-    return magnitude

@@ -8,9 +8,10 @@ cgs-Gaussian base units (cm, g, s, K).  Each Quantity operation in units,
 thermo, coupling, trap and dispersion checks the dimensions of its
 arguments and then calls one of these; the CLI, whose config parser fixes
 every dimension once, calls them directly.  This module imports nothing
-but the standard library's math, operator, enum, itertools, typing and
-warnings; the branch cores import numpy when they are called, so a scalar
-command starts without numpy, and no command loads the Quantity layer.
+but the standard library's math, operator, enum, itertools, sys, typing
+and warnings; the branch cores import numpy when they are called, so a
+scalar command starts without numpy, and no command loads the Quantity
+layer.
 
 Value checks live here, and so does the check that a result stays in the
 float range, each naming its arguments; both paths raise the same errors.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 import warnings
 from itertools import repeat
 from typing import NamedTuple
@@ -35,17 +37,17 @@ __all__ = [
     "WAVENUMBER_DIM", "VOLUME_DENSITY_DIM", "AREA_DENSITY_DIM", "VELOCITY_DIM",
     "DIPOLE_MOMENT_DIM", "CGS_UNITS", "range_error",
     # gas thermodynamics
-    "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "effective_masses_cgs",
-    "kt_temperature_K", "lambda_T_cm", "degeneracy_temperature_K", "trapped_bec_temperature_K",
-    "transverse_energy_erg", "mu_over_kbt",
+    "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "ladder_notes",
+    "effective_masses_cgs", "kt_temperature_K", "lambda_T_cm", "degeneracy_temperature_K",
+    "trapped_bec_temperature_K", "transverse_energy_erg", "mu_over_kbt",
     # coupling
     "DEFAULT_STRONG_THRESHOLD", "CouplingRegime", "check_cavity", "geometry_coupling_cgs",
     "resonant_coupling_cgs", "strong_coupling_cgs",
     # trap
     "ENERGY_SCALE_NOTE", "design_trap_cgs",
     # polariton branches and the well
-    "DEFAULT_PARAXIAL_BOUND", "NoWellError", "ParaxialBoundWarning", "branch_energies",
-    "hopfield_fractions", "photon_paraxial_erg", "photon_freespace_erg",
+    "DEFAULT_PARAXIAL_BOUND", "GridSizeError", "NoWellError", "ParaxialBoundWarning",
+    "branch_energies", "hopfield_fractions", "photon_paraxial_erg", "photon_freespace_erg",
     "sample_dispersion_cgs", "well_geometry_cgs",
 ]
 
@@ -135,9 +137,9 @@ def range_error(formula: str, **named: str) -> OverflowError:
 # Gas thermodynamics: branch masses, transverse dispersion and the threshold
 # ladder (conventions in the thermo module's docstring).
 #
-# condensation_ladder also takes one argument as a column (a list) and
-# computes each intermediate once, as a column only where it depends on that
-# argument, value by value.
+# condensation_ladder also takes one argument as a column (a list), checks
+# the other arguments once, and computes each intermediate once, as a column
+# only where it depends on that argument, value by value.
 # ---------------------------------------------------------------------------
 
 # zeta(2) = pi^2/6 to the four printed figures; used identically in both
@@ -160,7 +162,8 @@ class ThresholdLadder(NamedTuple):
     double where its value in erg would be subnormal.
 
     Field for field the magnitudes of thermo.CondensationReport (whose mu is
-    in erg), None where the report has None.  A field that depends on a list
+    in erg), None where the report has None; the report's notes are
+    ladder_notes of a one-row ladder.  A field that depends on a list
     argument of condensation_ladder (a column) is the list of its values.
     """
 
@@ -182,25 +185,38 @@ class ThresholdLadder(NamedTuple):
     overlap: bool
     n2_estimated: bool
     mu_effectively_zero: bool
-    notes: tuple[str, ...]
 
 
-def _check_gas(t_k: float, m_g: float, n2: float | None, n3: float | None) -> None:
-    """Value checks of GasState.
+def ladder_notes(ladder: ThresholdLadder) -> tuple[str, ...]:
+    """The conventions and regime notes of a one-row ladder, in the order the
+    thresholds table prints them and thermo.CondensationReport holds them."""
+    return (("lambda_T = h / sqrt(2 pi m kB T)", "mu = kB T ln(1 - exp(-T_d/T))")
+            + ("n2 estimated as lambda_T(T) * n3",) * ladder.n2_estimated
+            + ("|mu| below 1e-13 kB T; effectively 0-",) * ladder.mu_effectively_zero
+            + ("omega_eff = 0: no trap confinement, T_c = 0",) * (ladder.omega_eff == 0.0))
+
+
+def _check_gas(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None, n3: _Cgs | None) -> None:
+    """Value checks of GasState, argument by argument: a scalar once, and a
+    column (from condensation_ladder) value by value, through _each.
 
     An infinite T passes here: condensation_ladder rejects it with 'T'
     named (lambda_T or mu leaves the float range), and GasState before it.
     """
-    if not t_k > 0:
-        raise ValueError("temperature must be positive")
-    if not 0 < m_g < math.inf:
-        raise ValueError("m_eff must be finite" if m_g > 0 else "m_eff must be positive")
+    _each(_check_value, t_k, "temperature")
+    _each(_check_value, m_g, "m_eff", True)
     if n2 is None and n3 is None:
         raise ValueError("GasState needs n2 or n3")
-    if n2 is not None and not n2 > 0:
-        raise ValueError("n2 must be positive")
-    if n3 is not None and not 0 < n3 < math.inf:
-        raise ValueError("n3 must be finite" if n3 > 0 else "n3 must be positive")
+    if n2 is not None:
+        _each(_check_value, n2, "n2")
+    if n3 is not None:
+        _each(_check_value, n3, "n3", True)
+
+
+def _check_value(value: float, name: str, finite: bool = False) -> None:
+    """One argument's check in _check_gas: positive, and finite if asked."""
+    if not (0 < value < math.inf if finite else value > 0):
+        raise ValueError(f"{name} must be finite" if value > 0 else f"{name} must be positive")
 
 
 def _check_trap(omega: float) -> None:
@@ -272,6 +288,11 @@ def mu_over_kbt(x: float) -> float:
     return math.log(-math.expm1(-x))
 
 
+def _mu_meV(t_k: float, x: float) -> float:
+    """mu = kB T ln(1 - exp(-x)) in meV, for x = T_d/T."""
+    return (KB_CGS * t_k / MEV_ERG) * mu_over_kbt(x)
+
+
 def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     """T_KT = pi hbar^2 n_s / (2 m kB)."""
     if not (n_s_cm2 > 0 and m_g > 0):
@@ -333,7 +354,8 @@ def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
         raise OverflowError(
             f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, T_c = {t_c_k:g} K"
         ) from None
-    return max(0.0, 1.0 - ratio_sq)
+    frac = 1.0 - ratio_sq
+    return frac if frac > 0.0 else 0.0  # max(0.0, frac), without a call per ladder row
 
 
 def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, float, float, bool, bool]:
@@ -415,13 +437,10 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
 
 
 def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
-    _each(_check_gas, t_k, m_g, n2, n3)
+    _check_gas(t_k, m_g, n2, n3)
     if omega_eff is not None:
         _each(_check_trap, omega_eff)
-    notes = ("lambda_T = h / sqrt(2 pi m kB T)", "mu = kB T ln(1 - exp(-T_d/T))")
     n2_estimated = n2 is None
-    if n2_estimated:
-        notes += ("n2 estimated as lambda_T(T) * n3",)
 
     def density() -> str:  # the key behind n2, in the messages below
         return f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
@@ -457,22 +476,19 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
                             f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g") from None
     x = _each(operator.truediv, t_d, t_k)
     try:
-        mu = _each(lambda t, r: (KB_CGS * t / MEV_ERG) * mu_over_kbt(r), t_k, x)
+        mu = _each(_mu_meV, t_k, x)
     except ValueError:  # log(0): T_d/T = n2 lambda_T^2 underflows to 0
         raise ValueError(
             f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density()}, 'm_eff' = {m_g:g} g"
         ) from None
-    mu_zero = _each(operator.gt, x, _MU_ZERO_X)
 
     t_c = n_trapped = frac = None
     if omega_eff is not None:
         _each(_check_trap_consistency, m_g, omega_eff, u0, r0)
         # omega_eff = 0 confines nothing: T_c = 0, no N2 and no condensate
-        t_c = _each(lambda w, n, m: 0.0 if w == 0.0 else trapped_bec_temperature_K(n, m),
-                    omega_eff, n2, m_g)
+        t_c = _trapped(omega_eff, 0.0, operator.truediv, t_d, TRAP_BEC_ZETA)
         try:
-            n_trapped = _each(lambda n, t, w, m: None if w == 0.0 else
-                              _trapped_number_cgs(n, t, w, m), n2, t_k, omega_eff, m_g)
+            n_trapped = _trapped(omega_eff, None, _trapped_number_cgs, n2, t_k, omega_eff, m_g)
         except ZeroDivisionError:
             raise ZeroDivisionError(
                 f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
@@ -483,8 +499,7 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
                 f"N2 = 2 pi n2 kB T / (m Omega_eff^2) overflows for {density()}, "
                 f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g, 'omega_eff' = {omega_eff:g} s^-1"
             ) from None
-        frac = _each(lambda t, w, c: 0.0 if w == 0.0 else _condensate_fraction_cgs(t, c),
-                     t_k, omega_eff, t_c)
+        frac = _trapped(omega_eff, 0.0, _condensate_fraction_cgs, t_k, t_c)
 
     return ThresholdLadder(
         t_k, m_g, n2, n3, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
@@ -492,11 +507,16 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
         kt_superfluid=_each(operator.le, t_k, t_kt),
         overlap=_each(operator.ge, lam, r_int),
         n2_estimated=n2_estimated,
-        mu_effectively_zero=mu_zero,
-        notes=_each(lambda z, w: notes + ("|mu| below 1e-13 kB T; effectively 0-",) * z
-                    + ("omega_eff = 0: no trap confinement, T_c = 0",) * (w == 0.0),
-                    mu_zero, omega_eff),
+        mu_effectively_zero=_each(operator.gt, x, _MU_ZERO_X),
     )
+
+
+def _trapped(omega_eff: _Cgs, off, f, *args):
+    """_each(f, *args), but off where omega_eff = 0, which confines nothing;
+    decided once unless omega_eff is a column."""
+    if type(omega_eff) is list:
+        return _each(lambda w, *row: off if w == 0.0 else f(*row), omega_eff, *args)
+    return off if omega_eff == 0.0 else _each(f, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +717,14 @@ def design_trap_cgs(
 DEFAULT_PARAXIAL_BOUND = 0.2
 
 
+class GridSizeError(ValueError):
+    """A k_par grid of more samples than memory holds; the message names the
+    count as `name`, which a front end sets to its own option."""
+
+    def __init__(self, n_samples: int, name: str = "n_samples"):
+        super().__init__(f"{name} {n_samples}: the k_par grid does not fit in memory")
+
+
 class NoWellError(RuntimeError):
     """The lower branch has no inflection inside the search window
     (weak coupling or detuning too large for a well)."""
@@ -795,9 +823,12 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
     """Both branches over a uniform k_par grid of n_samples points on
     [0, k_max_frac * k_perp], in one elementwise numpy pass, with the checks
     of GridSpec and DispersionCurve: the arrays (k_par, e_upper, e_lower,
-    mu_sq, nu_sq, e_ph_paraxial, e_ph_freespace), cgs.
+    mu_sq, nu_sq, e_ph_paraxial, e_ph_freespace), cgs.  A grid that does not
+    fit in memory raises GridSizeError.
     """
     import numpy as np
+    if n_samples > sys.maxsize // 16:  # numpy cannot size it and raises a bare ValueError
+        raise GridSizeError(n_samples)
     _check_grid(n_samples, k_max_frac)
     _check_window(e_at, g, k_perp, k_max_frac)
     if k_max_frac > DEFAULT_PARAXIAL_BOUND:
@@ -807,20 +838,22 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
             ParaxialBoundWarning,
             stacklevel=3,  # the caller of sample_dispersion
         )
-    k = np.linspace(0.0, k_max_frac * k_perp, n_samples)
-    _check_increasing(k)
-    e_ph = photon_paraxial_erg(k, k_perp)
-    e1, e2 = branch_energies(e_at, e_ph, g)
-    # 4 g^2 overflows once g passes ~7e153 erg and leaves NaN fractions; the
-    # check below reports that with g named, in place of numpy's warnings.
-    # Far out of the window s + delta cancels to 0 in the branch np.where
-    # discards, so that division is silenced too.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
-    e_free = photon_freespace_erg(k, k_perp)
-
-    # vectorized sanity on the bosonic-weight normalization, NaN-aware
-    norm_err = np.max(np.abs(mu2 + nu2 - 1.0))
+    try:
+        k = np.linspace(0.0, k_max_frac * k_perp, n_samples)
+        _check_increasing(k)
+        e_ph = photon_paraxial_erg(k, k_perp)
+        e1, e2 = branch_energies(e_at, e_ph, g)
+        # 4 g^2 overflows once g passes ~7e153 erg and leaves NaN fractions; the
+        # check below reports that with g named, in place of numpy's warnings.
+        # Far out of the window s + delta cancels to 0 in the branch np.where
+        # discards, so that division is silenced too.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
+        e_free = photon_freespace_erg(k, k_perp)
+        # vectorized sanity on the bosonic-weight normalization, NaN-aware
+        norm_err = np.max(np.abs(mu2 + nu2 - 1.0))
+    except MemoryError:
+        raise GridSizeError(n_samples) from None
     if not norm_err <= 1e-12:
         detail = "not finite" if np.isnan(norm_err) else f"off by {norm_err:.3e}"
         raise ValueError(

@@ -40,6 +40,7 @@ from .core import (
     degeneracy_temperature_K,
     effective_masses_cgs,
     kt_temperature_K,
+    ladder_notes,
     lambda_T_cm,
     transverse_energy_erg,
     trapped_bec_temperature_K,
@@ -277,4 +278,5 @@ def condensation_report(
         "n3": state.n3,
         "omega_eff": None if trap is None else trap.omega_eff,
         "t_c": None if lad.t_c is None else Quantity(lad.t_c, TEMPERATURE),
+        "notes": ladder_notes(lad),
     })

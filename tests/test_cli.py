@@ -254,6 +254,41 @@ class TestThresholds:
                 assert printed[t] == "-0"
                 assert 0 < -mu_mev(t) < mpmath.mpf(math.ulp(0.0)) / 2  # rounds to -0
 
+    LAMBDA_NOTE = "lambda_T = h / sqrt(2 pi m kB T)"
+    MU_NOTE = "mu = kB T ln(1 - exp(-T_d/T))"
+    N2_NOTE = "n2 estimated as lambda_T(T) * n3"
+    MU_ZERO_NOTE = "|mu| below 1e-13 kB T; effectively 0-"
+    NO_TRAP_NOTE = "omega_eff = 0: no trap confinement, T_c = 0"
+
+    @pytest.mark.parametrize("edits, extra", [
+        ({}, []),
+        ({"n2 = 0.5e8 cm^-2\n": ""}, [N2_NOTE]),
+        ({"T = 300 K": "T = 10 K"}, [MU_ZERO_NOTE]),  # T_d/T = 50.6 > 30
+        ({"T = 300 K": "T = 10 K", "n2 = 0.5e8 cm^-2": "omega_eff = 0 s^-1"},
+         [N2_NOTE, MU_ZERO_NOTE, NO_TRAP_NOTE]),
+        ({"n2 = 0.5e8 cm^-2": "n2 = 0.5e8 cm^-2\nomega_eff = 0 s^-1"}, [NO_TRAP_NOTE]),
+    ], ids=["base", "n2-estimated", "mu-zero", "all", "omega_eff-0"])
+    def test_notes_text_and_order(self, tmp_path, edits, extra):
+        # the thresholds table's '# note:' lines and CondensationReport.notes
+        from polbec.thermo import GasState, TrapSpec, condensation_report
+        from polbec.units import qty
+
+        cfg = BASE_CFG
+        for old, new in edits.items():
+            cfg = cfg.replace(old, new)
+        expected = [self.LAMBDA_NOTE, self.MU_NOTE, *extra]
+        code, data = run(tmp_path, cfg, ["thresholds"])
+        assert code == 0
+        meta, _, _ = parse_csv(data)
+        assert [m for m in meta if m.startswith("# note: ")] == [f"# note: {n}" for n in expected]
+
+        values = {key.strip(): raw.split() for key, _, raw in
+                  (line.partition("=") for line in cfg.splitlines())}
+        q = lambda key: None if key not in values else qty(float(values[key][0]), values[key][1])
+        state = GasState(q("T"), q("m_eff"), q("n2"), q("n3"))
+        trap = None if "omega_eff" not in values else TrapSpec(q("omega_eff"))
+        assert condensation_report(state, trap).notes == tuple(expected)
+
 
 class TestTrap:
     def test_reference_design(self, tmp_path):
@@ -1016,6 +1051,8 @@ def csv_tables(draw):
         cells(st.one_of(st.none(), CELL_FLOATS)),  # empty in some cells
     )
     columns = draw(st.lists(column, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
+        columns.append(list(draw(st.sampled_from(columns))))
     # sweep builders hand over tuples from zip
     return [tuple(col) if draw(st.booleans()) else col for col in columns]
 
@@ -1024,6 +1061,11 @@ def csv_tables(draw):
 @given(columns=csv_tables())
 @example(columns=[[0.0, -0.0], [-0.0, -0.0], [math.nan, math.nan], [None, None],
                   [None, 1.0], [True, True], [False, True], [1e300, 1e300]])
+# float columns that repeat an earlier one: equal under == but for the sign of
+# a zero, NaN as one object and as two, and beside a bool column that == them
+@example(columns=[[1.5, 0.0, 2.0], [1.5, -0.0, 2.0], [1.5, 0.0, 2.0], [1.5, -0.0, 2.0]])
+@example(columns=[[math.nan, 1.0], [math.nan, 1.0], [float("nan"), 1.0]])
+@example(columns=[[1.0, 0.0], [True, False], [1.0, 0.0]])
 def test_csv_lines_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
     # text_column, which leaves every other column as it is

@@ -197,11 +197,11 @@ class TestSweepSpec:
 
     def test_config_value_types(self):
         # a swept value as the config's cgs view holds it
-        q = config_cgs(SweepSpec("Delta", -1, 1, 3), 0.5)
+        q, = config_cgs(SweepSpec("Delta", -1, 1, 3), [0.5])
         assert q == 0.5 * EV_ERG and isinstance(q, float)
-        n = config_cgs(SweepSpec("N", 1, 9, 3), 5.0)
+        n, = config_cgs(SweepSpec("N", 1, 9, 3), [5.0])
         assert n == 5.0
-        m = config_cgs(SweepSpec("mode_index", 1, 9, 3), 5.0)
+        m, = config_cgs(SweepSpec("mode_index", 1, 9, 3), [5.0])
         assert m == 5 and isinstance(m, int)
 
     @pytest.mark.parametrize("param", ["Delta", "N", "mode_index"])
@@ -210,4 +210,16 @@ class TestSweepSpec:
         spec = SweepSpec(param, -1.7e308, 1.7e308, 3)
         value = sweep_values(spec)[0]
         with pytest.raises(ConfigError, match=f"sweep over '{param}' .* not finite"):
-            config_cgs(spec, value)
+            config_cgs(spec, [value])
+
+    @pytest.mark.parametrize("param, values, message", [
+        ("Delta", [0.5, math.inf, math.nan], "produced inf, which is not finite"),
+        ("N", [1.0, math.nan, math.inf], "produced nan, which is not finite"),
+        ("mode_index", [1.0, 1.5, math.inf], "produced non-integer 1.5"),
+        ("mode_index", [1.0, math.inf, 1.5], "produced inf, which is not finite"),
+    ])
+    def test_config_cgs_column_names_its_first_failing_value(self, param, values, message):
+        spec = SweepSpec(param, 1, 9, 3)
+        with pytest.raises(ConfigError, match=f"sweep over '{param}' {message}"):
+            config_cgs(spec, values)
+        assert config_cgs(spec, values[:1]) == [values[0] * (EV_ERG if param == "Delta" else 1)]

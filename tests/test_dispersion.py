@@ -186,6 +186,15 @@ class TestSampleDispersion:
         curve = sample_dispersion(cp, qty(2.104, "eV"), GridSpec(n_samples=501))
         assert np.all(np.diff(curve.e_lower) >= 0)
 
+    @pytest.mark.parametrize("n_samples", [2**60, 10**20])
+    def test_grid_past_memory_names_the_sample_count(self, n_samples):
+        # numpy cannot size either grid, so nothing is allocated; it raised
+        # "array is too big" or "Maximum allowed size exceeded", naming nothing
+        cp = resonant_coupling(qty(2.104, "eV"), qty(1.0, "meV"))
+        with pytest.raises(ValueError) as info:
+            sample_dispersion(cp, qty(2.104, "eV"), GridSpec(n_samples=n_samples))
+        assert str(info.value) == f"n_samples {n_samples}: the k_par grid does not fit in memory"
+
     def test_worker_counts_identical(self):
         cp = resonant_coupling(qty(2.104, "eV"), qty(1.0, "meV"), qty(1.0, "meV"))
         curves = [

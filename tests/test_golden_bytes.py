@@ -327,7 +327,11 @@ ERRORS = {
         "polbec: error: --samples 100000000000000000: "
         "the k_par grid does not fit in memory\n"),
     # past 2^59 samples numpy cannot size the grid and raised a ValueError that
-    # named no flag ("Maximum allowed size exceeded")
+    # named no flag ("Maximum allowed size exceeded", or "array is too big")
+    "dispersion-samples-2^60": (
+        "example", "dispersion --samples 1152921504606846976",
+        "polbec: error: --samples 1152921504606846976: "
+        "the k_par grid does not fit in memory\n"),
     "dispersion-samples-1e20": (
         "example", "dispersion --samples 100000000000000000000",
         "polbec: error: --samples 100000000000000000000: "

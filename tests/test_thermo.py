@@ -575,15 +575,25 @@ class TestLadderColumns:
     @given(case=ladder_columns())
     @example(case=([300.0, 5e-33, None, 3.5e11, None, None, None, None], 0, [2.0, 300.0, 2e3]))
     @example(case=([300.0, 5e-33, 5e7, None, 5e10, None, None, None], 4, [5e10, 0.0, 1e12]))
+    # beside n2, only the check of n3 sees its column
+    @example(case=([300.0, 5e-33, 5e7, 3.5e11, None, None, None, None], 3, [1e11, -1.0, math.inf]))
     def test_column_equals_scalar_calls(self, case):
         assert_column_parity(*case)
 
-    @given(case=ladder_columns(), data=st.data())
-    def test_first_failing_value_raises(self, case, data):
+    @given(case=ladder_columns(), index=st.integers(0, 5))
+    # a scalar argument that fails beside a T column: every value fails, and
+    # the first one's error is the scalar call's, whichever check comes first
+    @example(case=([300.0, 0.0, 5e7, None, None, None, None, None], 0, [2.0, 300.0, 2e3]),
+             index=1)
+    @example(case=([300.0, 0.0, 5e7, None, None, None, None, None], 0, [2.0, 300.0, 2e3]),
+             index=0)
+    @example(case=([300.0, 5e-33, 0.0, None, 5e10, None, None, None], 0, [2.0, 300.0, 2e3]),
+             index=2)
+    def test_first_failing_value_raises(self, case, index):
         args, k, column = case
         if k == 3:
             args[2] = None  # the n3-only path, where a tiny n3 fails
-        i = data.draw(st.integers(0, len(column) - 1))
+        i = index % len(column)
         column[i] = LADDER_FAILING[k]
         with pytest.raises((ValueError, ArithmeticError)):
             condensation_ladder(*args[:k], column[i], *args[k + 1:])
