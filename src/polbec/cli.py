@@ -25,15 +25,24 @@ masses', for a key the mass reads); the ladder checks its other arguments
 once and the column value by value, and its fields are the table's columns.
 It builds no notes: only a one-shot thresholds run prints them, from
 ladder_notes.  Every number is printed as '%.12g' prints it.  A CSV curve
-keeps its numpy columns and is printed by the numtext kernel, a block of
-rows at a time; every other table is printed column-wise through one
-'%'-template, into which a column with one value throughout is printed
-once, and a float column that prints as an earlier one does (the sweep
-column and the swept key's) is formatted once for both.  A JSON table
+keeps its numpy columns and is printed by the numtext kernel; every other
+table is printed column-wise through one '%'-template, into which a column
+with one value throughout is printed once, and a float column that prints
+as an earlier one does (the sweep column and the swept key's) is formatted
+once for both.  A JSON table
 prints its rows straight from the float columns, each number formatted once
 in json's spelling of the 12-digit value, and leaves only its header to
 json.  The argument parser is built once per process and shared by every
 later call of main.
+
+A command computes all that can fail (a curve's sampling with its grid-size
+and window checks, the well, the metadata, every sweep value) before emit
+opens the --out file, so an error writes no byte and leaves no file.  emit
+writes the head (metadata and header lines), then the rows as blocks of
+ASCII bytes: to the file in binary mode, or decoded to stdout for --out -.
+A CSV curve's blocks stream from the numtext kernel (a curve sweep joins
+each column over its values once), so its text is never held whole; a list
+table's rows are one block.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -75,6 +84,7 @@ from .core import (
     geometry_coupling_cgs,
     kt_temperature_K,
     ladder_notes,
+    photon_freespace_erg,
     resonant_coupling_cgs,
     sample_dispersion_cgs,
     strong_coupling_cgs,
@@ -181,23 +191,22 @@ def csv_lines(columns: list) -> list[str]:
     return [template % row for row in zip(*cells)]
 
 
-def table_rows(columns: list) -> str:
+def table_rows(columns: list) -> list[bytes]:
     """The CSV rows of a table of list columns, through csv_lines, each ended
-    by a newline."""
-    return "\n".join([*csv_lines(columns), ""])
+    by a newline, as one block of ASCII bytes."""
+    return ["\n".join([*csv_lines(columns), ""]).encode("ascii")]
 
 
-def curve_rows(tables: list) -> str:
-    """The CSV rows of curve tables given as lists of float columns, one table
-    after another, through the numtext kernel (which loads numpy)."""
-    import numpy as np
-    from .numtext import csv_rows
-    return csv_rows(np.concatenate([np.column_stack(columns) for columns in tables]))
+def curve_blocks(columns: list):
+    """The CSV rows of a curve table given as numpy columns, as the numtext
+    kernel's blocks of ASCII bytes (it loads numpy)."""
+    from .numtext import csv_blocks
+    return csv_blocks(columns)
 
 
-def render_csv(meta: list[str], header: list[str], rows: str) -> str:
-    """A CSV table: the metadata lines, the header and the rows' text."""
-    return "".join(f"# {m}\n" for m in meta) + ",".join(header) + "\n" + rows
+def render_csv(meta: list[str], header: list[str]) -> str:
+    """A CSV table's head: the metadata lines and the header."""
+    return "".join(f"# {m}\n" for m in meta) + ",".join(header) + "\n"
 
 
 # json's indent=2 separators inside "rows": between rows and between cells
@@ -245,12 +254,18 @@ def render_json(payload: dict) -> str:
     return text + "\n"
 
 
-def emit(text: str, out: str) -> None:
+def emit(text: str, out: str, blocks=()) -> None:
+    """Write text, then each block of ASCII bytes as it comes: to stdout for
+    out '-', else to the file out, opened only now, in binary mode."""
     if out == "-":
         sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block.decode("ascii"))
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            for block in blocks:
+                fh.write(block)
 
 
 def _meta_head(cfg: RunConfig) -> list[str]:
@@ -306,7 +321,7 @@ def _curve_table(c: RunConfig, command: str, args):
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
     try:
-        k, e1, e2, mu2, nu2, e_ph, e_free = sample_dispersion_cgs(
+        k, e1, e2, mu2, nu2, e_ph = sample_dispersion_cgs(
             e_at, g, k_perp, args.samples, args.kmax)
     except GridSizeError:
         raise GridSizeError(args.samples, "--samples") from None
@@ -320,7 +335,8 @@ def _curve_table(c: RunConfig, command: str, args):
         columns = [k / k_perp, mismatch / EV_ERG, mismatch / g, mu2, nu2]
         meta.append("mu_sq is the photon fraction of the upper branch")
         return meta, HOPFIELD_HEADER, columns
-    columns = [k / k_perp, e1 / EV_ERG, e2 / EV_ERG, mu2, nu2, e_ph / EV_ERG, e_free / EV_ERG]
+    columns = [k / k_perp, e1 / EV_ERG, e2 / EV_ERG, mu2, nu2, e_ph / EV_ERG,
+               photon_freespace_erg(k, k_perp) / EV_ERG]
     meta += [
         f"k_perp_cm^-1 = {fmt(k_perp)}",
         f"grid: {args.samples} samples, k_par in [0, {fmt(args.kmax)}] * k_perp",
@@ -423,19 +439,21 @@ def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], columns: list) -> None:
-    """Write a command's table as CSV or JSON.  A curve's CSV rows come from
+    """Write a command's table as CSV or JSON.  A curve's CSV rows stream from
     the numtext kernel; in JSON a curve is "columns" and "rows" (its columns
     as lists).  The one row of masses or thresholds gives one key per column."""
     meta = _meta_head(cfg) + meta
     curve = args.command in CURVES
+    blocks = ()
     if args.format != "json":
-        text = render_csv(meta, header, curve_rows([columns]) if curve else table_rows(columns))
+        text = render_csv(meta, header)
+        blocks = curve_blocks(columns) if curve else table_rows(columns)
     elif curve:
         rows = [col.tolist() for col in columns]
         text = render_json({"metadata": meta, "columns": header, "rows": rows})
     else:
         text = render_json({"metadata": meta, **{h: col[0] for h, col in zip(header, columns)}})
-    emit(text, args.out)
+    emit(text, args.out, blocks)
 
 
 def cmd_check_coupling(cfg: RunConfig, args) -> int:
@@ -540,22 +558,24 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     if target == "thresholds":
         header = THRESHOLDS_HEADER
-        columns = [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))]
-        rows = table_rows(columns)
+        blocks = table_rows(
+            [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))])
     else:
         # one copy of the config; each value swaps in one float and gives
-        # one group of rows.  A value is converted when its turn comes, so
-        # the sweep stops at the error of its first failing value.
+        # one table.  A value is converted when its turn comes, so the sweep
+        # stops at the error of its first failing value.
         c = cfg.with_value(spec.param, None)
-        groups = []
+        tables = []
         for value in values:
             c.values[spec.param], = config_cgs(spec, [value])
-            _, header, group = TABLES[target](c, target, args)
-            groups.append([[value] * len(group[0]), *group])
-        if target in CURVES:
-            rows = curve_rows(groups)
-        else:
-            rows = table_rows([[v for part in parts for v in part] for parts in zip(*groups)])
+            _, header, table = TABLES[target](c, target, args)
+            tables.append(table)
+        if target in CURVES:  # each column joined once; every table has --samples rows
+            import numpy as np
+            blocks = curve_blocks([np.repeat(values, args.samples),
+                                   *map(np.concatenate, zip(*tables))])
+        else:  # one row per value
+            blocks = table_rows([values, *([cell for cell, in col] for col in zip(*tables))])
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
@@ -565,7 +585,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         + (f", values in {unit}" if unit else ""),
         f"target: {target}",
     ]
-    emit(render_csv(meta, [sweep_col, *header], rows), args.out)
+    emit(render_csv(meta, [sweep_col, *header]), args.out, blocks)
     return EXIT_OK
 
 

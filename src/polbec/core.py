@@ -823,8 +823,9 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
     """Both branches over a uniform k_par grid of n_samples points on
     [0, k_max_frac * k_perp], in one elementwise numpy pass, with the checks
     of GridSpec and DispersionCurve: the arrays (k_par, e_upper, e_lower,
-    mu_sq, nu_sq, e_ph_paraxial, e_ph_freespace), cgs.  A grid that does not
-    fit in memory raises GridSizeError.
+    mu_sq, nu_sq, e_ph_paraxial), cgs.  A grid that does not fit in memory
+    raises GridSizeError.  The free-space photon energy is left to the
+    callers that use it (photon_freespace_erg).
     """
     import numpy as np
     if n_samples > sys.maxsize // 16:  # numpy cannot size it and raises a bare ValueError
@@ -849,7 +850,6 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
         # discards, so that division is silenced too.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
-        e_free = photon_freespace_erg(k, k_perp)
         # vectorized sanity on the bosonic-weight normalization, NaN-aware
         norm_err = np.max(np.abs(mu2 + nu2 - 1.0))
     except MemoryError:
@@ -860,7 +860,7 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
             f"Hopfield normalization mu_sq + nu_sq = 1 fails ({detail}) "
             f"at 'g' = {g / EV_ERG:.6g} eV"
         )
-    return k, e1, e2, mu2, nu2, e_ph, e_free
+    return k, e1, e2, mu2, nu2, e_ph
 
 
 def well_geometry_cgs(e_at: float, g: float, k_perp: float, delta: float,

@@ -208,9 +208,11 @@ def sample_dispersion(
     serial, so the arrays are identical for any value.
     """
     e_at = magnitude_in_cgs(transition_energy, ENERGY, "transition_energy")
+    k_perp = coupling.k_perp.cgs
+    k, *branches = sample_dispersion_cgs(e_at, coupling.g.cgs, k_perp, grid.n_samples,
+                                         grid.k_max_frac)
     return DispersionCurve(
-        *sample_dispersion_cgs(e_at, coupling.g.cgs, coupling.k_perp.cgs, grid.n_samples,
-                               grid.k_max_frac),
+        k, *branches, photon_freespace_erg(k, k_perp),
         coupling=coupling,
         transition_energy=Quantity(e_at, ENERGY),
         grid=grid,

@@ -17,6 +17,7 @@ from polbec import cli
 from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main, render_json
 from polbec.config import SweepSpec, sweep_values
 from polbec.core import EV_ERG
+from test_golden_bytes import CASES, CONFIGS
 
 BASE_CFG = """\
 E0 = 2.104 eV
@@ -1077,7 +1078,8 @@ def test_csv_lines_matches_per_cell_formatting(columns):
 class TestFormatOnce:
     """A JSON curve prints its rows from the columns; only the fallback for
     numbers whose json spelling is not the 12-digit one goes through
-    csv_lines.  A CSV curve goes through the numtext kernel once."""
+    csv_lines.  A CSV curve, a curve sweep's included, makes one pass of the
+    numtext kernel."""
 
     @pytest.mark.parametrize(
         "argv, calls, kernel_calls",
@@ -1087,8 +1089,10 @@ class TestFormatOnce:
             # prints 263000000002 and 1.052e+12
             (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 1, 0),
             (["dispersion"], 0, 1),
+            (["sweep", "--param", "Delta", "--from", "-0.001", "--to", "0.001", "--steps", "3",
+              "--command", "dispersion"], 0, 1),
         ],
-        ids=["json", "hopfield-json", "json-fallback", "csv"],
+        ids=["json", "hopfield-json", "json-fallback", "csv", "sweep-csv"],
     )
     def test_csv_lines_calls(self, monkeypatch, argv, calls, kernel_calls):
         from polbec import numtext
@@ -1101,12 +1105,28 @@ class TestFormatOnce:
             return call
 
         monkeypatch.setattr(cli, "csv_lines", counted(cli.csv_lines, seen))
-        monkeypatch.setattr(numtext, "csv_rows", counted(numtext.csv_rows, kernel_seen))
+        monkeypatch.setattr(numtext, "csv_blocks", counted(numtext.csv_blocks, kernel_seen))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
             code = main([argv[0], "--config", EXAMPLE_CFG, "--out", os.devnull, *argv[1:]])
         assert code == 0
         assert (len(seen), len(kernel_seen)) == (calls, kernel_calls)
+
+
+@pytest.mark.parametrize("command, calls", [("dispersion", 1), ("hopfield", 0)])
+def test_freespace_photon_column_only_where_printed(monkeypatch, command, calls):
+    # hopfield prints no E_ph_freespace column, so it does not compute one
+    from polbec import core
+    real, seen = core.photon_freespace_erg, []
+
+    def counted(k_par, k_perp):
+        seen.append(len(k_par))
+        return real(k_par, k_perp)
+
+    monkeypatch.setattr(cli, "photon_freespace_erg", counted)
+    monkeypatch.setattr(core, "photon_freespace_erg", counted)
+    assert main([command, "--config", EXAMPLE_CFG, "--out", os.devnull, "--samples", "7"]) == 0
+    assert seen == [7] * calls
 
 
 @pytest.mark.parametrize("command", ["dispersion", "hopfield"])
@@ -1123,3 +1143,14 @@ def test_far_window_raises_no_runtime_warning(tmp_path, command):
     assert [w.category for w in caught] == [polbec.ParaxialBoundWarning]
     table = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(table) == 4  # the header and 3 samples
+
+
+@pytest.mark.parametrize("name", ["sweep-dispersion-Delta-2049-samples-plain",
+                                  "hopfield-10001-csv"])
+def test_stdout_prints_the_file_bytes(tmp_path, capsys, name):
+    # the golden cases whose CSV rows span several blocks of the numtext kernel
+    config, argv = CASES[name]
+    code, data = run(tmp_path, CONFIGS[config], argv)
+    assert main([argv[0], "--config", str(tmp_path / "run.cfg"), "--out", "-", *argv[1:]]) == 0
+    assert code == 0
+    assert capsys.readouterr().out.encode() == data

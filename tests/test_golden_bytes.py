@@ -10,7 +10,9 @@ not the first, were recorded from the sweep that still rebuilt the
 ladder's arguments per value, before it bound them once.  The JSON curves
 far out of the window (--kmax 1e6) and the masses sweep without a density
 were recorded while JSON rows were still read back from the CSV lines and
-every column was printed per value.  Error cases pin
+every column was printed per value.  The multi-block curve CSVs (a 6147-row
+dispersion sweep and a 10001-row hopfield curve) were recorded while the
+numtext kernel still returned a whole table as one string.  Error cases pin
 the exact stderr line instead.  All cases run with RuntimeWarning raised as an
 error, so no evaluation path may overflow or divide 0/0 inside numpy on
 these inputs.
@@ -117,6 +119,11 @@ def _cases() -> dict:
         "hopfield-example-json-kmax-1e6": ("example", ["hopfield", "--format", "json",
                                                        "--kmax", "1e6", "--samples", "3"]),
         "dispersion-100001-csv": ("example", ["dispersion", "--samples", "100001"]),
+        # 6147 rows: a block edge of the numtext kernel falls inside a value's table
+        "sweep-dispersion-Delta-2049-samples-plain": ("plain", [
+            "sweep", "--param", "Delta", "--from", "-0.004", "--to", "0.004", "--steps", "3",
+            "--samples", "2049", "--command", "dispersion"]),
+        "hopfield-10001-csv": ("example", ["hopfield", "--samples", "10001"]),
         "dispersion-100001-json": ("example", ["dispersion", "--samples", "100001",
                                                "--format", "json"]),
     })
@@ -140,6 +147,7 @@ DIGESTS = {
     "dispersion-example": (0, "832802bc93882a6fd0f8b36e38feb5b4e6cd2b50f63d115d40ad6c217132ad18"),
     "dispersion-example-json-kmax-1e6": (0, "2b9648777e166870fe58bcfbac4d5464581941109994d07bf249ed4fe8c78a51"),
     "dispersion-example-json": (0, "ec6f198678b868118c9a28124ebe4a6e2fa8c6de2ed19fa9a35b51a4a188fc04"),
+    "hopfield-10001-csv": (0, "3d07b5618aebd2bd2891bf38a537d6ebd2a71b2eb12919bf83132c655389698e"),
     "hopfield-example": (0, "76633c7ca0599bdfe02778dbb968a2f0df6a42108a0cd981d4853cc74dd3273f"),
     "hopfield-example-json-kmax-1e6": (0, "559d69f3e1f2dd4aa3e0558928ee0ca2276964d95bae9955c7820fab87b07abe"),
     "hopfield-example-json": (0, "291141eeca94c873ca83d1a1cca84c6bb9cf352f863570d1fa2f6d5b8bf69bab"),
@@ -195,6 +203,7 @@ DIGESTS = {
     "sweep-thresholds-omega_eff-through-0": (0, "327754e791a713e14c13b77f38e9cb414f3d96b2f6ced96bf636184db6c59a8b"),
     "sweep-thresholds-r0-trap": (0, "cc777efec5b94286eb41020e731b576e93cc2bf93f5148bc3842ae6254968276"),
     "sweep-thresholds-tau_coh-plain": (0, "ab680a67052f9a87a459a12ebf048ecc4c4c75d72c990573cd74ec52fb1ba636"),
+    "sweep-dispersion-Delta-2049-samples-plain": (0, "ffd4a7f2066529f18fd58f7feddc925de66e0e30fc6a54bd55757009c5c34f2e"),
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
     "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
     "trap-example": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
@@ -379,3 +388,13 @@ def test_sweep_error_parity(tmp_path, capsys, name):
     assert code == 1
     assert data == b""
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("name", ["dispersion-samples-2^60", "hopfield-delta-over-g-overflows",
+                                  "dispersion-g-through-0"])
+def test_failing_curve_creates_no_file(tmp_path, name):
+    # every error comes before the output file is opened, so none is left behind,
+    # not even an empty one
+    config, argv, _ = ERRORS[name]
+    assert run(tmp_path, config, argv.split())[0] == 1
+    assert not (tmp_path / "out").exists()

@@ -45,12 +45,14 @@ def test_edge_value_prints_as_the_template(value):
 
 
 @pytest.mark.parametrize("ncol", range(1, 9))
-@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  4 * BLOCK_ROWS - 1, 4 * BLOCK_ROWS, 4 * BLOCK_ROWS + 1])
 def test_block_edges(rows, ncol):
     rng = np.random.default_rng(rows * 8 + ncol)
     table = rng.standard_normal((rows, ncol)) * 10.0 ** rng.integers(-14, 36, (rows, ncol))
     # cells that go to '%' itself, on both sides of each block boundary
-    for row in {0, rows - 1, BLOCK_ROWS - 1, BLOCK_ROWS} & set(range(rows)):
+    edges = range(BLOCK_ROWS, rows, BLOCK_ROWS)
+    for row in {0, rows - 1, *edges, *(edge - 1 for edge in edges)}:
         table[row, row % ncol] = [0.0, -np.inf, np.nan, 5e-324][row % 4]
     assert csv_rows(table) == reference(table)
 
