@@ -21,19 +21,21 @@ library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
 config.  A thresholds sweep converts the swept values to cgs in one pass and
 calls the ladder once, with them as one argument's column (or the derived
-masses', for a key the mass reads); the ladder checks its other arguments
-once and the column value by value, and its fields are the table's columns.
-It builds no notes: only a one-shot thresholds run prints them, from
+masses', for a key the ladder does not read); the ladder checks its other
+arguments once and the column value by value, and its first 16 fields are
+the table's columns, in order.  If that call fails, the sweep replays its
+values one at a time, the only replay, and stops at the first failing one's
+error.  It builds no notes: only a one-shot thresholds run prints them, from
 ladder_notes.  Every number is printed as '%.12g' prints it.  A CSV curve
 keeps its numpy columns and is printed by the numtext kernel; every other
-table is printed column-wise through one '%'-template, into which a column
-with one value throughout is printed once, and a float column that prints
-as an earlier one does (the sweep column and the swept key's) is formatted
-once for both.  A JSON table
-prints its rows straight from the float columns, each number formatted once
-in json's spelling of the 12-digit value, and leaves only its header to
-json.  The argument parser is built once per process and shared by every
-later call of main.
+table is printed column-wise through one '%'-template.  A value that holds
+for every row (a ladder field that is not a column, or a cell of a one-row
+table) stays a scalar and is printed once, into the template, and a float
+column that prints as an earlier one does (the sweep column and the swept
+key's) is formatted once for both.  A JSON table prints its rows straight
+from the float columns, each number formatted once in json's spelling of
+the 12-digit value, and leaves only its header to json.  The argument
+parser is built once per process and shared by every later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size
 and window checks, the well, the metadata, every sweep value) before emit
@@ -127,10 +129,10 @@ def fmt_opt(x: float | None) -> str:
     return "" if x is None else fmt(x)
 
 
-def text_column(col: list) -> list:
-    """col as csv_lines takes it: printed to strings when it holds None in
-    some cells but not all, else as it is."""
-    if None in col and col.count(None) != len(col):
+def text_column(col):
+    """col as csv_lines takes it: a column (a list or tuple) that holds None
+    printed to strings, anything else as it is."""
+    if type(col) in (list, tuple) and None in col:
         return [fmt_opt(v) for v in col]
     return col
 
@@ -138,15 +140,6 @@ def text_column(col: list) -> list:
 def _signs(col: list) -> list:
     """The sign of each cell of a float column, which tells -0.0 from 0.0."""
     return list(map(math.copysign, repeat(1.0), col))
-
-
-def _constant(col: list) -> bool:
-    """Whether every cell of col prints as its first does: one value
-    throughout, never NaN, and zeros of one sign (-0.0 == 0.0)."""
-    first = col[0]
-    if not (col[-1] == first and col.count(first) == len(col)):
-        return False
-    return first != 0 or len(set(_signs(col))) == 1
 
 
 def _same_floats(col: list, other: list) -> bool:
@@ -159,23 +152,23 @@ def _same_floats(col: list, other: list) -> bool:
 def csv_lines(columns: list) -> list[str]:
     """The rows of a table given as columns, all through one '%' template.
 
-    A column with one value throughout is printed once, into the template.
-    Otherwise a column of floats prints through NUMBER as it is, a column of
-    bools through BOOL_TEXT, and one of strings through '%s'.  A float
-    column that prints as an earlier one does (a sweep's column and the
-    swept key's) is formatted once, and both print that through '%s'.  The
-    columns are never scanned for None: a column empty in some cells but
-    not all must come as strings, through text_column.
+    A column is a list or tuple of cells.  Anything else is one value that
+    holds for every row: it is printed once, into the template, and a table
+    with no list column is one row.  A column of floats prints through
+    NUMBER as it is, a column of bools through BOOL_TEXT, and one of strings
+    through '%s'.  A float column that prints as an earlier one does (a
+    sweep's column and the swept key's) is formatted once, and both print
+    that through '%s'.  The columns are never scanned for None: a column
+    empty in some cells must come as strings, through text_column.
     """
     if not columns:
         return []
     specs, cells = [], []  # a spec is a constant's text, or the index of its cells
     for col in columns:
-        first = col[0]
-        if _constant(col):
-            specs.append(BOOL_TEXT[first] if first is None or isinstance(first, bool)
-                         else NUMBER % first)
+        if type(col) not in (list, tuple):
+            specs.append(BOOL_TEXT[col] if col is None or isinstance(col, bool) else NUMBER % col)
             continue
+        first = col[0]
         if isinstance(first, bool):
             col = list(map(BOOL_TEXT.__getitem__, col))
         elif not isinstance(first, str):
@@ -187,13 +180,13 @@ def csv_lines(columns: list) -> list[str]:
     template = ",".join(s if type(s) is str else "%s" if type(cells[s][0]) is str else NUMBER
                         for s in specs)
     if not cells:
-        return [template] * len(columns[0])
+        return [template]
     return [template % row for row in zip(*cells)]
 
 
 def table_rows(columns: list) -> list[bytes]:
-    """The CSV rows of a table of list columns, through csv_lines, each ended
-    by a newline, as one block of ASCII bytes."""
+    """The CSV rows of a table given as columns, through csv_lines, each
+    ended by a newline, as one block of ASCII bytes."""
     return ["\n".join([*csv_lines(columns), ""]).encode("ascii")]
 
 
@@ -346,7 +339,8 @@ def _curve_table(c: RunConfig, command: str, args):
 
 
 def _masses_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the one-row masses table of a config."""
+    """(meta, header, columns) of the one-row masses table of a config; each
+    column is one value."""
     g, k_perp, delta, _ = _coupling_cgs(c)
     m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
         delta, g, k_perp)
@@ -362,23 +356,12 @@ def _masses_table(c: RunConfig, command: str, args):
     grams_per_unit = CGS_UNITS[unit][0]
     header = ["Delta_eV", "g_eV", f"m_ph_{unit}", f"m_upper_{unit}", f"m_lower_{unit}",
               "T_KT_upper_K", "T_KT_lower_K"]
-    values = [delta / EV_ERG, g / EV_ERG, m_ph / grams_per_unit, m_upper / grams_per_unit,
-              m_lower / grams_per_unit, *t_kt]
-    return meta, header, [[v] for v in values]
-
-
-# the table of each command that prints one per config, as a sweep repeats it
-TABLES = {"masses": _masses_table, "hopfield": _curve_table, "dispersion": _curve_table}
-
-# the commands whose table is a curve: numpy columns, printed through numtext
-CURVES = ("dispersion", "hopfield")
+    return meta, header, [delta / EV_ERG, g / EV_ERG, m_ph / grams_per_unit,
+                          m_upper / grams_per_unit, m_lower / grams_per_unit, *t_kt]
 
 
 # the config keys behind condensation_ladder's positional arguments
 LADDER_KEYS = ("T", "m_eff", "n2", "n3", "omega_eff", "U0", "r0", "n_s")
-
-# without m_eff in the config, _effective_mass derives it from these keys
-MASS_KEYS = ("E0", "g", "Delta", "L_cav", "mode_index", "d_beam")
 
 
 def _ladder_args(c: RunConfig) -> list:
@@ -396,16 +379,17 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     """The ladder over the swept values, from one call with the swept column.
 
     The arguments are bound at the first value and the swept key's column
-    takes its slot.  Without m_eff in the config, a key the derived mass
-    reads gives the column of the masses derived per value instead.  On a
-    failure the values are replayed one at a time, so the sweep stops with
+    takes its slot.  Without m_eff in the config, a key the ladder does not
+    read gives the m_eff column of the masses derived per value instead.  On
+    a failure (from the ladder, a column's _ColumnError, which has no
+    message) the values are replayed one at a time, so the sweep stops with
     the error of its first failing value.
     """
     key = spec.param
     try:
         column = config_cgs(spec, values)
         c = cfg.with_value(key, column[0])
-        if key in MASS_KEYS and "m_eff" not in c.values:
+        if key not in LADDER_KEYS and "m_eff" not in c.values:
             masses = []
             for c.values[key] in column:
                 masses.append(_effective_mass(c))
@@ -420,18 +404,28 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
         raise
 
 
-def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
-    """The THRESHOLDS_HEADER columns of a ladder over `rows` values.
+def _ladder_columns(ladder: ThresholdLadder) -> list:
+    """The THRESHOLDS_HEADER columns of a ladder: its first 16 fields, in the
+    header's order and units.  n3 and the trap fields are None throughout
+    or nowhere, but a column of N2 is None where omega_eff = 0, so it goes
+    through text_column."""
+    return [*ladder[:11], text_column(ladder.n_trapped), *ladder[12:16]]
 
-    A field that is not a column holds for every row.  The ladder's fields
-    are in the header's order and units but for n2, which comes before n3.
-    n3 and the trap columns are None in every row or in none, but N2 is None
-    where omega_eff = 0, so it goes through text_column.
-    """
-    t, m, n2, n3, lam, r_int, t_d, t_kt, mu, omega, t_c, n_trapped, *rest = (
-        f if type(f) is list else [f] * rows for f in ladder[:16])
-    return [t, m, n3, n2, lam, r_int, t_d, t_kt, mu, omega, t_c, text_column(n_trapped),
-            *rest]
+
+def _thresholds_table(c: RunConfig, command: str, args):
+    """(meta, header, columns) of the one-row thresholds table of a config,
+    with the ladder's notes."""
+    ladder = condensation_ladder(*_ladder_args(c))
+    return [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER, _ladder_columns(ladder)
+
+
+# the table of each command that prints one per config, in the order sweep
+# lists them; a masses or curve sweep builds one per value
+TABLES = {"masses": _masses_table, "thresholds": _thresholds_table,
+          "hopfield": _curve_table, "dispersion": _curve_table}
+
+# the commands whose table is a curve: numpy columns, printed through numtext
+CURVES = ("dispersion", "hopfield")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +435,7 @@ def _thresholds_columns(ladder: ThresholdLadder, rows: int) -> list:
 def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], columns: list) -> None:
     """Write a command's table as CSV or JSON.  A curve's CSV rows stream from
     the numtext kernel; in JSON a curve is "columns" and "rows" (its columns
-    as lists).  The one row of masses or thresholds gives one key per column."""
+    as lists).  The one row of masses or thresholds gives one key per value."""
     meta = _meta_head(cfg) + meta
     curve = args.command in CURVES
     blocks = ()
@@ -452,7 +446,7 @@ def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], column
         rows = [col.tolist() for col in columns]
         text = render_json({"metadata": meta, "columns": header, "rows": rows})
     else:
-        text = render_json({"metadata": meta, **{h: col[0] for h, col in zip(header, columns)}})
+        text = render_json({"metadata": meta, **dict(zip(header, columns))})
     emit(text, args.out, blocks)
 
 
@@ -492,7 +486,7 @@ def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
 
 
 def cmd_table(cfg: RunConfig, args) -> int:
-    """dispersion, hopfield and masses; dispersion also reports the well."""
+    """Every command of TABLES; dispersion also reports the well."""
     meta, header, columns = TABLES[args.command](cfg, args.command, args)
     exit_code = EXIT_OK
     if args.command == "dispersion":
@@ -500,13 +494,6 @@ def cmd_table(cfg: RunConfig, args) -> int:
         meta += well
     _emit_table(cfg, args, meta, header, columns)
     return exit_code
-
-
-def cmd_thresholds(cfg: RunConfig, args) -> int:
-    ladder = condensation_ladder(*_ladder_args(cfg))
-    _emit_table(cfg, args, [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER,
-                _thresholds_columns(ladder, 1))
-    return EXIT_OK
 
 
 def cmd_trap(cfg: RunConfig, args) -> int:
@@ -546,9 +533,6 @@ def cmd_trap(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-SWEEP_TARGETS = ("masses", "thresholds", "hopfield", "dispersion")
-
-
 def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = SweepSpec(args.param, args.sweep_from, args.sweep_to, args.steps, args.scale)
     # the config with the swept key written in must pass what parsing checks
@@ -558,8 +542,7 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     if target == "thresholds":
         header = THRESHOLDS_HEADER
-        blocks = table_rows(
-            [values, *_thresholds_columns(_sweep_ladder(cfg, spec, values), len(values))])
+        blocks = table_rows([values, *_ladder_columns(_sweep_ladder(cfg, spec, values))])
     else:
         # one copy of the config; each value swaps in one float and gives
         # one table.  A value is converted when its turn comes, so the sweep
@@ -574,8 +557,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             import numpy as np
             blocks = curve_blocks([np.repeat(values, args.samples),
                                    *map(np.concatenate, zip(*tables))])
-        else:  # one row per value
-            blocks = table_rows([values, *([cell for cell, in col] for col in zip(*tables))])
+        else:  # one row per value; T_KT is None throughout without a density
+            blocks = table_rows([values, *map(text_column, map(list, zip(*tables)))])
 
     unit = spec.unit
     sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
@@ -651,7 +634,7 @@ def build_parser() -> _Parser:
     _add_command(sub, "hopfield", cmd_table, "photon/matter composition along the grid",
                  grid=True)
     _add_command(sub, "masses", cmd_table, "photon and branch curvature masses")
-    _add_command(sub, "thresholds", cmd_thresholds, "condensation threshold ladder")
+    _add_command(sub, "thresholds", cmd_table, "condensation threshold ladder")
     p = _add_command(sub, "trap", cmd_trap, "design a lens profile for a target T_c")
     p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
     p.add_argument("--n-particles", type=float, default=None, help="particle number N")
@@ -664,7 +647,7 @@ def build_parser() -> _Parser:
                    help="stop value in the key's canonical unit")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p.add_argument("--command", dest="target", choices=SWEEP_TARGETS, required=True)
+    p.add_argument("--command", dest="target", choices=tuple(TABLES), required=True)
     return parser
 
 

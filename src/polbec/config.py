@@ -13,18 +13,7 @@ import hashlib
 import math
 from typing import NamedTuple
 
-from .core import (
-    AREA_DENSITY_DIM,
-    CGS_UNITS,
-    DIPOLE_MOMENT_DIM,
-    ENERGY_DIM,
-    FREQUENCY_DIM,
-    LENGTH_DIM,
-    MASS_DIM,
-    TEMPERATURE_DIM,
-    TIME_DIM,
-    VOLUME_DENSITY_DIM,
-)
+from .core import CGS_UNITS
 
 __all__ = ["ConfigError", "RunConfig", "SweepSpec", "KEY_SPECS", "sweep_values"]
 
@@ -35,34 +24,34 @@ class ConfigError(ValueError):
 
 class KeySpec(NamedTuple):
     kind: str                      # "quantity" | "int" | "float" | "choice"
-    dimension: str | None = None   # a quantity's cgs base-unit string, as in core.CGS_UNITS
-    sweep_unit: str | None = None  # canonical unit for sweep from/to values
+    sweep_unit: str | None = None  # a quantity's canonical unit: sweep from/to values are in
+                                   # it, and its dimension in core.CGS_UNITS is the key's
     choices: tuple[str, ...] = ()
 
 
 KEY_SPECS: dict[str, KeySpec] = {
     # medium
-    "E0": KeySpec("quantity", ENERGY_DIM, "eV"),
-    "d": KeySpec("quantity", DIPOLE_MOMENT_DIM, "D"),
-    "n3": KeySpec("quantity", VOLUME_DENSITY_DIM, "cm^-3"),
-    "tau_coh": KeySpec("quantity", TIME_DIM, "s"),
+    "E0": KeySpec("quantity", "eV"),
+    "d": KeySpec("quantity", "D"),
+    "n3": KeySpec("quantity", "cm^-3"),
+    "tau_coh": KeySpec("quantity", "s"),
     # cavity / coupling
-    "L_cav": KeySpec("quantity", LENGTH_DIM, "cm"),
+    "L_cav": KeySpec("quantity", "cm"),
     "mode_index": KeySpec("int"),
-    "d_beam": KeySpec("quantity", LENGTH_DIM, "cm"),
-    "g": KeySpec("quantity", ENERGY_DIM, "eV"),
-    "Delta": KeySpec("quantity", ENERGY_DIM, "eV"),
+    "d_beam": KeySpec("quantity", "cm"),
+    "g": KeySpec("quantity", "eV"),
+    "Delta": KeySpec("quantity", "eV"),
     # gas
-    "T": KeySpec("quantity", TEMPERATURE_DIM, "K"),
-    "n2": KeySpec("quantity", AREA_DENSITY_DIM, "cm^-2"),
-    "n_s": KeySpec("quantity", AREA_DENSITY_DIM, "cm^-2"),
-    "m_eff": KeySpec("quantity", MASS_DIM, "g"),
+    "T": KeySpec("quantity", "K"),
+    "n2": KeySpec("quantity", "cm^-2"),
+    "n_s": KeySpec("quantity", "cm^-2"),
+    "m_eff": KeySpec("quantity", "g"),
     # trap
-    "omega_eff": KeySpec("quantity", FREQUENCY_DIM, "s^-1"),
-    "omega_at": KeySpec("quantity", FREQUENCY_DIM, "s^-1"),
-    "U0": KeySpec("quantity", ENERGY_DIM, "eV"),
-    "r0": KeySpec("quantity", LENGTH_DIM, "cm"),
-    "E_char": KeySpec("quantity", ENERGY_DIM, "eV"),
+    "omega_eff": KeySpec("quantity", "s^-1"),
+    "omega_at": KeySpec("quantity", "s^-1"),
+    "U0": KeySpec("quantity", "eV"),
+    "r0": KeySpec("quantity", "cm"),
+    "E_char": KeySpec("quantity", "eV"),
     "N": KeySpec("float"),
     "n0": KeySpec("float"),
     # output
@@ -107,9 +96,10 @@ def _parse_entry(key: str, raw: str) -> object:
     if unit not in CGS_UNITS:
         raise ConfigError(f"key '{key}': unknown unit {unit!r}")
     factor, dimension = CGS_UNITS[unit]
-    if dimension != spec.dimension:
+    expected = CGS_UNITS[spec.sweep_unit][1]
+    if dimension != expected:
         raise ConfigError(
-            f"key '{key}': unit {unit!r} has dimension [{dimension}], expected [{spec.dimension}]"
+            f"key '{key}': unit {unit!r} has dimension [{dimension}], expected [{expected}]"
         )
     magnitude = value * factor
     if not math.isfinite(magnitude):

@@ -32,10 +32,8 @@ from typing import NamedTuple
 
 __all__ = [
     # constants and units
-    "HBAR_CGS", "H_CGS", "C_CGS", "KB_CGS", "EV_ERG", "MEV_ERG", "DEBYE_ESU_CM",
-    "ENERGY_DIM", "LENGTH_DIM", "MASS_DIM", "TIME_DIM", "TEMPERATURE_DIM", "FREQUENCY_DIM",
-    "WAVENUMBER_DIM", "VOLUME_DENSITY_DIM", "AREA_DENSITY_DIM", "VELOCITY_DIM",
-    "DIPOLE_MOMENT_DIM", "CGS_UNITS", "range_error",
+    "HBAR_CGS", "H_CGS", "C_CGS", "KB_CGS", "EV_ERG", "MEV_ERG", "DEBYE_ESU_CM", "CGS_UNITS",
+    "range_error",
     # gas thermodynamics
     "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "ladder_notes",
     "effective_masses_cgs", "kt_temperature_K", "lambda_T_cm", "degeneracy_temperature_K",
@@ -165,12 +163,14 @@ class ThresholdLadder(NamedTuple):
     in erg), None where the report has None; the report's notes are
     ladder_notes of a one-row ladder.  A field that depends on a list
     argument of condensation_ladder (a column) is the list of its values.
+    The first 16 fields are the columns of the CLI's thresholds table, in
+    its order.
     """
 
     temperature: float
     m_eff: float
-    n2: float
     n3: float | None
+    n2: float
     lambda_t: float
     r_int: float
     t_degeneracy: float
@@ -397,8 +397,7 @@ def _group_velocity_cm_s(k_par: float, m_g: float) -> float:
 
 
 class _ColumnError(ArithmeticError):
-    """A value of a column failed; condensation_ladder replays the column's
-    values one at a time, so that the first failing one raises its own error."""
+    """A value of a column failed; it has no message (see condensation_ladder)."""
 
 
 def _each(f, *args):
@@ -424,19 +423,11 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
     omega_eff None means no trap (u0 and r0 are then ignored); the checks of
     GasState and TrapSpec run first, in that order.  Any argument may be a
     list, a column of values, with the others scalars: each field that
-    depends on it is then the column of the scalar call's values, and the
-    call fails as the scalar call of its first failing value does.
+    depends on it is then the column of the scalar call's values.  A column
+    value that fails raises _ColumnError, an ArithmeticError with no
+    message.  A caller that reports the first failing value's own error (the
+    CLI's sweep) finds it by the scalar calls, value by value.
     """
-    args = (t_k, m_g, n2, n3, omega_eff, u0, r0, n_s)
-    try:
-        return _ladder(*args)
-    except _ColumnError:
-        for row in zip(*[a if type(a) is list else repeat(a) for a in args]):
-            _ladder(*row)
-        raise
-
-
-def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
     _check_gas(t_k, m_g, n2, n3)
     if omega_eff is not None:
         _each(_check_trap, omega_eff)
@@ -502,7 +493,7 @@ def _ladder(t_k, m_g, n2, n3, omega_eff, u0, r0, n_s) -> ThresholdLadder:
         frac = _trapped(omega_eff, 0.0, _condensate_fraction_cgs, t_k, t_c)
 
     return ThresholdLadder(
-        t_k, m_g, n2, n3, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
+        t_k, m_g, n3, n2, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
         degenerate=_each(operator.le, t_k, t_d),
         kt_superfluid=_each(operator.le, t_k, t_kt),
         overlap=_each(operator.ge, lam, r_int),
@@ -580,8 +571,11 @@ def strong_coupling_cgs(
     e0: float, d: float, n3: float, tau: float, threshold: float = DEFAULT_STRONG_THRESHOLD
 ) -> tuple[float, float, float, CouplingRegime]:
     """(omega_c, decoherence rate 1/(2 tau_coh), ratio, regime) in cgs, with
-    the checks of MediumParams; strong iff ratio = omega_c * 2 tau_coh > threshold."""
+    the checks of MediumParams; strong iff ratio = omega_c * 2 tau_coh > threshold,
+    which must be positive and finite."""
     _check_medium(e0, d, n3, tau)
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     omega_c = _cooperative_frequency_cgs(e0, d, n3)
     rate = 0.5 / tau
     if rate == math.inf:

@@ -129,7 +129,8 @@ def is_strong_coupling(
 ) -> StrongCouplingCheck:
     """Classify the coupling regime.
 
-    ratio = omega_c * 2 tau_coh; strong iff ratio > threshold.
+    ratio = omega_c * 2 tau_coh; strong iff ratio > threshold, which must be
+    positive and finite.
     """
     omega_c, rate, ratio, regime = strong_coupling_cgs(
         medium.transition_energy.cgs, medium.dipole_moment.cgs, medium.density.cgs,

@@ -4,10 +4,9 @@ csv_blocks(columns) yields, as ASCII bytes, what '%.12g' % cell gives for
 each cell of a table of float columns, cells joined by ',' and rows ended by
 '\n': one bytes object per block of BLOCK_ROWS rows, so that a caller can
 write each block as it comes and the table's text is never held whole.
-csv_rows(table) is the same text as one str, for an (n, ncol) array.  Only
-the curve tables use the kernel; it loads numpy.  Each block is copied from
-the columns into one reused (BLOCK_ROWS, ncol) float scratch and laid out
-in numpy:
+Only the curve tables use the kernel; it loads numpy.  Each block is
+copied from the columns into one reused (BLOCK_ROWS, ncol) float scratch
+and laid out in numpy:
 
 - e = floor(log10 |x|), and m = |x| * 10^(11 - e) with an exact power of
   ten (10^0 .. 10^22), so m is the exact product rounded once.
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "csv_blocks", "csv_rows"]
+__all__ = ["BLOCK_ROWS", "csv_blocks"]
 
 # rows per numpy pass (see above)
 BLOCK_ROWS = 1024
@@ -156,8 +155,3 @@ def csv_blocks(columns):
         for j, col in enumerate(columns):
             x[:, j] = col[i:i + len(x)]
         yield _block(x, cells)
-
-
-def csv_rows(table) -> str:
-    """The rows of an (n, ncol) float table as csv_blocks prints them, as one str."""
-    return b"".join(csv_blocks(np.asarray(table, dtype=np.float64).T)).decode("ascii")

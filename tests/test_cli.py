@@ -762,6 +762,15 @@ def main_io(config_text, argv):
 @example(  # the n3-only path, swept over n3
     config_text=BASE_CFG.replace("n2 = 0.5e8 cm^-2\n", "").replace("m_eff = 5e-33 g\n", ""),
     sweep=("n3", 1e9, 1e13, 3, "log"))
+# a scalar key that fails beside a T column whose value at index 0 or 1 fails
+# too: every value fails, and the first one's error is the one-shot run's,
+# whichever check comes first
+@example(config_text=BASE_CFG.replace("m_eff = 5e-33 g", "m_eff = 0 g"),
+         sweep=("T", -1.0, 2e3, 3, "linear"))
+@example(config_text=BASE_CFG.replace("m_eff = 5e-33 g", "m_eff = 0 g"),
+         sweep=("T", 2.0, -2.0, 3, "linear"))
+@example(config_text=TRAP_CFG.replace("n2 = 0.5e8 cm^-2", "n2 = 0 cm^-2"),
+         sweep=("T", 2e3, -1.0, 3, "linear"))
 def test_sweep_row_equals_one_shot_row(config_text, sweep):
     key, start, stop, steps, scale = sweep
     code, data, err = main_io(config_text, [
@@ -865,7 +874,7 @@ QUANTITY_FREE_RUNS = [
     ["thresholds"],
     ["trap", "--target-tc", "300", "--n-particles", "1e6"],
     *[["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
-       "--samples", "5", "--command", target] for target in cli.SWEEP_TARGETS],
+       "--samples", "5", "--command", target] for target in cli.TABLES],
 ]
 
 
@@ -1045,17 +1054,19 @@ def csv_tables(draw):
     cells = lambda values: st.lists(values, min_size=n, max_size=n)
     column = st.one_of(
         cells(CELL_FLOATS),
-        CELL_FLOATS.map(lambda v: [v] * n),  # one value throughout; NaN never counts
+        CELL_FLOATS.map(lambda v: [v] * n),  # one value throughout, as a column
         cells(st.sampled_from([0.0, -0.0])),  # equal, but printed apart
         cells(st.booleans()),
         st.sampled_from([None, True, False]).map(lambda v: [v] * n),
         cells(st.one_of(st.none(), CELL_FLOATS)),  # empty in some cells
+        st.one_of(st.none(), st.booleans(), CELL_FLOATS),  # a scalar: one value for every row
     )
     columns = draw(st.lists(column, min_size=1, max_size=8))
-    if draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
-        columns.append(list(draw(st.sampled_from(columns))))
+    lists = [col for col in columns if type(col) is list]
+    if lists and draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
+        columns.append(list(draw(st.sampled_from(lists))))
     # sweep builders hand over tuples from zip
-    return [tuple(col) if draw(st.booleans()) else col for col in columns]
+    return [tuple(col) if type(col) is list and draw(st.booleans()) else col for col in columns]
 
 
 @settings(deadline=None)
@@ -1067,12 +1078,17 @@ def csv_tables(draw):
 @example(columns=[[1.5, 0.0, 2.0], [1.5, -0.0, 2.0], [1.5, 0.0, 2.0], [1.5, -0.0, 2.0]])
 @example(columns=[[math.nan, 1.0], [math.nan, 1.0], [float("nan"), 1.0]])
 @example(columns=[[1.0, 0.0], [True, False], [1.0, 0.0]])
+# scalars beside columns, and a table of scalars alone, which is one row
+@example(columns=[1.5, [0.0, -0.0], None, True, -0.0, [None, 1.0]])
+@example(columns=[None, 2.5, False, math.nan])
 def test_csv_lines_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
-    # text_column, which leaves every other column as it is
+    # text_column, which leaves every other column and every scalar as it is
     lines = csv_lines([cli.text_column(col) for col in columns])
     cell = lambda v: BOOL_TEXT[v] if isinstance(v, bool) else fmt_opt(v)
-    assert lines == [",".join(map(cell, row)) for row in zip(*columns)]
+    rows = max((len(col) for col in columns if type(col) in (list, tuple)), default=1)
+    full = [col if type(col) in (list, tuple) else [col] * rows for col in columns]
+    assert lines == [",".join(map(cell, row)) for row in zip(*full)]
 
 
 class TestFormatOnce:

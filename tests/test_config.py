@@ -11,7 +11,7 @@ from polbec.config import (
     config_cgs,
     sweep_values,
 )
-from polbec.core import EV_ERG, MEV_ERG
+from polbec.core import CGS_UNITS, EV_ERG, MEV_ERG
 from polbec.units import UNITS, qty
 
 GOOD = """\
@@ -126,6 +126,13 @@ class TestParse:
 QUANTITY_KEYS = sorted(key for key, spec in KEY_SPECS.items() if spec.kind == "quantity")
 
 
+def test_each_quantity_key_has_a_canonical_unit():
+    # a quantity's canonical unit fixes its dimension; no other key has one
+    assert all(KEY_SPECS[key].sweep_unit in CGS_UNITS for key in QUANTITY_KEYS)
+    assert all(spec.sweep_unit is None for key, spec in KEY_SPECS.items()
+               if key not in QUANTITY_KEYS)
+
+
 @given(
     key=st.sampled_from(QUANTITY_KEYS),
     unit=st.sampled_from(sorted(UNITS) + ["furlong"]),
@@ -140,7 +147,8 @@ def test_quantity_value_is_its_cgs_magnitude(key, unit, x):
     # the float parsing stores is qty(x, unit).cgs bit for bit; a wrong
     # dimension is reported before an overflow, each in its own words
     raw = f"{x!r} {unit}"
-    expected_dim = KEY_SPECS[key].dimension  # the dimension's cgs base-unit string
+    # the dimension of the key's canonical unit, as its cgs base-unit string
+    expected_dim = UNITS[KEY_SPECS[key].sweep_unit][1].unit_string()
     if unit not in UNITS:
         message = f"key '{key}': unknown unit {unit!r}"
     elif UNITS[unit][1].unit_string() != expected_dim:

@@ -118,6 +118,13 @@ class TestRegime:
         assert is_strong_coupling(m, threshold=10).regime is CouplingRegime.STRONG
         assert is_strong_coupling(m, threshold=100).regime is CouplingRegime.WEAK
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        # nan and inf would always read as weak, 0 and below always as strong
+        with pytest.raises(ValueError, match=f"^threshold must be positive and finite, "
+                                             f"got {threshold}$"):
+            is_strong_coupling(example_medium(), threshold=threshold)
+
     def test_monotone_in_tau_and_density(self):
         taus = [1e-10, 1e-9, 1e-8, 1e-7]
         ratios = [is_strong_coupling(example_medium(tau_coh=t)).ratio for t in taus]

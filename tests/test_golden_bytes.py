@@ -357,6 +357,20 @@ ERRORS = {
     "trap-E_char-1e300-erg": (
         "E_char-1e300-erg", "trap --target-tc 300 --n-particles 1e6",
         "polbec: error: E_char in eV leaves the float range for 'E_char' = 1e+300 erg\n"),
+    # recorded with the check of the threshold; before it, nan and inf read as
+    # weak (exit 2, and json's invalid NaN for nan), 0 and -1 always as strong
+    "check-coupling-threshold-nan": (
+        "example", "check-coupling --threshold nan",
+        "polbec: error: threshold must be positive and finite, got nan\n"),
+    "check-coupling-threshold-inf-json": (
+        "example", "check-coupling --threshold inf --format json",
+        "polbec: error: threshold must be positive and finite, got inf\n"),
+    "check-coupling-threshold-0": (
+        "example", "check-coupling --threshold 0",
+        "polbec: error: threshold must be positive and finite, got 0.0\n"),
+    "check-coupling-threshold--1-json": (
+        "example", "check-coupling --threshold=-1 --format json",
+        "polbec: error: threshold must be positive and finite, got -1.0\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)

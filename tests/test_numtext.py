@@ -5,9 +5,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from polbec.numtext import BLOCK_ROWS, csv_rows
+from polbec.numtext import BLOCK_ROWS, csv_blocks
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def csv_rows(table) -> str:
+    """The kernel's blocks for an (n, ncol) table, joined into one str."""
+    return b"".join(csv_blocks(np.asarray(table, dtype=np.float64).T)).decode("ascii")
 
 
 def reference(table) -> str:
