@@ -6,14 +6,15 @@ numbers are printed with 12 significant digits, rows are assembled in
 grid/sweep order, and the metadata header carries no timestamps.
 Evaluation is serial; --workers is accepted and has no effect.
 
-The CLI imports polbec.core (the cgs float cores, the constants and the
-unit table) and polbec.config, and from the standard library argparse,
-json, math, re, sys, functools, itertools and, for the config digest,
-hashlib.  Only dispersion, hopfield and their sweeps sample a curve; the
-branch cores import numpy when they run, and a CSV curve is printed
-through polbec.numtext, imported when it prints.  So the scalar commands
-start without numpy, and no command loads dataclasses, fractions or any
-Quantity.
+The CLI imports polbec.core (the scalar cgs float cores, the constants
+and the unit table) and polbec.config, and from the standard library
+argparse, math, re, sys, functools and itertools.  Only dispersion,
+hopfield and their sweeps sample a curve: they import the branch cores
+(polbec.branches) when they run, and those import numpy; a CSV curve is
+printed through polbec.numtext, imported when it prints.  json is
+imported when JSON is written.  So the scalar commands start without
+numpy, json or the branch cores, and no command loads dataclasses,
+fractions or any Quantity.
 
 Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
@@ -53,7 +54,6 @@ Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -75,8 +75,6 @@ from .core import (
     EV_ERG,
     KB_CGS,
     CouplingRegime,
-    GridSizeError,
-    NoWellError,
     ThresholdLadder,
     range_error,
     check_cavity,
@@ -86,12 +84,9 @@ from .core import (
     geometry_coupling_cgs,
     kt_temperature_K,
     ladder_notes,
-    photon_freespace_erg,
     resonant_coupling_cgs,
-    sample_dispersion_cgs,
     strong_coupling_cgs,
     transverse_energy_erg,
-    well_geometry_cgs,
 )
 
 __all__ = ["main"]
@@ -237,6 +232,7 @@ def render_json(payload: dict) -> str:
     with indent=2 (_json_rows).  json itself would write them through its
     pure-Python encoder, which it uses to indent.
     """
+    import json
     columns = payload.get("rows")
     text = json.dumps(payload if columns is None else {**payload, "rows": []}, indent=2)
     if columns and columns[0]:
@@ -311,6 +307,7 @@ def _effective_mass(c: RunConfig) -> float:
 def _curve_table(c: RunConfig, command: str, args):
     """(meta, header, columns) of the dispersion or hopfield table of a config;
     the columns are numpy arrays."""
+    from .branches import GridSizeError, photon_freespace_erg, sample_dispersion_cgs
     g, k_perp, delta, _ = _coupling_cgs(c)
     e_at = c.require("E0")
     try:
@@ -467,6 +464,7 @@ def cmd_check_coupling(cfg: RunConfig, args) -> int:
 
 def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
     """The metadata lines on the lower-branch well, and the exit code."""
+    from .branches import NoWellError, well_geometry_cgs
     g, k_perp, delta, length = _coupling_cgs(c)
     m_lower = effective_masses_cgs(delta, g, k_perp)[2]
     meta = ["well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)"]

@@ -9,11 +9,21 @@ errors; each command reports its missing required keys by name.
 
 from __future__ import annotations
 
-import hashlib
 import math
+import sys
 from typing import NamedTuple
 
 from .core import CGS_UNITS
+
+# CPython's own sha256 module loads in a fraction of the time hashlib takes
+# to load OpenSSL's; it is named _sha2 from 3.12 and _sha256 before
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 __all__ = ["ConfigError", "RunConfig", "SweepSpec", "KEY_SPECS", "sweep_values"]
 
@@ -167,7 +177,7 @@ class RunConfig:
 
     def digest(self) -> str:
         """Stable short hash of the raw config text."""
-        return hashlib.sha256(self.source_text.encode("utf-8")).hexdigest()[:12]
+        return sha256(self.source_text.encode("utf-8")).hexdigest()[:12]
 
 
 class SweepSpec:

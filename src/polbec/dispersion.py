@@ -22,7 +22,7 @@ the paraxial form truncates this at hbar*c*(k_perp + k_par^2/(2 k_perp)),
 valid for k_par << k_perp.
 
 The closed forms, the grid sampling and the well root are cgs float cores
-in polbec.core; this module wraps them in the dimension-checked Quantity
+in polbec.branches; this module wraps them in the dimension-checked Quantity
 operations and their result dataclasses.  It loads no numpy itself: the
 cores import it when a curve is sampled.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import _SUBMODULE_NAMES
-from .core import (
+from .branches import (
     DEFAULT_PARAXIAL_BOUND,
     NoWellError,
     ParaxialBoundWarning,

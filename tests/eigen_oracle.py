@@ -2,8 +2,8 @@
 
 A verification path only: it solves the matrix through the quadratic
 formula and an eigenvector, and shares no arithmetic with the closed forms
-in polbec.core (branch_energies, hopfield_fractions) that the operations of
-polbec.dispersion wrap.
+in polbec.branches (branch_energies, hopfield_fractions) that the operations
+of polbec.dispersion wrap.
 """
 
 import numpy as np

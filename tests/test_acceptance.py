@@ -14,7 +14,8 @@ import scipy.constants
 from scipy.integrate import quad
 
 from polbec.cli import main
-from polbec.core import C_CGS, HBAR_CGS, KB_CGS, branch_energies, hopfield_fractions
+from polbec.branches import branch_energies, hopfield_fractions
+from polbec.core import C_CGS, HBAR_CGS, KB_CGS
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import ModeProblem, diagonalize_mode, well_geometry
 from polbec.thermo import (

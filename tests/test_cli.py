@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -802,18 +803,21 @@ def test_scalar_commands_load_no_numpy():
     # the scalar commands and their sweeps must start on the float cores and
     # config alone.  dataclasses would pull in inspect, dis, tokenize and ast.
     # typing and enum are not watched: site loads them before polbec.  The
-    # curve commands, run last, load numpy (which loads inspect) when they
-    # sample and the numtext kernel when they print CSV, and still no module
-    # of the Quantity layer.
+    # config digest comes from CPython's own sha256, not OpenSSL's (_hashlib),
+    # and json loads only when JSON is written, as trap, run next, writes it.
+    # The curve commands, run last, load the branch cores and numpy (which
+    # loads inspect) when they sample and the numtext kernel when they print
+    # CSV, and still no module of the Quantity layer.  The probe passes its
+    # data as Python literals, because json is watched.
     root = Path(polbec.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     watched = ["numpy", "polbec.numtext", "dataclasses", "fractions", "inspect", "polbec.units",
-               "polbec.thermo", "polbec.coupling", "polbec.trap", "polbec.dispersion"]
+               "polbec.thermo", "polbec.coupling", "polbec.trap", "polbec.dispersion",
+               "_hashlib", "json", "polbec.branches"]
     scalar = [
         ["thresholds"],
         ["masses"],
         ["check-coupling"],
-        ["trap", "--target-tc", "300", "--n-particles", "1e6"],
         ["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "5",
          "--command", "thresholds"],
         ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "5",
@@ -825,30 +829,31 @@ def test_scalar_commands_load_no_numpy():
         ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
          "--samples", "5", "--command", "dispersion"],
     ]
-    cases = scalar + curves
+    trap = ["trap", "--target-tc", "300", "--n-particles", "1e6"]
+    cases = scalar + [trap] + curves
     probe = (
-        "import json, os, sys\n"
+        "import os, sys\n"
         "import polbec.cli\n"
-        "watched = json.loads(sys.argv[3])\n"
+        "watched = eval(sys.argv[3])\n"
         "def seen():\n"
         "    return [name for name in watched if name in sys.modules]\n"
         "loaded = [seen()]\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "for argv in eval(sys.argv[1]):\n"
         "    rc = polbec.cli.main(argv + ['--config', sys.argv[2], '--out', os.devnull])\n"
         "    loaded.append([rc, seen()])\n"
-        "print(json.dumps(loaded))\n"
+        "print(repr(loaded))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe, json.dumps(cases), str(root / "example.cfg"),
-         json.dumps(watched)],
+        [sys.executable, "-c", probe, repr(cases), str(root / "example.cfg"), repr(watched)],
         capture_output=True, text=True, env=env, check=True,
     )
-    after_import, *after_cases = json.loads(result.stdout)
+    after_import, *after_cases = ast.literal_eval(result.stdout)
     assert after_import == []
     assert after_cases[:len(scalar)] == [[0, []]] * len(scalar)
-    for rc, seen in after_cases[len(scalar):]:
+    assert after_cases[len(scalar)] == [0, ["json"]]
+    for rc, seen in after_cases[len(scalar) + 1:]:
         assert rc == 0
-        assert set(seen) - {"inspect"} == {"numpy", "polbec.numtext"}
+        assert set(seen) - {"inspect"} == {"json", "numpy", "polbec.numtext", "polbec.branches"}
 
 
 EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")
@@ -1132,15 +1137,15 @@ class TestFormatOnce:
 @pytest.mark.parametrize("command, calls", [("dispersion", 1), ("hopfield", 0)])
 def test_freespace_photon_column_only_where_printed(monkeypatch, command, calls):
     # hopfield prints no E_ph_freespace column, so it does not compute one
-    from polbec import core
-    real, seen = core.photon_freespace_erg, []
+    # (the CLI imports it from polbec.branches when it builds a curve table)
+    from polbec import branches
+    real, seen = branches.photon_freespace_erg, []
 
     def counted(k_par, k_perp):
         seen.append(len(k_par))
         return real(k_par, k_perp)
 
-    monkeypatch.setattr(cli, "photon_freespace_erg", counted)
-    monkeypatch.setattr(core, "photon_freespace_erg", counted)
+    monkeypatch.setattr(branches, "photon_freespace_erg", counted)
     assert main([command, "--config", EXAMPLE_CFG, "--out", os.devnull, "--samples", "7"]) == 0
     assert seen == [7] * calls
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -114,6 +115,13 @@ class TestParse:
     def test_digest_stable(self):
         assert RunConfig.parse(GOOD).digest() == RunConfig.parse(GOOD).digest()
         assert RunConfig.parse(GOOD).digest() != RunConfig.parse(GOOD + "\nn0 = 1.5\n").digest()
+
+    @pytest.mark.parametrize("text", [GOOD, "# cell at 300 \u00b0C, \u03bb/2 cavity\n" + GOOD, ""],
+                             ids=["ascii", "utf-8", "empty"])
+    def test_digest_is_hashlib_sha256_of_the_text(self, text):
+        # the digest takes CPython's own sha256 module where there is one
+        expected = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+        assert RunConfig.parse(text).digest() == expected
 
     def test_with_value_keeps_source(self):
         cfg = RunConfig.parse(GOOD)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polbec.core import C_CGS, HBAR_CGS, branch_energies, hopfield_fractions
+from polbec.branches import branch_energies, hopfield_fractions
+from polbec.core import C_CGS, HBAR_CGS
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import (
     GridSpec,

@@ -12,7 +12,9 @@ far out of the window (--kmax 1e6) and the masses sweep without a density
 were recorded while JSON rows were still read back from the CSV lines and
 every column was printed per value.  The multi-block curve CSVs (a 6147-row
 dispersion sweep and a 10001-row hopfield curve) were recorded while the
-numtext kernel still returned a whole table as one string.  Error cases pin
+numtext kernel still returned a whole table as one string.  The saturated
+masses and the wide-beam trap were recorded when they were added, and the
+wide-beam trap's stderr warning is pinned apart.  Error cases pin
 the exact stderr line instead.  All cases run with RuntimeWarning raised as an
 error, so no evaluation path may overflow or divide 0/0 inside numpy on
 these inputs.
@@ -39,6 +41,8 @@ T = 300 K
 n2 = 0.5e8 cm^-2
 """
 
+EXAMPLE = (Path(__file__).resolve().parents[1] / "example.cfg").read_text()
+
 CONFIGS = {
     # no m_eff: thresholds derive the lower-branch mass from the coupling keys
     "plain": PLAIN,
@@ -52,13 +56,13 @@ CONFIGS = {
     # U(r0) = U0 holds at r0 = 1e-3 cm only: 0.5 * 5e-33 g * (5e10 s^-1)^2 * (1e-3 cm)^2
     "consistent-trap": PLAIN + "m_eff = 5e-33 g\nomega_eff = 5.0e10 s^-1\n"
                                "U0 = 6.25e-18 erg\nr0 = 1e-3 cm\n",
-    "example": (Path(__file__).resolve().parents[1] / "example.cfg").read_text(),
+    "example": EXAMPLE,
     # trap's energy scale: E0 as the default of E_char, or E_char itself, not positive
     "negative-E0": PLAIN.replace("E0 = 2.104 eV", "E0 = -2 eV") + "m_eff = 5e-33 g\n",
     "negative-E_char": PLAIN + "E_char = -2 eV\n",
     "negative-m_eff": PLAIN.replace("E0 = 2.104 eV", "E0 = 2 eV") + "m_eff = -5e-33 g\n",
     # the particle count as a key, the default of trap --n-particles
-    "example-N": (Path(__file__).resolve().parents[1] / "example.cfg").read_text() + "N = 1e6\n",
+    "example-N": EXAMPLE + "N = 1e6\n",
     # energies the eV and kelvin columns cannot hold, once scaled
     "g-1e300-erg": PLAIN.replace("g = 1 meV", "g = 1e300 erg"),
     "E_char-1e300-erg": PLAIN + "m_eff = 5e-33 g\nE_char = 1e300 erg\n",
@@ -67,6 +71,17 @@ CONFIGS = {
                           .replace("mode_index = 33940", "mode_index = 1")
                           .replace("g = 1 meV", "g = 1e-20 eV")
                           .replace("d_beam = 2e-4 cm\n", "") + "m_eff = 5e-33 g\n",
+    # neither m_eff nor the coupling keys that derive it
+    "T-n2-only": "T = 300 K\nn2 = 0.5e8 cm^-2\n",
+    # |Delta| / g = 1e9: both branch masses saturate at the 1e-12 denominator
+    "saturated-mass": PLAIN.replace("Delta = 0 eV", "Delta = 1 eV")
+                           .replace("g = 1 meV", "g = 1e-9 eV"),
+    # letter O for the digit 0
+    "T-3OO": PLAIN.replace("T = 300 K", "T = 3OO K"),
+    # trap's energy scale: neither E_char nor E0, its default
+    "no-E0": PLAIN.replace("E0 = 2.104 eV\n", "") + "m_eff = 5e-33 g\n",
+    # a beam wider than the lens profile's harmonic region
+    "wide-beam": EXAMPLE.replace("d_beam = 2e-4 cm", "d_beam = 2 cm"),
 }
 
 SWEEPS = {
@@ -133,6 +148,8 @@ def _cases() -> dict:
     cases["masses-example-si"] = ("example", ["masses", "--units", "si"])
     cases["trap-example"] = ("example", ["trap", "--target-tc", "300", "--n-particles", "1e6"])
     cases["trap-example-N"] = ("example-N", ["trap", "--target-tc", "300"])
+    cases["masses-saturated"] = ("saturated-mass", ["masses"])
+    cases["trap-wide-beam"] = ("wide-beam", ["trap", "--target-tc", "300", "--n-particles", "1e6"])
     return cases
 
 
@@ -153,6 +170,7 @@ DIGESTS = {
     "hopfield-example-json": (0, "291141eeca94c873ca83d1a1cca84c6bb9cf352f863570d1fa2f6d5b8bf69bab"),
     "masses-example": (0, "31347a1de5cbee081a7f0b25d7b47ed12e212884b069ba4addcd2ad6432b3102"),
     "masses-example-json": (0, "f15c50d8d85ab61cbe7bdfac3cc6dc29357b6f6f5b1c3f67c77f1b2b8af1a2bc"),
+    "masses-saturated": (0, "ae83ad11ac809fb8729c44099ffcf09def587e24501fb2de3c34f3edeb1dd6fa"),
     "masses-example-si": (0, "f5165685909a3c44f8f37cd9ed93f68e8e25785c2411539abda3cbc224be0bd5"),
     "sweep-dispersion-Delta-plain": (0, "a94b27be30333b04b9205e95693437863b380fcc21e4d00f039a2794dcfaa96a"),
     "sweep-dispersion-Delta-trap": (0, "3d8f1cf96e78bb99a76599c1a75f8f9fb405bbb1f8dbb9fde7d3cd720041ee6f"),
@@ -207,6 +225,8 @@ DIGESTS = {
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
     "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
     "trap-example": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
+    # the warning goes to stderr; the design's bytes are those of trap-example
+    "trap-wide-beam": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
     # N = 1e6 in the config gives the bytes of --n-particles 1e6
     "trap-example-N": (0, "d44d065c07f49a590670273ad900dad60eed79ff0f6c9a23524bdf544e882771"),
 }
@@ -371,6 +391,16 @@ ERRORS = {
     "check-coupling-threshold--1-json": (
         "example", "check-coupling --threshold=-1 --format json",
         "polbec: error: threshold must be positive and finite, got -1.0\n"),
+    "thresholds-no-mass-keys": (
+        "T-n2-only", "thresholds",
+        "polbec: config error: missing required key 'm_eff' (or the coupling keys "
+        "E0, g, mode_index and L_cav|Delta to derive it)\n"),
+    "thresholds-T-unparsable": (
+        "T-3OO", "thresholds",
+        "polbec: config error: key 'T': cannot parse number from '3OO'\n"),
+    "trap-no-E_char-or-E0": (
+        "no-E0", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: config error: missing required key 'E_char' (or 'E0' as its default)\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)
@@ -412,3 +442,11 @@ def test_failing_curve_creates_no_file(tmp_path, name):
     config, argv, _ = ERRORS[name]
     assert run(tmp_path, config, argv.split())[0] == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_wide_beam_trap_warns_on_stderr(tmp_path, capsys):
+    # the design is still written, with exit 0 (its bytes are pinned as trap-wide-beam)
+    code, data = run(tmp_path, *CASES["trap-wide-beam"])
+    assert code == 0 and data
+    assert capsys.readouterr().err == (
+        "warning: beam diameter exceeds the harmonic region of the lens profile\n")

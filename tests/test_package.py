@@ -98,15 +98,18 @@ def test_bare_import_loads_no_submodule():
 
 
 MODULE_PATHS = sorted(Path(polbec.__file__).parent.glob("*.py"))
+# the modules of cgs float cores: core, and the branch cores apart from it
+CORE_MODULES = ("core", "branches")
 SUBMODULES = [path.stem for path in MODULE_PATHS
-              if path.stem not in ("__init__", "__main__", "core")]
+              if path.stem not in ("__init__", "__main__", *CORE_MODULES)]
 
 
 @pytest.mark.parametrize("module", SUBMODULES)
 def test_each_core_name_has_one_home(module):
-    # a submodule lists a polbec.core name in __all__ only when polbec.__all__
-    # maps that name to it
-    core_names = set(importlib.import_module("polbec.core").__all__)
+    # a submodule lists a name of a core module in __all__ only when
+    # polbec.__all__ maps that name to it
+    core_names = {name for core in CORE_MODULES
+                  for name in importlib.import_module(f"polbec.{core}").__all__}
     exported = set(importlib.import_module(f"polbec.{module}").__all__)
     assert exported & core_names == set(DEFINED_IN.get(module, ())) & core_names
 
