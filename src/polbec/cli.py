@@ -22,11 +22,12 @@ library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
 config.  A thresholds sweep converts the swept values to cgs in one pass and
 calls the ladder once, with them as one argument's column (or the derived
-masses', for a key the ladder does not read); the ladder checks its other
-arguments once and the column value by value, and its first 16 fields are
-the table's columns, in order.  If that call fails, the sweep replays its
-values one at a time, the only replay, and stops at the first failing one's
-error.  It builds no notes: only a one-shot thresholds run prints them, from
+masses', for a key of COUPLING_KEYS, which the derived mass reads); the
+ladder evaluates each stage on the columns it depends on, one comprehension
+per stage, checks the results in bulk, and its first 16 fields are the
+table's columns, in order.  If that call fails, the sweep replays its values
+one at a time, the only replay, and stops at the first failing one's error.
+It builds no notes: only a one-shot thresholds run prints them, from
 ladder_notes.  Every number is printed as '%.12g' prints it.  A CSV curve
 keeps its numpy columns and is printed by the numtext kernel; every other
 table is printed column-wise through one '%'-template.  A value that holds
@@ -45,7 +46,8 @@ writes the head (metadata and header lines), then the rows as blocks of
 ASCII bytes: to the file in binary mode, or decoded to stdout for --out -.
 A CSV curve's blocks stream from the numtext kernel (a curve sweep joins
 each column over its values once), so its text is never held whole; a list
-table's rows are one block.
+table's rows are one block.  Should the reader of stdout close it early (as
+head does), the run ends with exit 1 and no message.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from functools import cache
@@ -245,11 +248,13 @@ def render_json(payload: dict) -> str:
 
 def emit(text: str, out: str, blocks=()) -> None:
     """Write text, then each block of ASCII bytes as it comes: to stdout for
-    out '-', else to the file out, opened only now, in binary mode."""
+    out '-', flushed before it returns, else to the file out, opened only
+    now, in binary mode."""
     if out == "-":
         sys.stdout.write(text)
         for block in blocks:
             sys.stdout.write(block.decode("ascii"))
+        sys.stdout.flush()
     else:
         with open(out, "wb") as fh:
             fh.write(text.encode("utf-8"))
@@ -264,6 +269,10 @@ def _meta_head(cfg: RunConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 # config -> coupling and mass
 # ---------------------------------------------------------------------------
+
+# the config keys _coupling_cgs reads, and so the keys behind a derived mass
+COUPLING_KEYS = ("E0", "g", "mode_index", "Delta", "L_cav", "d_beam")
+
 
 def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     """(g, k_perp, Delta, L_cav) in cgs from E0, g, mode_index and either
@@ -376,8 +385,9 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     """The ladder over the swept values, from one call with the swept column.
 
     The arguments are bound at the first value and the swept key's column
-    takes its slot.  Without m_eff in the config, a key the ladder does not
-    read gives the m_eff column of the masses derived per value instead.  On
+    takes its slot.  Without m_eff in the config, a coupling key (one the
+    derived mass reads) gives the m_eff column of the masses derived per
+    value instead; a key that neither reads leaves every field one value.  On
     a failure (from the ladder, a column's _ColumnError, which has no
     message) the values are replayed one at a time, so the sweep stops with
     the error of its first failing value.
@@ -386,7 +396,7 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     try:
         column = config_cgs(spec, values)
         c = cfg.with_value(key, column[0])
-        if key not in LADDER_KEYS and "m_eff" not in c.values:
+        if key in COUPLING_KEYS and "m_eff" not in c.values:
             masses = []
             for c.values[key] in column:
                 masses.append(_effective_mass(c))
@@ -662,7 +672,12 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"polbec: config error: {exc}\n")
         return EXIT_USAGE
     except OSError as exc:
-        sys.stderr.write(f"polbec: {exc}\n")
+        if isinstance(exc, BrokenPipeError) and args.out == "-":
+            # stdout's reader closed it, as head does: no message, and stdout
+            # on devnull, so that its flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            sys.stderr.write(f"polbec: {exc}\n")
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"polbec: error: {exc}\n")

@@ -32,7 +32,7 @@ __all__ = [
     # gas thermodynamics
     "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "ladder_notes",
     "effective_masses_cgs", "kt_temperature_K", "lambda_T_cm", "degeneracy_temperature_K",
-    "trapped_bec_temperature_K", "transverse_energy_erg", "mu_over_kbt",
+    "trapped_bec_temperature_K", "transverse_energy_erg",
     # coupling
     "DEFAULT_STRONG_THRESHOLD", "CouplingRegime", "check_cavity", "geometry_coupling_cgs",
     "resonant_coupling_cgs", "strong_coupling_cgs",
@@ -126,9 +126,10 @@ def range_error(formula: str, **named: str) -> OverflowError:
 # Gas thermodynamics: branch masses, transverse dispersion and the threshold
 # ladder (conventions in the thermo module's docstring).
 #
-# condensation_ladder also takes one argument as a column (a list), checks
-# the other arguments once, and computes each intermediate once, as a column
-# only where it depends on that argument, value by value.
+# Each formula of the ladder has one home, a column form: a comprehension
+# over columns of its arguments, formula in its body, checking nothing.
+# condensation_ladder runs each stage once through _stage and checks its
+# results in bulk; the scalar cores call the same forms on columns of one.
 # ---------------------------------------------------------------------------
 
 # zeta(2) = pi^2/6 to the four printed figures; used identically in both
@@ -143,6 +144,9 @@ _LOG2 = math.log(2.0)
 
 # |mu| below ~1e-13 kB T (T_d/T > 30): flagged as effectively zero
 _MU_ZERO_X = 30.0
+
+# a cgs magnitude, or a column of them
+_Cgs = float | list[float]
 
 
 class ThresholdLadder(NamedTuple):
@@ -187,81 +191,113 @@ def ladder_notes(ladder: ThresholdLadder) -> tuple[str, ...]:
             + ("omega_eff = 0: no trap confinement, T_c = 0",) * (ladder.omega_eff == 0.0))
 
 
+class _ColumnError(ArithmeticError):
+    """A value of a column failed; it has no message (see condensation_ladder)."""
+
+
+def _cells(value: _Cgs) -> list | tuple:
+    """The values of an argument or a stage: a column, or a tuple of one."""
+    return value if type(value) is list else (value,)
+
+
+def _stage(form, *args):
+    """The column form over args: its list of values where an arg is a
+    column (a list), the other args repeated, else its one value."""
+    if list in map(type, args):
+        return form(*[a if type(a) is list else repeat(a) for a in args])
+    return form(*[(a,) for a in args])[0]
+
+
 def _check_gas(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None, n3: _Cgs | None) -> None:
-    """Value checks of GasState, argument by argument: a scalar once, and a
-    column (from condensation_ladder) value by value, through _each.
+    """Value checks of GasState, argument by argument; a column (from
+    condensation_ladder) raises _ColumnError if any of its values fails.
 
     An infinite T passes here: condensation_ladder rejects it with 'T'
     named (lambda_T or mu leaves the float range), and GasState before it.
     """
-    _each(_check_value, t_k, "temperature")
-    _each(_check_value, m_g, "m_eff", True)
+    _check_value(t_k, "temperature")
+    _check_value(m_g, "m_eff", True)
     if n2 is None and n3 is None:
         raise ValueError("GasState needs n2 or n3")
     if n2 is not None:
-        _each(_check_value, n2, "n2")
+        _check_value(n2, "n2")
     if n3 is not None:
-        _each(_check_value, n3, "n3", True)
+        _check_value(n3, "n3", True)
 
 
-def _check_value(value: float, name: str, finite: bool = False) -> None:
+def _check_value(value: _Cgs, name: str, finite: bool = False) -> None:
     """One argument's check in _check_gas: positive, and finite if asked."""
-    if not (0 < value < math.inf if finite else value > 0):
-        raise ValueError(f"{name} must be finite" if value > 0 else f"{name} must be positive")
+    values = _cells(value)
+    positive = all(map(operator.lt, repeat(0.0), values))  # and False for NaN
+    if not (positive and (not finite or all(map(math.isfinite, values)))):
+        raise _ColumnError if type(value) is list else ValueError(
+            f"{name} must be finite" if value > 0 else f"{name} must be positive")
 
 
-def _check_trap(omega: float) -> None:
-    """Value check of TrapSpec."""
-    if omega < 0:
-        raise ValueError("omega_eff must be non-negative")
+def _check_trap(omega: _Cgs) -> None:
+    """Value check of TrapSpec; a column raises _ColumnError."""
+    if not all(map(operator.le, repeat(0.0), _cells(omega))):
+        raise _ColumnError if type(omega) is list else ValueError("omega_eff must be non-negative")
 
 
-def _check_trap_consistency(
-    m_g: float, omega: float, u0: float | None, r0: float | None, rel_tol: float = 1e-6
-) -> None:
-    """U(r0) = U0 against m_eff Omega^2 r0^2 / 2 (erg) when both are given."""
+def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | None,
+                            rel_tol: float = 1e-6) -> None:
+    """U(r0) = U0 against m_eff Omega_eff^2 r0^2 / 2 (erg) when both are given;
+    with a column among the arguments a failure raises _ColumnError."""
     if u0 is None or r0 is None:
         return
+    column = list in map(type, (m_g, omega, u0, r0))
     try:
-        expected = 0.5 * m_g * omega**2 * r0**2
+        expected = _stage(lambda ms, ws, rs: [0.5 * m * w**2 * r**2
+                                              for m, w, r in zip(ms, ws, rs)], m_g, omega, r0)
     except OverflowError:
-        raise OverflowError(
+        raise _ColumnError if column else OverflowError(
             f"trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
-            f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm"
-        ) from None
-    if abs(u0 - expected) > rel_tol * max(abs(u0), abs(expected)):
-        raise ValueError(
+            f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm") from None
+    far = _stage(lambda us, es: [abs(u - e) > rel_tol * max(abs(u), abs(e))
+                                 for u, e in zip(us, es)], u0, expected)
+    if True in _cells(far):
+        raise _ColumnError if column else ValueError(
             f"inconsistent trap: U0 = {u0:.6g} erg but "
-            f"m_eff*Omega_eff^2*r0^2/2 = {expected:.6g} erg"
-        )
+            f"m_eff*Omega_eff^2*r0^2/2 = {expected:.6g} erg")
+
+
+def _lambda_T_column(m, t):
+    """h / sqrt(2 pi m kB T) in cm; 0 where 2 pi m kB T overflows."""
+    return [H_CGS / math.sqrt(2.0 * math.pi * m_g * KB_CGS * t_k) for m_g, t_k in zip(m, t)]
 
 
 def lambda_T_cm(m_g: float, t_k: float) -> float:
     """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) in cm.
 
     An infinite T gives the limit 0; a finite m and T whose 2 pi m kB T
-    leaves the float range raise ZeroDivisionError, with both named.  A
-    ladder column calls this once per value, so the checks cost one test
-    unless one fails.
+    leaves the float range raise ZeroDivisionError, with both named.
     """
-    product = 2.0 * math.pi * m_g * KB_CGS * t_k
-    if not (0.0 < product < math.inf and m_g > 0):
-        if not (m_g > 0 and t_k > 0):
-            raise ValueError("mass and temperature must be positive")
-        if t_k != math.inf:
-            raise ZeroDivisionError(f"lambda_T: 2 pi m kB T leaves the float range for "
-                                    f"'m' = {m_g:g} g, 'temperature' = {t_k:g} K")
-    return H_CGS / math.sqrt(product)
+    if not (m_g > 0 and t_k > 0):
+        raise ValueError("mass and temperature must be positive")
+    try:
+        lam = _stage(_lambda_T_column, m_g, t_k)
+    except ZeroDivisionError:
+        lam = 0.0
+    if lam == 0.0 and t_k != math.inf:
+        raise ZeroDivisionError(f"lambda_T: 2 pi m kB T leaves the float range for "
+                                f"'m' = {m_g:g} g, 'temperature' = {t_k:g} K")
+    return lam
+
+
+def _t_d_column(n2, m):
+    """T_d = 2 pi hbar^2 n2 / (m kB) in K."""
+    return [2.0 * math.pi * HBAR_CGS**2 * n / (m_g * KB_CGS) for n, m_g in zip(n2, m)]
 
 
 def degeneracy_temperature_K(n2_cm2: float, m_g: float) -> float:
     """T_d = 2 pi hbar^2 n2 / (m kB); satisfies n2 lambda_T(T_d)^2 = 1."""
     if not (n2_cm2 > 0 and m_g > 0):
         raise ValueError("n2 and mass must be positive")
-    m_kb = m_g * KB_CGS
-    if m_kb == 0.0:
-        raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g")
-    t_d = 2.0 * math.pi * HBAR_CGS**2 * n2_cm2 / m_kb
+    try:
+        t_d = _stage(_t_d_column, n2_cm2, m_g)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g") from None
     if t_d == math.inf:
         raise range_error("T_d = 2 pi hbar^2 n2 / (m kB)", n2=f"{n2_cm2:g} cm^-2", m=f"{m_g:g} g")
     return t_d
@@ -272,26 +308,31 @@ def trapped_bec_temperature_K(n2_cm2: float, m_g: float) -> float:
     return degeneracy_temperature_K(n2_cm2, m_g) / TRAP_BEC_ZETA
 
 
-def mu_over_kbt(x: float) -> float:
-    """ln(1 - exp(-x)) for x = T_d/T > 0 without catastrophic cancellation."""
-    if x > _LOG2:
-        return math.log1p(-math.exp(-x))
-    return math.log(-math.expm1(-x))
+def _mu_column(t, x):
+    """mu = kB T ln(1 - exp(-x)) in meV, x = T_d/T > 0, without cancellation."""
+    return [KB_CGS * t_k / MEV_ERG * (math.log1p(-math.exp(-v)) if v > _LOG2
+                                      else math.log(-math.expm1(-v)))
+            for t_k, v in zip(t, x)]
 
 
 def _mu_meV(t_k: float, x: float) -> float:
-    """mu = kB T ln(1 - exp(-x)) in meV, for x = T_d/T."""
-    return (KB_CGS * t_k / MEV_ERG) * mu_over_kbt(x)
+    """mu = kB T ln(1 - exp(-x)) in meV, for x = T_d/T > 0."""
+    return _stage(_mu_column, t_k, x)
+
+
+def _t_kt_column(n_s, m):
+    """T_KT = pi hbar^2 n_s / (2 m kB) in K."""
+    return [math.pi * HBAR_CGS**2 * n / (2.0 * m_g * KB_CGS) for n, m_g in zip(n_s, m)]
 
 
 def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     """T_KT = pi hbar^2 n_s / (2 m kB)."""
     if not (n_s_cm2 > 0 and m_g > 0):
         raise ValueError("n_s and mass must be positive")
-    two_m_kb = 2.0 * m_g * KB_CGS
-    if two_m_kb == 0.0:
-        raise ZeroDivisionError(f"T_KT: 2 m kB underflows to 0 for 'm' = {m_g:g} g")
-    t_kt = math.pi * HBAR_CGS**2 * n_s_cm2 / two_m_kb
+    try:
+        t_kt = _stage(_t_kt_column, n_s_cm2, m_g)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"T_KT: 2 m kB underflows to 0 for 'm' = {m_g:g} g") from None
     if t_kt == math.inf:
         raise range_error("T_KT = pi hbar^2 n_s / (2 m kB)", n_s=f"{n_s_cm2:g} cm^-2",
                           m=f"{m_g:g} g")
@@ -310,27 +351,38 @@ def _trapped_bec_temperature_from_N_K(n_particles: float, omega: float) -> float
     return t_c
 
 
-def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
-    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite.
+def _trapped_number_column(n2, t, omega, m):
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2); None where Omega_eff = 0 (no trap)."""
+    return [None if w == 0.0 else 2.0 * math.pi * n * KB_CGS * t_k / (m_g * w * w)
+            for n, t_k, w, m_g in zip(n2, t, omega, m)]
 
-    A ladder column calls this once per value, so the checks run on the
-    result and look at the arguments only once one fails.
-    """
-    try:
-        n_trapped = 2.0 * math.pi * n2_cm2 * KB_CGS * t_k / (m_g * omega * omega)
-    except ZeroDivisionError:
-        n_trapped = None
-    if n_trapped is not None and 0.0 <= n_trapped < math.inf and n2_cm2 > 0 < m_g and omega > 0:
-        return n_trapped
+
+def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite."""
     if omega == 0.0:
         raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
     if not (n2_cm2 > 0 and t_k >= 0 and omega > 0 and m_g > 0):
         raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
-    if n_trapped is None:
+    try:
+        n_trapped = _stage(_trapped_number_column, n2_cm2, t_k, omega, m_g)
+    except ZeroDivisionError:
         raise ZeroDivisionError(f"N2: m Omega_eff^2 underflows to 0 for 'm' = {m_g:g} g, "
-                                f"'omega_eff' = {omega:g} s^-1")
-    raise range_error("N2 = 2 pi n2 kB T / (m Omega_eff^2)", n2=f"{n2_cm2:g} cm^-2",
-                      temperature=f"{t_k:g} K", omega_eff=f"{omega:g} s^-1", m=f"{m_g:g} g")
+                                f"'omega_eff' = {omega:g} s^-1") from None
+    if not n_trapped < math.inf:
+        raise range_error("N2 = 2 pi n2 kB T / (m Omega_eff^2)", n2=f"{n2_cm2:g} cm^-2",
+                          temperature=f"{t_k:g} K", omega_eff=f"{omega:g} s^-1", m=f"{m_g:g} g")
+    return n_trapped
+
+
+def _condensate_fraction_column(t, t_c):
+    """N0/N = max(0, 1 - (T/T_c)^2); 0 where T_c = 0 (no trap confinement)."""
+    return [0.0 if c == 0.0 else f if (f := 1.0 - (t_k / c) ** 2) > 0.0 else 0.0
+            for t_k, c in zip(t, t_c)]
+
+
+def _fraction_overflow(t_k: float, t_c_k: float) -> OverflowError:
+    return OverflowError(f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, "
+                         f"T_c = {t_c_k:g} K")
 
 
 def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
@@ -340,13 +392,14 @@ def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
     if not t_c_k > 0:
         raise ValueError("t_c must be positive")
     try:
-        ratio_sq = (t_k / t_c_k) ** 2
+        return _stage(_condensate_fraction_column, t_k, t_c_k)
     except OverflowError:
-        raise OverflowError(
-            f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, T_c = {t_c_k:g} K"
-        ) from None
-    frac = 1.0 - ratio_sq
-    return frac if frac > 0.0 else 0.0  # max(0.0, frac), without a call per ladder row
+        raise _fraction_overflow(t_k, t_c_k) from None
+
+
+def _le_column(a, b):
+    """a <= b over two columns."""
+    return [x <= y for x, y in zip(a, b)]
 
 
 def effective_masses_cgs(delta: float, g: float, k_perp: float) -> tuple[float, float, float, bool, bool]:
@@ -387,25 +440,6 @@ def _group_velocity_cm_s(k_par: float, m_g: float) -> float:
     return velocity
 
 
-class _ColumnError(ArithmeticError):
-    """A value of a column failed; it has no message (see condensation_ladder)."""
-
-
-def _each(f, *args):
-    """f(*args), or with a list (a column) among args the list of f over its
-    values, the other args repeated; a failing value raises _ColumnError."""
-    if list not in map(type, args):
-        return f(*args)
-    try:
-        return list(map(f, *[a if type(a) is list else repeat(a) for a in args]))
-    except (ValueError, ArithmeticError):
-        raise _ColumnError from None
-
-
-# a cgs magnitude, or a column of them
-_Cgs = float | list[float]
-
-
 def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs | None = None,
                         omega_eff: _Cgs | None = None, u0: _Cgs | None = None,
                         r0: _Cgs | None = None, n_s: _Cgs | None = None) -> ThresholdLadder:
@@ -414,91 +448,89 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
     omega_eff None means no trap (u0 and r0 are then ignored); the checks of
     GasState and TrapSpec run first, in that order.  Any argument may be a
     list, a column of values, with the others scalars: each field that
-    depends on it is then the column of the scalar call's values.  A column
-    value that fails raises _ColumnError, an ArithmeticError with no
-    message.  A caller that reports the first failing value's own error (the
-    CLI's sweep) finds it by the scalar calls, value by value.
+    depends on it is then the column of the scalar call's values, and each
+    other field is computed once.  With a column, a failure raises
+    _ColumnError, an ArithmeticError with no message; the CLI's sweep finds
+    the first failing value's own error by the scalar calls, value by value.
     """
     _check_gas(t_k, m_g, n2, n3)
     if omega_eff is not None:
-        _each(_check_trap, omega_eff)
+        _check_trap(omega_eff)
+    column = list in map(type, (t_k, m_g, n2, n3, omega_eff, u0, r0, n_s))
     n2_estimated = n2 is None
 
     def density() -> str:  # the key behind n2, in the messages below
         return f"'n3' = {n3:g} cm^-3" if n2_estimated else f"'n2' = {n2:g} cm^-2"
 
     # A finite positive input can still take an intermediate out of the float
-    # range.  The cores raise then; the try blocks cost nothing until they
-    # catch, and re-raise naming the config keys behind the value.
-    lam = 0.0  # kept if lambda_T_cm raises; also its value at T = inf
+    # range; the check after each stage then raises, naming the config keys.
     try:
-        lam = _each(lambda_T_cm, m_g, t_k)
-        if n2_estimated:
-            n2 = _each(operator.mul, lam, n3)
-        # n2 > 0 from here on, unless the estimate underflows to 0
-        r_int = _each(lambda n: 1.0 / math.sqrt(n), n2)
-        t_d = _each(degeneracy_temperature_K, n2, m_g)
+        lam = _stage(_lambda_T_column, m_g, t_k)
+    except ZeroDivisionError:  # 2 pi m kB T underflows to 0
+        lam = 0.0
+    # lambda_T = 0: 2 pi m kB T overflows, or T = inf (with n2 it fails at mu)
+    if 0.0 in _cells(lam) and (column or n2_estimated or t_k != math.inf):
+        raise _ColumnError if column else ZeroDivisionError(
+            f"lambda_T: 2 pi m kB T leaves the float range for "
+            f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g")
+    if n2_estimated:
+        n2 = _stage(lambda lam, n3: [a * b for a, b in zip(lam, n3)], lam, n3)
+        if 0.0 in _cells(n2):
+            raise _ColumnError if column else ZeroDivisionError(
+                f"n2 = lambda_T * n3 underflows to 0 for 'n3' = {n3:g} cm^-3")
+    # n2 > 0 from here on
+    r_int = _stage(lambda n2: [1.0 / math.sqrt(n) for n in n2], n2)
+    try:
+        t_d = _stage(_t_d_column, n2, m_g)
     except ZeroDivisionError:
-        if not lam:
-            message = (f"lambda_T: 2 pi m kB T leaves the float range for "
-                       f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g")
-        elif not n2:
-            message = f"n2 = lambda_T * n3 underflows to 0 for 'n3' = {n3:g} cm^-3"
-        else:
-            message = f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g"
-        raise ZeroDivisionError(message) from None
-    except OverflowError:
-        raise OverflowError(
-            f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density()}, 'm_eff' = {m_g:g} g"
-        ) from None
-    try:  # T_KT <= T_d at n_s = n2, so only an n_s of its own overflows
-        t_kt = _each(kt_temperature_K, n2 if n_s is None else n_s, m_g)
-    except OverflowError:
-        raise OverflowError(f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for "
-                            f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g") from None
-    x = _each(operator.truediv, t_d, t_k)
-    try:
-        mu = _each(_mu_meV, t_k, x)
-    except ValueError:  # log(0): T_d/T = n2 lambda_T^2 underflows to 0
-        raise ValueError(
-            f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density()}, 'm_eff' = {m_g:g} g"
-        ) from None
+        raise _ColumnError if column else ZeroDivisionError(
+            f"T_d: m kB underflows to 0 for 'm_eff' = {m_g:g} g") from None
+    if math.inf in _cells(t_d):
+        raise _ColumnError if column else OverflowError(
+            f"T_d = 2 pi hbar^2 n2 / (m kB) overflows for {density()}, 'm_eff' = {m_g:g} g")
+    if n_s is not None and not all(map(operator.lt, repeat(0.0), _cells(n_s))):
+        raise _ColumnError if column else ValueError("n_s and mass must be positive")
+    t_kt = _stage(_t_kt_column, n2 if n_s is None else n_s, m_g)
+    if math.inf in _cells(t_kt):  # T_KT <= T_d at n_s = n2, so only an n_s of its own
+        raise _ColumnError if column else OverflowError(
+            f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for "
+            f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g")
+    x = _stage(lambda t_d, t: [a / b for a, b in zip(t_d, t)], t_d, t_k)
+    if 0.0 in _cells(x):  # log(0) in mu: T_d/T = n2 lambda_T^2 underflows to 0
+        raise _ColumnError if column else ValueError(
+            f"mu: T_d/T underflows to 0 for 'T' = {t_k:g} K, {density()}, 'm_eff' = {m_g:g} g")
+    mu = _stage(_mu_column, t_k, x)
 
     t_c = n_trapped = frac = None
     if omega_eff is not None:
-        _each(_check_trap_consistency, m_g, omega_eff, u0, r0)
+        _check_trap_consistency(m_g, omega_eff, u0, r0)
         # omega_eff = 0 confines nothing: T_c = 0, no N2 and no condensate
-        t_c = _trapped(omega_eff, 0.0, operator.truediv, t_d, TRAP_BEC_ZETA)
+        t_c = _stage(lambda t_d, omega: [0.0 if w == 0.0 else d / TRAP_BEC_ZETA
+                                         for d, w in zip(t_d, omega)], t_d, omega_eff)
         try:
-            n_trapped = _trapped(omega_eff, None, _trapped_number_cgs, n2, t_k, omega_eff, m_g)
+            n_trapped = _stage(_trapped_number_column, n2, t_k, omega_eff, m_g)
         except ZeroDivisionError:
-            raise ZeroDivisionError(
+            raise _ColumnError if column else ZeroDivisionError(
                 f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
-                f"'omega_eff' = {omega_eff:g} s^-1"
-            ) from None
-        except OverflowError:
-            raise OverflowError(
+                f"'omega_eff' = {omega_eff:g} s^-1") from None
+        # inf or NaN (inf / inf) where N2 overflows; filter drops None and 0
+        if not all(map(math.isfinite, filter(None, _cells(n_trapped)))):
+            raise _ColumnError if column else OverflowError(
                 f"N2 = 2 pi n2 kB T / (m Omega_eff^2) overflows for {density()}, "
-                f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g, 'omega_eff' = {omega_eff:g} s^-1"
-            ) from None
-        frac = _trapped(omega_eff, 0.0, _condensate_fraction_cgs, t_k, t_c)
+                f"'T' = {t_k:g} K, 'm_eff' = {m_g:g} g, 'omega_eff' = {omega_eff:g} s^-1")
+        try:
+            frac = _stage(_condensate_fraction_column, t_k, t_c)
+        except OverflowError:
+            raise _ColumnError if column else _fraction_overflow(t_k, t_c) from None
 
     return ThresholdLadder(
         t_k, m_g, n3, n2, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,
-        degenerate=_each(operator.le, t_k, t_d),
-        kt_superfluid=_each(operator.le, t_k, t_kt),
-        overlap=_each(operator.ge, lam, r_int),
+        degenerate=_stage(_le_column, t_k, t_d),
+        kt_superfluid=_stage(_le_column, t_k, t_kt),
+        overlap=_stage(_le_column, r_int, lam),
         n2_estimated=n2_estimated,
-        mu_effectively_zero=_each(operator.gt, x, _MU_ZERO_X),
+        mu_effectively_zero=_stage(lambda x: [v > _MU_ZERO_X for v in x], x),
     )
-
-
-def _trapped(omega_eff: _Cgs, off, f, *args):
-    """_each(f, *args), but off where omega_eff = 0, which confines nothing;
-    decided once unless omega_eff is a column."""
-    if type(omega_eff) is list:
-        return _each(lambda w, *row: off if w == 0.0 else f(*row), omega_eff, *args)
-    return off if omega_eff == 0.0 else _each(f, *args)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import polbec
 from polbec import cli
 from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main, render_json
-from polbec.config import SweepSpec, sweep_values
+from polbec.config import ConfigError, RunConfig, SweepSpec, sweep_values
 from polbec.core import EV_ERG
 from test_golden_bytes import CASES, CONFIGS
 
@@ -651,6 +651,52 @@ class TestSweepBinding:
             monkeypatch, tmp_path, BASE_CFG, "Delta", "-0.002", "0.002")
         assert calls == []
 
+    def test_sweep_over_a_key_nothing_reads_derives_the_mass_once(self, monkeypatch, tmp_path):
+        cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
+        calls = self.count_mass_derivations(monkeypatch, tmp_path, cfg, "tau_coh", "1e-9", "1e-7")
+        assert calls == [1e-9]
+
+
+class ReadRecorder(dict):
+    """A config's values that record each key looked up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+def test_the_derived_mass_reads_only_the_coupling_keys():
+    # a thresholds sweep derives the mass per value only over COUPLING_KEYS;
+    # a key the mass read beyond them would stay at its first value
+    branches = set()
+    for text in CONFIGS.values():
+        try:
+            values = RunConfig.parse(text).values
+        except ConfigError:
+            continue
+        without_m_eff = {k: v for k, v in values.items() if k != "m_eff"}
+        for derive, given in ((cli._coupling_cgs, values), (cli._effective_mass, values),
+                              (cli._effective_mass, without_m_eff)):
+            recorder = ReadRecorder(given)
+            with contextlib.suppress(ValueError, ArithmeticError):
+                derive(RunConfig(recorder))
+            allowed = cli.COUPLING_KEYS + (("m_eff",) if derive is cli._effective_mass else ())
+            assert recorder.read <= set(allowed), (derive.__name__, text)
+        branches.add("Delta" in values if "E0" in values else None)
+    assert {True, False} <= branches  # the Delta and the L_cav branch
+
 
 def test_T_sweep_calls_the_ladder_once(monkeypatch, tmp_path):
     # one ladder call over the column of swept values, not one per value
@@ -1175,3 +1221,25 @@ def test_stdout_prints_the_file_bytes(tmp_path, capsys, name):
     assert main([argv[0], "--config", str(tmp_path / "run.cfg"), "--out", "-", *argv[1:]]) == 0
     assert code == 0
     assert capsys.readouterr().out.encode() == data
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dispersion", "--samples", "50001"],
+     ["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "50000", "--scale", "log",
+      "--command", "thresholds"]],
+    ids=["dispersion", "thresholds-sweep"],
+)
+def test_closed_stdout_pipe_ends_quietly(argv):
+    # a reader that closes stdout after the first line, as head -1 does:
+    # exit 1 with nothing on stderr, where it printed '[Errno 32] Broken pipe'
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polbec", argv[0], "--config", EXAMPLE_CFG, "--out", "-",
+         *argv[1:]], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+    assert first.startswith(b"# polbec ")

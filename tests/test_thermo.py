@@ -14,6 +14,7 @@ from polbec.core import (
     ThresholdLadder,
     _condensate_fraction_cgs,
     _group_velocity_cm_s,
+    _mu_meV,
     _trapped_bec_temperature_from_N_K,
     _trapped_number_cgs,
     condensation_ladder,
@@ -160,7 +161,8 @@ class TestChemicalPotential:
         assert -1e-21 * KB_CGS * t_d < mu < 0
 
     def test_evaluation_branches_agree_at_switchover(self):
-        from polbec.core import mu_over_kbt
+        def mu_over_kbt(x):  # at kB T = 1 meV, to an ulp
+            return _mu_meV(MEV_ERG / KB_CGS, x)
 
         x = math.log(2.0)
         assert mu_over_kbt(x) == pytest.approx(math.log(0.5), rel=1e-14)
@@ -607,6 +609,67 @@ class TestLadderColumns:
                                                  lad.condensate_frac, lad.degenerate))
         assert not any(isinstance(f, list) for f in (lad.t_degeneracy, lad.t_kt, lad.r_int,
                                                      lad.t_c))
+
+
+@pytest.mark.parametrize(
+    "args, columns, scalars",
+    [
+        # lambda_T depends on T and m only
+        ((300.0, 5e-33, [5e7, 1e8, 2e8], None, 5e10), ("n2", "t_degeneracy", "t_kt", "mu",
+                                                       "t_c", "n_trapped", "overlap"),
+         ("lambda_t",)),
+        # only the trap fields depend on omega_eff
+        ((300.0, 5e-33, 5e7, None, [5e10, 0.0, 1e12]), ("t_c", "n_trapped", "condensate_frac"),
+         ("lambda_t", "t_degeneracy", "t_kt", "r_int", "mu")),
+    ],
+    ids=["n2", "omega_eff"],
+)
+def test_a_column_computes_the_rest_once(args, columns, scalars):
+    lad = condensation_ladder(*args)
+    assert all(isinstance(getattr(lad, name), list) for name in columns)
+    assert not any(isinstance(getattr(lad, name), list) for name in scalars)
+
+
+def ladder_from_cores(t, m, n2, n3, omega_eff, u0, r0, n_s) -> dict:
+    """The per-value fields of a one-row ladder, each from its scalar core."""
+    lam = lambda_T_cm(m, t)
+    n2 = lam * n3 if n2 is None else n2
+    t_d = degeneracy_temperature_K(n2, m)
+    fields = {"lambda_t": lam, "t_degeneracy": t_d,
+              "t_kt": kt_temperature_K(n2 if n_s is None else n_s, m), "mu": _mu_meV(t, t_d / t)}
+    if omega_eff == 0.0:  # no confinement
+        fields.update(t_c=0.0, n_trapped=None, condensate_frac=0.0)
+    elif omega_eff is not None:
+        t_c = trapped_bec_temperature_K(n2, m)
+        fields.update(t_c=t_c, n_trapped=_trapped_number_cgs(n2, t, omega_eff, m),
+                      condensate_frac=_condensate_fraction_cgs(t, t_c))
+    return {name: repr(value) for name, value in fields.items()}
+
+
+@given(case=ladder_columns())
+# the benchmark's shape: a T sweep with a trap, n2 and n3
+@example(case=([300.0, 7.5e-33, 5e7, 3.5e11, 5e10, None, None, None], 0,
+               [2.0, 2.0 * 1000.0 ** 0.5, 2e3]))
+def test_ladder_fields_equal_their_cores(case):
+    # bit for bit, in a scalar call and in a column: each formula's column
+    # form serves both the ladder and the scalar core
+    args, k, column = case
+    rows = [[*args[:k], value, *args[k + 1:]] for value in column]
+    expected = []
+    for row in rows:
+        try:
+            ladder = condensation_ladder(*row)
+        except (ValueError, ArithmeticError):
+            continue
+        expected.append(ladder_from_cores(*row))
+        assert {name: repr(getattr(ladder, name)) for name in expected[-1]} == expected[-1]
+    if len(expected) < len(rows):
+        return  # the column fails (test_first_failing_value_raises)
+    ladder = condensation_ladder(*args[:k], column, *args[k + 1:])
+    for name in expected[0]:
+        field = getattr(ladder, name)
+        values = field if isinstance(field, list) else [field] * len(column)
+        assert list(map(repr, values)) == [e[name] for e in expected], name
 
 
 # the ranges of the drawn magnitudes, in cgs units
