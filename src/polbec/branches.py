@@ -4,9 +4,10 @@ cgs float cores of the mode problem set out in the dispersion module's
 docstring: the closed-form branch energies and Hopfield fractions, the
 photon energies, the sampled k_par grid with its checks, and the well root.
 They take floats or numpy arrays; each that needs numpy imports it when
-called.  Only the curve commands (dispersion, hopfield and their sweeps)
-and polbec.dispersion load this module, so a scalar command neither loads
-nor compiles it.
+called.  As polbec.core, this module holds only what polbec.cli reaches.
+Only the curve commands (dispersion, hopfield and their sweeps) and
+polbec.dispersion load it, so a scalar command neither loads nor compiles
+it.
 """
 
 from __future__ import annotations
@@ -107,25 +108,6 @@ def photon_freespace_erg(k_par, k_perp):
     """Exact relation hbar*c*sqrt(k_perp^2 + k_par^2)."""
     import numpy as np
     return HBAR_CGS * C_CGS * np.hypot(k_perp, k_par)
-
-
-def _paraxial_checked_erg(k_par: float, k_perp: float, paraxial_bound: float) -> float:
-    """photon_paraxial_erg, warning past paraxial_bound * k_perp."""
-    if abs(k_par) > paraxial_bound * k_perp:
-        warnings.warn(
-            f"|k_par| = {abs(k_par):.3e} cm^-1 exceeds the paraxial bound "
-            f"{paraxial_bound:g} * k_perp = {paraxial_bound * k_perp:.3e} cm^-1",
-            ParaxialBoundWarning,
-            stacklevel=3,  # the caller of photon_energy_paraxial
-        )
-    return float(photon_paraxial_erg(k_par, k_perp))
-
-
-def _diagonalize_cgs(e_at: float, e_ph: float, g: float) -> tuple[float, float, float, float]:
-    """(E_upper, E_lower, mu^2, nu^2) of one mode problem."""
-    e1, e2 = branch_energies(e_at, e_ph, g)
-    mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
-    return float(e1), float(e2), float(mu2), float(nu2)
 
 
 def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int = 101,

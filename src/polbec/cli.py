@@ -2,8 +2,9 @@
 
 Subcommands: check-coupling, dispersion, hopfield, masses, thresholds,
 trap, sweep.  All file output is byte-stable across runs and locales:
-numbers are printed with 12 significant digits, rows are assembled in
-grid/sweep order, and the metadata header carries no timestamps.
+CSV, text and the rows of a JSON curve print numbers with 12 significant
+digits, every other JSON number is printed in full as json writes it, rows
+are assembled in grid/sweep order, and the metadata carries no timestamps.
 Evaluation is serial; --workers is accepted and has no effect.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
@@ -28,15 +29,21 @@ per stage, checks the results in bulk, and its first 16 fields are the
 table's columns, in order.  If that call fails, the sweep replays its values
 one at a time, the only replay, and stops at the first failing one's error.
 It builds no notes: only a one-shot thresholds run prints them, from
-ladder_notes.  Every number is printed as '%.12g' prints it.  A CSV curve
-keeps its numpy columns and is printed by the numtext kernel; every other
-table is printed column-wise through one '%'-template.  A value that holds
+ladder_notes.  Every number of a CSV or text output, and of the metadata,
+is printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and
+is printed by the numtext kernel; every other table is printed
+column-wise through one '%'-template.  A value that holds
 for every row (a ladder field that is not a column, or a cell of a one-row
 table) stays a scalar and is printed once, into the template, and a float
 column that prints as an earlier one does (the sweep column and the swept
-key's) is formatted once for both.  A JSON table prints its rows straight
-from the float columns, each number formatted once in json's spelling of
-the 12-digit value, and leaves only its header to json.  The argument
+key's) is formatted once for both.  A JSON curve (dispersion, hopfield)
+prints its rows straight from the float columns, each number formatted
+once in json's spelling of the 12-digit value, so it reads as the CSV cell
+does, and leaves only its header to json.  Every other JSON output is one
+object with a key per value, each float written by json in full (its
+repr, so "lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
+0.000183687170505): the one-row thresholds and masses tables, which carry
+the metadata, and check-coupling and trap, which carry none.  The argument
 parser is built once per process and shared by every later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size

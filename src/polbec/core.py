@@ -1,20 +1,24 @@
-"""The cgs float cores behind every scalar command and Quantity operation.
+"""The standard-library cgs float cores that the CLI runs.
 
 Constants, the named units, the 2D gas threshold ladder, the branch
 masses, the strong-coupling test, the resonator coupling and the trap
-inverse, all on plain floats in cgs-Gaussian base units (cm, g, s, K).
-Each Quantity operation in units, thermo, coupling and trap checks the
-dimensions of its arguments and then calls one of these; the CLI, whose
-config parser fixes every dimension once, calls them directly.  This module
+design, all on plain floats in cgs-Gaussian base units (cm, g, s, K).
+This module holds only what polbec.cli reaches: the CLI, whose config
+parser fixes every dimension once, calls these cores directly, and the
+Quantity operation of units, thermo, coupling or trap that computes the
+same thing checks the dimensions of its arguments and then calls the same
+core.  An operation that no command runs holds its own checks and formula,
+on the column form of the ladder stage where there is one.  This module
 imports nothing but the standard library's math, operator, enum, itertools
 and typing, so every command starts on it without numpy and without the
 Quantity layer.  The polariton branches, their Hopfield fractions and the
 well are polbec.branches, which only the curve commands load.
 
 Value checks live here, and so does the check that a result stays in the
-float range, each naming its arguments; both paths raise the same errors.
-Everything is math and Python float arithmetic: numpy's transcendental
-functions differ from math's in the last ulp.
+float range, each naming its arguments; where the CLI and an operation
+share a core, both paths raise the same errors.  Everything is math and
+Python float arithmetic: numpy's transcendental functions differ from
+math's in the last ulp.
 """
 
 from __future__ import annotations
@@ -31,8 +35,7 @@ __all__ = [
     "range_error",
     # gas thermodynamics
     "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "ladder_notes",
-    "effective_masses_cgs", "kt_temperature_K", "lambda_T_cm", "degeneracy_temperature_K",
-    "trapped_bec_temperature_K", "transverse_energy_erg",
+    "effective_masses_cgs", "kt_temperature_K", "transverse_energy_erg",
     # coupling
     "DEFAULT_STRONG_THRESHOLD", "CouplingRegime", "check_cavity", "geometry_coupling_cgs",
     "resonant_coupling_cgs", "strong_coupling_cgs",
@@ -129,7 +132,8 @@ def range_error(formula: str, **named: str) -> OverflowError:
 # Each formula of the ladder has one home, a column form: a comprehension
 # over columns of its arguments, formula in its body, checking nothing.
 # condensation_ladder runs each stage once through _stage and checks its
-# results in bulk; the scalar cores call the same forms on columns of one.
+# results in bulk; the Quantity operations of thermo that no command runs
+# call the same forms on columns of one.
 # ---------------------------------------------------------------------------
 
 # zeta(2) = pi^2/6 to the four printed figures; used identically in both
@@ -235,9 +239,12 @@ def _check_value(value: _Cgs, name: str, finite: bool = False) -> None:
 
 
 def _check_trap(omega: _Cgs) -> None:
-    """Value check of TrapSpec; a column raises _ColumnError."""
-    if not all(map(operator.le, repeat(0.0), _cells(omega))):
+    """Value check of TrapSpec, 0 <= omega_eff < inf; a column raises _ColumnError."""
+    values = _cells(omega)
+    if not all(map(operator.le, repeat(0.0), values)):  # and False for NaN
         raise _ColumnError if type(omega) is list else ValueError("omega_eff must be non-negative")
+    if math.inf in values:  # a trap that holds no particle
+        raise _ColumnError if type(omega) is list else ValueError("omega_eff must be finite")
 
 
 def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | None,
@@ -250,11 +257,15 @@ def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | 
     try:
         expected = _stage(lambda ms, ws, rs: [0.5 * m * w**2 * r**2
                                               for m, w, r in zip(ms, ws, rs)], m_g, omega, r0)
-    except OverflowError:
+        finite = all(map(math.isfinite, _cells(expected)))
+    except OverflowError:  # w**2 or r**2 past the largest float
+        finite = False
+    if not finite:
         raise _ColumnError if column else OverflowError(
             f"trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
-            f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm") from None
-    far = _stage(lambda us, es: [abs(u - e) > rel_tol * max(abs(u), abs(e))
+            f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm")
+    # written as not <= so that a NaN U0 counts as inconsistent
+    far = _stage(lambda us, es: [not abs(u - e) <= rel_tol * max(abs(u), abs(e))
                                  for u, e in zip(us, es)], u0, expected)
     if True in _cells(far):
         raise _ColumnError if column else ValueError(
@@ -267,45 +278,9 @@ def _lambda_T_column(m, t):
     return [H_CGS / math.sqrt(2.0 * math.pi * m_g * KB_CGS * t_k) for m_g, t_k in zip(m, t)]
 
 
-def lambda_T_cm(m_g: float, t_k: float) -> float:
-    """Thermal de Broglie wavelength h / sqrt(2 pi m kB T) in cm.
-
-    An infinite T gives the limit 0; a finite m and T whose 2 pi m kB T
-    leaves the float range raise ZeroDivisionError, with both named.
-    """
-    if not (m_g > 0 and t_k > 0):
-        raise ValueError("mass and temperature must be positive")
-    try:
-        lam = _stage(_lambda_T_column, m_g, t_k)
-    except ZeroDivisionError:
-        lam = 0.0
-    if lam == 0.0 and t_k != math.inf:
-        raise ZeroDivisionError(f"lambda_T: 2 pi m kB T leaves the float range for "
-                                f"'m' = {m_g:g} g, 'temperature' = {t_k:g} K")
-    return lam
-
-
 def _t_d_column(n2, m):
     """T_d = 2 pi hbar^2 n2 / (m kB) in K."""
     return [2.0 * math.pi * HBAR_CGS**2 * n / (m_g * KB_CGS) for n, m_g in zip(n2, m)]
-
-
-def degeneracy_temperature_K(n2_cm2: float, m_g: float) -> float:
-    """T_d = 2 pi hbar^2 n2 / (m kB); satisfies n2 lambda_T(T_d)^2 = 1."""
-    if not (n2_cm2 > 0 and m_g > 0):
-        raise ValueError("n2 and mass must be positive")
-    try:
-        t_d = _stage(_t_d_column, n2_cm2, m_g)
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g") from None
-    if t_d == math.inf:
-        raise range_error("T_d = 2 pi hbar^2 n2 / (m kB)", n2=f"{n2_cm2:g} cm^-2", m=f"{m_g:g} g")
-    return t_d
-
-
-def trapped_bec_temperature_K(n2_cm2: float, m_g: float) -> float:
-    """Trapped-gas T_c in the density form, T_d / 1.645."""
-    return degeneracy_temperature_K(n2_cm2, m_g) / TRAP_BEC_ZETA
 
 
 def _mu_column(t, x):
@@ -313,11 +288,6 @@ def _mu_column(t, x):
     return [KB_CGS * t_k / MEV_ERG * (math.log1p(-math.exp(-v)) if v > _LOG2
                                       else math.log(-math.expm1(-v)))
             for t_k, v in zip(t, x)]
-
-
-def _mu_meV(t_k: float, x: float) -> float:
-    """mu = kB T ln(1 - exp(-x)) in meV, for x = T_d/T > 0."""
-    return _stage(_mu_column, t_k, x)
 
 
 def _t_kt_column(n_s, m):
@@ -339,39 +309,10 @@ def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     return t_kt
 
 
-def _trapped_bec_temperature_from_N_K(n_particles: float, omega: float) -> float:
-    """T_c = (hbar Omega_eff / kB) sqrt(N / 1.645); zero without a trap."""
-    if not n_particles > 0:
-        raise ValueError("particle number must be positive")
-    _check_trap(omega)
-    t_c = HBAR_CGS * omega / KB_CGS * math.sqrt(n_particles / TRAP_BEC_ZETA)
-    if not t_c < math.inf:
-        raise range_error("T_c = (hbar Omega_eff / kB) sqrt(N / 1.645)",
-                          n_particles=f"{n_particles:g}", omega_eff=f"{omega:g} s^-1")
-    return t_c
-
-
 def _trapped_number_column(n2, t, omega, m):
     """N2 = 2 pi n2 kB T / (m Omega_eff^2); None where Omega_eff = 0 (no trap)."""
     return [None if w == 0.0 else 2.0 * math.pi * n * KB_CGS * t_k / (m_g * w * w)
             for n, t_k, w, m_g in zip(n2, t, omega, m)]
-
-
-def _trapped_number_cgs(n2_cm2: float, t_k: float, omega: float, m_g: float) -> float:
-    """N2 = 2 pi n2 kB T / (m Omega_eff^2), which must be finite."""
-    if omega == 0.0:
-        raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
-    if not (n2_cm2 > 0 and t_k >= 0 and omega > 0 and m_g > 0):
-        raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
-    try:
-        n_trapped = _stage(_trapped_number_column, n2_cm2, t_k, omega, m_g)
-    except ZeroDivisionError:
-        raise ZeroDivisionError(f"N2: m Omega_eff^2 underflows to 0 for 'm' = {m_g:g} g, "
-                                f"'omega_eff' = {omega:g} s^-1") from None
-    if not n_trapped < math.inf:
-        raise range_error("N2 = 2 pi n2 kB T / (m Omega_eff^2)", n2=f"{n2_cm2:g} cm^-2",
-                          temperature=f"{t_k:g} K", omega_eff=f"{omega:g} s^-1", m=f"{m_g:g} g")
-    return n_trapped
 
 
 def _condensate_fraction_column(t, t_c):
@@ -383,18 +324,6 @@ def _condensate_fraction_column(t, t_c):
 def _fraction_overflow(t_k: float, t_c_k: float) -> OverflowError:
     return OverflowError(f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, "
                          f"T_c = {t_c_k:g} K")
-
-
-def _condensate_fraction_cgs(t_k: float, t_c_k: float) -> float:
-    """N0/N = max(0, 1 - (T/T_c)^2)."""
-    if t_k < 0:
-        raise ValueError("temperature must be non-negative")
-    if not t_c_k > 0:
-        raise ValueError("t_c must be positive")
-    try:
-        return _stage(_condensate_fraction_column, t_k, t_c_k)
-    except OverflowError:
-        raise _fraction_overflow(t_k, t_c_k) from None
 
 
 def _le_column(a, b):
@@ -428,16 +357,6 @@ def transverse_energy_erg(k_par: float, m_g: float) -> float:
     if not math.isfinite(energy):
         raise range_error("hbar^2 k_par^2 / (2 m)", k_par=f"{k_par:g} cm^-1", m=f"{m_g:g} g")
     return energy
-
-
-def _group_velocity_cm_s(k_par: float, m_g: float) -> float:
-    """v = hbar k_par / m in cm/s."""
-    if not m_g > 0:
-        raise ValueError("mass must be positive")
-    velocity = HBAR_CGS * k_par / m_g
-    if not math.isfinite(velocity):
-        raise range_error("hbar k_par / m", k_par=f"{k_par:g} cm^-1", m=f"{m_g:g} g")
-    return velocity
 
 
 def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs | None = None,
@@ -624,15 +543,6 @@ def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) ->
     return k_perp, delta
 
 
-def _resonant_length_cgs(e0: float, mode_index: int) -> float:
-    """L = pi*m*hbar*c/E0 in cm for a checked E0."""
-    _require_mode_index(mode_index)
-    length = math.pi * mode_index * HBAR_CGS * C_CGS / e0
-    if length == math.inf:
-        raise range_error("L = pi m hbar c / E0", E0=f"{e0 / EV_ERG:g} eV", mode_index=mode_index)
-    return length
-
-
 def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
     """k_perp = (E0 - Delta)/(hbar c) in cgs for a prescribed detuning, with
     the checks of CouplingParams."""
@@ -691,16 +601,6 @@ def _lens_cgs(omega: float, m: float, e_char: float, r_max_frac: float) -> tuple
                           m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
     r_max = math.inf if n_prime == 0.0 else r_max_frac / math.sqrt(n_prime)
     return n_prime, r_max
-
-
-def _omega_for_lens_cgs(n_prime: float, m: float, e_char: float) -> float:
-    """Omega_eff = sqrt(n' E_char / m_eff) in s^-1."""
-    _check_mass_and_scale(m, e_char)
-    omega = math.sqrt(n_prime * e_char / m)
-    if not (0.0 < omega < math.inf or n_prime == 0.0):
-        raise range_error("Omega_eff = sqrt(n' E_char / m_eff)", n_prime=f"{n_prime:g} cm^-2",
-                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
-    return omega
 
 
 def design_trap_cgs(

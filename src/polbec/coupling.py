@@ -9,26 +9,31 @@ formula is touched.
 The coupling energy g between field and a single atom is a direct user
 input; no microscopic formula tying it to (d, n, omega0) is adopted here.
 
-The formulas and value checks are cgs float cores in polbec.core; this
-module wraps them in the dimension-checked Quantity operations and their
-parameter dataclasses.
+The formulas and value checks are cgs float cores in polbec.core, which
+the CLI calls too; this module wraps them in the dimension-checked Quantity
+operations and their parameter dataclasses, so both raise the same errors.
+resonant_cavity_length, which no command runs, computes on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _SUBMODULE_NAMES
 from .core import (
+    C_CGS,
     DEFAULT_STRONG_THRESHOLD,
+    EV_ERG,
     HBAR_CGS,
     CouplingRegime,
     _check_coupling,
     _check_medium,
     _cooperative_frequency_cgs,
-    _resonant_length_cgs,
+    _require_mode_index,
     check_cavity,
     geometry_coupling_cgs,
+    range_error,
     resonant_coupling_cgs,
     strong_coupling_cgs,
 )
@@ -165,7 +170,12 @@ def make_coupling(medium: MediumParams, cavity: CavityParams, g: Quantity) -> Co
 def resonant_cavity_length(medium: MediumParams, mode_index: int) -> Quantity:
     """Cavity length L = pi*m*hbar*c/E0 putting the selected mode on resonance
     (Delta = 0); equals half the transition wavelength times the mode index."""
-    return Quantity(_resonant_length_cgs(medium.transition_energy.cgs, mode_index), LENGTH)
+    e0 = medium.transition_energy.cgs
+    _require_mode_index(mode_index)
+    length = math.pi * mode_index * HBAR_CGS * C_CGS / e0
+    if length == math.inf:
+        raise range_error("L = pi m hbar c / E0", E0=f"{e0 / EV_ERG:g} eV", mode_index=mode_index)
+    return Quantity(length, LENGTH)
 
 
 def resonant_coupling(transition_energy: Quantity, g: Quantity, detuning: Quantity | None = None) -> CouplingParams:

@@ -22,13 +22,16 @@ the paraxial form truncates this at hbar*c*(k_perp + k_par^2/(2 k_perp)),
 valid for k_par << k_perp.
 
 The closed forms, the grid sampling and the well root are cgs float cores
-in polbec.branches; this module wraps them in the dimension-checked Quantity
-operations and their result dataclasses.  It loads no numpy itself: the
-cores import it when a curve is sampled.
+in polbec.branches, which the CLI calls too; this module wraps them in the
+dimension-checked Quantity operations and their result dataclasses.  The
+two operations that no command runs, photon_energy_paraxial with its
+bound warning and diagonalize_mode, call the closed forms themselves.  It
+loads no numpy itself: the cores import it when a curve is sampled.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,9 +42,10 @@ from .branches import (
     ParaxialBoundWarning,
     _check_grid,
     _check_increasing,
-    _diagonalize_cgs,
-    _paraxial_checked_erg,
+    branch_energies,
+    hopfield_fractions,
     photon_freespace_erg,
+    photon_paraxial_erg,
     sample_dispersion_cgs,
     well_geometry_cgs,
 )
@@ -178,8 +182,16 @@ def photon_energy_paraxial(
     Emits a ParaxialBoundWarning, not an error, when |k_par| exceeds
     paraxial_bound * k_perp.
     """
-    return Quantity(_paraxial_checked_erg(magnitude_in_cgs(k_par, WAVENUMBER, "k_par"),
-                                          coupling.k_perp.cgs, paraxial_bound), ENERGY)
+    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
+    k_perp = coupling.k_perp.cgs
+    if abs(k) > paraxial_bound * k_perp:
+        warnings.warn(
+            f"|k_par| = {abs(k):.3e} cm^-1 exceeds the paraxial bound "
+            f"{paraxial_bound:g} * k_perp = {paraxial_bound * k_perp:.3e} cm^-1",
+            ParaxialBoundWarning,
+            stacklevel=2,  # the caller of photon_energy_paraxial
+        )
+    return Quantity(float(photon_paraxial_erg(k, k_perp)), ENERGY)
 
 
 def photon_energy_freespace(k_par: Quantity, coupling: CouplingParams) -> Quantity:
@@ -190,10 +202,11 @@ def photon_energy_freespace(k_par: Quantity, coupling: CouplingParams) -> Quanti
 
 def diagonalize_mode(prob: ModeProblem) -> BranchPoint:
     """Branch energies and Hopfield fractions for one mode problem (closed form)."""
-    e1, e2, mu2, nu2 = _diagonalize_cgs(prob.transition_energy.cgs, prob.photon_energy.cgs,
-                                        prob.g.cgs)
-    return BranchPoint(k_par=None, e_upper=Quantity(e1, ENERGY), e_lower=Quantity(e2, ENERGY),
-                       mu_sq=mu2, nu_sq=nu2)
+    e_at, e_ph, g = prob.transition_energy.cgs, prob.photon_energy.cgs, prob.g.cgs
+    e1, e2 = branch_energies(e_at, e_ph, g)
+    mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
+    return BranchPoint(k_par=None, e_upper=Quantity(float(e1), ENERGY),
+                       e_lower=Quantity(float(e2), ENERGY), mu_sq=float(mu2), nu_sq=float(nu2))
 
 
 def sample_dispersion(

@@ -4,11 +4,15 @@ Effective masses of both branches, the quadratic transverse dispersion and
 its group velocity, and the 2D Bose-gas threshold ladder: thermal
 wavelength, degeneracy temperature, chemical potential, the
 Kosterlitz-Thouless temperature, and the trapped-gas condensation
-temperature with its condensate fraction.  The formulas are cgs float
-cores in polbec.core; this module wraps them in the dimension-checked
-Quantity operations and their result dataclasses.
+temperature with its condensate fraction, as dimension-checked Quantity
+operations and their result dataclasses.  An operation that the CLI also
+runs (the masses, the transverse energy, T_KT and the ladder behind
+chemical_potential and condensation_report) converts its arguments and
+calls the cgs float core in polbec.core, so both raise the same errors.
+The others convert their arguments, then check and compute on their own,
+through the ladder's column form of their formula where it has one.
 
-Conventions fixed by those cores (and echoed as notes in every report):
+Conventions fixed by these formulas (and echoed as notes in every report):
 
 * lambda_T = h / sqrt(2 pi m kB T).  This is the only prefactor consistent
   with both the 1.84e-4 cm reference value at (5e-33 g, 300 K) and the
@@ -28,22 +32,25 @@ from dataclasses import dataclass, field
 
 from . import _SUBMODULE_NAMES
 from .core import (
+    HBAR_CGS,
+    KB_CGS,
     MEV_ERG,
+    TRAP_BEC_ZETA,
     _check_gas,
     _check_trap,
     _check_trap_consistency,
-    _condensate_fraction_cgs,
-    _group_velocity_cm_s,
-    _trapped_bec_temperature_from_N_K,
-    _trapped_number_cgs,
+    _condensate_fraction_column,
+    _fraction_overflow,
+    _lambda_T_column,
+    _stage,
+    _t_d_column,
+    _trapped_number_column,
     condensation_ladder,
-    degeneracy_temperature_K,
     effective_masses_cgs,
     kt_temperature_K,
     ladder_notes,
-    lambda_T_cm,
+    range_error,
     transverse_energy_erg,
-    trapped_bec_temperature_K,
 )
 from .coupling import CouplingParams
 from .units import (
@@ -178,21 +185,51 @@ def transverse_energy(k_par: Quantity, m: Quantity) -> Quantity:
 
 def group_velocity(k_par: Quantity, m: Quantity) -> Quantity:
     """v = d E_tr / d(hbar k) = hbar k / m; equals k c / (2 k_perp) at Delta = 0."""
-    return Quantity(_group_velocity_cm_s(magnitude_in_cgs(k_par, WAVENUMBER, "k_par"),
-                                         magnitude_in_cgs(m, MASS, "m")), VELOCITY)
+    k = magnitude_in_cgs(k_par, WAVENUMBER, "k_par")
+    m_g = magnitude_in_cgs(m, MASS, "m")
+    if not m_g > 0:
+        raise ValueError("mass must be positive")
+    velocity = HBAR_CGS * k / m_g
+    if not math.isfinite(velocity):
+        raise range_error("hbar k_par / m", k_par=f"{k:g} cm^-1", m=f"{m_g:g} g")
+    return Quantity(velocity, VELOCITY)
 
 
 def thermal_wavelength(m: Quantity, temperature: Quantity) -> Quantity:
-    """Thermal de Broglie wavelength lambda_T = h / sqrt(2 pi m kB T)."""
-    return Quantity(lambda_T_cm(magnitude_in_cgs(m, MASS, "m"),
-                                magnitude_in_cgs(temperature, TEMPERATURE, "temperature")),
-                    LENGTH)
+    """Thermal de Broglie wavelength lambda_T = h / sqrt(2 pi m kB T).
+
+    An infinite T gives the limit 0; an m and T whose 2 pi m kB T leaves
+    the float range raise ZeroDivisionError, with both named.
+    """
+    m_g = magnitude_in_cgs(m, MASS, "m")
+    t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
+    if not (m_g > 0 and t_k > 0):
+        raise ValueError("mass and temperature must be positive")
+    try:
+        lam = _stage(_lambda_T_column, m_g, t_k)
+    except ZeroDivisionError:
+        lam = 0.0
+    # 0 where the product overflows, NaN where m kB underflows to 0 and T = inf
+    if not (lam > 0.0 or lam == 0.0 and t_k == math.inf):
+        raise ZeroDivisionError(f"lambda_T: 2 pi m kB T leaves the float range for "
+                                f"'m' = {m_g:g} g, 'temperature' = {t_k:g} K")
+    return Quantity(lam, LENGTH)
 
 
 def degeneracy_temperature(n2: Quantity, m: Quantity) -> Quantity:
-    """Degeneracy temperature T_d = 2 pi hbar^2 n2 / (m kB)."""
-    return Quantity(degeneracy_temperature_K(magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
-                                             magnitude_in_cgs(m, MASS, "m")), TEMPERATURE)
+    """Degeneracy temperature T_d = 2 pi hbar^2 n2 / (m kB); satisfies
+    n2 lambda_T(T_d)^2 = 1."""
+    n2_cm2 = magnitude_in_cgs(n2, AREA_DENSITY, "n2")
+    m_g = magnitude_in_cgs(m, MASS, "m")
+    if not (n2_cm2 > 0 and m_g > 0):
+        raise ValueError("n2 and mass must be positive")
+    try:
+        t_d = _stage(_t_d_column, n2_cm2, m_g)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g") from None
+    if not t_d < math.inf:  # inf, or NaN for an infinite n2 over an infinite m
+        raise range_error("T_d = 2 pi hbar^2 n2 / (m kB)", n2=f"{n2_cm2:g} cm^-2", m=f"{m_g:g} g")
+    return Quantity(t_d, TEMPERATURE)
 
 
 def chemical_potential(state: GasState) -> Quantity:
@@ -220,33 +257,57 @@ def trapped_bec_temperature(n2: Quantity, m: Quantity) -> Quantity:
     R_T^2 = 2 kB T / (m Omega_eff^2), the relation `trapped_number` uses;
     it is not the peak density, which for the 2D ideal gas diverges at T_c.
     """
-    return Quantity(trapped_bec_temperature_K(magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
-                                              magnitude_in_cgs(m, MASS, "m")), TEMPERATURE)
+    return Quantity(degeneracy_temperature(n2, m).cgs / TRAP_BEC_ZETA, TEMPERATURE)
 
 
 def trapped_bec_temperature_from_N(n_particles: float, omega_eff: Quantity) -> Quantity:
     """Trapped-gas condensation temperature, particle-number form:
     T_c = (hbar Omega_eff / kB) sqrt(N / 1.645); zero without a trap."""
-    return Quantity(_trapped_bec_temperature_from_N_K(
-        n_particles, magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")), TEMPERATURE)
+    omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
+    if not n_particles > 0:
+        raise ValueError("particle number must be positive")
+    _check_trap(omega)
+    t_c = HBAR_CGS * omega / KB_CGS * math.sqrt(n_particles / TRAP_BEC_ZETA)
+    if not t_c < math.inf:
+        raise range_error("T_c = (hbar Omega_eff / kB) sqrt(N / 1.645)",
+                          n_particles=f"{n_particles:g}", omega_eff=f"{omega:g} s^-1")
+    return Quantity(t_c, TEMPERATURE)
 
 
 def trapped_number(n2: Quantity, temperature: Quantity, omega_eff: Quantity, m: Quantity) -> float:
-    """Particles held by the harmonic trap: N2 = 2 pi n2 kB T / (m Omega_eff^2)."""
-    return _trapped_number_cgs(
-        magnitude_in_cgs(n2, AREA_DENSITY, "n2"),
-        magnitude_in_cgs(temperature, TEMPERATURE, "temperature"),
-        magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff"),
-        magnitude_in_cgs(m, MASS, "m"),
-    )
+    """Particles held by the harmonic trap: N2 = 2 pi n2 kB T / (m Omega_eff^2),
+    which must be finite."""
+    n2_cm2 = magnitude_in_cgs(n2, AREA_DENSITY, "n2")
+    t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
+    omega = magnitude_in_cgs(omega_eff, FREQUENCY, "omega_eff")
+    m_g = magnitude_in_cgs(m, MASS, "m")
+    if omega == 0.0:
+        raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
+    if not (n2_cm2 > 0 and t_k >= 0 and omega > 0 and m_g > 0):
+        raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
+    try:
+        n_trapped = _stage(_trapped_number_column, n2_cm2, t_k, omega, m_g)
+    except ZeroDivisionError:
+        raise ZeroDivisionError(f"N2: m Omega_eff^2 underflows to 0 for 'm' = {m_g:g} g, "
+                                f"'omega_eff' = {omega:g} s^-1") from None
+    if not n_trapped < math.inf:
+        raise range_error("N2 = 2 pi n2 kB T / (m Omega_eff^2)", n2=f"{n2_cm2:g} cm^-2",
+                          temperature=f"{t_k:g} K", omega_eff=f"{omega:g} s^-1", m=f"{m_g:g} g")
+    return n_trapped
 
 
 def condensate_fraction(temperature: Quantity, t_c: Quantity) -> float:
     """Ground-state share N0/N = max(0, 1 - (T/T_c)^2); clamps above T_c."""
-    return _condensate_fraction_cgs(
-        magnitude_in_cgs(temperature, TEMPERATURE, "temperature"),
-        magnitude_in_cgs(t_c, TEMPERATURE, "t_c"),
-    )
+    t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
+    t_c_k = magnitude_in_cgs(t_c, TEMPERATURE, "t_c")
+    if t_k < 0:
+        raise ValueError("temperature must be non-negative")
+    if not t_c_k > 0:
+        raise ValueError("t_c must be positive")
+    try:
+        return _stage(_condensate_fraction_column, t_k, t_c_k)
+    except OverflowError:
+        raise _fraction_overflow(t_k, t_c_k) from None
 
 
 def condensation_report(

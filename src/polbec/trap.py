@@ -15,13 +15,15 @@ every trap design.  The magnetic-trap frequency Omega_at for the atomic
 component is carried as user input and echoed, never derived; no
 constraint equation ties it to Omega_eff.
 
-The inverse and its checks are cgs float cores in polbec.core; this
-module wraps them in the dimension-checked Quantity operations and the
-lens and design dataclasses.
+The design, the lens and their checks are cgs float cores in polbec.core,
+which the CLI calls too; this module wraps them in the dimension-checked
+Quantity operations and the lens and design dataclasses, so both raise the
+same errors.  omega_for_lens, which no command runs, computes on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import _SUBMODULE_NAMES
@@ -29,9 +31,10 @@ from .core import (
     ENERGY_SCALE_NOTE,
     _DEFAULT_R_MAX_FRAC,
     _check_lens,
+    _check_mass_and_scale,
     _lens_cgs,
-    _omega_for_lens_cgs,
     design_trap_cgs,
+    range_error,
 )
 from .units import (
     CURVATURE,
@@ -116,11 +119,16 @@ def lens_for_omega(
 
 def omega_for_lens(lens: LensProfile, m_eff: Quantity, energy_scale: Quantity) -> Quantity:
     """Exact inverse of lens_for_omega: Omega_eff = sqrt(n' E_char / m_eff)."""
-    return Quantity(_omega_for_lens_cgs(
-        lens.n_prime.cgs,
-        magnitude_in_cgs(m_eff, MASS, "m_eff"),
-        magnitude_in_cgs(energy_scale, ENERGY, "energy_scale"),
-    ), FREQUENCY)
+    n_prime = lens.n_prime.cgs
+    m = magnitude_in_cgs(m_eff, MASS, "m_eff")
+    e_char = magnitude_in_cgs(energy_scale, ENERGY, "energy_scale")
+    _check_mass_and_scale(m, e_char)
+    omega = math.sqrt(n_prime * e_char / m)
+    # 0 only for the flat lens; NaN (0 * inf) for it with an infinite E_char
+    if not (0.0 < omega < math.inf or omega == 0.0 == n_prime):
+        raise range_error("Omega_eff = sqrt(n' E_char / m_eff)", n_prime=f"{n_prime:g} cm^-2",
+                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
+    return Quantity(omega, FREQUENCY)
 
 
 def design_trap(

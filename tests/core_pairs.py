@@ -1,8 +1,13 @@
-"""Shared check that a Quantity operation and the cgs core it wraps agree.
+"""Shared checks of the Quantity operations, over drawn magnitudes.
 
-Each operation takes magnitude_in_cgs of its arguments, calls one core and
-wraps the result, so on the same magnitudes both must give the same value
-bit for bit, or raise the same error type with the same message.
+An operation that wraps a cgs core the CLI calls takes magnitude_in_cgs of
+its arguments, calls that core and wraps the result, so on the same
+magnitudes both must give the same value bit for bit, or raise the same
+error type with the same message (assert_same_outcome).  An operation that
+no command runs holds its own checks and formula; it must give a finite
+magnitude, or raise ValueError or ArithmeticError with a message
+(assert_finite_or_raises), and a magnitude it gives is its formula's value
+on the same magnitudes, bit for bit (assert_formula_or_raises).
 """
 
 import math
@@ -48,3 +53,26 @@ def assert_same_outcome(op, core, op_args, core_args, view=cgs_view):
         assert type(info.value) is type(exc) and str(info.value) == str(exc)
         return
     assert repr(view(op(*op_args))) == repr(expected)
+
+
+def assert_finite_or_raises(op, args):
+    """op(*args), seen through cgs_view, is a finite float, or op raises
+    ValueError or ArithmeticError with a message."""
+    try:
+        result = cgs_view(op(*args))
+    except (ValueError, ArithmeticError) as exc:
+        assert str(exc)
+        return
+    assert math.isfinite(result), result
+
+
+def assert_formula_or_raises(op, formula, op_args, values):
+    """op(*op_args), seen through cgs_view, is a finite float equal to
+    formula(*values) (repr tells -0.0 from 0.0), or op raises ValueError or
+    ArithmeticError with a message."""
+    assert_finite_or_raises(op, op_args)
+    try:
+        result = cgs_view(op(*op_args))
+    except (ValueError, ArithmeticError):
+        return
+    assert repr(result) == repr(formula(*values))

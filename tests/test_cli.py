@@ -952,8 +952,9 @@ usage: polbec [-h] [--version]
 
 Deterministic command-line front end. Subcommands: check-coupling, dispersion,
 hopfield, masses, thresholds, trap, sweep. All file output is byte-stable
-across runs and locales: numbers are printed with 12 significant digits, rows
-are assembled in grid/sweep order, and the metadata header carries no
+across runs and locales: CSV, text and the rows of a JSON curve print numbers
+with 12 significant digits, every other JSON number is printed in full as json
+writes it, rows are assembled in grid/sweep order, and the metadata carries no
 timestamps. Evaluation is serial; --workers is accepted and has no effect.
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning (weak
 coupling, or no lower-branch well in the paraxial window).

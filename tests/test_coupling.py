@@ -7,7 +7,6 @@ from polbec.core import (
     C_CGS,
     HBAR_CGS,
     _cooperative_frequency_cgs,
-    _resonant_length_cgs,
     geometry_coupling_cgs,
     resonant_coupling_cgs,
     strong_coupling_cgs,
@@ -25,7 +24,7 @@ from polbec.coupling import (
 )
 from polbec.units import ENERGY, Quantity, qty
 
-from core_pairs import assert_same_outcome, magnitudes
+from core_pairs import assert_finite_or_raises, assert_same_outcome, magnitudes
 
 
 def example_medium(tau_coh=1e-8):
@@ -236,11 +235,6 @@ class TestOperationsEqualTheirCores:
         assert_same_outcome(lambda *a: cooperative_frequency(medium(*a, 1e-8)),
                             _cooperative_frequency_cgs, [e0, d, n3], [e0, d, n3])
 
-    @given(e0=magnitudes(*E0, invalid=False), mode_index=MODE_INDEX)
-    def test_resonant_cavity_length(self, e0, mode_index):
-        assert_same_outcome(resonant_cavity_length, _resonant_length_cgs,
-                            [medium(e0, 1e-18, 3.5e11, 1e-8), mode_index], [e0, mode_index])
-
     @given(e0=magnitudes(*E0), length=magnitudes(*L_CAV), mode_index=MODE_INDEX,
            g=magnitudes(*G))
     def test_coupling_from_geometry(self, e0, length, mode_index, g):
@@ -256,3 +250,9 @@ class TestOperationsEqualTheirCores:
         assert_same_outcome(resonant_coupling, resonant_coupling_cgs,
                             [qty(e0, "erg"), qty(g, "erg"), qty(delta, "erg")], [e0, g, delta],
                             view=lambda c: c.k_perp.cgs)
+
+
+@given(e0=magnitudes(*E0, invalid=False), mode_index=MODE_INDEX)
+def test_resonant_cavity_length_is_finite_or_raises(e0, mode_index):
+    # no command runs it, so it computes on its own, with no core to agree with
+    assert_finite_or_raises(resonant_cavity_length, [medium(e0, 1e-18, 3.5e11, 1e-8), mode_index])

@@ -71,8 +71,9 @@ class TestPhotonDispersion:
     def test_warns_beyond_bound(self):
         cp = resonant_coupling(qty(2.104, "eV"), qty(1.0, "meV"))
         k = Quantity(0.3 * cp.k_perp.cgs, qty(1, "cm^-1").dimension)
-        with pytest.warns(ParaxialBoundWarning):
+        with pytest.warns(ParaxialBoundWarning) as record:
             photon_energy_paraxial(k, cp)
+        assert record[0].filename == __file__  # it points at the caller
 
 
 class TestDiagonalize:

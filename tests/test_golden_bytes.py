@@ -82,6 +82,9 @@ CONFIGS = {
     "no-E0": PLAIN.replace("E0 = 2.104 eV\n", "") + "m_eff = 5e-33 g\n",
     # a beam wider than the lens profile's harmonic region
     "wide-beam": EXAMPLE.replace("d_beam = 2e-4 cm", "d_beam = 2 cm"),
+    # m_eff Omega_eff^2 r0^2 / 2 overflows to inf, with no w**2 or r0**2 past the range
+    "trap-overflow": "T = 300 K\nm_eff = 1e-30 g\nn2 = 5e7 cm^-2\nomega_eff = 1e150 s^-1\n"
+                     "U0 = 1 eV\nr0 = 1e20 cm\n",
 }
 
 SWEEPS = {
@@ -401,6 +404,12 @@ ERRORS = {
     "trap-no-E_char-or-E0": (
         "no-E0", "trap --target-tc 300 --n-particles 1e6",
         "polbec: config error: missing required key 'E_char' (or 'E0' as its default)\n"),
+    # recorded with the check of an expected U0 that is not finite; before it,
+    # thresholds took inf as consistent with any U0 and printed a row, exit 0
+    "thresholds-trap-consistency-overflows": (
+        "trap-overflow", "thresholds",
+        "polbec: error: trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
+        "'omega_eff' = 1e+150 s^-1, 'r0' = 1e+20 cm\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)

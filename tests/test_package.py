@@ -160,3 +160,42 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULE_PATHS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+
+def _unreached_by_cli() -> list[str]:
+    """The top-level functions and classes of core and branches that nothing
+    polbec.cli imports from core, branches or numtext reaches, at module
+    level or inside a function, following the names each definition refers
+    to within those modules."""
+    package = Path(polbec.__file__).parent
+    followed = (*CORE_MODULES, "numtext")
+    trees = {stem: ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("cli", *followed)}
+    defined, imported = {}, {}  # (module, name) -> its definition, or the module it comes from
+    for stem in followed:
+        for node in trees[stem].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[stem, node.name] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in followed:
+                imported.update({(stem, alias.name): node.module for alias in node.names})
+    todo = [(node.module, alias.name) for node in ast.walk(trees["cli"])
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in followed
+            for alias in node.names]
+    reached = set()
+    while todo:
+        stem, name = todo.pop()
+        stem = imported.get((stem, name), stem)
+        if (stem, name) in reached or (stem, name) not in defined:
+            continue
+        reached.add((stem, name))
+        todo += [(stem, node.id) for node in ast.walk(defined[stem, name])
+                 if isinstance(node, ast.Name)]
+    return sorted(f"{stem}.{name}" for stem, name in defined.keys() - reached
+                  if stem in CORE_MODULES)
+
+
+def test_core_modules_hold_only_what_the_cli_reaches():
+    # a Quantity operation that no command runs computes on its own, so that
+    # every start of the CLI compiles no core it cannot run
+    assert _unreached_by_cli() == []

@@ -2,28 +2,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from polbec.core import (
     C_CGS,
+    EV_ERG,
+    H_CGS,
     HBAR_CGS,
     KB_CGS,
     MEV_ERG,
     TRAP_BEC_ZETA,
     ThresholdLadder,
-    _condensate_fraction_cgs,
-    _group_velocity_cm_s,
-    _mu_meV,
-    _trapped_bec_temperature_from_N_K,
-    _trapped_number_cgs,
+    _ColumnError,
+    _mu_column,
+    _stage,
     condensation_ladder,
-    degeneracy_temperature_K,
     effective_masses_cgs,
     kt_temperature_K,
-    lambda_T_cm,
     transverse_energy_erg,
-    trapped_bec_temperature_K,
 )
 from polbec.coupling import CouplingParams, resonant_coupling
 from polbec.thermo import (
@@ -44,7 +41,8 @@ from polbec.thermo import (
 )
 from polbec.units import ENERGY, DimensionError, Quantity, qty
 
-from core_pairs import assert_same_outcome, logs, magnitudes
+from core_pairs import (assert_finite_or_raises, assert_formula_or_raises, assert_same_outcome,
+                        logs, magnitudes)
 
 M_REF = qty(5e-33, "g")
 T_REF = qty(300.0, "K")
@@ -162,7 +160,7 @@ class TestChemicalPotential:
 
     def test_evaluation_branches_agree_at_switchover(self):
         def mu_over_kbt(x):  # at kB T = 1 meV, to an ulp
-            return _mu_meV(MEV_ERG / KB_CGS, x)
+            return _stage(_mu_column, MEV_ERG / KB_CGS, x)
 
         x = math.log(2.0)
         assert mu_over_kbt(x) == pytest.approx(math.log(0.5), rel=1e-14)
@@ -434,6 +432,44 @@ class TestCondensationReport:
         with pytest.raises(DimensionError, match="m_eff"):
             trap.check_consistency(m_eff)
 
+    @pytest.mark.parametrize("omega, match", [(math.inf, "omega_eff must be finite"),
+                                              (-1.0, "omega_eff must be non-negative"),
+                                              (math.nan, "omega_eff must be non-negative")],
+                             ids=["inf", "negative", "nan"])
+    def test_trap_rejects_omega_eff(self, omega, match):
+        # an infinite trap holds no particle (N2 = 0) but reported a condensate
+        with pytest.raises(ValueError, match=match):
+            TrapSpec(qty(omega, "s^-1"))
+        with pytest.raises(ValueError, match=match):
+            condensation_ladder(300.0, 5e-33, 5e7, None, omega)
+        with pytest.raises(_ColumnError):
+            condensation_ladder(300.0, 5e-33, 5e7, None, [5e10, omega])
+
+    @pytest.mark.parametrize(
+        "u0, r0, omega, error, match",
+        [
+            # NaN compares false either way: U0 = NaN read as consistent
+            (math.nan, 1e-3, 5e10, ValueError, "inconsistent trap: U0 = nan erg"),
+            (6.25e-18, math.nan, 5e10, OverflowError, "'r0' = nan cm"),
+            # m_eff Omega_eff^2 r0^2 / 2 = inf read as consistent with any U0
+            (EV_ERG, 1e20, 1e150, OverflowError,
+             "trap consistency: m_eff\\*Omega_eff\\^2\\*r0\\^2/2 overflows for "
+             "'omega_eff' = 1e\\+150 s\\^-1, 'r0' = 1e\\+20 cm"),
+            # and so is a w**2 that raises
+            (EV_ERG, 1e-3, 1e160, OverflowError, "'omega_eff' = 1e\\+160 s\\^-1"),
+        ],
+        ids=["U0-nan", "r0-nan", "expected-inf", "omega-squared"],
+    )
+    def test_trap_consistency_fails_on_nan_and_overflow(self, u0, r0, omega, error, match):
+        m = 5e-33 if omega < 1e100 else 1e-30
+        trap = TrapSpec(qty(omega, "s^-1"), u0=qty(u0, "erg"), r0=qty(r0, "cm"))
+        with pytest.raises(error, match=match):
+            trap.check_consistency(qty(m, "g"))
+        with pytest.raises(error, match=match):
+            condensation_report(GasState(T_REF, qty(m, "g"), qty(5e7, "cm^-2")), trap)
+        with pytest.raises(_ColumnError):  # the path of a sweep over U0
+            condensation_ladder(300.0, m, 5e7, None, omega, [u0, u0], r0)
+
     def test_custom_superfluid_density(self):
         state = GasState(temperature=T_REF, m_eff=M_REF, n2=qty(0.5e8, "cm^-2"))
         report = condensation_report(state, n_s=qty(0.25e8, "cm^-2"))
@@ -630,19 +666,22 @@ def test_a_column_computes_the_rest_once(args, columns, scalars):
     assert not any(isinstance(getattr(lad, name), list) for name in scalars)
 
 
-def ladder_from_cores(t, m, n2, n3, omega_eff, u0, r0, n_s) -> dict:
-    """The per-value fields of a one-row ladder, each from its scalar core."""
-    lam = lambda_T_cm(m, t)
+def ladder_from_operations(t, m, n2, n3, omega_eff, u0, r0, n_s) -> dict:
+    """The per-value fields of a one-row ladder, each from its Quantity
+    operation (T_KT from its core, and mu from its column form)."""
+    lam = thermal_wavelength(qty(m, "g"), qty(t, "K")).cgs
     n2 = lam * n3 if n2 is None else n2
-    t_d = degeneracy_temperature_K(n2, m)
+    t_d = degeneracy_temperature(qty(n2, "cm^-2"), qty(m, "g")).cgs
     fields = {"lambda_t": lam, "t_degeneracy": t_d,
-              "t_kt": kt_temperature_K(n2 if n_s is None else n_s, m), "mu": _mu_meV(t, t_d / t)}
+              "t_kt": kt_temperature_K(n2 if n_s is None else n_s, m),
+              "mu": _stage(_mu_column, t, t_d / t)}
     if omega_eff == 0.0:  # no confinement
         fields.update(t_c=0.0, n_trapped=None, condensate_frac=0.0)
     elif omega_eff is not None:
-        t_c = trapped_bec_temperature_K(n2, m)
-        fields.update(t_c=t_c, n_trapped=_trapped_number_cgs(n2, t, omega_eff, m),
-                      condensate_frac=_condensate_fraction_cgs(t, t_c))
+        t_c = trapped_bec_temperature(qty(n2, "cm^-2"), qty(m, "g"))
+        fields.update(t_c=t_c.cgs, n_trapped=trapped_number(qty(n2, "cm^-2"), qty(t, "K"),
+                                                            qty(omega_eff, "s^-1"), qty(m, "g")),
+                      condensate_frac=condensate_fraction(qty(t, "K"), t_c))
     return {name: repr(value) for name, value in fields.items()}
 
 
@@ -652,7 +691,7 @@ def ladder_from_cores(t, m, n2, n3, omega_eff, u0, r0, n_s) -> dict:
                [2.0, 2.0 * 1000.0 ** 0.5, 2e3]))
 def test_ladder_fields_equal_their_cores(case):
     # bit for bit, in a scalar call and in a column: each formula's column
-    # form serves both the ladder and the scalar core
+    # form serves both the ladder and the Quantity operation
     args, k, column = case
     rows = [[*args[:k], value, *args[k + 1:]] for value in column]
     expected = []
@@ -661,7 +700,7 @@ def test_ladder_fields_equal_their_cores(case):
             ladder = condensation_ladder(*row)
         except (ValueError, ArithmeticError):
             continue
-        expected.append(ladder_from_cores(*row))
+        expected.append(ladder_from_operations(*row))
         assert {name: repr(getattr(ladder, name)) for name in expected[-1]} == expected[-1]
     if len(expected) < len(rows):
         return  # the column fails (test_first_failing_value_raises)
@@ -688,36 +727,71 @@ def omega():
 # operation -> (operation, its core, each argument as (unit, strategy)); a
 # unit of None passes the drawn float as it is
 PAIRS = {
-    "thermal_wavelength": (thermal_wavelength, lambda_T_cm,
-                           [("g", magnitudes(*M_G)), ("K", magnitudes(*T_K))]),
-    "degeneracy_temperature": (degeneracy_temperature, degeneracy_temperature_K,
-                               [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
     "kt_temperature": (kt_temperature, kt_temperature_K,
                        [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
-    "trapped_bec_temperature": (trapped_bec_temperature, trapped_bec_temperature_K,
-                                [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
-    "trapped_bec_temperature_from_N": (
-        trapped_bec_temperature_from_N, _trapped_bec_temperature_from_N_K,
-        [(None, magnitudes(1.0, 1e12)), ("s^-1", omega())]),
-    "trapped_number": (trapped_number, _trapped_number_cgs,
-                       [("cm^-2", magnitudes(*N2_CM2)), ("K", magnitudes(*T_K)),
-                        ("s^-1", omega()), ("g", magnitudes(*M_G))]),
-    "condensate_fraction": (condensate_fraction, _condensate_fraction_cgs,
-                            [("K", magnitudes(*T_K)), ("K", magnitudes(*T_K))]),
     "transverse_energy": (transverse_energy, transverse_energy_erg,
                           [("cm^-1", magnitudes(*K_CM1)), ("g", magnitudes(*M_G))]),
-    "group_velocity": (group_velocity, _group_velocity_cm_s,
-                       [("cm^-1", magnitudes(*K_CM1)), ("g", magnitudes(*M_G))]),
 }
 
 
-@pytest.mark.parametrize("name", sorted(PAIRS))
+# the operations no command runs compute on their own; the core of each is
+# the formula its docstring states, written out here: operation ->
+# (operation, formula, each argument as in PAIRS)
+OWN = {
+    "thermal_wavelength": (
+        thermal_wavelength, lambda m, t: H_CGS / math.sqrt(2.0 * math.pi * m * KB_CGS * t),
+        [("g", magnitudes(*M_G)), ("K", magnitudes(*T_K))]),
+    "degeneracy_temperature": (
+        degeneracy_temperature, lambda n2, m: 2.0 * math.pi * HBAR_CGS**2 * n2 / (m * KB_CGS),
+        [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
+    "trapped_bec_temperature": (
+        trapped_bec_temperature,
+        lambda n2, m: 2.0 * math.pi * HBAR_CGS**2 * n2 / (m * KB_CGS) / TRAP_BEC_ZETA,
+        [("cm^-2", magnitudes(*N2_CM2)), ("g", magnitudes(*M_G))]),
+    "trapped_bec_temperature_from_N": (
+        trapped_bec_temperature_from_N,
+        lambda n, w: HBAR_CGS * w / KB_CGS * math.sqrt(n / TRAP_BEC_ZETA),
+        [(None, magnitudes(1.0, 1e12)), ("s^-1", omega())]),
+    "trapped_number": (
+        trapped_number, lambda n2, t, w, m: 2.0 * math.pi * n2 * KB_CGS * t / (m * w * w),
+        [("cm^-2", magnitudes(*N2_CM2)), ("K", magnitudes(*T_K)),
+         ("s^-1", omega()), ("g", magnitudes(*M_G))]),
+    "condensate_fraction": (
+        condensate_fraction, lambda t, t_c: max(0.0, 1.0 - (t / t_c) ** 2),
+        [("K", magnitudes(*T_K)), ("K", magnitudes(*T_K))]),
+    "group_velocity": (
+        group_velocity, lambda k, m: HBAR_CGS * k / m,
+        [("cm^-1", magnitudes(*K_CM1)), ("g", magnitudes(*M_G))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS.keys() | OWN.keys()))
 @given(data=st.data())
 def test_operation_equals_its_core(name, data):
-    op, core, args = PAIRS[name]
+    op, core, args = PAIRS[name] if name in PAIRS else OWN[name]
     values = [data.draw(strategy) for _, strategy in args]
     quantities = [v if unit is None else qty(v, unit) for (unit, _), v in zip(args, values)]
-    assert_same_outcome(op, core, quantities, values)
+    if name in PAIRS:
+        assert_same_outcome(op, core, quantities, values)
+    else:
+        assert_formula_or_raises(op, core, quantities, values)
+
+
+@settings(max_examples=100 * len(OWN))
+@given(case=st.one_of(*(st.tuples(st.just(name), st.tuples(*(s for _, s in args)))
+                        for name, (_, _, args) in OWN.items())))
+# inputs that gave NaN: m kB underflows to 0 against an infinite T, ...
+@example(case=("thermal_wavelength", (1e-320, math.inf)))
+# ... and inf / inf
+@example(case=("degeneracy_temperature", (math.inf, math.inf)))
+@example(case=("trapped_bec_temperature", (math.inf, math.inf)))
+# an infinite trap frequency, which TrapSpec rejects too
+@example(case=("trapped_bec_temperature_from_N", (1e6, math.inf)))
+def test_own_operation_is_finite_or_raises(case):
+    name, values = case
+    op, _, args = OWN[name]
+    assert_finite_or_raises(op, [v if unit is None else qty(v, unit)
+                                 for (unit, _), v in zip(args, values)])
 
 
 @given(g=logs(1e-18, 1e-12), ratio=st.just(0.0) | logs(1e-8, 1e8), sign=st.sampled_from([-1, 1]),
