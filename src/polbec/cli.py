@@ -26,25 +26,26 @@ calls the ladder once, with them as one argument's column (or the derived
 masses', for a key of COUPLING_KEYS, which the derived mass reads); the
 ladder evaluates each stage on the columns it depends on, one comprehension
 per stage, checks the results in bulk, and its first 16 fields are the
-table's columns, in order.  If that call fails, the sweep replays its values
-one at a time, the only replay, and stops at the first failing one's error.
-It builds no notes: only a one-shot thresholds run prints them, from
-ladder_notes.  Every number of a CSV or text output, and of the metadata,
-is printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and
-is printed by the numtext kernel; every other table is printed
-column-wise through one '%'-template.  A value that holds
-for every row (a ladder field that is not a column, or a cell of a one-row
-table) stays a scalar and is printed once, into the template, and a float
-column that prints as an earlier one does (the sweep column and the swept
-key's) is formatted once for both.  A JSON curve (dispersion, hopfield)
-prints its rows straight from the float columns, each number formatted
-once in json's spelling of the 12-digit value, so it reads as the CSV cell
-does, and leaves only its header to json.  Every other JSON output is one
-object with a key per value, each float written by json in full (its
-repr, so "lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
-0.000183687170505): the one-row thresholds and masses tables, which carry
-the metadata, and check-coupling and trap, which carry none.  The argument
-parser is built once per process and shared by every later call of main.
+table's columns, in order.  If that call fails, the sweep runs the loop of
+the other sweeps, one value at a time, which stops at the first failing
+value's own error.  It builds no notes: only a one-shot thresholds run
+prints them, from ladder_notes.  Every number of a CSV or text output, and
+of the metadata, is printed as '%.12g' prints it.  A CSV curve keeps its
+numpy columns and is printed by the numtext kernel; every other table is
+printed column-wise through one '%'-template.  A value that holds for every
+row (a ladder field that is not a column, or a cell of a one-row table)
+stays a scalar and is printed once, into the template, and a float column
+that is the same list as an earlier one (the sweep column and the swept
+key's, which config_cgs shares) is formatted once for both.  A JSON curve
+(dispersion, hopfield) prints its rows straight from the float columns,
+each number formatted once in json's spelling of the 12-digit value, so it
+reads as the CSV cell does, and leaves only its header to json.  Every
+other JSON output is one object with a key per value, each float written by
+json in full (its repr, so "lambda_T_cm": 0.00018368717050473867 where the
+CSV cell reads 0.000183687170505): the one-row thresholds and masses
+tables, which carry the metadata, and check-coupling and trap, which carry
+none.  The argument parser is built once per process and shared by every
+later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size
 and window checks, the well, the metadata, every sweep value) before emit
@@ -68,7 +69,7 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import repeat, starmap
+from itertools import starmap
 
 from . import __version__
 from .config import (
@@ -142,18 +143,6 @@ def text_column(col):
     return col
 
 
-def _signs(col: list) -> list:
-    """The sign of each cell of a float column, which tells -0.0 from 0.0."""
-    return list(map(math.copysign, repeat(1.0), col))
-
-
-def _same_floats(col: list, other: list) -> bool:
-    """Whether two float columns print alike cell for cell: equal under ==,
-    which takes a NaN as equal only to the same object, and with zeros of
-    the same signs."""
-    return col == other and (0.0 not in col or _signs(col) == _signs(other))
-
-
 def csv_lines(columns: list) -> list[str]:
     """The rows of a table given as columns, all through one '%' template.
 
@@ -161,14 +150,16 @@ def csv_lines(columns: list) -> list[str]:
     holds for every row: it is printed once, into the template, and a table
     with no list column is one row.  A column of floats prints through
     NUMBER as it is, a column of bools through BOOL_TEXT, and one of strings
-    through '%s'.  A float column that prints as an earlier one does (a
-    sweep's column and the swept key's) is formatted once, and both print
-    that through '%s'.  The columns are never scanned for None: a column
-    empty in some cells must come as strings, through text_column.
+    through '%s'.  A float column that is the same list or tuple as an
+    earlier one (a sweep's column and the swept key's) is formatted once,
+    and both print that through '%s'.  The columns are never scanned for
+    None: a column empty in some cells must come as strings, through
+    text_column.
     """
     if not columns:
         return []
     specs, cells = [], []  # a spec is a constant's text, or the index of its cells
+    seen = {}  # id of a float column -> the index of its cells where it first came
     for col in columns:
         if type(col) not in (list, tuple):
             specs.append(BOOL_TEXT[col] if col is None or isinstance(col, bool) else NUMBER % col)
@@ -177,8 +168,8 @@ def csv_lines(columns: list) -> list[str]:
         if isinstance(first, bool):
             col = list(map(BOOL_TEXT.__getitem__, col))
         elif not isinstance(first, str):
-            i = next((i for i, other in enumerate(cells) if _same_floats(col, other)), None)
-            if i is not None:  # one '%' for the column costs less than one per cell
+            i = seen.setdefault(id(col), len(cells))
+            if i < len(cells):  # one '%' for the column costs less than one per cell
                 col = cells[i] = ("\n".join([NUMBER] * len(col)) % tuple(col)).split("\n")
         specs.append(len(cells))
         cells.append(col)
@@ -306,9 +297,7 @@ def _effective_mass(c: RunConfig) -> float:
         return c.values["m_eff"]
     try:
         g, k_perp, delta, _ = _coupling_cgs(c)
-    except ConfigError as exc:
-        if "missing required key" not in str(exc):
-            raise
+    except ConfigError:  # a missing key, the only ConfigError it raises
         raise ConfigError(
             "missing required key 'm_eff' (or the coupling keys "
             "E0, g, mode_index and L_cav|Delta to derive it)"
@@ -394,28 +383,23 @@ def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> Thres
     The arguments are bound at the first value and the swept key's column
     takes its slot.  Without m_eff in the config, a coupling key (one the
     derived mass reads) gives the m_eff column of the masses derived per
-    value instead; a key that neither reads leaves every field one value.  On
-    a failure (from the ladder, a column's _ColumnError, which has no
-    message) the values are replayed one at a time, so the sweep stops with
-    the error of its first failing value.
+    value instead; a key that neither reads leaves every field one value.  A
+    failure raises as it comes (from the ladder, a column's _ColumnError,
+    which has no message); cmd_sweep then finds the first failing value's
+    own error by its per-value loop.
     """
     key = spec.param
-    try:
-        column = config_cgs(spec, values)
-        c = cfg.with_value(key, column[0])
-        if key in COUPLING_KEYS and "m_eff" not in c.values:
-            masses = []
-            for c.values[key] in column:
-                masses.append(_effective_mass(c))
-            c.values["m_eff"] = masses
-        args = _ladder_args(c)
-        if key in LADDER_KEYS:
-            args[LADDER_KEYS.index(key)] = column
-        return condensation_ladder(*args)
-    except (ValueError, ArithmeticError):  # ConfigError is a ValueError
-        for value in values:
-            condensation_ladder(*_ladder_args(cfg.with_value(key, *config_cgs(spec, [value]))))
-        raise
+    column = config_cgs(spec, values)
+    c = cfg.with_value(key, column[0])
+    if key in COUPLING_KEYS and "m_eff" not in c.values:
+        masses = []
+        for c.values[key] in column:
+            masses.append(_effective_mass(c))
+        c.values["m_eff"] = masses
+    args = _ladder_args(c)
+    if key in LADDER_KEYS:
+        args[LADDER_KEYS.index(key)] = column
+    return condensation_ladder(*args)
 
 
 def _ladder_columns(ladder: ThresholdLadder) -> list:
@@ -555,10 +539,14 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     values = sweep_values(spec)
     target = args.target
 
+    blocks = None
     if target == "thresholds":
         header = THRESHOLDS_HEADER
-        blocks = table_rows([values, *_ladder_columns(_sweep_ladder(cfg, spec, values))])
-    else:
+        try:
+            blocks = table_rows([values, *_ladder_columns(_sweep_ladder(cfg, spec, values))])
+        except (ValueError, ArithmeticError):  # ConfigError is a ValueError
+            pass  # the loop below stops at the first failing value's own error
+    if blocks is None:
         # one copy of the config; each value swaps in one float and gives
         # one table.  A value is converted when its turn comes, so the sweep
         # stops at the error of its first failing value.

@@ -225,13 +225,15 @@ def config_cgs(spec: SweepSpec, values: list[float]) -> list:
     """Swept numeric values as the cgs magnitudes the leaf's config value holds.
 
     Quantities scale by their sweep unit's factor, as parsing scales a
-    value by its unit's; int leaves come back as int.  The column is checked
+    value by its unit's; int leaves come back as int.  A leaf whose sweep
+    unit is the cgs unit (a factor of 1.0) gets values itself back, so the
+    sweep column and the leaf's column are one list.  The column is checked
     in one pass; on a failure the values are checked one at a time, so that
     the first failing one names itself.
     """
     key_spec = KEY_SPECS[spec.param]
-    column = (list(map(CGS_UNITS[key_spec.sweep_unit][0].__mul__, values))
-              if key_spec.kind == "quantity" else list(values))
+    factor = CGS_UNITS[key_spec.sweep_unit][0] if key_spec.kind == "quantity" else 1.0
+    column = values if factor == 1.0 else list(map(factor.__mul__, values))
     if all(map(math.isfinite, column)):
         if key_spec.kind != "int":
             return column

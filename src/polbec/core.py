@@ -306,6 +306,9 @@ def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     if t_kt == math.inf:
         raise range_error("T_KT = pi hbar^2 n_s / (2 m kB)", n_s=f"{n_s_cm2:g} cm^-2",
                           m=f"{m_g:g} g")
+    if t_kt == 0.0:  # pi hbar^2 n_s underflows
+        raise ArithmeticError(f"T_KT = pi hbar^2 n_s / (2 m kB) underflows to 0 for "
+                              f"'n_s' = {n_s_cm2:g} cm^-2, 'm' = {m_g:g} g")
     return t_kt
 
 
@@ -414,6 +417,11 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
         raise _ColumnError if column else OverflowError(
             f"T_KT = pi hbar^2 n_s / (2 m kB) overflows for "
             f"'n_s' = {n_s:g} cm^-2, 'm_eff' = {m_g:g} g")
+    # T_KT = 0: pi hbar^2 n_s underflows (at n_s = n2 with T_d = 0, it fails at mu)
+    if 0.0 in _cells(t_kt) and (column or n_s is not None or t_d != 0.0):
+        raise _ColumnError if column else ArithmeticError(
+            "T_KT = pi hbar^2 n_s / (2 m kB) underflows to 0 for "
+            + (density() if n_s is None else f"'n_s' = {n_s:g} cm^-2") + f", 'm_eff' = {m_g:g} g")
     x = _stage(lambda t_d, t: [a / b for a, b in zip(t_d, t)], t_d, t_k)
     if 0.0 in _cells(x):  # log(0) in mu: T_d/T = n2 lambda_T^2 underflows to 0
         raise _ColumnError if column else ValueError(

@@ -229,6 +229,9 @@ def degeneracy_temperature(n2: Quantity, m: Quantity) -> Quantity:
         raise ZeroDivisionError(f"T_d: m kB underflows to 0 for 'm' = {m_g:g} g") from None
     if not t_d < math.inf:  # inf, or NaN for an infinite n2 over an infinite m
         raise range_error("T_d = 2 pi hbar^2 n2 / (m kB)", n2=f"{n2_cm2:g} cm^-2", m=f"{m_g:g} g")
+    if t_d == 0.0:  # 2 pi hbar^2 n2 underflows
+        raise ArithmeticError(f"T_d = 2 pi hbar^2 n2 / (m kB) underflows to 0 for "
+                              f"'n2' = {n2_cm2:g} cm^-2, 'm' = {m_g:g} g")
     return Quantity(t_d, TEMPERATURE)
 
 
@@ -285,6 +288,7 @@ def trapped_number(n2: Quantity, temperature: Quantity, omega_eff: Quantity, m: 
         raise ZeroDivisionError("trapped_number diverges without a trap (omega_eff = 0)")
     if not (n2_cm2 > 0 and t_k >= 0 and omega > 0 and m_g > 0):
         raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
+    _check_trap(omega)  # an infinite omega_eff holds no particle
     try:
         n_trapped = _stage(_trapped_number_column, n2_cm2, t_k, omega, m_g)
     except ZeroDivisionError:
@@ -300,7 +304,7 @@ def condensate_fraction(temperature: Quantity, t_c: Quantity) -> float:
     """Ground-state share N0/N = max(0, 1 - (T/T_c)^2); clamps above T_c."""
     t_k = magnitude_in_cgs(temperature, TEMPERATURE, "temperature")
     t_c_k = magnitude_in_cgs(t_c, TEMPERATURE, "t_c")
-    if t_k < 0:
+    if not t_k >= 0:  # written so that a NaN fails too
         raise ValueError("temperature must be non-negative")
     if not t_c_k > 0:
         raise ValueError("t_c must be positive")

@@ -1118,11 +1118,21 @@ def csv_tables(draw):
     if lists and draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
         columns.append(list(draw(st.sampled_from(lists))))
     # sweep builders hand over tuples from zip
-    return [tuple(col) if type(col) is list and draw(st.booleans()) else col for col in columns]
+    columns = [tuple(col) if type(col) is list and draw(st.booleans()) else col
+               for col in columns]
+    lists = [col for col in columns if type(col) in (list, tuple)]
+    if lists and draw(st.booleans()):  # the same column again, as config_cgs shares a sweep's
+        columns.append(draw(st.sampled_from(lists)))
+    return columns
+
+
+# one list that comes twice, as a T sweep's column and its T_K column do
+SHARED_COLUMN = [0.0, -0.0, math.nan]
 
 
 @settings(deadline=None)
 @given(columns=csv_tables())
+@example(columns=[SHARED_COLUMN, SHARED_COLUMN])
 @example(columns=[[0.0, -0.0], [-0.0, -0.0], [math.nan, math.nan], [None, None],
                   [None, 1.0], [True, True], [False, True], [1e300, 1e300]])
 # float columns that repeat an earlier one: equal under == but for the sign of

@@ -85,6 +85,10 @@ CONFIGS = {
     # m_eff Omega_eff^2 r0^2 / 2 overflows to inf, with no w**2 or r0**2 past the range
     "trap-overflow": "T = 300 K\nm_eff = 1e-30 g\nn2 = 5e7 cm^-2\nomega_eff = 1e150 s^-1\n"
                      "U0 = 1 eV\nr0 = 1e20 cm\n",
+    # pi hbar^2 n_s underflows to 0, though T_KT itself is a normal double
+    "n2-1e-300": EXAMPLE.replace("n2 = 0.5e8 cm^-2", "n2 = 1e-300 cm^-2"),
+    "n_s-1e-300": EXAMPLE + "n_s = 1e-300 cm^-2\n",
+    "tau_coh-1e300": EXAMPLE.replace("tau_coh = 1e-8 s", "tau_coh = 1e300 s"),
 }
 
 SWEEPS = {
@@ -410,6 +414,20 @@ ERRORS = {
         "trap-overflow", "thresholds",
         "polbec: error: trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
         "'omega_eff' = 1e+150 s^-1, 'r0' = 1e+20 cm\n"),
+    # recorded with the check of a T_KT that underflows to 0; before it, both
+    # printed T_KT as 0 with exit 0
+    "masses-T_KT-underflows": (
+        "n2-1e-300", "masses",
+        "polbec: error: T_KT = pi hbar^2 n_s / (2 m kB) underflows to 0 for "
+        "'n_s' = 1e-300 cm^-2, 'm' = 7.50144e-33 g\n"),
+    "thresholds-T_KT-underflows": (
+        "n_s-1e-300", "thresholds",
+        "polbec: error: T_KT = pi hbar^2 n_s / (2 m kB) underflows to 0 for "
+        "'n_s' = 1e-300 cm^-2, 'm_eff' = 5e-33 g\n"),
+    "check-coupling-ratio-overflows": (
+        "tau_coh-1e300", "check-coupling",
+        "polbec: error: ratio = omega_c * 2 tau_coh leaves the float range for 'd' = 1 D, "
+        "'n3' = 3.5e+11 cm^-3, 'E0' = 2.104 eV, 'tau_coh' = 1e+300 s\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)

@@ -849,3 +849,61 @@ def test_out_of_range_result_names_the_arguments(op, args, error, names):
     with pytest.raises(error) as info:
         op(*args)
     assert all(name in str(info.value) for name in names)
+
+
+@pytest.mark.parametrize(
+    "op, args, match",
+    [
+        (degeneracy_temperature, (qty(1e-300, "cm^-2"), M_REF),
+         "T_d = .* underflows to 0 for 'n2' = 1e-300 cm\\^-2, 'm' = 5e-33 g"),
+        (trapped_bec_temperature, (qty(1e-300, "cm^-2"), M_REF),
+         "T_d = .* underflows to 0 for 'n2' = 1e-300 cm\\^-2, 'm' = 5e-33 g"),
+        (kt_temperature, (qty(1e-300, "cm^-2"), M_REF),
+         "T_KT = .* underflows to 0 for 'n_s' = 1e-300 cm\\^-2, 'm' = 5e-33 g"),
+    ],
+    ids=["T_d", "T_c", "T_KT"],
+)
+def test_temperature_that_underflows_to_0_raises(op, args, match):
+    # the true values are normal doubles (T_KT = 1.69e-306 K); only the
+    # numerator pi hbar^2 n underflows, and the result read 0 K
+    with pytest.raises(ArithmeticError, match=match):
+        op(*args)
+
+
+@pytest.mark.parametrize(
+    "args, k, match",
+    [
+        ((300.0, 5e-33, 5e7, None, None, None, None, 1e-300), 7,
+         "for 'n_s' = 1e-300 cm\\^-2, 'm_eff' = 5e-33 g"),
+        # T_d = 7.2e-276 K and mu stay finite; T_KT alone underflows
+        ((300.0, 5e-33, 7e-271), 2, "for 'n2' = 7e-271 cm\\^-2, 'm_eff' = 5e-33 g"),
+    ],
+    ids=["n_s", "n2"],
+)
+def test_ladder_T_KT_that_underflows_to_0_raises(args, k, match):
+    with pytest.raises(ArithmeticError, match="T_KT = .* underflows to 0 " + match):
+        condensation_ladder(*args)
+    # argument k's value after a passing one fails a column of it
+    with pytest.raises(_ColumnError):
+        condensation_ladder(*args[:k], [5e7, args[k]], *args[k + 1:])
+
+
+@pytest.mark.parametrize(
+    "op, args, match",
+    [
+        # its own check was omega > 0, and N2 read 0.0
+        (trapped_number, (qty(5e7, "cm^-2"), T_REF, qty(math.inf, "s^-1"), M_REF),
+         "omega_eff must be finite"),
+        # NaN < 0 is False, and the fraction read 0.0
+        (condensate_fraction, (qty(math.nan, "K"), T_REF), "temperature must be non-negative"),
+    ],
+    ids=["trapped_number", "condensate_fraction"],
+)
+def test_input_past_its_check_raises(op, args, match):
+    with pytest.raises(ValueError, match=match):
+        op(*args)
+
+
+def test_gas_state_needs_a_density():
+    with pytest.raises(ValueError, match="GasState needs n2 or n3"):
+        GasState(T_REF, M_REF)

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from polbec.core import _lens_cgs, design_trap_cgs
 from polbec.thermo import trapped_bec_temperature_from_N
-from polbec.trap import LensProfile, design_trap, lens_for_omega, omega_for_lens
+from polbec.trap import LensProfile, TrapDesign, design_trap, lens_for_omega, omega_for_lens
 from polbec.units import CURVATURE, Quantity, qty
 
 from core_pairs import assert_finite_or_raises, assert_same_outcome, magnitudes
@@ -169,3 +169,14 @@ def test_omega_for_lens_is_finite_or_raises(n_prime, m, e_char):
     # no command runs it, so it computes on its own, with no core to agree with
     lens = LensProfile(1.0, Quantity(n_prime, CURVATURE), qty(0.0, "cm"))
     assert_finite_or_raises(omega_for_lens, [lens, qty(m, "g"), qty(e_char, "erg")])
+
+
+def test_lens_profile_rejects_a_negative_gradient():
+    with pytest.raises(ValueError, match="n_prime must be non-negative, got -1.0"):
+        LensProfile(1.0, Quantity(-1.0, CURVATURE), qty(1e-3, "cm"))
+
+
+def test_trap_design_rejects_zero_omega():
+    lens = lens_for_omega(qty(5.0e10, "s^-1"), M_EFF, E_CHAR, n0=1.0)
+    with pytest.raises(ValueError, match="omega_eff must be positive"):
+        TrapDesign(lens, qty(0.0, "s^-1"), E_CHAR)
