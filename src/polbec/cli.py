@@ -21,31 +21,33 @@ Config values are dimension-checked once, when the config is parsed, and
 stored as cgs floats; every command computes on those floats through the
 library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
-config.  A thresholds sweep converts the swept values to cgs in one pass and
-calls the ladder once, with them as one argument's column (or the derived
-masses', for a key of COUPLING_KEYS, which the derived mass reads); the
-ladder evaluates each stage on the columns it depends on, one comprehension
-per stage, checks the results in bulk, and its first 16 fields are the
-table's columns, in order.  If that call fails, the sweep runs the loop of
-the other sweeps, one value at a time, which stops at the first failing
-value's own error.  It builds no notes: only a one-shot thresholds run
-prints them, from ladder_notes.  Every number of a CSV or text output, and
-of the metadata, is printed as '%.12g' prints it.  A CSV curve keeps its
-numpy columns and is printed by the numtext kernel; every other table is
-printed column-wise through one '%'-template.  A value that holds for every
-row (a ladder field that is not a column, or a cell of a one-row table)
-stays a scalar and is printed once, into the template, and a float column
-that is the same list as an earlier one (the sweep column and the swept
-key's, which config_cgs shares) is formatted once for both.  A JSON curve
-(dispersion, hopfield) prints its rows straight from the float columns,
-each number formatted once in json's spelling of the 12-digit value, so it
-reads as the CSV cell does, and leaves only its header to json.  Every
-other JSON output is one object with a key per value, each float written by
-json in full (its repr, so "lambda_T_cm": 0.00018368717050473867 where the
-CSV cell reads 0.000183687170505): the one-row thresholds and masses
-tables, which carry the metadata, and check-coupling and trap, which carry
-none.  The argument parser is built once per process and shared by every
-later call of main.
+config and builds one table per value.  A thresholds sweep builds one
+table, by the one-shot run's builder, from a copy of the config whose swept
+key holds its cgs column; without m_eff, m_eff holds the masses derived per
+value for a key of COUPLING_KEYS (which the derived mass reads), else the
+one mass derived with the first value.  The ladder then runs once: it
+evaluates each stage on the columns it depends on, one comprehension per
+stage, checks the results in bulk, and its first 16 fields are the table's
+columns, in order.  If that fails, the sweep runs the loop of the other
+sweeps, one value at a time, which stops at the first failing value's own
+error.  Like the metadata of every target, the notes (a note of a column
+holds if it holds for any value) are built and dropped: only a one-shot run
+prints them.  Every number of a CSV or text output, and of the metadata, is
+printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and is
+printed by the numtext kernel; every other table is printed column-wise
+through one '%'-template.  A value that holds for every row (a ladder field
+that is not a column, or a cell of a one-row table) stays a scalar and is
+printed once, into the template, and a float column that is the same list
+as an earlier one (the sweep column and the swept key's, which config_cgs
+shares) is formatted once for both.  A JSON curve (dispersion, hopfield)
+prints its rows straight from the float columns, each number formatted once
+in json's spelling of the 12-digit value, so it reads as the CSV cell does,
+and leaves only its header to json.  Every other JSON output is one object
+with a key per value, each float written by json in full (its repr, so
+"lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
+0.000183687170505): the one-row thresholds and masses tables, which carry
+the metadata, and check-coupling and trap, which carry none.  The argument
+parser is built once per process and shared by every later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size
 and window checks, the well, the metadata, every sweep value) before emit
@@ -86,7 +88,7 @@ from .core import (
     EV_ERG,
     KB_CGS,
     CouplingRegime,
-    ThresholdLadder,
+    _require_mode_index,
     range_error,
     check_cavity,
     condensation_ladder,
@@ -288,6 +290,7 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     d_beam = c.get("d_beam")
     if d_beam is not None:
         check_cavity(length, mode_index, d_beam)
+    _require_mode_index(mode_index)  # the Delta path without d_beam checks it nowhere else
     return g, k_perp, delta, length
 
 
@@ -362,59 +365,21 @@ def _masses_table(c: RunConfig, command: str, args):
                           m_upper / grams_per_unit, m_lower / grams_per_unit, *t_kt]
 
 
-# the config keys behind condensation_ladder's positional arguments
-LADDER_KEYS = ("T", "m_eff", "n2", "n3", "omega_eff", "U0", "r0", "n_s")
-
-
-def _ladder_args(c: RunConfig) -> list:
-    """condensation_ladder's arguments, in LADDER_KEYS order, from a config."""
+def _thresholds_table(c: RunConfig, command: str, args):
+    """(meta, header, columns) of the thresholds table of a config, with the
+    ladder's notes: one row, or one per value where a key the ladder reads
+    holds a column (a list) of values.  The columns are the ladder's first 16
+    fields; n3 and the trap fields are None throughout or nowhere, but a
+    column of N2 is None where omega_eff = 0, so it goes through text_column."""
     t = c.require("T")
     get = c.values.get
-    n2 = get("n2")
-    n3 = get("n3")
+    n2, n3 = get("n2"), get("n3")
     if n2 is None and n3 is None:
         raise ConfigError("missing required key: one of 'n2', 'n3'")
-    return [t, _effective_mass(c), n2, n3, get("omega_eff"), get("U0"), get("r0"), get("n_s")]
-
-
-def _sweep_ladder(cfg: RunConfig, spec: SweepSpec, values: list[float]) -> ThresholdLadder:
-    """The ladder over the swept values, from one call with the swept column.
-
-    The arguments are bound at the first value and the swept key's column
-    takes its slot.  Without m_eff in the config, a coupling key (one the
-    derived mass reads) gives the m_eff column of the masses derived per
-    value instead; a key that neither reads leaves every field one value.  A
-    failure raises as it comes (from the ladder, a column's _ColumnError,
-    which has no message); cmd_sweep then finds the first failing value's
-    own error by its per-value loop.
-    """
-    key = spec.param
-    column = config_cgs(spec, values)
-    c = cfg.with_value(key, column[0])
-    if key in COUPLING_KEYS and "m_eff" not in c.values:
-        masses = []
-        for c.values[key] in column:
-            masses.append(_effective_mass(c))
-        c.values["m_eff"] = masses
-    args = _ladder_args(c)
-    if key in LADDER_KEYS:
-        args[LADDER_KEYS.index(key)] = column
-    return condensation_ladder(*args)
-
-
-def _ladder_columns(ladder: ThresholdLadder) -> list:
-    """The THRESHOLDS_HEADER columns of a ladder: its first 16 fields, in the
-    header's order and units.  n3 and the trap fields are None throughout
-    or nowhere, but a column of N2 is None where omega_eff = 0, so it goes
-    through text_column."""
-    return [*ladder[:11], text_column(ladder.n_trapped), *ladder[12:16]]
-
-
-def _thresholds_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the one-row thresholds table of a config,
-    with the ladder's notes."""
-    ladder = condensation_ladder(*_ladder_args(c))
-    return [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER, _ladder_columns(ladder)
+    ladder = condensation_ladder(t, _effective_mass(c), n2, n3, get("omega_eff"), get("U0"),
+                                 get("r0"), get("n_s"))
+    columns = [*ladder[:11], text_column(ladder.n_trapped), *ladder[12:16]]
+    return [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER, columns
 
 
 # the table of each command that prints one per config, in the order sweep
@@ -537,23 +502,38 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     # the config with the swept key written in must pass what parsing checks
     check_keys({*cfg.values, spec.param})
     values = sweep_values(spec)
-    target = args.target
+    key, target = spec.param, args.target
 
     blocks = None
     if target == "thresholds":
-        header = THRESHOLDS_HEADER
+        # one table from a config whose swept key holds its cgs column, so
+        # one ladder call.  Without m_eff, m_eff holds the masses derived per
+        # value for a key the derivation reads, else the one mass derived
+        # with the first value bound.
         try:
-            blocks = table_rows([values, *_ladder_columns(_sweep_ladder(cfg, spec, values))])
+            column = config_cgs(spec, values)
+            c = cfg.with_value(key, column[0])
+            if "m_eff" not in c.values:
+                if key in COUPLING_KEYS:
+                    masses = []
+                    for c.values[key] in column:
+                        masses.append(_effective_mass(c))
+                else:
+                    masses = _effective_mass(c)
+                c.values["m_eff"] = masses
+            c.values[key] = column
+            _, header, table = _thresholds_table(c, target, args)
+            blocks = table_rows([values, *table])
         except (ValueError, ArithmeticError):  # ConfigError is a ValueError
             pass  # the loop below stops at the first failing value's own error
     if blocks is None:
         # one copy of the config; each value swaps in one float and gives
         # one table.  A value is converted when its turn comes, so the sweep
         # stops at the error of its first failing value.
-        c = cfg.with_value(spec.param, None)
+        c = cfg.with_value(key, None)
         tables = []
         for value in values:
-            c.values[spec.param], = config_cgs(spec, [value])
+            c.values[key], = config_cgs(spec, [value])
             _, header, table = TABLES[target](c, target, args)
             tables.append(table)
         if target in CURVES:  # each column joined once; every table has --samples rows
@@ -564,9 +544,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             blocks = table_rows([values, *map(text_column, map(list, zip(*tables)))])
 
     unit = spec.unit
-    sweep_col = f"sweep_{spec.param}_{unit}" if unit else f"sweep_{spec.param}"
+    sweep_col = f"sweep_{key}_{unit}" if unit else f"sweep_{key}"
     meta = _meta_head(cfg) + [
-        f"sweep: {spec.param} from {fmt(spec.start)} to {fmt(spec.stop)} "
+        f"sweep: {key} from {fmt(spec.start)} to {fmt(spec.stop)} "
         f"in {spec.steps} steps ({spec.scale})"
         + (f", values in {unit}" if unit else ""),
         f"target: {target}",

@@ -159,9 +159,10 @@ class ThresholdLadder(NamedTuple):
     double where its value in erg would be subnormal.
 
     Field for field the magnitudes of thermo.CondensationReport (whose mu is
-    in erg), None where the report has None; the report's notes are
-    ladder_notes of a one-row ladder.  A field that depends on a list
-    argument of condensation_ladder (a column) is the list of its values.
+    in erg), None where the report has None; ladder_notes gives the notes
+    of the report and of the thresholds table, from a one-row or a column
+    ladder.  A field that depends on a list argument of condensation_ladder
+    (a column) is the list of its values.
     The first 16 fields are the columns of the CLI's thresholds table, in
     its order.
     """
@@ -187,12 +188,14 @@ class ThresholdLadder(NamedTuple):
 
 
 def ladder_notes(ladder: ThresholdLadder) -> tuple[str, ...]:
-    """The conventions and regime notes of a one-row ladder, in the order the
-    thresholds table prints them and thermo.CondensationReport holds them."""
+    """The conventions and regime notes of a ladder, in the order the thresholds
+    table prints them and thermo.CondensationReport holds them; a note of a
+    column ladder holds if it holds for any value."""
+    mu_zero, omega = _cells(ladder.mu_effectively_zero), _cells(ladder.omega_eff)
     return (("lambda_T = h / sqrt(2 pi m kB T)", "mu = kB T ln(1 - exp(-T_d/T))")
             + ("n2 estimated as lambda_T(T) * n3",) * ladder.n2_estimated
-            + ("|mu| below 1e-13 kB T; effectively 0-",) * ladder.mu_effectively_zero
-            + ("omega_eff = 0: no trap confinement, T_c = 0",) * (ladder.omega_eff == 0.0))
+            + ("|mu| below 1e-13 kB T; effectively 0-",) * (True in mu_zero)
+            + ("omega_eff = 0: no trap confinement, T_c = 0",) * (0.0 in omega))
 
 
 class _ColumnError(ArithmeticError):

@@ -144,6 +144,9 @@ def _cgs_to_si_factor(dim: Dimension) -> float:
 
 
 def _pow_mag(m: float, e: Fraction) -> float:
+    if m < 0 and e.denominator != 1:
+        raise ValueError(f"a fractional power of a negative magnitude has no real value: "
+                         f"({m}) ** {e}")
     if e == Fraction(1, 2):
         return math.sqrt(m)
     if e.denominator == 1:

@@ -211,6 +211,11 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="endpoints must be finite"):
             SweepSpec("Delta", math.nan, 1, 5)
 
+    @pytest.mark.parametrize("scale", ["cubic", "LOG"])
+    def test_unknown_scale(self, scale):
+        with pytest.raises(ConfigError, match=f"^sweep scale must be linear or log, got '{scale}'$"):
+            SweepSpec("T", 1, 2, 5, scale=scale)
+
     def test_config_value_types(self):
         # a swept value as the config's cgs view holds it
         q, = config_cgs(SweepSpec("Delta", -1, 1, 3), [0.5])

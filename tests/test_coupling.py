@@ -22,7 +22,7 @@ from polbec.coupling import (
     resonant_cavity_length,
     resonant_coupling,
 )
-from polbec.units import ENERGY, Quantity, qty
+from polbec.units import ENERGY, FREQUENCY, Quantity, qty
 
 from core_pairs import assert_finite_or_raises, assert_same_outcome, magnitudes
 
@@ -140,6 +140,11 @@ class TestRegime:
 
 
 class TestCouplingParams:
+    def test_transition_frequency_is_E0_over_hbar(self):
+        omega0 = example_medium().transition_frequency
+        assert omega0.dimension == FREQUENCY
+        assert omega0.cgs == pytest.approx(3.2e15, rel=1e-15)
+
     def test_k_perp_definition(self):
         # m = 2, L_cav = 1 cm -> k_perp = 2 pi cm^-1
         medium = example_medium()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -9,10 +10,12 @@ from polbec.branches import branch_energies, hopfield_fractions
 from polbec.core import C_CGS, HBAR_CGS
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import (
+    BranchPoint,
     GridSpec,
     ModeProblem,
     NoWellError,
     ParaxialBoundWarning,
+    WellGeometry,
     diagonalize_mode,
     photon_energy_freespace,
     photon_energy_paraxial,
@@ -351,3 +354,45 @@ class TestWellRootOracle:
         cp = self._coupling(0.0018894227485382635, 13.258061866851008)
         well = well_geometry(cp, self.E0)
         assert well.angular_halfwidth == pytest.approx(0.199922546474, rel=1e-11)
+
+
+def small_curve():
+    cp = resonant_coupling(qty(2.104, "eV"), qty(1.0, "meV"))
+    return sample_dispersion(cp, qty(2.104, "eV"), GridSpec(n_samples=11))
+
+
+def test_mode_delta_and_curve_length():
+    assert mode(2.0 + 3e-3, 2.0, 1e-3).delta.in_unit("meV") == pytest.approx(3.0, rel=1e-9)
+    assert len(small_curve()) == 11
+
+
+# (call, message) of each value check of the dispersion types, each a ValueError
+VALUE_CHECKS = {
+    "mode-transition-energy-0": (lambda: mode(0.0, 2.0, 1e-3),
+                                 "transition_energy must be positive, got 0.0"),
+    "mode-photon-energy-0": (lambda: mode(2.0, 0.0, 1e-3), "photon_energy must be positive, got 0.0"),
+    "mode-g-0": (lambda: mode(2.0, 2.0, 0.0), "g must be positive, got 0.0"),
+    "branches-out-of-order": (lambda: BranchPoint(None, qty(1.0, "eV"), qty(2.0, "eV"), 0.5, 0.5),
+                              "branch ordering violated: e_upper < e_lower"),
+    "mu_sq-above-1": (lambda: BranchPoint(None, qty(2.0, "eV"), qty(1.0, "eV"), 1.5, -0.5),
+                      "mu_sq out of [0, 1]: 1.5"),
+    "nu_sq-below-0": (lambda: BranchPoint(None, qty(2.0, "eV"), qty(1.0, "eV"), 0.5, -0.5),
+                      "nu_sq out of [0, 1]: -0.5"),
+    "broken-normalization": (lambda: BranchPoint(None, qty(2.0, "eV"), qty(1.0, "eV"), 0.5, 0.6),
+                             "Hopfield normalization violated: mu_sq + nu_sq = 1.1"),
+    "curve-grid-decreasing": (lambda: dataclasses.replace(curve := small_curve(),
+                                                          k_par=curve.k_par[::-1]),
+                              "k_par grid must be strictly increasing"),
+    "well-inflection-0": (lambda: WellGeometry(qty(0.0, "cm^-1"), qty(1.0, "meV"), 0.1, None, None),
+                          "inflection_k must be positive"),
+    "well-depth-negative": (lambda: WellGeometry(qty(1.0, "cm^-1"), qty(-1.0, "meV"), 0.1, None,
+                                                 None), "well depth must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_CHECKS))
+def test_value_check_raises(name):
+    call, message = VALUE_CHECKS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

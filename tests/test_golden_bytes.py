@@ -89,6 +89,9 @@ CONFIGS = {
     "n2-1e-300": EXAMPLE.replace("n2 = 0.5e8 cm^-2", "n2 = 1e-300 cm^-2"),
     "n_s-1e-300": EXAMPLE + "n_s = 1e-300 cm^-2\n",
     "tau_coh-1e300": EXAMPLE.replace("tau_coh = 1e-8 s", "tau_coh = 1e300 s"),
+    # the Delta path without d_beam, whose cavity check would also check mode_index
+    "mode_index--3-no-beam": PLAIN.replace("mode_index = 33940", "mode_index = -3")
+                                  .replace("d_beam = 2e-4 cm\n", ""),
 }
 
 SWEEPS = {
@@ -428,6 +431,15 @@ ERRORS = {
         "tau_coh-1e300", "check-coupling",
         "polbec: error: ratio = omega_c * 2 tau_coh leaves the float range for 'd' = 1 D, "
         "'n3' = 3.5e+11 cm^-3, 'E0' = 2.104 eV, 'tau_coh' = 1e+300 s\n"),
+    # recorded with the mode_index check of the Delta path; before it, both
+    # printed a table with exit 0
+    "thresholds-mode_index--3-no-beam": (
+        "mode_index--3-no-beam", "thresholds",
+        "polbec: error: mode_index must be an integer >= 1, got -3\n"),
+    "masses-mode_index-through-0-no-beam": (
+        "mode_index--3-no-beam",
+        "sweep --param mode_index --from 1 --to -1 --steps 3 --command masses",
+        "polbec: error: mode_index must be an integer >= 1, got 0\n"),
 }
 # the curve targets: the same failures on their path, recorded from the sweep
 # that rebuilt a RunConfig per value (the kmax case after the grid-edge check)

@@ -162,7 +162,6 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
-
 def _unreached_by_cli() -> list[str]:
     """The top-level functions and classes of core and branches that nothing
     polbec.cli imports from core, branches or numtext reaches, at module
@@ -199,3 +198,30 @@ def test_core_modules_hold_only_what_the_cli_reaches():
     # a Quantity operation that no command runs computes on its own, so that
     # every start of the CLI compiles no core it cannot run
     assert _unreached_by_cli() == []
+
+
+def _unreached_in_cli() -> list[str]:
+    """The top-level functions, classes and constants of polbec.cli that main
+    does not reach, following the names each definition refers to within
+    cli; __all__ is read by import, not by name."""
+    tree = ast.parse((Path(polbec.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    defined = {}  # name -> the statement that defines it
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((target.id, node) for target in targets if isinstance(target, ast.Name))
+    reached, todo = set(), ["main"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defined:
+            continue
+        reached.add(name)
+        todo += [node.id for node in ast.walk(defined[name]) if isinstance(node, ast.Name)]
+    return sorted(defined.keys() - reached - {"__all__"})
+
+
+def test_cli_holds_only_what_main_reaches():
+    # a table builder, key list or constant that no command runs is dead code
+    assert _unreached_in_cli() == []

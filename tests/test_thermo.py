@@ -20,6 +20,7 @@ from polbec.core import (
     condensation_ladder,
     effective_masses_cgs,
     kt_temperature_K,
+    ladder_notes,
     transverse_energy_erg,
 )
 from polbec.coupling import CouplingParams, resonant_coupling
@@ -618,6 +619,21 @@ class TestLadderColumns:
     @example(case=([300.0, 5e-33, 5e7, 3.5e11, None, None, None, None], 3, [1e11, -1.0, math.inf]))
     def test_column_equals_scalar_calls(self, case):
         assert_column_parity(*case)
+
+    @given(case=ladder_columns())
+    # mu effectively 0 at 2 K only, and no trap confinement at omega_eff = 0 only
+    @example(case=([300.0, 5e-33, 5e7, None, None, None, None, None], 0, [2.0, 300.0]))
+    @example(case=([300.0, 5e-33, 5e7, None, 5e10, None, None, None], 4, [5e10, 0.0]))
+    def test_notes_of_a_column_are_those_of_any_value(self, case):
+        args, k, column = case
+        try:
+            ladder = condensation_ladder(*args[:k], column, *args[k + 1:])
+        except (ValueError, ArithmeticError):
+            return  # a failing column has no notes
+        notes = [ladder_notes(condensation_ladder(*args[:k], value, *args[k + 1:]))
+                 for value in column]
+        assert set(ladder_notes(ladder)) == set().union(*notes)
+        assert len(set(ladder_notes(ladder))) == len(ladder_notes(ladder))
 
     @given(case=ladder_columns(), index=st.integers(0, 5))
     # a scalar argument that fails beside a T column: every value fails,

@@ -180,3 +180,9 @@ def test_trap_design_rejects_zero_omega():
     lens = lens_for_omega(qty(5.0e10, "s^-1"), M_EFF, E_CHAR, n0=1.0)
     with pytest.raises(ValueError, match="omega_eff must be positive"):
         TrapDesign(lens, qty(0.0, "s^-1"), E_CHAR)
+
+
+@pytest.mark.parametrize("omega", [-1.0, -math.inf])
+def test_lens_for_omega_rejects_a_negative_frequency(omega):
+    with pytest.raises(ValueError, match="^omega_eff must be non-negative$"):
+        lens_for_omega(qty(omega, "s^-1"), M_EFF, E_CHAR, n0=1.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,53 @@ class TestArithmetic:
         assert qty(1.0, "eV") < qty(2.0, "eV")
         assert qty(1.0, "eV") <= qty(1.0, "eV")
         assert qty(1e7, "erg") == qty(1.0, "J")
+        assert qty(1.0, "eV") >= qty(1.0, "eV") and not qty(1.0, "eV") > qty(1.0, "eV")
+        assert qty(2.0, "eV") > qty(1.0, "eV")
+
+    def test_sign_and_repr(self):
+        q = qty(-2.0, "cm")
+        assert (-q).magnitude == 2.0 and (-q).dimension == LENGTH
+        assert abs(q) == -q
+        assert repr(q) == "Quantity(-2 cm [cgs])"
+        assert repr(convert(q, "si")) == "Quantity(-0.02 m [si])"
+
+    @pytest.mark.parametrize("exponent", [2, 3, -1])
+    def test_integer_power_of_a_negative_magnitude(self, exponent):
+        assert (Quantity(-4.0, LENGTH) ** exponent).magnitude == (-4.0) ** exponent
+
+    @pytest.mark.parametrize("power, text", [
+        (lambda q: q ** Fraction(3, 2), "(-4.0) ** 3/2"),
+        (lambda q: q ** Fraction(-1, 2), "(-4.0) ** -1/2"),
+        (Quantity.sqrt, "(-4.0) ** 1/2"),
+    ], ids=["3/2", "-1/2", "sqrt"])
+    def test_fractional_power_of_a_negative_magnitude_names_it(self, power, text):
+        # Python's float power gives a complex number here, which Quantity
+        # cannot hold, and math.sqrt a bare "math domain error"
+        with pytest.raises(ValueError, match=re.escape(
+                f"a fractional power of a negative magnitude has no real value: {text}")):
+            power(Quantity(-4.0, LENGTH))
+
+
+# (call, error, message) of each check of the Quantity layer
+CHECKS = {
+    "float-exponent": (lambda: Dimension(length=1.5), TypeError,
+                       "dimension exponents must be int or Fraction, got float"),
+    "unknown-system": (lambda: Quantity(1.0, LENGTH, "mks"), ValueError,
+                       "unknown unit system 'mks'; expected one of ('cgs', 'si')"),
+    "assignment": (lambda: setattr(qty(1.0, "cm"), "magnitude", 2.0), AttributeError,
+                   "Quantity is immutable"),
+    "compare-with-int": (lambda: qty(2.0, "cm") > 1, DimensionError,
+                         "cannot compare Quantity and int"),
+    "convert-to-unknown-system": (lambda: convert(qty(1.0, "cm"), "imperial"), ValueError,
+                                  "unknown unit system 'imperial'; expected one of ('cgs', 'si')"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_raises(name):
+    call, error, message = CHECKS[name]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestUnits:
