@@ -9,10 +9,15 @@ Evaluation is serial; --workers is accepted and has no effect.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
 and the unit table) and polbec.config, and from the standard library
-argparse, math, re, sys, functools and itertools.  Only dispersion,
-hopfield and their sweeps sample a curve: they import the branch cores
-(polbec.branches) when they run, and those import numpy; a CSV curve is
-printed through polbec.numtext, imported when it prints.  json is
+argparse, math, re, sys and functools.  It holds the thresholds
+table, the sweep and what they share with the other commands; the code
+of each other command lives in a module that main imports only when that
+command runs: polbec.masses (masses and its sweep), polbec.regime
+(check-coupling), polbec.lens (trap) and polbec.curves (dispersion,
+hopfield and their sweeps).  So thresholds and its sweep compile the code
+of no other command.  The curve commands import the branch cores
+(polbec.branches) when they sample, and those import numpy; a CSV curve
+is printed through polbec.numtext, imported when it prints.  json is
 imported when JSON is written.  So the scalar commands start without
 numpy, json or the branch cores, and no command loads dataclasses,
 fractions or any Quantity.
@@ -71,7 +76,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import starmap
 
 from . import __version__
 from .config import (
@@ -83,23 +87,13 @@ from .config import (
     sweep_values,
 )
 from .core import (
-    CGS_UNITS,
-    ENERGY_SCALE_NOTE,
-    EV_ERG,
-    KB_CGS,
-    CouplingRegime,
     _require_mode_index,
-    range_error,
     check_cavity,
     condensation_ladder,
-    design_trap_cgs,
     effective_masses_cgs,
     geometry_coupling_cgs,
-    kt_temperature_K,
     ladder_notes,
     resonant_coupling_cgs,
-    strong_coupling_cgs,
-    transverse_energy_erg,
 )
 
 __all__ = ["main"]
@@ -113,13 +107,6 @@ THRESHOLDS_HEADER = [
     "T_d_K", "T_KT_K", "mu_meV", "omega_eff_s1", "T_c_K", "N2", "N0_frac",
     "degenerate", "kt_superfluid", "overlap",
 ]
-
-DISPERSION_HEADER = [
-    "k_par_over_k_perp", "E1_eV", "E2_eV", "mu_sq", "nu_sq",
-    "E_ph_paraxial_eV", "E_ph_freespace_eV",
-]
-
-HOPFIELD_HEADER = ["k_par_over_k_perp", "delta_eV", "delta_over_g", "mu_sq", "nu_sq"]
 
 # every printed number: 12 significant digits
 NUMBER = "%.12g"
@@ -188,60 +175,27 @@ def table_rows(columns: list) -> list[bytes]:
     return ["\n".join([*csv_lines(columns), ""]).encode("ascii")]
 
 
-def curve_blocks(columns: list):
-    """The CSV rows of a curve table given as numpy columns, as the numtext
-    kernel's blocks of ASCII bytes (it loads numpy)."""
-    from .numtext import csv_blocks
-    return csv_blocks(columns)
-
-
 def render_csv(meta: list[str], header: list[str]) -> str:
     """A CSV table's head: the metadata lines and the header."""
     return "".join(f"# {m}\n" for m in meta) + ",".join(header) + "\n"
 
 
-# json's indent=2 separators inside "rows": between rows and between cells
-JSON_ROW_SEP = "\n    ],\n    [\n      "
-JSON_CELL_SEP = ",\n      "
-
-
-def _json_rows(columns: list) -> str:
-    """The rows of a table of float columns as json writes them in "rows".
-
-    Each cell is the number NUMBER prints, spelled as json spells that
-    float.  format(x, ".12") gives NUMBER's 12 digits in float.__repr__'s
-    spelling except for a printed exponent of 11 to 15 (repr writes those
-    digits in full) and for subnormals (repr is shorter); a block with an
-    "e+1" or "e-3" in it is written again from the CSV lines, each number
-    read back and spelled by float.__repr__.
-    """
-    row = JSON_CELL_SEP.join(["{:.12}"] * len(columns)).format
-    rows = JSON_ROW_SEP.join(starmap(row, zip(*columns)))
-    if "e+1" in rows or "e-3" in rows:
-        rows = JSON_ROW_SEP.join(
-            JSON_CELL_SEP.join(map(float.__repr__, map(float, line.split(","))))
-            for line in csv_lines(columns)
-        )
-    if "n" in rows:  # no finite number has an 'n'
-        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-    return rows
-
-
 def render_json(payload: dict) -> str:
     """The payload as json.dumps(payload, indent=2) writes it, plus a newline.
 
-    A "rows" entry holds the table's float columns; it is written as the
-    rows of the printed numbers, as json writes a list of lists of floats
-    with indent=2 (_json_rows).  json itself would write them through its
-    pure-Python encoder, which it uses to indent.
+    A "rows" entry (a curve's) holds the table's float columns; it is
+    written as the rows of the printed numbers, as json writes a list of
+    lists of floats with indent=2 (curves.json_rows).  json itself would
+    write them through its pure-Python encoder, which it uses to indent.
     """
     import json
     columns = payload.get("rows")
     text = json.dumps(payload if columns is None else {**payload, "rows": []}, indent=2)
     if columns and columns[0]:
+        from .curves import json_rows
         text = text.replace(
             '\n  "rows": []',
-            '\n  "rows": [\n    [\n      ' + _json_rows(columns) + '\n    ]\n  ]', 1
+            '\n  "rows": [\n    [\n      ' + json_rows(columns) + '\n    ]\n  ]', 1
         )
     return text + "\n"
 
@@ -312,59 +266,6 @@ def _effective_mass(c: RunConfig) -> float:
 # table builders (shared between direct commands and sweep)
 # ---------------------------------------------------------------------------
 
-def _curve_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the dispersion or hopfield table of a config;
-    the columns are numpy arrays."""
-    from .branches import GridSizeError, photon_freespace_erg, sample_dispersion_cgs
-    g, k_perp, delta, _ = _coupling_cgs(c)
-    e_at = c.require("E0")
-    try:
-        k, e1, e2, mu2, nu2, e_ph = sample_dispersion_cgs(
-            e_at, g, k_perp, args.samples, args.kmax)
-    except GridSizeError:
-        raise GridSizeError(args.samples, "--samples") from None
-    meta = [f"Delta_eV = {fmt(delta / EV_ERG)}", f"g_eV = {fmt(g / EV_ERG)}"]
-    if command == "hopfield":
-        mismatch = e_at - e_ph
-        # mismatch falls along the grid, so its ends bound mismatch / g
-        if max(-mismatch[-1], mismatch[0]).item() / g == math.inf:
-            raise OverflowError(f"(E0 - E_ph) / g leaves the float range on the grid for "
-                                f"--kmax {args.kmax:g}, 'g' = {g / EV_ERG:g} eV")
-        columns = [k / k_perp, mismatch / EV_ERG, mismatch / g, mu2, nu2]
-        meta.append("mu_sq is the photon fraction of the upper branch")
-        return meta, HOPFIELD_HEADER, columns
-    columns = [k / k_perp, e1 / EV_ERG, e2 / EV_ERG, mu2, nu2, e_ph / EV_ERG,
-               photon_freespace_erg(k, k_perp) / EV_ERG]
-    meta += [
-        f"k_perp_cm^-1 = {fmt(k_perp)}",
-        f"grid: {args.samples} samples, k_par in [0, {fmt(args.kmax)}] * k_perp",
-        "E_ph_freespace = hbar*c*sqrt(k_perp^2 + k_par^2)",
-    ]
-    return meta, DISPERSION_HEADER, columns
-
-
-def _masses_table(c: RunConfig, command: str, args):
-    """(meta, header, columns) of the one-row masses table of a config; each
-    column is one value."""
-    g, k_perp, delta, _ = _coupling_cgs(c)
-    m_ph, m_upper, m_lower, upper_saturated, lower_saturated = effective_masses_cgs(
-        delta, g, k_perp)
-    n_s = c.get("n_s", c.get("n2"))
-    t_kt = [None, None] if n_s is None else [kt_temperature_K(n_s, m) for m in (m_upper, m_lower)]
-    t_eff = g / KB_CGS  # above g / EV_ERG, so g_eV is finite with it
-    if t_eff == math.inf:
-        raise range_error("T_eff = g / kB", g=f"{g:g} erg")
-    meta = [f"informational: kB*T_eff ~ g gives T_eff_K = {fmt(t_eff)}"]
-    if upper_saturated or lower_saturated:
-        meta.append("mass saturated at denominator 1e-12 (|Delta| >> g)")
-    unit = "g" if args.units == "cgs" else "kg"
-    grams_per_unit = CGS_UNITS[unit][0]
-    header = ["Delta_eV", "g_eV", f"m_ph_{unit}", f"m_upper_{unit}", f"m_lower_{unit}",
-              "T_KT_upper_K", "T_KT_lower_K"]
-    return meta, header, [delta / EV_ERG, g / EV_ERG, m_ph / grams_per_unit,
-                          m_upper / grams_per_unit, m_lower / grams_per_unit, *t_kt]
-
-
 def _thresholds_table(c: RunConfig, command: str, args):
     """(meta, header, columns) of the thresholds table of a config, with the
     ladder's notes: one row, or one per value where a key the ladder reads
@@ -382,10 +283,22 @@ def _thresholds_table(c: RunConfig, command: str, args):
     return [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER, columns
 
 
-# the table of each command that prints one per config, in the order sweep
-# lists them; a masses or curve sweep builds one per value
-TABLES = {"masses": _masses_table, "thresholds": _thresholds_table,
-          "hopfield": _curve_table, "dispersion": _curve_table}
+# the commands that print one table per config, in the order sweep lists
+# them; a masses or curve sweep builds one per value
+TABLES = ("masses", "thresholds", "hopfield", "dispersion")
+
+
+def _table_builder(command: str):
+    """The function that builds the table of a command of TABLES: cli's own
+    for thresholds, else from the command's module, imported now."""
+    if command == "thresholds":
+        return _thresholds_table
+    if command == "masses":
+        from .masses import masses_table
+        return masses_table
+    from .curves import curve_table
+    return curve_table
+
 
 # the commands whose table is a curve: numpy columns, printed through numtext
 CURVES = ("dispersion", "hopfield")
@@ -395,105 +308,15 @@ CURVES = ("dispersion", "hopfield")
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _emit_table(cfg: RunConfig, args, meta: list[str], header: list[str], columns: list) -> None:
-    """Write a command's table as CSV or JSON.  A curve's CSV rows stream from
-    the numtext kernel; in JSON a curve is "columns" and "rows" (its columns
-    as lists).  The one row of masses or thresholds gives one key per value."""
-    meta = _meta_head(cfg) + meta
-    curve = args.command in CURVES
-    blocks = ()
-    if args.format != "json":
-        text = render_csv(meta, header)
-        blocks = curve_blocks(columns) if curve else table_rows(columns)
-    elif curve:
-        rows = [col.tolist() for col in columns]
-        text = render_json({"metadata": meta, "columns": header, "rows": rows})
-    else:
-        text = render_json({"metadata": meta, **dict(zip(header, columns))})
-    emit(text, args.out, blocks)
-
-
-def cmd_check_coupling(cfg: RunConfig, args) -> int:
-    omega_c, rate, ratio, regime = strong_coupling_cgs(
-        *map(cfg.require, ("E0", "d", "n3", "tau_coh")), args.threshold)
-    numbers = {"omega_c_s1": omega_c, "decoherence_rate_s1": rate, "ratio": ratio,
-               "threshold": args.threshold}
-    if args.format == "json":
-        text = render_json({**numbers, "regime": regime.value})
-    else:
-        lines = [f"# {m}" for m in _meta_head(cfg)]
-        lines += [f"{key} = {fmt(value)}" for key, value in numbers.items()]
-        text = "\n".join(lines + [f"regime = {regime.value}"]) + "\n"
-    emit(text, args.out)
-    return EXIT_OK if regime is CouplingRegime.STRONG else EXIT_REGIME
-
-
-def _well_meta(c: RunConfig, kmax: float) -> tuple[list[str], int]:
-    """The metadata lines on the lower-branch well, and the exit code."""
-    from .branches import NoWellError, well_geometry_cgs
-    g, k_perp, delta, length = _coupling_cgs(c)
-    m_lower = effective_masses_cgs(delta, g, k_perp)[2]
-    meta = ["well energy scale uses the lower-branch curvature mass (2*m_ph at Delta = 0)"]
-    try:
-        inflection, depth, halfwidth, phi, resolvable = well_geometry_cgs(
-            c.values["E0"], g, k_perp, delta, kmax, length, c.get("d_beam"))
-    except NoWellError as exc:
-        return meta + [f"well: none ({exc})"], EXIT_REGIME
-    curvature = transverse_energy_erg(inflection, m_lower)
-    meta.append(f"well: inflection_k/k_perp = {fmt(halfwidth)}, "
-                f"depth_eV = {fmt(depth / EV_ERG)}, "
-                f"curvature_energy_over_g = {fmt(curvature / g)}")
-    if phi is not None:
-        meta.append(f"well: diffraction limit phi_rad = {fmt(phi)}, "
-                    f"beam resolvable = {BOOL_TEXT[resolvable]}")
-    return meta, EXIT_OK
-
-
 def cmd_table(cfg: RunConfig, args) -> int:
-    """Every command of TABLES; dispersion also reports the well."""
-    meta, header, columns = TABLES[args.command](cfg, args.command, args)
-    exit_code = EXIT_OK
-    if args.command == "dispersion":
-        well, exit_code = _well_meta(cfg, args.kmax)
-        meta += well
-    _emit_table(cfg, args, meta, header, columns)
-    return exit_code
-
-
-def cmd_trap(cfg: RunConfig, args) -> int:
-    n_particles = cfg.get("N") if args.n_particles is None else args.n_particles
-    if args.target_tc is None or n_particles is None:
-        raise ConfigError("trap requires --target-tc and --n-particles (or the key 'N')")
-    if args.target_tc <= 0 or n_particles <= 0:
-        raise ConfigError("--target-tc and --n-particles (or the key 'N') must be positive")
-    m_eff = _effective_mass(cfg)
-    key = "E_char" if "E_char" in cfg.values else "E0"
-    e_char = cfg.get(key)
-    if e_char is None:
-        raise ConfigError("missing required key 'E_char' (or 'E0' as its default)")
-    if not e_char > 0:
-        default = " (the default of 'E_char')" if key == "E0" else ""
-        raise ConfigError(f"key '{key}'{default} must be positive, got {e_char / EV_ERG:g} eV")
-    e_char_ev = e_char / EV_ERG
-    if e_char_ev == math.inf:
-        raise range_error("E_char in eV", **{key: f"{e_char:g} erg"})
-    n0 = cfg.get("n0", 1.0)
-    omega, n_prime, r_max, fits = design_trap_cgs(
-        args.target_tc, n_particles, m_eff, e_char, n0, cfg.get("d_beam"))
-    if fits is False:
-        sys.stderr.write(
-            "warning: beam diameter exceeds the harmonic region of the lens profile\n"
-        )
-    text = render_json({
-        "omega_eff_s1": omega,
-        "omega_at_s1": cfg.get("omega_at"),
-        "n_prime_cm2": n_prime,
-        "n0": n0,
-        "r_max_cm": r_max,
-        "E_char_eV": e_char_ev,
-        "assumption_note": ENERGY_SCALE_NOTE,
-    })
-    emit(text, args.out)
+    """masses and thresholds: a one-row table, written as CSV, or as JSON
+    with one key per value."""
+    meta, header, columns = _table_builder(args.command)(cfg, args.command, args)
+    meta = _meta_head(cfg) + meta
+    if args.format == "json":
+        emit(render_json({"metadata": meta, **dict(zip(header, columns))}), args.out)
+    else:
+        emit(render_csv(meta, header), args.out, table_rows(columns))
     return EXIT_OK
 
 
@@ -531,13 +354,15 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         # one table.  A value is converted when its turn comes, so the sweep
         # stops at the error of its first failing value.
         c = cfg.with_value(key, None)
+        build = _table_builder(target)
         tables = []
         for value in values:
             c.values[key], = config_cgs(spec, [value])
-            _, header, table = TABLES[target](c, target, args)
+            _, header, table = build(c, target, args)
             tables.append(table)
         if target in CURVES:  # each column joined once; every table has --samples rows
             import numpy as np
+            from .curves import curve_blocks
             blocks = curve_blocks([np.repeat(values, args.samples),
                                    *map(np.concatenate, zip(*tables))])
         else:  # one row per value; T_KT is None throughout without a density
@@ -577,12 +402,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(sub, name: str, handler, help_text: str,
-                 grid: bool = False) -> argparse.ArgumentParser:
-    """A subcommand that main runs through handler, with the options every
-    command takes, and with grid the options of a curve."""
+def _add_command(sub, name: str, help_text: str, grid: bool = False) -> argparse.ArgumentParser:
+    """A subcommand with the options every command takes, and with grid the
+    options of a curve."""
     p = sub.add_parser(name, help=help_text)
-    p.set_defaults(handler=handler)
     p.add_argument("--config", required=True, help="path to key = value config file")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -609,20 +432,17 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "check-coupling", cmd_check_coupling, "strong-coupling regime test")
+    p = _add_command(sub, "check-coupling", "strong-coupling regime test")
     p.add_argument("--threshold", type=float, default=10.0,
                    help="ratio above which the regime counts as strong")
-    _add_command(sub, "dispersion", cmd_table, "sample both polariton branches over k_par",
-                 grid=True)
-    _add_command(sub, "hopfield", cmd_table, "photon/matter composition along the grid",
-                 grid=True)
-    _add_command(sub, "masses", cmd_table, "photon and branch curvature masses")
-    _add_command(sub, "thresholds", cmd_table, "condensation threshold ladder")
-    p = _add_command(sub, "trap", cmd_trap, "design a lens profile for a target T_c")
+    _add_command(sub, "dispersion", "sample both polariton branches over k_par", grid=True)
+    _add_command(sub, "hopfield", "photon/matter composition along the grid", grid=True)
+    _add_command(sub, "masses", "photon and branch curvature masses")
+    _add_command(sub, "thresholds", "condensation threshold ladder")
+    p = _add_command(sub, "trap", "design a lens profile for a target T_c")
     p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
     p.add_argument("--n-particles", type=float, default=None, help="particle number N")
-    p = _add_command(sub, "sweep", cmd_sweep, "sweep one config key through a target command",
-                     grid=True)
+    p = _add_command(sub, "sweep", "sweep one config key through a target command", grid=True)
     p.add_argument("--param", required=True, help="config key to sweep")
     p.add_argument("--from", dest="sweep_from", type=float, required=True,
                    help="start value in the key's canonical unit")
@@ -630,8 +450,24 @@ def build_parser() -> _Parser:
                    help="stop value in the key's canonical unit")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p.add_argument("--command", dest="target", choices=tuple(TABLES), required=True)
+    p.add_argument("--command", dest="target", choices=TABLES, required=True)
     return parser
+
+
+def _handler(command: str):
+    """The function that runs a command: cli's own for thresholds, masses and
+    sweep, else from the command's module, imported now, so that no command
+    compiles the code of another."""
+    if command == "check-coupling":
+        from .regime import cmd_check_coupling
+        return cmd_check_coupling
+    if command == "trap":
+        from .lens import cmd_trap
+        return cmd_trap
+    if command in CURVES:
+        from .curves import cmd_curve
+        return cmd_curve
+    return cmd_sweep if command == "sweep" else cmd_table
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -642,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
             args.format = cfg.get("format", "csv")
         if args.units is None:
             args.units = cfg.get("units", "cgs")
-        return args.handler(cfg, args)
+        return _handler(args.command)(cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"polbec: config error: {exc}\n")
         return EXIT_USAGE

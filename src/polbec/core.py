@@ -1,18 +1,20 @@
-"""The standard-library cgs float cores that the CLI runs.
+"""The standard-library cgs float cores that every start of the CLI compiles.
 
 Constants, the named units, the 2D gas threshold ladder, the branch
-masses, the strong-coupling test, the resonator coupling and the trap
-design, all on plain floats in cgs-Gaussian base units (cm, g, s, K).
-This module holds only what polbec.cli reaches: the CLI, whose config
-parser fixes every dimension once, calls these cores directly, and the
-Quantity operation of units, thermo, coupling or trap that computes the
-same thing checks the dimensions of its arguments and then calls the same
-core.  An operation that no command runs holds its own checks and formula,
-on the column form of the ladder stage where there is one.  This module
-imports nothing but the standard library's math, operator, enum, itertools
-and typing, so every command starts on it without numpy and without the
-Quantity layer.  The polariton branches, their Hopfield fractions and the
-well are polbec.branches, which only the curve commands load.
+masses and the resonator coupling, all on plain floats in cgs-Gaussian
+base units (cm, g, s, K).  This module holds only what polbec.cli and the
+command modules it imports reach: the CLI, whose config parser fixes every
+dimension once, calls these cores directly, and the Quantity operation of
+units, thermo or coupling that computes the same thing checks the
+dimensions of its arguments and then calls the same core.  An operation
+that no command runs holds its own checks and formula, on the column form
+of the ladder stage where there is one.  This module imports nothing but
+the standard library's math, operator, itertools and typing, so every
+command starts on it without numpy and without the Quantity layer.  The
+cores that one command alone runs live beside that command and load with
+it: the polariton branches, their Hopfield fractions and the well in
+polbec.branches (dispersion, hopfield), the strong-coupling test in
+polbec.regime (check-coupling) and the trap design in polbec.lens (trap).
 
 Value checks live here, and so does the check that a result stays in the
 float range, each naming its arguments; where the CLI and an operation
@@ -23,7 +25,6 @@ math's in the last ulp.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from itertools import repeat
@@ -37,10 +38,7 @@ __all__ = [
     "TRAP_BEC_ZETA", "ThresholdLadder", "condensation_ladder", "ladder_notes",
     "effective_masses_cgs", "kt_temperature_K", "transverse_energy_erg",
     # coupling
-    "DEFAULT_STRONG_THRESHOLD", "CouplingRegime", "check_cavity", "geometry_coupling_cgs",
-    "resonant_coupling_cgs", "strong_coupling_cgs",
-    # trap
-    "ENERGY_SCALE_NOTE", "design_trap_cgs",
+    "check_cavity", "geometry_coupling_cgs", "resonant_coupling_cgs",
 ]
 
 # ---------------------------------------------------------------------------
@@ -464,19 +462,9 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
 
 
 # ---------------------------------------------------------------------------
-# Strong coupling and the resonator coupling (Gaussian units; see the
-# coupling module's docstring)
+# The resonator coupling (Gaussian units; see the coupling module's
+# docstring)
 # ---------------------------------------------------------------------------
-
-# "much greater" margin for the strong-coupling inequality; not quantified
-# by the model, so it is a configuration knob.
-DEFAULT_STRONG_THRESHOLD = 10.0
-
-
-class CouplingRegime(enum.Enum):
-    STRONG = "strong"
-    WEAK = "weak"
-
 
 def _require_positive(value: float, name: str) -> None:
     if not value > 0:
@@ -499,46 +487,6 @@ def _check_coupling(g: float, k_perp: float) -> None:
     """Value checks of CouplingParams on cgs magnitudes."""
     _require_positive(g, "g")
     _require_positive(k_perp, "k_perp")
-
-
-def _check_medium(e0: float, d: float, n3: float, tau: float) -> None:
-    """Value checks of MediumParams on cgs magnitudes."""
-    _require_positive(e0, "transition_energy")
-    _require_positive(d, "dipole_moment")
-    _require_positive(n3, "density")
-    _require_positive(tau, "coherence_time")
-
-
-def _cooperative_frequency_cgs(e0: float, d: float, n3: float) -> float:
-    """omega_c = sqrt(2 pi d^2 omega0 n3 / hbar) in s^-1, omega0 = E0 / hbar,
-    for the checked magnitudes of a medium."""
-    omega0 = e0 / HBAR_CGS
-    omega_c = math.sqrt(2.0 * math.pi * d * d * omega0 * n3 / HBAR_CGS)
-    if not 0.0 < omega_c < math.inf:
-        raise range_error("omega_c = sqrt(2 pi d^2 omega0 n3 / hbar)", d=f"{d / DEBYE_ESU_CM:g} D",
-                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV")
-    return omega_c
-
-
-def strong_coupling_cgs(
-    e0: float, d: float, n3: float, tau: float, threshold: float = DEFAULT_STRONG_THRESHOLD
-) -> tuple[float, float, float, CouplingRegime]:
-    """(omega_c, decoherence rate 1/(2 tau_coh), ratio, regime) in cgs, with
-    the checks of MediumParams; strong iff ratio = omega_c * 2 tau_coh > threshold,
-    which must be positive and finite."""
-    _check_medium(e0, d, n3, tau)
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    omega_c = _cooperative_frequency_cgs(e0, d, n3)
-    rate = 0.5 / tau
-    if rate == math.inf:
-        raise range_error("decoherence rate 1/(2 tau_coh)", tau_coh=f"{tau:g} s")
-    ratio = omega_c * 2.0 * tau
-    if not 0.0 < ratio < math.inf:
-        raise range_error("ratio = omega_c * 2 tau_coh", d=f"{d / DEBYE_ESU_CM:g} D",
-                          n3=f"{n3:g} cm^-3", E0=f"{e0 / EV_ERG:g} eV", tau_coh=f"{tau:g} s")
-    regime = CouplingRegime.STRONG if ratio > threshold else CouplingRegime.WEAK
-    return omega_c, rate, ratio, regime
 
 
 def geometry_coupling_cgs(e0: float, l_cav: float, mode_index: int, g: float) -> tuple[float, float]:
@@ -566,69 +514,3 @@ def resonant_coupling_cgs(e0: float, g: float, delta: float) -> float:
         raise range_error("k_perp = (E0 - Delta) / (hbar c)", E0=f"{e0 / EV_ERG:g} eV",
                           Delta=f"{delta / EV_ERG:g} eV")
     return k_perp
-
-
-# ---------------------------------------------------------------------------
-# Trap design: the lens for a trap frequency and its inverse (the energy
-# scale E_char is explained in the trap module's docstring)
-# ---------------------------------------------------------------------------
-
-ENERGY_SCALE_NOTE = (
-    "optical potential normalization: n' = m_eff * omega_eff^2 / E_char, "
-    "E_char defaulting to the transition energy of the trapped photon"
-)
-
-# keep the harmonic approximation honest: half the index-zero-crossing radius
-_DEFAULT_R_MAX_FRAC = 0.5
-
-
-def _check_lens(n0: float, n_prime: float, r_max: float) -> None:
-    """Value checks of LensProfile on cgs magnitudes."""
-    if not n0 > 0:
-        raise ValueError(f"n0 must be positive, got {n0}")
-    if n_prime < 0:
-        raise ValueError(f"n_prime must be non-negative, got {n_prime}")
-    if n_prime > 0 and r_max * math.sqrt(n_prime) >= 1.0:
-        raise ValueError(
-            "r_max reaches the index zero crossing: need r_max < 1/sqrt(n')"
-        )
-
-
-def _check_mass_and_scale(m: float, e_char: float) -> None:
-    if not m > 0:
-        raise ValueError("m_eff must be positive")
-    if not e_char > 0:
-        raise ValueError("energy_scale must be positive")
-
-
-def _lens_cgs(omega: float, m: float, e_char: float, r_max_frac: float) -> tuple[float, float]:
-    """(n', r_max) in cgs: n' = m_eff Omega^2 / E_char, r_max = r_max_frac / sqrt(n')."""
-    if omega < 0:
-        raise ValueError("omega_eff must be non-negative")
-    _check_mass_and_scale(m, e_char)
-    n_prime = m * omega * omega / e_char
-    if not (0.0 < n_prime < math.inf or omega == 0.0):
-        raise range_error("n' = m_eff Omega_eff^2 / E_char", omega_eff=f"{omega:g} s^-1",
-                          m_eff=f"{m:g} g", energy_scale=f"{e_char:g} erg")
-    r_max = math.inf if n_prime == 0.0 else r_max_frac / math.sqrt(n_prime)
-    return n_prime, r_max
-
-
-def design_trap_cgs(
-    t_c: float, n_particles: float, m: float, e_char: float, n0: float = 1.0,
-    beam_diameter: float | None = None,
-) -> tuple[float, float, float, bool | None]:
-    """(Omega_eff, n', r_max, beam_fits_profile) in cgs for trap.design_trap,
-    with the checks of LensProfile."""
-    if not t_c > 0:
-        raise ValueError(f"target_tc must be positive, got {t_c}")
-    if not n_particles > 0:
-        raise ValueError(f"n_particles must be positive, got {n_particles}")
-    omega = KB_CGS * t_c * math.sqrt(TRAP_BEC_ZETA / n_particles) / HBAR_CGS
-    if not 0.0 < omega < math.inf:
-        raise range_error("Omega_eff = kB T_c sqrt(1.645 / N) / hbar", target_tc=f"{t_c:g} K",
-                          n_particles=f"{n_particles:g}")
-    n_prime, r_max = _lens_cgs(omega, m, e_char, _DEFAULT_R_MAX_FRAC)
-    _check_lens(n0, n_prime, r_max)
-    fits = None if beam_diameter is None else 2.0 * r_max >= beam_diameter
-    return omega, n_prime, r_max, fits

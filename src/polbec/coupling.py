@@ -9,9 +9,11 @@ formula is touched.
 The coupling energy g between field and a single atom is a direct user
 input; no microscopic formula tying it to (d, n, omega0) is adopted here.
 
-The formulas and value checks are cgs float cores in polbec.core, which
-the CLI calls too; this module wraps them in the dimension-checked Quantity
-operations and their parameter dataclasses, so both raise the same errors.
+The formulas and value checks are cgs float cores that the CLI calls too:
+the resonator coupling in polbec.core, the strong-coupling test in
+polbec.regime, which of the commands only check-coupling loads.  This
+module wraps them in the dimension-checked Quantity operations and their
+parameter dataclasses, so both raise the same errors.
 resonant_cavity_length, which no command runs, computes on its own.
 """
 
@@ -23,18 +25,20 @@ from dataclasses import dataclass
 from . import _SUBMODULE_NAMES
 from .core import (
     C_CGS,
-    DEFAULT_STRONG_THRESHOLD,
     EV_ERG,
     HBAR_CGS,
-    CouplingRegime,
     _check_coupling,
-    _check_medium,
-    _cooperative_frequency_cgs,
     _require_mode_index,
     check_cavity,
     geometry_coupling_cgs,
     range_error,
     resonant_coupling_cgs,
+)
+from .regime import (
+    DEFAULT_STRONG_THRESHOLD,
+    CouplingRegime,
+    _check_medium,
+    _cooperative_frequency_cgs,
     strong_coupling_cgs,
 )
 from .units import (

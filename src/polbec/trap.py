@@ -15,8 +15,8 @@ every trap design.  The magnetic-trap frequency Omega_at for the atomic
 component is carried as user input and echoed, never derived; no
 constraint equation ties it to Omega_eff.
 
-The design, the lens and their checks are cgs float cores in polbec.core,
-which the CLI calls too; this module wraps them in the dimension-checked
+The design, the lens and their checks are cgs float cores in polbec.lens,
+which the CLI's trap command calls too; this module wraps them in the dimension-checked
 Quantity operations and the lens and design dataclasses, so both raise the
 same errors.  omega_for_lens, which no command runs, computes on its own.
 """
@@ -27,14 +27,14 @@ import math
 from dataclasses import dataclass
 
 from . import _SUBMODULE_NAMES
-from .core import (
+from .core import range_error
+from .lens import (
     ENERGY_SCALE_NOTE,
     _DEFAULT_R_MAX_FRAC,
     _check_lens,
     _check_mass_and_scale,
     _lens_cgs,
     design_trap_cgs,
-    range_error,
 )
 from .units import (
     CURVATURE,

@@ -147,6 +147,9 @@ def _pow_mag(m: float, e: Fraction) -> float:
     if m < 0 and e.denominator != 1:
         raise ValueError(f"a fractional power of a negative magnitude has no real value: "
                          f"({m}) ** {e}")
+    if m == 0 and e < 0:
+        raise ZeroDivisionError(f"a negative power of a zero magnitude has no finite value: "
+                                f"({m}) ** {e}")
     if e == Fraction(1, 2):
         return math.sqrt(m)
     if e.denominator == 1:

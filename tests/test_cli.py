@@ -850,56 +850,56 @@ def test_scalar_commands_load_no_numpy():
     # config alone.  dataclasses would pull in inspect, dis, tokenize and ast.
     # typing and enum are not watched: site loads them before polbec.  The
     # config digest comes from CPython's own sha256, not OpenSSL's (_hashlib),
-    # and json loads only when JSON is written, as trap, run next, writes it.
-    # The curve commands, run last, load the branch cores and numpy (which
-    # loads inspect) when they sample and the numtext kernel when they print
-    # CSV, and still no module of the Quantity layer.  The probe passes its
-    # data as Python literals, because json is watched.
+    # and json loads only when JSON is written, as trap writes it.  Each
+    # command loads its own module (polbec.masses, regime, lens or curves)
+    # and no other's; thresholds, the most-run path, loads none.  The curve
+    # commands load the branch cores and numpy (which loads inspect) when
+    # they sample and the numtext kernel when they print CSV, and still no
+    # module of the Quantity layer.  Each case runs in a fresh interpreter;
+    # the probe passes its data as Python literals, because json is watched.
     root = Path(polbec.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     watched = ["numpy", "polbec.numtext", "dataclasses", "fractions", "inspect", "polbec.units",
                "polbec.thermo", "polbec.coupling", "polbec.trap", "polbec.dispersion",
-               "_hashlib", "json", "polbec.branches"]
-    scalar = [
-        ["thresholds"],
-        ["masses"],
-        ["check-coupling"],
-        ["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "5",
-         "--command", "thresholds"],
-        ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "5",
-         "--command", "masses"],
+               "_hashlib", "json", "polbec.branches", "polbec.curves", "polbec.masses",
+               "polbec.regime", "polbec.lens"]
+    sweep = ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
+             "--samples", "5", "--command"]
+    curve = ["numpy", "polbec.numtext", "polbec.branches", "polbec.curves"]
+    cases = [
+        (["thresholds"], []),
+        (["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "5",
+          "--command", "thresholds"], []),
+        (sweep + ["thresholds"], []),
+        (["masses"], ["polbec.masses"]),
+        (sweep + ["masses"], ["polbec.masses"]),
+        (["check-coupling"], ["polbec.regime"]),
+        (["trap", "--target-tc", "300", "--n-particles", "1e6"], ["json", "polbec.lens"]),
+        (["dispersion", "--samples", "5"], curve),
+        (["hopfield", "--samples", "5"], curve),
+        (sweep + ["dispersion"], curve),
+        (sweep + ["hopfield"], curve),
     ]
-    curves = [
-        ["dispersion", "--samples", "5"],
-        ["hopfield", "--samples", "5"],
-        ["sweep", "--param", "Delta", "--from", "-0.002", "--to", "0.002", "--steps", "3",
-         "--samples", "5", "--command", "dispersion"],
-    ]
-    trap = ["trap", "--target-tc", "300", "--n-particles", "1e6"]
-    cases = scalar + [trap] + curves
     probe = (
         "import os, sys\n"
         "import polbec.cli\n"
         "watched = eval(sys.argv[3])\n"
         "def seen():\n"
         "    return [name for name in watched if name in sys.modules]\n"
-        "loaded = [seen()]\n"
-        "for argv in eval(sys.argv[1]):\n"
-        "    rc = polbec.cli.main(argv + ['--config', sys.argv[2], '--out', os.devnull])\n"
-        "    loaded.append([rc, seen()])\n"
-        "print(repr(loaded))\n"
+        "after_import = seen()\n"
+        "rc = polbec.cli.main(eval(sys.argv[1]) + ['--config', sys.argv[2], '--out', os.devnull])\n"
+        "print(repr([after_import, rc, seen()]))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", probe, repr(cases), str(root / "example.cfg"), repr(watched)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    after_import, *after_cases = ast.literal_eval(result.stdout)
-    assert after_import == []
-    assert after_cases[:len(scalar)] == [[0, []]] * len(scalar)
-    assert after_cases[len(scalar)] == [0, ["json"]]
-    for rc, seen in after_cases[len(scalar) + 1:]:
-        assert rc == 0
-        assert set(seen) - {"inspect"} == {"json", "numpy", "polbec.numtext", "polbec.branches"}
+    for argv, loaded in cases:
+        result = subprocess.run(
+            [sys.executable, "-c", probe, repr(argv), str(root / "example.cfg"), repr(watched)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        after_import, rc, seen = ast.literal_eval(result.stdout)
+        assert (argv, after_import, rc) == (argv, [], 0)
+        if "numpy" in seen:  # which may load inspect
+            seen = [name for name in seen if name != "inspect"]
+        assert (argv, sorted(seen)) == (argv, sorted(loaded))
 
 
 EXAMPLE_CFG = str(Path(__file__).resolve().parents[1] / "example.cfg")

@@ -6,11 +6,10 @@ from hypothesis import given, strategies as st
 from polbec.core import (
     C_CGS,
     HBAR_CGS,
-    _cooperative_frequency_cgs,
     geometry_coupling_cgs,
     resonant_coupling_cgs,
-    strong_coupling_cgs,
 )
+from polbec.regime import _cooperative_frequency_cgs, strong_coupling_cgs
 from polbec.coupling import (
     CavityParams,
     CouplingRegime,

@@ -97,9 +97,13 @@ def test_bare_import_loads_no_submodule():
     assert result.stdout.strip() == "[]"
 
 
-MODULE_PATHS = sorted(Path(polbec.__file__).parent.glob("*.py"))
-# the modules of cgs float cores: core, and the branch cores apart from it
-CORE_MODULES = ("core", "branches")
+PACKAGE = Path(polbec.__file__).parent
+MODULE_PATHS = sorted(PACKAGE.glob("*.py"))
+# the modules of cgs float cores: core, and apart from it the cores that
+# one command alone runs (the branches, the strong-coupling test, the trap)
+CORE_MODULES = ("core", "branches", "regime", "lens")
+# the modules that polbec.cli imports only when one of their commands runs
+COMMAND_MODULES = ("curves", "masses", "regime", "lens")
 SUBMODULES = [path.stem for path in MODULE_PATHS
               if path.stem not in ("__init__", "__main__", *CORE_MODULES)]
 
@@ -162,25 +166,33 @@ def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
 
+def _tree(stem: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+
+
+def _taken_from(tree: ast.Module, modules) -> list[tuple[str, str]]:
+    """(module, name) for each name that a module imports from one of
+    modules, at module level or inside a function."""
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in modules
+            for alias in node.names]
+
+
 def _unreached_by_cli() -> list[str]:
-    """The top-level functions and classes of core and branches that nothing
-    polbec.cli imports from core, branches or numtext reaches, at module
-    level or inside a function, following the names each definition refers
-    to within those modules."""
-    package = Path(polbec.__file__).parent
-    followed = (*CORE_MODULES, "numtext")
-    trees = {stem: ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))
-             for stem in ("cli", *followed)}
+    """The top-level functions and classes of the core modules that nothing
+    polbec.cli takes from a core, command or numtext module reaches,
+    following the names each definition refers to within those modules and
+    the names each takes from another."""
+    followed = tuple(dict.fromkeys((*CORE_MODULES, *COMMAND_MODULES, "numtext")))
+    trees = {stem: _tree(stem) for stem in ("cli", *followed)}
     defined, imported = {}, {}  # (module, name) -> its definition, or the module it comes from
     for stem in followed:
         for node in trees[stem].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[stem, node.name] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in followed:
-                imported.update({(stem, alias.name): node.module for alias in node.names})
-    todo = [(node.module, alias.name) for node in ast.walk(trees["cli"])
-            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in followed
-            for alias in node.names]
+        imported.update({(stem, name): module
+                         for module, name in _taken_from(trees[stem], followed)})
+    todo = _taken_from(trees["cli"], followed)
     reached = set()
     while todo:
         stem, name = todo.pop()
@@ -200,11 +212,11 @@ def test_core_modules_hold_only_what_the_cli_reaches():
     assert _unreached_by_cli() == []
 
 
-def _unreached_in_cli() -> list[str]:
-    """The top-level functions, classes and constants of polbec.cli that main
-    does not reach, following the names each definition refers to within
-    cli; __all__ is read by import, not by name."""
-    tree = ast.parse((Path(polbec.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+def _unreached_in(stem: str, entries) -> list[str]:
+    """The top-level functions, classes and constants of polbec.<stem> that
+    entries do not reach, following the names each definition refers to
+    within the module; __all__ is read by import, not by name."""
+    tree = _tree(stem)
     defined = {}  # name -> the statement that defines it
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -212,7 +224,7 @@ def _unreached_in_cli() -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update((target.id, node) for target in targets if isinstance(target, ast.Name))
-    reached, todo = set(), ["main"]
+    reached, todo = set(), list(entries)
     while todo:
         name = todo.pop()
         if name in reached or name not in defined:
@@ -223,5 +235,31 @@ def _unreached_in_cli() -> list[str]:
 
 
 def test_cli_holds_only_what_main_reaches():
-    # a table builder, key list or constant that no command runs is dead code
-    assert _unreached_in_cli() == []
+    # a table builder, key list or constant that no command runs is dead code;
+    # the command modules call cli's helpers as cli.<name>
+    used = [node.attr for stem in COMMAND_MODULES for node in ast.walk(_tree(stem))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cli"]
+    assert _unreached_in("cli", ["main", *used]) == []
+
+
+@pytest.mark.parametrize("module", COMMAND_MODULES)
+def test_command_module_holds_only_what_its_commands_reach(module):
+    # what cli takes from the module, when one of its commands runs, reaches
+    # all of it: the code of one command is compiled by no other
+    entries = [name for _, name in _taken_from(_tree("cli"), (module,))]
+    assert entries
+    assert _unreached_in(module, entries) == []
+
+
+@pytest.mark.parametrize("module", ["trap", "coupling"])
+def test_library_module_loads_no_cli(module):
+    # the Quantity operations take their cores from the command's module,
+    # which loads cli only inside the handler
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = (f"import sys, polbec.{module}\n"
+             "print([m for m in ('argparse', 'polbec.cli') if m in sys.modules])\n")
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

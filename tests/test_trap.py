@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from polbec.core import _lens_cgs, design_trap_cgs
+from polbec.lens import _lens_cgs, design_trap_cgs
 from polbec.thermo import trapped_bec_temperature_from_N
 from polbec.trap import LensProfile, TrapDesign, design_trap, lens_for_omega, omega_for_lens
-from polbec.units import CURVATURE, Quantity, qty
+from polbec.units import CURVATURE, LENGTH, Quantity, qty
 
 from core_pairs import assert_finite_or_raises, assert_same_outcome, magnitudes
 
@@ -154,6 +154,8 @@ class TestOperationsEqualTheirCores:
            e_char=magnitudes(*E_CHAR_ERG))
     # n' ~ 1e-323: r_max^2 overflowed in the zero-crossing check
     @example(omega=math.exp(6.0), m=math.exp(-65.0), e_char=1e300)
+    # the flat lens with an infinite m_eff: n' = inf * 0 was NaN
+    @example(omega=0.0, m=math.inf, e_char=math.exp(-24.0))
     def test_lens_for_omega(self, omega, m, e_char):
         assert_same_outcome(
             lens_for_omega, lambda *a: _lens_cgs(*a, 0.5),
@@ -176,13 +178,23 @@ def test_lens_profile_rejects_a_negative_gradient():
         LensProfile(1.0, Quantity(-1.0, CURVATURE), qty(1e-3, "cm"))
 
 
+@pytest.mark.parametrize("n_prime, r_max, message", [
+    (math.nan, 1e-3, "n_prime must be non-negative, got nan"),
+    (1.0, math.nan, "r_max must be a number, got nan"),
+], ids=["n_prime", "r_max"])
+def test_lens_profile_rejects_nan(n_prime, r_max, message):
+    # a NaN passed every comparison of the checks and made a lens
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LensProfile(1.0, Quantity(n_prime, CURVATURE), Quantity(r_max, LENGTH))
+
+
 def test_trap_design_rejects_zero_omega():
     lens = lens_for_omega(qty(5.0e10, "s^-1"), M_EFF, E_CHAR, n0=1.0)
     with pytest.raises(ValueError, match="omega_eff must be positive"):
         TrapDesign(lens, qty(0.0, "s^-1"), E_CHAR)
 
 
-@pytest.mark.parametrize("omega", [-1.0, -math.inf])
+@pytest.mark.parametrize("omega", [-1.0, -math.inf, math.nan])
 def test_lens_for_omega_rejects_a_negative_frequency(omega):
     with pytest.raises(ValueError, match="^omega_eff must be non-negative$"):
         lens_for_omega(qty(omega, "s^-1"), M_EFF, E_CHAR, n0=1.0)

@@ -182,6 +182,17 @@ class TestArithmetic:
                 f"a fractional power of a negative magnitude has no real value: {text}")):
             power(Quantity(-4.0, LENGTH))
 
+    @pytest.mark.parametrize("magnitude, exponent, text", [
+        (0.0, -1, "(0.0) ** -1"),
+        (-0.0, Fraction(-1, 2), "(-0.0) ** -1/2"),
+    ], ids=["0 ** -1", "-0 ** -1/2"])
+    def test_negative_power_of_a_zero_magnitude_names_it(self, magnitude, exponent, text):
+        # Python's float power raises "0.0 cannot be raised to a negative
+        # power", which shows neither the magnitude's sign nor the exponent
+        with pytest.raises(ZeroDivisionError, match="^" + re.escape(
+                f"a negative power of a zero magnitude has no finite value: {text}") + "$"):
+            Quantity(magnitude, LENGTH) ** exponent
+
 
 # (call, error, message) of each check of the Quantity layer
 CHECKS = {
