@@ -9,7 +9,7 @@ Evaluation is serial; --workers is accepted and has no effect.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
 and the unit table) and polbec.config, and from the standard library
-argparse, math, re, sys and functools.  It holds the thresholds
+argparse, math, os, re, sys, warnings and functools.  It holds the thresholds
 table, the sweep and what they share with the other commands; the code
 of each other command lives in a module that main imports only when that
 command runs: polbec.masses (masses and its sweep), polbec.regime
@@ -51,8 +51,14 @@ and leaves only its header to json.  Every other JSON output is one object
 with a key per value, each float written by json in full (its repr, so
 "lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
 0.000183687170505): the one-row thresholds and masses tables, which carry
-the metadata, and check-coupling and trap, which carry none.  The argument
-parser is built once per process and shared by every later call of main.
+the metadata, and check-coupling and trap, which carry none.
+
+A command line that names a subcommand is parsed by that subcommand's
+parser alone, which holds the options the whole parser gives it.  --help,
+--version, a command line with no known command and one with an argument
+left over go to the whole parser, which prints the help, the version or
+the usage error.  Each parser is built once per process, on first use,
+and shared by every later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size
 and window checks, the well, the metadata, every sweep value) before emit
@@ -62,7 +68,9 @@ ASCII bytes: to the file in binary mode, or decoded to stdout for --out -.
 A CSV curve's blocks stream from the numtext kernel (a curve sweep joins
 each column over its values once), so its text is never held whole; a list
 table's rows are one block.  Should the reader of stdout close it early (as
-head does), the run ends with exit 1 and no message.
+head does), the run ends with exit 1 and no message.  A warning raised
+while a command runs prints as one line, "polbec: warning: <message>",
+without the source location Python's format gives it.
 
 Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
 (weak coupling, or no lower-branch well in the paraxial window).
@@ -75,6 +83,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from functools import cache
 
 from . import __version__
@@ -390,7 +399,7 @@ class _Parser(argparse.ArgumentParser):
 
     argparse takes '-1e-3' for an option because its negative-number pattern
     has no exponent; the wider pattern lets '--to -1e-3' parse as a number.
-    Subparsers are built from this class, so they inherit both changes.
+    Every parser, and every subparser, is built from this class.
     """
 
     def __init__(self, *args, **kwargs):
@@ -402,28 +411,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_command(sub, name: str, help_text: str, grid: bool = False) -> argparse.ArgumentParser:
-    """A subcommand with the options every command takes, and with grid the
-    options of a curve."""
-    p = sub.add_parser(name, help=help_text)
+# each subcommand and its help line, in the order --help lists them
+COMMANDS = {
+    "check-coupling": "strong-coupling regime test",
+    "dispersion": "sample both polariton branches over k_par",
+    "hopfield": "photon/matter composition along the grid",
+    "masses": "photon and branch curvature masses",
+    "thresholds": "condensation threshold ladder",
+    "trap": "design a lens profile for a target T_c",
+    "sweep": "sweep one config key through a target command",
+}
+
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """The options of a subcommand: those every command takes, a curve's
+    (and a sweep's) grid options, then the command's own."""
     p.add_argument("--config", required=True, help="path to key = value config file")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--units", choices=("cgs", "si"), default=None)
-    if grid:
+    if command in CURVES or command == "sweep":
         p.add_argument("--samples", type=int, default=101, help="grid points in k_par")
         p.add_argument("--kmax", type=float, default=0.2, help="k_par window edge over k_perp")
         p.add_argument("--workers", type=int, default=1, help="accepted; evaluation is serial")
-    return p
+    if command == "check-coupling":
+        p.add_argument("--threshold", type=float, default=10.0,
+                       help="ratio above which the regime counts as strong")
+    elif command == "trap":
+        p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
+        p.add_argument("--n-particles", type=float, default=None, help="particle number N")
+    elif command == "sweep":
+        p.add_argument("--param", required=True, help="config key to sweep")
+        p.add_argument("--from", dest="sweep_from", type=float, required=True,
+                       help="start value in the key's canonical unit")
+        p.add_argument("--to", dest="sweep_to", type=float, required=True,
+                       help="stop value in the key's canonical unit")
+        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--scale", choices=("linear", "log"), default="linear")
+        p.add_argument("--command", dest="target", choices=TABLES, required=True)
 
 
 @cache
-def build_parser() -> _Parser:
-    """The CLI's parser, built on the first call and shared by every later one.
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's whole parser, or for a command of COMMANDS that subcommand's
+    parser alone, as the whole parser gives it; each built on its first call
+    and shared by every later one.
 
     parse_args gives each call a fresh Namespace and main changes only that,
-    never the parser, so one parser serves every call in a process.
+    never a parser, so one parser serves every call in a process.
     """
+    if command is not None:
+        parser = _Parser(prog=f"polbec {command}")
+        _add_options(parser, command)
+        return parser
     # --help shows the module docstring's summary, first paragraph and exit
     # codes; the paragraphs between them are notes on the implementation
     # (python -OO strips the docstring, leaving no description)
@@ -431,26 +471,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="polbec", description="\n\n".join(paragraphs[:2] + paragraphs[-1:]))
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(sub, "check-coupling", "strong-coupling regime test")
-    p.add_argument("--threshold", type=float, default=10.0,
-                   help="ratio above which the regime counts as strong")
-    _add_command(sub, "dispersion", "sample both polariton branches over k_par", grid=True)
-    _add_command(sub, "hopfield", "photon/matter composition along the grid", grid=True)
-    _add_command(sub, "masses", "photon and branch curvature masses")
-    _add_command(sub, "thresholds", "condensation threshold ladder")
-    p = _add_command(sub, "trap", "design a lens profile for a target T_c")
-    p.add_argument("--target-tc", type=float, default=None, help="target T_c in K")
-    p.add_argument("--n-particles", type=float, default=None, help="particle number N")
-    p = _add_command(sub, "sweep", "sweep one config key through a target command", grid=True)
-    p.add_argument("--param", required=True, help="config key to sweep")
-    p.add_argument("--from", dest="sweep_from", type=float, required=True,
-                   help="start value in the key's canonical unit")
-    p.add_argument("--to", dest="sweep_to", type=float, required=True,
-                   help="stop value in the key's canonical unit")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--scale", choices=("linear", "log"), default="linear")
-    p.add_argument("--command", dest="target", choices=TABLES, required=True)
+    for name, help_text in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -470,8 +492,21 @@ def _handler(command: str):
     return cmd_sweep if command == "sweep" else cmd_table
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning raised while a command runs, as the one line stderr shows:
+    the library's warnings point at the caller's source, not the user's."""
+    return f"polbec: warning: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command:  # its own parser; a leftover argument goes to the whole one
+        args, rest = build_parser(command).parse_known_args(argv[1:])
+        args.command = command
+    if not command or rest:  # which prints help, the version or a usage error
+        args = build_parser().parse_args(argv)
+    format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         cfg = RunConfig.load(args.config)
         if args.format is None:
@@ -493,7 +528,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"polbec: error: {exc}\n")
         return EXIT_USAGE
+    finally:  # a library caller's own format again
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":
+    # the command modules import polbec.cli: they get this module, not a
+    # second copy of it compiled anew
+    sys.modules[__spec__.name] = sys.modules[__name__]
     sys.exit(main())

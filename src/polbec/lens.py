@@ -38,6 +38,8 @@ def _check_lens(n0: float, n_prime: float, r_max: float) -> None:
         raise ValueError(f"n_prime must be non-negative, got {n_prime}")
     if math.isnan(r_max):
         raise ValueError(f"r_max must be a number, got {r_max}")
+    if r_max <= 0:  # the flat lens has r_max = inf
+        raise ValueError(f"r_max must be positive, got {r_max}")
     if n_prime > 0 and r_max * math.sqrt(n_prime) >= 1.0:
         raise ValueError(
             "r_max reaches the index zero crossing: need r_max < 1/sqrt(n')"
@@ -56,6 +58,8 @@ def _lens_cgs(omega: float, m: float, e_char: float, r_max_frac: float) -> tuple
     if not omega >= 0:  # and False for NaN
         raise ValueError("omega_eff must be non-negative")
     _check_mass_and_scale(m, e_char)
+    if not r_max_frac > 0:  # and False for NaN
+        raise ValueError(f"r_max_frac must be positive, got {r_max_frac}")
     n_prime = m * omega * omega / e_char
     # omega = 0 gives the flat lens, but NaN (inf * 0) with an infinite m_eff
     if not (0.0 < n_prime < math.inf or n_prime == 0.0 == omega):

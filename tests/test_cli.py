@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import io
@@ -1050,6 +1051,88 @@ class TestParserReuse:
         assert result.stdout.split() == ["0", "1"]
 
 
+def _whole_parser_subparser(command):
+    """The parser the whole parser hands a command line that names command."""
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices[command]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_subcommand_parser_is_the_whole_parsers(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    own, whole = build_parser(command), _whole_parser_subparser(command)
+    assert own is not whole
+    assert (own.prog, own.format_help()) == (whole.prog, whole.format_help())
+
+
+# command lines main parses with a subcommand's own parser, or hands to the
+# whole parser: help, the version, usage errors, a leftover argument, an
+# abbreviation, '=' values and negative numbers in exponent form
+PARSER_PARITY_LINES = [
+    [],
+    ["bogus"],
+    ["--version"],
+    ["-h"],
+    *([command, "--help"] for command in cli.COMMANDS),
+    ["sweep", "--version"],
+    ["thresholds"],
+    ["thresholds", "--config"],
+    ["sweep", "--config", EXAMPLE_CFG, "--param", "T"],
+    ["thresholds", "--config", EXAMPLE_CFG, "extra"],
+    ["hopfield", "--config", EXAMPLE_CFG, "extra", "--bogus"],
+    ["thresholds", "--config", EXAMPLE_CFG, "--bogus"],
+    ["thresholds", "--config", EXAMPLE_CFG, "--"],
+    ["thresholds", "--", "--config", EXAMPLE_CFG],
+    ["thresholds", "--conf", EXAMPLE_CFG],
+    ["masses", "--config", EXAMPLE_CFG, "--format=json"],
+    ["masses", "--config", EXAMPLE_CFG, "--format", "xml"],
+    ["dispersion", "--config", EXAMPLE_CFG, "--samples", "x"],
+    ["sweep", "--config", EXAMPLE_CFG, "--param", "g", "--from", "1e-3", "--to", "-1e-3",
+     "--steps", "3", "--command", "masses"],
+    ["sweep", "--config", EXAMPLE_CFG, "--param", "T", "--from", "2", "--to", "2000",
+     "--steps", "5", "--scale", "log", "--command", "thresholds"],
+    ["check-coupling", "--config", EXAMPLE_CFG, "--threshold", "-1e-3"],
+    ["trap", "--config", EXAMPLE_CFG, "--target-tc", "300", "--n-particles", "1e6"],
+    ["--", "thresholds", "--config", EXAMPLE_CFG],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_PARITY_LINES, ids=lambda argv: " ".join(
+    "example.cfg" if arg == EXAMPLE_CFG else arg for arg in argv) or "no-arguments")
+def test_main_parses_as_the_whole_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    whole = build_parser()
+    with monkeypatch.context() as patched:  # main with every line through the whole parser
+        patched.setattr(cli, "COMMANDS", {})
+        patched.setattr(cli, "build_parser", lambda command=None: whole)
+        expected = call(argv, capsys)
+    assert call(argv, capsys) == expected
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["sweep", "--config", EXAMPLE_CFG, "--out", os.devnull, "--param", "T", "--from", "2",
+      "--to", "2000", "--steps", "50", "--scale", "log", "--command", "thresholds"], 1),
+    (["--help"], 8),  # the whole parser and its seven subparsers
+], ids=["sweep", "help"])
+def test_a_command_line_builds_only_its_parser(argv, parsers):
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    probe = (
+        "import argparse, contextlib, io, sys\n"
+        "built, init = [], argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(type(self))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import polbec.cli\n"
+        "with contextlib.suppress(SystemExit), contextlib.redirect_stdout(io.StringIO()):\n"
+        "    polbec.cli.main(sys.argv[1:])\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.split() == [str(parsers)]
+
+
 # values whose JSON spelling is easy to get wrong: signed zeros, integers that
 # %.12g writes in exponent form but repr in full, numbers in [1e11, 1e12)
 # that format(x, ".12") writes in exponent form but %.12g does not, values
@@ -1254,3 +1337,34 @@ def test_closed_stdout_pipe_ends_quietly(argv):
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, b"")
     assert first.startswith(b"# polbec ")
+
+
+def test_running_cli_as_main_compiles_it_once():
+    # trap's module imports polbec.cli; under python -m polbec.cli that import
+    # must get the running module, not load a second copy of cli.py
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    argv = ["trap", "--config", EXAMPLE_CFG, "--target-tc", "300", "--n-particles", "1e6"]
+    as_main = subprocess.run([sys.executable, "-X", "importtime", "-m", "polbec.cli", *argv],
+                             capture_output=True, env=env, check=True)
+    package = subprocess.run([sys.executable, "-m", "polbec", *argv],
+                             capture_output=True, env=env, check=True)
+    imported = [line.rsplit(b"|", 1)[-1].strip() for line in as_main.stderr.splitlines()]
+    assert b"polbec.lens" in imported and b"polbec.cli" not in imported
+    assert as_main.stdout == package.stdout
+
+
+def test_a_warning_prints_as_one_line(monkeypatch, tmp_path):
+    # past the paraxial window the curve cores warn; stderr shows the message
+    # on one line, without polbec's source path or source line
+    env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+    argv = ["dispersion", "--config", EXAMPLE_CFG, "--kmax", "1e6", "--samples", "3"]
+    result = subprocess.run([sys.executable, "-m", "polbec", *argv], capture_output=True,
+                            env=env, check=True)
+    assert result.stderr == (b"polbec: warning: grid edge 1e+06 * k_perp exceeds the "
+                             b"paraxial bound 0.2 * k_perp\n")
+    with warnings.catch_warnings():  # in-process: the bytes, and the caller's format kept
+        warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
+        monkeypatch.setattr(warnings, "formatwarning", own := lambda *args: "")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert warnings.formatwarning is own
+    assert (tmp_path / "out").read_bytes() == result.stdout

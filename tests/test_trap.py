@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,8 +169,9 @@ class TestOperationsEqualTheirCores:
 # the flat lens with an infinite E_char: sqrt(0 * inf) was NaN
 @example(n_prime=0.0, m=5e-33, e_char=math.inf)
 def test_omega_for_lens_is_finite_or_raises(n_prime, m, e_char):
-    # no command runs it, so it computes on its own, with no core to agree with
-    lens = LensProfile(1.0, Quantity(n_prime, CURVATURE), qty(0.0, "cm"))
+    # no command runs it, so it computes on its own, with no core to agree with;
+    # the smallest r_max lies inside the zero crossing of every finite n'
+    lens = LensProfile(1.0, Quantity(n_prime, CURVATURE), Quantity(5e-324, LENGTH))
     assert_finite_or_raises(omega_for_lens, [lens, qty(m, "g"), qty(e_char, "erg")])
 
 
@@ -186,6 +188,26 @@ def test_lens_profile_rejects_nan(n_prime, r_max, message):
     # a NaN passed every comparison of the checks and made a lens
     with pytest.raises(ValueError, match=f"^{message}$"):
         LensProfile(1.0, Quantity(n_prime, CURVATURE), Quantity(r_max, LENGTH))
+
+
+@pytest.mark.parametrize("r_max", [0.0, -0.0, -1.0, -math.inf])
+def test_lens_profile_rejects_a_non_positive_r_max(r_max):
+    # the zero-crossing check alone let a lens end at or before its axis
+    with pytest.raises(ValueError, match=f"^{re.escape(f'r_max must be positive, got {r_max}')}$"):
+        LensProfile(1.0, Quantity(1.0, CURVATURE), Quantity(r_max, LENGTH))
+
+
+@pytest.mark.parametrize("omega", [5e10, 0.0], ids=["trapped", "flat"])
+@pytest.mark.parametrize("frac", [-0.5, 0.0, -math.inf, math.nan])
+def test_lens_for_omega_rejects_a_non_positive_r_max_frac(omega, frac):
+    # a negative fraction gave a negative r_max, and the flat lens inf for any
+    with pytest.raises(ValueError, match=f"^{re.escape(f'r_max_frac must be positive, got {frac}')}$"):
+        lens_for_omega(qty(omega, "s^-1"), M_EFF, qty(2.104, "eV"), 1.0, r_max_frac=frac)
+
+
+def test_flat_lens_keeps_an_infinite_r_max():
+    lens = LensProfile(1.0, Quantity(0.0, CURVATURE), Quantity(math.inf, LENGTH))
+    assert lens.r_max.cgs == math.inf
 
 
 def test_trap_design_rejects_zero_omega():
