@@ -1362,9 +1362,13 @@ def test_a_warning_prints_as_one_line(monkeypatch, tmp_path):
                             env=env, check=True)
     assert result.stderr == (b"polbec: warning: grid edge 1e+06 * k_perp exceeds the "
                              b"paraxial bound 0.2 * k_perp\n")
+
+    def own(*args):
+        return ""
+
+    monkeypatch.setattr(warnings, "formatwarning", own)
     with warnings.catch_warnings():  # in-process: the bytes, and the caller's format kept
         warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
-        monkeypatch.setattr(warnings, "formatwarning", own := lambda *args: "")
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        assert warnings.formatwarning is own
+    assert warnings.formatwarning is own
     assert (tmp_path / "out").read_bytes() == result.stdout
