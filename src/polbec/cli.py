@@ -28,9 +28,9 @@ library's cgs cores, whose value and range checks name the keys.  A masses,
 dispersion or hopfield sweep swaps one float per value into one copy of the
 config and builds one table per value.  A thresholds sweep builds one
 table, by the one-shot run's builder, from a copy of the config whose swept
-key holds its cgs column; without m_eff, m_eff holds the masses derived per
-value for a key of COUPLING_KEYS (which the derived mass reads), else the
-one mass derived with the first value.  The ladder then runs once: it
+key holds its cgs column.  The builder takes any config whose keys hold cgs
+columns of one length; without m_eff, its derived mass follows the columns of
+the coupling keys, one per zipped value.  The ladder then runs once: it
 evaluates each stage on the columns it depends on, one comprehension per
 stage, checks the results in bulk, and its first 16 fields are the table's
 columns, in order.  If that fails, the sweep runs the loop of the other
@@ -257,10 +257,18 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     return g, k_perp, delta, length
 
 
-def _effective_mass(c: RunConfig) -> float:
-    """m_eff in g from the config, or the lower-branch mass derived from coupling keys."""
+def _effective_mass(c: RunConfig):
+    """m_eff in g as given, else the lower-branch mass derived from the coupling
+    keys: one, or a list of one per zipped value where they hold columns."""
     if "m_eff" in c.values:
         return c.values["m_eff"]
+    columns = {key: v for key in COUPLING_KEYS if type(v := c.values.get(key)) is list}
+    if columns:  # each value's mass, on one copy of the config
+        one, masses = RunConfig(dict(c.values)), []
+        for row in zip(*columns.values()):
+            one.values.update(zip(columns, row))
+            masses.append(_effective_mass(one))
+        return masses
     try:
         g, k_perp, delta, _ = _coupling_cgs(c)
     except ConfigError:  # a missing key, the only ConfigError it raises
@@ -338,23 +346,11 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 
     blocks = None
     if target == "thresholds":
-        # one table from a config whose swept key holds its cgs column, so
-        # one ladder call.  Without m_eff, m_eff holds the masses derived per
-        # value for a key the derivation reads, else the one mass derived
-        # with the first value bound.
+        # one table, by the one-shot run's builder, from a copy of the config
+        # whose swept key holds its cgs column, so one ladder call
         try:
-            column = config_cgs(spec, values)
-            c = cfg.with_value(key, column[0])
-            if "m_eff" not in c.values:
-                if key in COUPLING_KEYS:
-                    masses = []
-                    for c.values[key] in column:
-                        masses.append(_effective_mass(c))
-                else:
-                    masses = _effective_mass(c)
-                c.values["m_eff"] = masses
-            c.values[key] = column
-            _, header, table = _thresholds_table(c, target, args)
+            _, header, table = _thresholds_table(
+                cfg.with_value(key, config_cgs(spec, values)), target, args)
             blocks = table_rows([values, *table])
         except (ValueError, ArithmeticError):  # ConfigError is a ValueError
             pass  # the loop below stops at the first failing value's own error
@@ -369,11 +365,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             c.values[key], = config_cgs(spec, [value])
             _, header, table = build(c, target, args)
             tables.append(table)
-        if target in CURVES:  # each column joined once; every table has --samples rows
-            import numpy as np
-            from .curves import curve_blocks
-            blocks = curve_blocks([np.repeat(values, args.samples),
-                                   *map(np.concatenate, zip(*tables))])
+        if target in CURVES:  # each column joined once, in polbec.curves
+            from .curves import sweep_blocks
+            blocks = sweep_blocks(values, tables)
         else:  # one row per value; T_KT is None throughout without a density
             blocks = table_rows([values, *map(text_column, map(list, zip(*tables)))])
 

@@ -18,7 +18,7 @@ from itertools import starmap
 from . import cli
 from .core import EV_ERG, effective_masses_cgs, transverse_energy_erg
 
-__all__ = ["cmd_curve", "curve_blocks", "curve_table", "json_rows"]
+__all__ = ["cmd_curve", "curve_table", "json_rows", "sweep_blocks"]
 
 DISPERSION_HEADER = [
     "k_par_over_k_perp", "E1_eV", "E2_eV", "mu_sq", "nu_sq",
@@ -30,13 +30,6 @@ HOPFIELD_HEADER = ["k_par_over_k_perp", "delta_eV", "delta_over_g", "mu_sq", "nu
 # json's indent=2 separators inside "rows": between rows and between cells
 JSON_ROW_SEP = "\n    ],\n    [\n      "
 JSON_CELL_SEP = ",\n      "
-
-
-def curve_blocks(columns: list):
-    """The CSV rows of a curve table given as numpy columns, as the numtext
-    kernel's blocks of ASCII bytes (it loads numpy)."""
-    from .numtext import csv_blocks
-    return csv_blocks(columns)
 
 
 def json_rows(columns: list) -> str:
@@ -128,5 +121,15 @@ def cmd_curve(cfg, args) -> int:
         rows = [col.tolist() for col in columns]
         cli.emit(cli.render_json({"metadata": meta, "columns": header, "rows": rows}), args.out)
     else:
-        cli.emit(cli.render_csv(meta, header), args.out, curve_blocks(columns))
+        from .numtext import csv_blocks
+        cli.emit(cli.render_csv(meta, header), args.out, csv_blocks(columns))
     return exit_code
+
+
+def sweep_blocks(values: list, tables: list):
+    """The CSV blocks of a curve sweep: each swept value repeated over its
+    table's rows, then each column of the tables joined over the values."""
+    import numpy as np
+    from .numtext import csv_blocks
+    return csv_blocks([np.repeat(values, len(tables[0][0])),
+                       *map(np.concatenate, zip(*tables))])

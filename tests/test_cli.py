@@ -618,8 +618,9 @@ def test_photon_mass_underflow_names_k_perp(tmp_path, capsys, argv):
 
 
 class TestSweepBinding:
-    """The thresholds sweep derives the lower-branch mass once, unless the
-    swept key is one the derivation reads."""
+    """The thresholds sweep derives the lower-branch mass once, on the config
+    whose swept key holds its column, unless the swept key is one the
+    derivation reads."""
 
     def count_mass_derivations(self, monkeypatch, tmp_path, config_text, param, start, stop):
         calls = []
@@ -639,7 +640,7 @@ class TestSweepBinding:
     def test_T_sweep_derives_the_mass_once(self, monkeypatch, tmp_path):
         cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
         calls = self.count_mass_derivations(monkeypatch, tmp_path, cfg, "T", "2", "2000")
-        assert calls == [2.0]
+        assert calls == [sweep_values(SweepSpec("T", 2.0, 2000.0, 50))]
 
     def test_Delta_sweep_derives_the_mass_per_value(self, monkeypatch, tmp_path):
         cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
@@ -655,7 +656,7 @@ class TestSweepBinding:
     def test_sweep_over_a_key_nothing_reads_derives_the_mass_once(self, monkeypatch, tmp_path):
         cfg = BASE_CFG.replace("m_eff = 5e-33 g\n", "")
         calls = self.count_mass_derivations(monkeypatch, tmp_path, cfg, "tau_coh", "1e-9", "1e-7")
-        assert calls == [1e-9]
+        assert calls == [sweep_values(SweepSpec("tau_coh", 1e-9, 1e-7, 50))]
 
 
 class ReadRecorder(dict):
@@ -834,6 +835,37 @@ def test_sweep_row_equals_one_shot_row(config_text, sweep):
     assert (code, err) == (0, "")
     rows = [ln for ln in data.decode().splitlines() if not ln.startswith("#")][1:]
     assert [row.split(",", 1)[1] for row in rows] == expected
+
+
+# a coupling key's values in eV, the unit it is swept in
+COUPLING_VALUES = {"Delta": st.floats(-5e-3, 5e-3), "g": st.floats(1e-4, 5e-3)}
+
+
+@settings(deadline=None, max_examples=60)
+@given(config_text=st.sampled_from([BASE_CFG, TRAP_CFG]), data=st.data(),
+       key=st.sampled_from(sorted(COUPLING_VALUES)))
+def test_thresholds_table_of_columns_equals_one_shot_rows(config_text, data, key):
+    # without m_eff, T and a coupling key as columns of one length: the mass
+    # is derived per zipped value, and each row is the one-shot table's
+    cfg = RunConfig.parse(config_text.replace("m_eff = 5e-33 g\n", ""))
+    pairs = data.draw(st.lists(st.tuples(st.floats(1.0, 3e3), COUPLING_VALUES[key]),
+                               min_size=1, max_size=4))
+    ts, couplings = [t for t, _ in pairs], [v * EV_ERG for _, v in pairs]
+    expected = []
+    for t, v in zip(ts, couplings):
+        try:
+            _, _, row = cli._thresholds_table(cfg.with_value("T", t).with_value(key, v),
+                                              "thresholds", None)
+        except (ValueError, ArithmeticError):
+            with pytest.raises((ValueError, ArithmeticError)):
+                cli._thresholds_table(cfg.with_value("T", ts).with_value(key, couplings),
+                                      "thresholds", None)
+            return
+        expected += csv_lines(row)
+    _, header, columns = cli._thresholds_table(
+        cfg.with_value("T", ts).with_value(key, couplings), "thresholds", None)
+    assert header == cli.THRESHOLDS_HEADER
+    assert csv_lines(columns) == expected
 
 
 def test_cli_import_loads_no_thread_pool():
