@@ -1,11 +1,5 @@
-"""Deterministic command-line front end.
-
-Subcommands: check-coupling, dispersion, hopfield, masses, thresholds,
-trap, sweep.  All file output is byte-stable across runs and locales:
-CSV, text and the rows of a JSON curve print numbers with 12 significant
-digits, every other JSON number is printed in full as json writes it, rows
-are assembled in grid/sweep order, and the metadata carries no timestamps.
-Evaluation is serial; --workers is accepted and has no effect.
+"""Notes on the command-line front end; what --help says of it is DESCRIPTION,
+a constant, so that python -OO, which strips docstrings, prints it too.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
 and the unit table) and polbec.config, and from the standard library
@@ -62,18 +56,18 @@ and shared by every later call of main.
 
 A command computes all that can fail (a curve's sampling with its grid-size
 and window checks, the well, the metadata, every sweep value) before emit
-opens the --out file, so an error writes no byte and leaves no file.  emit
-writes the head (metadata and header lines), then the rows as blocks of
-ASCII bytes: to the file in binary mode, or decoded to stdout for --out -.
-A CSV curve's blocks stream from the numtext kernel (a curve sweep joins
-each column over its values once), so its text is never held whole; a list
-table's rows are one block.  Should the reader of stdout close it early (as
-head does), the run ends with exit 1 and no message.  A warning raised
-while a command runs prints as one line, "polbec: warning: <message>",
-without the source location Python's format gives it.
-
-Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
-(weak coupling, or no lower-branch well in the paraxial window).
+opens the --out file, so an error writes no byte and leaves no file; a
+sweep whose values or tables do not fit in memory (or whose --steps count
+passes sys.maxsize // 8, which no list can hold) ends in one line that
+names --steps.  emit writes the head (metadata and header lines), then the
+rows as blocks of ASCII bytes: to the file in binary mode, or decoded to
+stdout for --out -.  A CSV curve's blocks stream from the numtext kernel (a
+curve sweep joins each column over its values once, in polbec.curves), so
+its text is never held whole; a list table's rows are one block.  Should
+the reader of stdout close it early (as head does), the run ends with exit
+1 and no message.  A warning raised while a command runs prints as one
+line, "polbec: warning: <message>", without the source location Python's
+format gives it.
 """
 
 from __future__ import annotations
@@ -106,6 +100,20 @@ from .core import (
 )
 
 __all__ = ["main"]
+
+DESCRIPTION = """\
+Deterministic command-line front end.
+
+Subcommands: check-coupling, dispersion, hopfield, masses, thresholds,
+trap, sweep.  All file output is byte-stable across runs and locales:
+CSV, text and the rows of a JSON curve print numbers with 12 significant
+digits, every other JSON number is printed in full as json writes it, rows
+are assembled in grid/sweep order, and the metadata carries no timestamps.
+Evaluation is serial; --workers is accepted and has no effect.
+
+Exit codes: 0 success, 1 usage/config error, 2 physical-regime warning
+(weak coupling, or no lower-branch well in the paraxial window).
+"""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -337,40 +345,48 @@ def cmd_table(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    spec = SweepSpec(args.param, args.sweep_from, args.sweep_to, args.steps, args.scale)
-    # the config with the swept key written in must pass what parsing checks
-    check_keys({*cfg.values, spec.param})
+def _sweep_table(cfg: RunConfig, spec: SweepSpec, args):
+    """(header, blocks) of a sweep: the swept values, then the target's columns."""
     values = sweep_values(spec)
     key, target = spec.param, args.target
-
-    blocks = None
     if target == "thresholds":
         # one table, by the one-shot run's builder, from a copy of the config
         # whose swept key holds its cgs column, so one ladder call
         try:
             _, header, table = _thresholds_table(
                 cfg.with_value(key, config_cgs(spec, values)), target, args)
-            blocks = table_rows([values, *table])
+            return header, table_rows([values, *table])
         except (ValueError, ArithmeticError):  # ConfigError is a ValueError
             pass  # the loop below stops at the first failing value's own error
-    if blocks is None:
-        # one copy of the config; each value swaps in one float and gives
-        # one table.  A value is converted when its turn comes, so the sweep
-        # stops at the error of its first failing value.
-        c = cfg.with_value(key, None)
-        build = _table_builder(target)
-        tables = []
-        for value in values:
-            c.values[key], = config_cgs(spec, [value])
-            _, header, table = build(c, target, args)
-            tables.append(table)
-        if target in CURVES:  # each column joined once, in polbec.curves
-            from .curves import sweep_blocks
-            blocks = sweep_blocks(values, tables)
-        else:  # one row per value; T_KT is None throughout without a density
-            blocks = table_rows([values, *map(text_column, map(list, zip(*tables)))])
+    # one copy of the config; each value swaps in one float and gives one
+    # table.  A value is converted when its turn comes, so the sweep stops at
+    # the error of its first failing value.
+    c = cfg.with_value(key, None)
+    build = _table_builder(target)
+    tables = []
+    for value in values:
+        c.values[key], = config_cgs(spec, [value])
+        _, header, table = build(c, target, args)
+        tables.append(table)
+    if target in CURVES:  # each column joined once, in polbec.curves
+        from .curves import sweep_blocks
+        return header, sweep_blocks(values, tables)
+    # one row per value; T_KT is None throughout without a density
+    return header, table_rows([values, *map(text_column, map(list, zip(*tables)))])
 
+
+def cmd_sweep(cfg: RunConfig, args) -> int:
+    spec = SweepSpec(args.param, args.sweep_from, args.sweep_to, args.steps, args.scale)
+    # the config with the swept key written in must pass what parsing checks
+    check_keys({*cfg.values, spec.param})
+    try:  # the values and every table are built before --out is opened
+        if spec.steps > sys.maxsize // 8:  # more values than a list can hold
+            raise MemoryError
+        header, blocks = _sweep_table(cfg, spec, args)
+    except MemoryError:
+        raise ValueError(f"--steps {spec.steps}: the sweep does not fit in memory") from None
+
+    key, target = spec.param, args.target
     unit = spec.unit
     sweep_col = f"sweep_{key}_{unit}" if unit else f"sweep_{key}"
     meta = _meta_head(cfg) + [
@@ -458,11 +474,7 @@ def build_parser(command: str | None = None) -> _Parser:
         parser = _Parser(prog=f"polbec {command}")
         _add_options(parser, command)
         return parser
-    # --help shows the module docstring's summary, first paragraph and exit
-    # codes; the paragraphs between them are notes on the implementation
-    # (python -OO strips the docstring, leaving no description)
-    paragraphs = (__doc__ or "").split("\n\n")
-    parser = _Parser(prog="polbec", description="\n\n".join(paragraphs[:2] + paragraphs[-1:]))
+    parser = _Parser(prog="polbec", description=DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in COMMANDS.items():

@@ -110,6 +110,9 @@ def cmd_trap(cfg, args) -> int:
     e_char_ev = e_char / EV_ERG
     if e_char_ev == math.inf:
         raise range_error("E_char in eV", **{key: f"{e_char:g} erg"})
+    omega_at = cfg.get("omega_at")
+    if omega_at is not None and not omega_at >= 0:  # and False for NaN
+        raise ConfigError(f"key 'omega_at' must be non-negative, got {omega_at:g} s^-1")
     n0 = cfg.get("n0", 1.0)
     omega, n_prime, r_max, fits = design_trap_cgs(
         args.target_tc, n_particles, m_eff, e_char, n0, cfg.get("d_beam"))
@@ -119,7 +122,7 @@ def cmd_trap(cfg, args) -> int:
         )
     text = cli.render_json({
         "omega_eff_s1": omega,
-        "omega_at_s1": cfg.get("omega_at"),
+        "omega_at_s1": omega_at,
         "n_prime_cm2": n_prime,
         "n0": n0,
         "r_max_cm": r_max,

@@ -12,8 +12,9 @@ dimensionally short by one energy): here
 with E_char defaulting to the transition energy, since the trapped object
 is the paraxial photon of energy ~E0.  That assumption is printed into
 every trap design.  The magnetic-trap frequency Omega_at for the atomic
-component is carried as user input and echoed, never derived; no
-constraint equation ties it to Omega_eff.
+component is carried as user input, checked to be a non-negative
+frequency and echoed, never derived; no constraint equation ties it to
+Omega_eff.
 
 The design, the lens and their checks are cgs float cores in polbec.lens,
 which the CLI's trap command calls too; this module wraps them in the dimension-checked
@@ -90,6 +91,10 @@ class TrapDesign:
     def __post_init__(self) -> None:
         if not magnitude_in_cgs(self.omega_eff, FREQUENCY, "omega_eff") > 0:
             raise ValueError("omega_eff must be positive")
+        if self.omega_at is not None:
+            omega_at = magnitude_in_cgs(self.omega_at, FREQUENCY, "omega_at")
+            if not omega_at >= 0:  # and False for NaN
+                raise ValueError(f"omega_at must be non-negative, got {omega_at}")
 
 
 # ---------------------------------------------------------------------------

@@ -728,6 +728,37 @@ def test_sweep_stops_at_its_first_failing_value(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("polbec: error: mu: T_d/T underflows")
 
 
+
+class TestSweepSize:
+    """A --steps count that memory cannot hold ends in one line naming it."""
+
+    ARGV = ["sweep", "--param", "T", "--from", "1", "--to", "2", "--command", "thresholds"]
+
+    def test_a_count_no_list_holds_is_rejected_before_allocating(self, tmp_path, capsys):
+        code, data = run(tmp_path, BASE_CFG, [*self.ARGV, "--steps", str(2**62)])
+        assert (code, data) == (1, b"")
+        assert capsys.readouterr().err == (
+            f"polbec: error: --steps {2**62}: the sweep does not fit in memory\n")
+
+    def test_a_sweep_that_fills_memory_ends_in_one_line(self, tmp_path):
+        # run only under an address-space limit, in a child process
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
+        cfg.write_text(BASE_CFG)
+        env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "polbec", *self.ARGV, "--steps", str(10**9),
+             "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=300)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "polbec: error: --steps 1000000000: the sweep does not fit in memory\n")
+        assert not out.exists()
+
 # sweepable keys: the eight the ladder reads, one the derived mass reads
 # (Delta) and one neither reads (tau_coh); (unit, low, high) of the drawn
 # magnitudes
@@ -976,13 +1007,36 @@ def test_cli_runs_construct_no_quantity(monkeypatch, tmp_path, argv):
     assert out.stat().st_size > 0
 
 
-# at COLUMNS=80; the description is the summary, the first paragraph and the
-# exit-code paragraph of the cli module docstring
-TOP_HELP = """\
+# at COLUMNS=80; the description is cli.DESCRIPTION.  From 3.13 on,
+# argparse keeps " ..." on the line of the subcommand choices and wraps the
+# sweep usage between options, not inside one (recorded under 3.13.13)
+if sys.version_info < (3, 13):
+    TOP_USAGE = """\
 usage: polbec [-h] [--version]
               {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep}
               ...
+"""
+    SWEEP_USAGE = """\
+usage: polbec sweep [-h] --config CONFIG [--out OUT] [--format {csv,json}]
+                    [--units {cgs,si}] [--samples SAMPLES] [--kmax KMAX]
+                    [--workers WORKERS] --param PARAM --from SWEEP_FROM --to
+                    SWEEP_TO --steps STEPS [--scale {linear,log}] --command
+                    {masses,thresholds,hopfield,dispersion}
+"""
+else:
+    TOP_USAGE = """\
+usage: polbec [-h] [--version]
+              {check-coupling,dispersion,hopfield,masses,thresholds,trap,sweep} ...
+"""
+    SWEEP_USAGE = """\
+usage: polbec sweep [-h] --config CONFIG [--out OUT] [--format {csv,json}]
+                    [--units {cgs,si}] [--samples SAMPLES] [--kmax KMAX]
+                    [--workers WORKERS] --param PARAM --from SWEEP_FROM
+                    --to SWEEP_TO --steps STEPS [--scale {linear,log}]
+                    --command {masses,thresholds,hopfield,dispersion}
+"""
 
+TOP_HELP = TOP_USAGE + """
 Deterministic command-line front end. Subcommands: check-coupling, dispersion,
 hopfield, masses, thresholds, trap, sweep. All file output is byte-stable
 across runs and locales: CSV, text and the rows of a JSON curve print numbers
@@ -1005,14 +1059,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --version             show program's version number and exit
-"""
-
-SWEEP_USAGE = """\
-usage: polbec sweep [-h] --config CONFIG [--out OUT] [--format {csv,json}]
-                    [--units {cgs,si}] [--samples SAMPLES] [--kmax KMAX]
-                    [--workers WORKERS] --param PARAM --from SWEEP_FROM --to
-                    SWEEP_TO --steps STEPS [--scale {linear,log}] --command
-                    {masses,thresholds,hopfield,dispersion}
 """
 
 SWEEP_HELP = SWEEP_USAGE + """

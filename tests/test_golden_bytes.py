@@ -60,6 +60,8 @@ CONFIGS = {
     # trap's energy scale: E0 as the default of E_char, or E_char itself, not positive
     "negative-E0": PLAIN.replace("E0 = 2.104 eV", "E0 = -2 eV") + "m_eff = 5e-33 g\n",
     "negative-E_char": PLAIN + "E_char = -2 eV\n",
+    # the magnetic-trap frequency that trap echoes, negative
+    "negative-omega_at": EXAMPLE + "omega_at = -5 s^-1\n",
     "negative-m_eff": PLAIN.replace("E0 = 2.104 eV", "E0 = 2 eV") + "m_eff = -5e-33 g\n",
     # the particle count as a key, the default of trap --n-particles
     "example-N": EXAMPLE + "N = 1e6\n",
@@ -343,6 +345,9 @@ ERRORS = {
     "trap-E_char-negative": (
         "negative-E_char", "trap --target-tc 300 --n-particles 1e6",
         "polbec: config error: key 'E_char' must be positive, got -2 eV\n"),
+    "trap-omega_at-negative": (
+        "negative-omega_at", "trap --target-tc 300 --n-particles 1e6",
+        "polbec: config error: key 'omega_at' must be non-negative, got -5 s^-1\n"),
     # recorded once the lens core checked each argument on its own; before,
     # it said "omega_eff must be >= 0; m_eff and energy_scale positive"
     "trap-m_eff-negative": (

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from polbec.lens import _lens_cgs, design_trap_cgs
 from polbec.thermo import trapped_bec_temperature_from_N
 from polbec.trap import LensProfile, TrapDesign, design_trap, lens_for_omega, omega_for_lens
-from polbec.units import CURVATURE, LENGTH, Quantity, qty
+from polbec.units import CURVATURE, LENGTH, DimensionError, Quantity, qty
 
 from core_pairs import assert_finite_or_raises, assert_same_outcome, magnitudes
 
@@ -105,6 +105,21 @@ class TestDesignTrap:
         assert design.omega_at.cgs == 1e5
         design = design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR)
         assert design.omega_at is None
+
+    def test_omega_at_must_be_a_frequency(self):
+        with pytest.raises(DimensionError, match=r"omega_at must have dimension \[s\^-1\]"):
+            design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR, omega_at=qty(5.0, "K"))
+        with pytest.raises(DimensionError, match="omega_at must be a Quantity"):
+            design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR, omega_at=5.0)
+
+    @pytest.mark.parametrize("value", [-5.0, -1e-300, math.nan, -math.inf])
+    def test_omega_at_must_be_non_negative(self, value):
+        with pytest.raises(ValueError, match="omega_at must be non-negative"):
+            design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR, omega_at=qty(value, "s^-1"))
+
+    def test_omega_at_of_zero_is_echoed(self):
+        design = design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR, omega_at=qty(0.0, "s^-1"))
+        assert design.omega_at.cgs == 0.0
 
     def test_beam_fit_check(self):
         design = design_trap(qty(300.0, "K"), 1e6, M_EFF, E_CHAR,
