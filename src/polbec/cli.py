@@ -379,12 +379,13 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     spec = SweepSpec(args.param, args.sweep_from, args.sweep_to, args.steps, args.scale)
     # the config with the swept key written in must pass what parsing checks
     check_keys({*cfg.values, spec.param})
+    too_large = f"--steps {spec.steps}: the sweep does not fit in memory"
+    if spec.steps > sys.maxsize // 8:  # more values than a list can hold
+        raise ValueError(too_large)
     try:  # the values and every table are built before --out is opened
-        if spec.steps > sys.maxsize // 8:  # more values than a list can hold
-            raise MemoryError
         header, blocks = _sweep_table(cfg, spec, args)
     except MemoryError:
-        raise ValueError(f"--steps {spec.steps}: the sweep does not fit in memory") from None
+        raise ValueError(too_large) from None
 
     key, target = spec.param, args.target
     unit = spec.unit

@@ -728,7 +728,6 @@ def test_sweep_stops_at_its_first_failing_value(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("polbec: error: mu: T_d/T underflows")
 
 
-
 class TestSweepSize:
     """A --steps count that memory cannot hold ends in one line naming it."""
 
@@ -758,6 +757,7 @@ class TestSweepSize:
         assert (result.returncode, result.stdout, result.stderr) == (
             1, "", "polbec: error: --steps 1000000000: the sweep does not fit in memory\n")
         assert not out.exists()
+
 
 # sweepable keys: the eight the ladder reads, one the derived mass reads
 # (Delta) and one neither reads (tau_coh); (unit, low, high) of the drawn
@@ -882,6 +882,7 @@ def test_thresholds_table_of_columns_equals_one_shot_rows(config_text, data, key
     pairs = data.draw(st.lists(st.tuples(st.floats(1.0, 3e3), COUPLING_VALUES[key]),
                                min_size=1, max_size=4))
     ts, couplings = [t for t, _ in pairs], [v * EV_ERG for _, v in pairs]
+    both = cfg.with_value("T", ts).with_value(key, couplings)
     expected = []
     for t, v in zip(ts, couplings):
         try:
@@ -889,12 +890,10 @@ def test_thresholds_table_of_columns_equals_one_shot_rows(config_text, data, key
                                               "thresholds", None)
         except (ValueError, ArithmeticError):
             with pytest.raises((ValueError, ArithmeticError)):
-                cli._thresholds_table(cfg.with_value("T", ts).with_value(key, couplings),
-                                      "thresholds", None)
+                cli._thresholds_table(both, "thresholds", None)
             return
         expected += csv_lines(row)
-    _, header, columns = cli._thresholds_table(
-        cfg.with_value("T", ts).with_value(key, couplings), "thresholds", None)
+    _, header, columns = cli._thresholds_table(both, "thresholds", None)
     assert header == cli.THRESHOLDS_HEADER
     assert csv_lines(columns) == expected
 
