@@ -84,19 +84,20 @@ def branch_energies(e_at, e_ph, g):
 def hopfield_fractions(delta, g):
     """Hopfield fractions (mu^2, nu^2) of the upper branch vs. mismatch delta.
 
-    Evaluated on the cancellation-free side of each expression:
-    mu^2 = (s - delta)/(2 s) = 4 g^2 / (2 s (s + delta)), s = sqrt(delta^2 + 4 g^2),
-    so both fractions stay fully accurate for |delta| >> g of either sign.
+    With s = sqrt(delta^2 + 4 g^2), the fractions are the two forms
+    big = (s + |delta|) / (2 s) and small = 4 g^2 / (2 s (s + |delta|)),
+    each free of cancellation for either sign of delta: mu^2 is small and
+    nu^2 big where delta >= 0, and the reverse where delta < 0.
     """
     import numpy as np
     delta = np.asarray(delta, dtype=float)
     g = np.asarray(g, dtype=float)
     s = np.hypot(delta, 2.0 * g)
-    four_g2 = 4.0 * g * g
+    s_plus = s + np.abs(delta)
+    big = s_plus / (2.0 * s)
+    small = 4.0 * g * g / (2.0 * s * s_plus)
     nonneg = delta >= 0.0
-    mu2 = np.where(nonneg, four_g2 / (2.0 * s * (s + delta)), (s - delta) / (2.0 * s))
-    nu2 = np.where(nonneg, (s + delta) / (2.0 * s), four_g2 / (2.0 * s * (s - delta)))
-    return mu2, nu2
+    return np.where(nonneg, small, big), np.where(nonneg, big, small)
 
 
 def photon_paraxial_erg(k_par, k_perp):
@@ -116,8 +117,10 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
     [0, k_max_frac * k_perp], in one elementwise numpy pass, with the checks
     of GridSpec and DispersionCurve: the arrays (k_par, e_upper, e_lower,
     mu_sq, nu_sq, e_ph_paraxial), cgs.  A grid that does not fit in memory
-    raises GridSizeError.  The free-space photon energy is left to the
-    callers that use it (photon_freespace_erg).
+    raises GridSizeError, whose __cause__ is the MemoryError where the
+    arrays failed to allocate, and None where numpy cannot size them.  The
+    free-space photon energy is left to the callers that use it
+    (photon_freespace_erg).
     """
     import numpy as np
     if n_samples > sys.maxsize // 16:  # numpy cannot size it and raises a bare ValueError
@@ -138,14 +141,12 @@ def sample_dispersion_cgs(e_at: float, g: float, k_perp: float, n_samples: int =
         e1, e2 = branch_energies(e_at, e_ph, g)
         # 4 g^2 overflows once g passes ~7e153 erg and leaves NaN fractions; the
         # check below reports that with g named, in place of numpy's warnings.
-        # Far out of the window s + delta cancels to 0 in the branch np.where
-        # discards, so that division is silenced too.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             mu2, nu2 = hopfield_fractions(e_at - e_ph, g)
         # vectorized sanity on the bosonic-weight normalization, NaN-aware
         norm_err = np.max(np.abs(mu2 + nu2 - 1.0))
-    except MemoryError:
-        raise GridSizeError(n_samples) from None
+    except MemoryError as exc:
+        raise GridSizeError(n_samples) from exc
     if not norm_err <= 1e-12:
         detail = "not finite" if np.isnan(norm_err) else f"off by {norm_err:.3e}"
         raise ValueError(

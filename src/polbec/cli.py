@@ -39,11 +39,11 @@ that is not a column, or a cell of a one-row table) stays a scalar and is
 printed once, into the template, and a float column that is the same list
 as an earlier one (the sweep column and the swept key's, which config_cgs
 shares) is formatted once for both.  A JSON curve (dispersion, hopfield)
-prints its rows straight from the float columns, each number formatted once
-in json's spelling of the 12-digit value, so it reads as the CSV cell does,
-and leaves only its header to json.  Every other JSON output is one object
-with a key per value, each float written by json in full (its repr, so
-"lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
+has its rows laid out by polbec.curves from the float columns, each number
+in json's spelling of the 12-digit value, so it reads as the CSV cell does;
+render_json (json.dumps, indent=2) writes the rest.  Every other JSON
+output is one object with a key per value, each float written in full (its
+repr, so "lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
 0.000183687170505): the one-row thresholds and masses tables, which carry
 the metadata, and check-coupling and trap, which carry none.
 
@@ -59,7 +59,8 @@ and window checks, the well, the metadata, every sweep value) before emit
 opens the --out file, so an error writes no byte and leaves no file; a
 sweep whose values or tables do not fit in memory (or whose --steps count
 passes sys.maxsize // 8, which no list can hold) ends in one line that
-names --steps.  emit writes the head (metadata and header lines), then the
+names --steps; only a curve grid that fails before any table is held names
+--samples.  emit writes the head (metadata and header lines), then the
 rows as blocks of ASCII bytes: to the file in binary mode, or decoded to
 stdout for --out -.  A CSV curve's blocks stream from the numtext kernel (a
 curve sweep joins each column over its values once, in polbec.curves), so
@@ -198,23 +199,9 @@ def render_csv(meta: list[str], header: list[str]) -> str:
 
 
 def render_json(payload: dict) -> str:
-    """The payload as json.dumps(payload, indent=2) writes it, plus a newline.
-
-    A "rows" entry (a curve's) holds the table's float columns; it is
-    written as the rows of the printed numbers, as json writes a list of
-    lists of floats with indent=2 (curves.json_rows).  json itself would
-    write them through its pure-Python encoder, which it uses to indent.
-    """
+    """The payload as json.dumps(payload, indent=2) writes it, plus a newline."""
     import json
-    columns = payload.get("rows")
-    text = json.dumps(payload if columns is None else {**payload, "rows": []}, indent=2)
-    if columns and columns[0]:
-        from .curves import json_rows
-        text = text.replace(
-            '\n  "rows": []',
-            '\n  "rows": [\n    [\n      ' + json_rows(columns) + '\n    ]\n  ]', 1
-        )
-    return text + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def emit(text: str, out: str, blocks=()) -> None:
@@ -251,6 +238,7 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     e0 = c.require("E0")
     g = c.require("g")
     mode_index = c.require("mode_index")
+    _require_mode_index(mode_index)
     if "Delta" in c.values:
         delta = c.values["Delta"]
         k_perp = resonant_coupling_cgs(e0, g, delta)
@@ -261,7 +249,6 @@ def _coupling_cgs(c: RunConfig) -> tuple[float, float, float, float]:
     d_beam = c.get("d_beam")
     if d_beam is not None:
         check_cavity(length, mode_index, d_beam)
-    _require_mode_index(mode_index)  # the Delta path without d_beam checks it nowhere else
     return g, k_perp, delta, length
 
 
@@ -366,7 +353,12 @@ def _sweep_table(cfg: RunConfig, spec: SweepSpec, args):
     tables = []
     for value in values:
         c.values[key], = config_cgs(spec, [value])
-        _, header, table = build(c, target, args)
+        try:
+            _, header, table = build(c, target, args)
+        except ValueError as exc:  # a curve's grid that failed to allocate
+            if tables and isinstance(exc.__cause__, MemoryError):
+                raise exc.__cause__  # past the tables held: the sweep's memory
+            raise
         tables.append(table)
     if target in CURVES:  # each column joined once, in polbec.curves
         from .curves import sweep_blocks

@@ -1,13 +1,13 @@
 """The curve commands: dispersion and hopfield tables, the well lines and
-the rows of a JSON curve.
+the JSON text of a curve.
 
 polbec.cli imports this module when dispersion, hopfield or a sweep of one
-of them runs, and for the rows of a JSON curve; no other command compiles
-it.  A curve is sampled by the branch cores (polbec.branches, which import
-numpy) and printed as CSV by the numtext kernel, each imported when it is
-first used.  cli's helpers are looked up on the module when they are
-called, as cli.emit, so that a wrapper installed on cli (bench/tracing.py
-installs them) sees the curve commands' calls too.
+of them runs; no other command compiles it.  A curve is sampled by the
+branch cores (polbec.branches, which import numpy) and printed as CSV by
+the numtext kernel, each imported when it is first used, or as JSON, its
+rows laid out here.  cli's helpers are looked up on the module when they
+are called, as cli.emit, so that a wrapper installed on cli
+(bench/tracing.py installs them) sees the curve commands' calls too.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import starmap
 from . import cli
 from .core import EV_ERG, effective_masses_cgs, transverse_energy_erg
 
-__all__ = ["cmd_curve", "curve_table", "json_rows", "sweep_blocks"]
+__all__ = ["cmd_curve", "curve_json", "curve_table", "json_rows", "sweep_blocks"]
 
 DISPERSION_HEADER = [
     "k_par_over_k_perp", "E1_eV", "E2_eV", "mu_sq", "nu_sq",
@@ -39,19 +39,30 @@ def json_rows(columns: list) -> str:
     float.  format(x, ".12") gives NUMBER's 12 digits in float.__repr__'s
     spelling except for a printed exponent of 11 to 15 (repr writes those
     digits in full) and for subnormals (repr is shorter); a block with an
-    "e+1" or "e-3" in it is written again from the CSV lines, each number
-    read back and spelled by float.__repr__.
+    "e+1" or "e-3" in it is written again, each cell as
+    float.__repr__(float(cli.NUMBER % x)).
     """
     row = JSON_CELL_SEP.join(["{:.12}"] * len(columns)).format
     rows = JSON_ROW_SEP.join(starmap(row, zip(*columns)))
     if "e+1" in rows or "e-3" in rows:
         rows = JSON_ROW_SEP.join(
-            JSON_CELL_SEP.join(map(float.__repr__, map(float, line.split(","))))
-            for line in cli.csv_lines(columns)
+            JSON_CELL_SEP.join([float.__repr__(float(cli.NUMBER % x)) for x in cells])
+            for cells in zip(*columns)
         )
     if "n" in rows:  # no finite number has an 'n'
         rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
     return rows
+
+
+def curve_json(meta: list[str], header: list[str], columns: list) -> str:
+    """The JSON text of a curve: cli.render_json of its metadata, header and
+    rows, the rows spliced in from json_rows (json would write them through
+    its pure-Python encoder, which it uses to indent)."""
+    text = cli.render_json({"metadata": meta, "columns": header, "rows": []})
+    if columns and columns[0]:
+        rows = json_rows(columns)
+        text = text.replace('\n  "rows": []', f'\n  "rows": [\n    [\n      {rows}\n    ]\n  ]', 1)
+    return text
 
 
 def curve_table(c, command: str, args):
@@ -63,8 +74,8 @@ def curve_table(c, command: str, args):
     try:
         k, e1, e2, mu2, nu2, e_ph = sample_dispersion_cgs(
             e_at, g, k_perp, args.samples, args.kmax)
-    except GridSizeError:
-        raise GridSizeError(args.samples, "--samples") from None
+    except GridSizeError as exc:
+        raise GridSizeError(args.samples, "--samples") from exc.__cause__
     meta = [f"Delta_eV = {cli.fmt(delta / EV_ERG)}", f"g_eV = {cli.fmt(g / EV_ERG)}"]
     if command == "hopfield":
         mismatch = e_at - e_ph
@@ -118,8 +129,7 @@ def cmd_curve(cfg, args) -> int:
         meta += well
     meta = cli._meta_head(cfg) + meta
     if args.format == "json":
-        rows = [col.tolist() for col in columns]
-        cli.emit(cli.render_json({"metadata": meta, "columns": header, "rows": rows}), args.out)
+        cli.emit(curve_json(meta, header, [col.tolist() for col in columns]), args.out)
     else:
         from .numtext import csv_blocks
         cli.emit(cli.render_csv(meta, header), args.out, csv_blocks(columns))

@@ -97,7 +97,7 @@ def cmd_trap(cfg, args) -> int:
     n_particles = cfg.get("N") if args.n_particles is None else args.n_particles
     if args.target_tc is None or n_particles is None:
         raise ConfigError("trap requires --target-tc and --n-particles (or the key 'N')")
-    if args.target_tc <= 0 or n_particles <= 0:
+    if not (args.target_tc > 0 and n_particles > 0):  # and True for NaN
         raise ConfigError("--target-tc and --n-particles (or the key 'N') must be positive")
     m_eff = cli._effective_mass(cfg)
     key = "E_char" if "E_char" in cfg.values else "E0"

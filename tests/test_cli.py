@@ -16,9 +16,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import polbec
 from polbec import cli
-from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main, render_json
+from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main
 from polbec.config import ConfigError, RunConfig, SweepSpec, sweep_values
 from polbec.core import EV_ERG
+from polbec.curves import curve_json
 from test_golden_bytes import CASES, CONFIGS
 
 BASE_CFG = """\
@@ -321,11 +322,16 @@ class TestTrap:
         assert payload["omega_at_s1"] == pytest.approx(1e5)
         assert payload["n0"] == 1.5
 
-    def test_nonpositive_target_rejected(self, tmp_path):
-        code, _ = run(tmp_path, BASE_CFG, ["trap", "--target-tc", "-1", "--n-particles", "1e6"])
-        assert code == 1
-        code, _ = run(tmp_path, BASE_CFG, ["trap", "--target-tc", "300", "--n-particles", "0"])
-        assert code == 1
+    def test_nonpositive_target_rejected(self, tmp_path, capsys):
+        # NaN is no positive value: it fails as -1 does, naming the options
+        for target_tc, n_particles in [("-1", "1e6"), ("300", "0"), ("nan", "1e6"),
+                                       ("300", "nan")]:
+            code, data = run(tmp_path, BASE_CFG,
+                             ["trap", "--target-tc", target_tc, "--n-particles", n_particles])
+            assert (code, data) == (1, b"")
+            assert capsys.readouterr().err == (
+                "polbec: config error: --target-tc and --n-particles (or the key 'N') "
+                "must be positive\n")
 
     def test_n_particles_wins_over_the_key(self, tmp_path):
         _, flag = run(tmp_path, BASE_CFG + "N = 1e6\n",
@@ -338,6 +344,7 @@ class TestTrap:
         (BASE_CFG + "N = 0\n", []),
         (BASE_CFG + "N = -1e6\n", []),
         (BASE_CFG + "N = 1e6\n", ["--n-particles", "0"]),
+        (BASE_CFG + "N = 1e6\n", ["--n-particles", "nan"]),
     ])
     def test_missing_or_non_positive_count_names_flag_and_key(
             self, tmp_path, capsys, config_text, argv):
@@ -739,8 +746,10 @@ class TestSweepSize:
         assert capsys.readouterr().err == (
             f"polbec: error: --steps {2**62}: the sweep does not fit in memory\n")
 
-    def test_a_sweep_that_fills_memory_ends_in_one_line(self, tmp_path):
-        # run only under an address-space limit, in a child process
+    @staticmethod
+    def run_under_memory_limit(tmp_path, argv):
+        """(result, out path) of polbec run in a child process under a
+        512 MiB address-space limit."""
         resource = pytest.importorskip("resource")
         limit = 512 * 2**20
 
@@ -751,11 +760,24 @@ class TestSweepSize:
         cfg.write_text(BASE_CFG)
         env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
         result = subprocess.run(
-            [sys.executable, "-m", "polbec", *self.ARGV, "--steps", str(10**9),
-             "--config", str(cfg), "--out", str(out)],
+            [sys.executable, "-m", "polbec", *argv, "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=300)
+        return result, out
+
+    def test_a_sweep_that_fills_memory_ends_in_one_line(self, tmp_path):
+        result, out = self.run_under_memory_limit(tmp_path, [*self.ARGV, "--steps", str(10**9)])
         assert (result.returncode, result.stdout, result.stderr) == (
             1, "", "polbec: error: --steps 1000000000: the sweep does not fit in memory\n")
+        assert not out.exists()
+
+    def test_a_curve_sweep_past_its_held_tables_names_the_steps(self, tmp_path):
+        # one 1000-sample grid fits; it is the tables held for the join that
+        # fill memory, so the grid that then fails to allocate names --steps
+        argv = ["sweep", "--param", "T", "--from", "1", "--to", "2", "--steps", str(10**6),
+                "--samples", "1000", "--command", "dispersion"]
+        result, out = self.run_under_memory_limit(tmp_path, argv)
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "polbec: error: --steps 1000000: the sweep does not fit in memory\n")
         assert not out.exists()
 
 
@@ -1252,8 +1274,7 @@ def test_render_json_matches_json_dumps(table, metadata, columns):
         "rows": [[float(v) for v in line.split(",")] for line in lines],
     }
     expected = json.dumps(reference, indent=2) + "\n"
-    payload = {"metadata": metadata, "columns": columns, "rows": table_columns}
-    assert render_json(payload) == expected
+    assert curve_json(metadata, columns, table_columns) == expected
 
 
 CELL_FLOATS = st.one_of(
@@ -1314,10 +1335,9 @@ def test_csv_lines_matches_per_cell_formatting(columns):
 
 
 class TestFormatOnce:
-    """A JSON curve prints its rows from the columns; only the fallback for
-    numbers whose json spelling is not the 12-digit one goes through
-    csv_lines.  A CSV curve, a curve sweep's included, makes one pass of the
-    numtext kernel."""
+    """No JSON curve goes through csv_lines, not even the fallback for numbers
+    whose json spelling is not the 12-digit one.  A CSV curve, a curve
+    sweep's included, makes one pass of the numtext kernel."""
 
     @pytest.mark.parametrize(
         "argv, calls, kernel_calls",
@@ -1325,7 +1345,7 @@ class TestFormatOnce:
             (["dispersion", "--format", "json"], 0, 0),
             (["hopfield", "--format", "json"], 0, 0),
             # prints 263000000002 and 1.052e+12
-            (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 1, 0),
+            (["dispersion", "--format", "json", "--kmax", "1e6", "--samples", "3"], 0, 0),
             (["dispersion"], 0, 1),
             (["sweep", "--param", "Delta", "--from", "-0.001", "--to", "0.001", "--steps", "3",
               "--command", "dispersion"], 0, 1),

@@ -177,6 +177,34 @@ class TestOracle:
         assert a.nu_sq == pytest.approx(b.mu_sq, rel=1e-12, abs=1e-15)
 
 
+# delta/g of either sign up to 1e12 in magnitude, the zeros included, and g
+# in erg from 1e-150 to 1, so 4 g^2 and the fractions' products stay normal
+DELTA_OVER_G = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e12, 1e12),
+    st.builds(lambda u, sign: sign * math.exp(u),
+              st.floats(math.log(1e-12), math.log(1e12)), st.sampled_from([1.0, -1.0])),
+)
+G_ERG = st.floats(math.log(1e-150), 0.0).map(math.exp)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(ratio=DELTA_OVER_G, g=G_ERG)
+@example(ratio=-1e12, g=1e-150)
+@example(ratio=1e12, g=1.0)
+@example(ratio=-0.0, g=1e-150)
+def test_hopfield_fractions_match_mpmath_at_extreme_ratios(ratio, g):
+    # TestDiagonalize and TestOracle draw g in [1e-3, 0.3] eV alone, |delta| <= 2.5 eV
+    delta = ratio * g
+    mu2, nu2 = hopfield_fractions(delta, g)
+    with mp.workdps(40):
+        d = mp.mpf(delta)
+        s = mp.sqrt(d * d + 4 * mp.mpf(g) ** 2)
+        exact = ((s - d) / (2 * s), (s + d) / (2 * s))
+    for value, reference in zip((mu2, nu2), exact):
+        assert abs(float(value) - reference) <= 1e-12 * reference
+
+
 class TestSampleDispersion:
     def test_resonant_gap_at_origin(self):
         cp = resonant_coupling(qty(2.104, "eV"), qty(1.0, "meV"))

@@ -287,7 +287,7 @@ ERRORS = {
         "polbec: config error: sweep over 'mode_index' produced non-integer 1.5\n"),
     "masses-mode_index-through-0": (
         "plain", "sweep --param mode_index --from 1 --to -1 --steps 3 --command masses",
-        'polbec: error: length must be strictly positive, got 0.0\n'),
+        'polbec: error: mode_index must be an integer >= 1, got 0\n'),
     "masses-n2-through-0": (
         "plain", "sweep --param n2 --from=-1e7 --to 1e7 --steps 3 --command masses",
         'polbec: error: n_s and mass must be positive\n'),
