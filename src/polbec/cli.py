@@ -2,8 +2,9 @@
 a constant, so that python -OO, which strips docstrings, prints it too.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
-and the unit table) and polbec.config, and from the standard library
-argparse, math, os, re, sys, warnings and functools.  It holds the thresholds
+and the unit table) and polbec.config, and from the standard library math,
+os, re, sys, warnings, functools and types; argparse is imported only when a
+parser is built.  It holds the thresholds
 table, the sweep and what they share with the other commands; the code
 of each other command lives in a module that main imports only when that
 command runs: polbec.masses (masses and its sweep), polbec.regime
@@ -47,7 +48,10 @@ repr, so "lambda_T_cm": 0.00018368717050473867 where the CSV cell reads
 0.000183687170505): the one-row thresholds and masses tables, which carry
 the metadata, and check-coupling and trap, which carry none.
 
-A command line that names a subcommand is parsed by that subcommand's
+A plain command line (a subcommand, then only its own options as exact
+'--option value' pairs) is parsed without argparse, by _plain_args, so it
+loads neither argparse nor the gettext and locale modules argparse imports.
+Any other line that names a subcommand is parsed by that subcommand's
 parser alone, which holds the options the whole parser gives it.  --help,
 --version, a command line with no known command and one with an argument
 left over go to the whole parser, which prints the help, the version or
@@ -73,13 +77,13 @@ format gives it.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
 import sys
 import warnings
 from functools import cache
+from types import SimpleNamespace
 
 from . import __version__
 from .config import (
@@ -396,22 +400,9 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this toolkit reserves 2 for
-    physics warnings, so remap usage errors to exit code 1.
-
-    argparse takes '-1e-3' for an option because its negative-number pattern
-    has no exponent; the wider pattern lets '--to -1e-3' parse as a number.
-    Every parser, and every subparser, is built from this class.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+# argparse's negative-number pattern has no exponent, so it takes '-1e-3'
+# for an option; with this one, '--to -1e-3' parses as a number
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 # each subcommand and its help line, in the order --help lists them
@@ -426,9 +417,10 @@ COMMANDS = {
 }
 
 
-def _add_options(p: argparse.ArgumentParser, command: str) -> None:
-    """The options of a subcommand: those every command takes, a curve's
-    (and a sweep's) grid options, then the command's own."""
+def _add_options(p, command: str) -> None:
+    """The options of a subcommand, declared to an argparse parser or to
+    _Options: those every command takes, a curve's (and a sweep's) grid
+    options, then the command's own."""
     p.add_argument("--config", required=True, help="path to key = value config file")
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default=None)
@@ -454,15 +446,72 @@ def _add_options(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--command", dest="target", choices=TABLES, required=True)
 
 
+class _Options(dict):
+    """What _add_options declares, by flag: (dest, type, default, choices,
+    required) of each option, as argparse reads its add_argument call."""
+
+    def add_argument(self, flag, *, dest=None, type=str, default=None, choices=None,
+                     required=False, help=None):
+        self[flag] = (dest or flag[2:].replace("-", "_"), type, default, choices, required)
+
+
+def _plain_args(command: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain command line of command, built
+    without argparse; None for any other line.
+
+    A plain line is '--option value' pairs alone: each flag one of the
+    command's own option strings as _add_options declares it (so no
+    abbreviation, '=' form, -h or --), each value a token argparse reads as
+    one ('-' alone, a NEGATIVE_NUMBER or no leading '-') that converts by its
+    option's type and lies in its choices, and every required option given.
+    A repeated option keeps its last value, as argparse's does.
+    """
+    options = _Options()
+    _add_options(options, command)
+    args = {dest: default for dest, _, default, _, _ in options.values()}
+    flags = argv[::2]
+    if len(argv) % 2 or any(required and flag not in flags
+                            for flag, (*_, required) in options.items()):
+        return None
+    for flag, text in zip(flags, argv[1::2]):
+        if flag not in options or (text.startswith("-") and text != "-"
+                                   and not NEGATIVE_NUMBER.match(text)):
+            return None
+        dest, convert, _, choices, _ = options[flag]
+        try:
+            args[dest] = convert(text)
+        except ValueError:
+            return None
+        if choices is not None and args[dest] not in choices:
+            return None
+    return SimpleNamespace(command=command, **args)
+
+
 @cache
-def build_parser(command: str | None = None) -> _Parser:
+def build_parser(command: str | None = None):
     """The CLI's whole parser, or for a command of COMMANDS that subcommand's
     parser alone, as the whole parser gives it; each built on its first call
-    and shared by every later one.
+    and shared by every later one.  argparse is imported here, so a plain
+    command line, which main parses without a parser, never loads it.
 
     parse_args gives each call a fresh Namespace and main changes only that,
     never a parser, so one parser serves every call in a process.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse exits with 2 on usage errors; this toolkit reserves 2 for
+        physics warnings, so remap usage errors to exit code 1.  Every
+        subparser is built from the class of its parser."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = NEGATIVE_NUMBER
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     if command is not None:
         parser = _Parser(prog=f"polbec {command}")
         _add_options(parser, command)
@@ -500,10 +549,13 @@ def _format_warning(message, category, filename, lineno, line=None) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    if command:  # its own parser; a leftover argument goes to the whole one
+    args = _plain_args(command, argv[1:]) if command else None
+    if command and args is None:  # its own parser; a leftover argument goes to the whole one
         args, rest = build_parser(command).parse_known_args(argv[1:])
         args.command = command
-    if not command or rest:  # which prints help, the version or a usage error
+        if rest:
+            args = None
+    if args is None:  # which prints help, the version or a usage error
         args = build_parser().parse_args(argv)
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:

@@ -129,7 +129,12 @@ def cmd_curve(cfg, args) -> int:
         meta += well
     meta = cli._meta_head(cfg) + meta
     if args.format == "json":
-        cli.emit(curve_json(meta, header, [col.tolist() for col in columns]), args.out)
+        from .branches import GridSizeError
+        try:  # the rows are held whole before --out is opened
+            text = curve_json(meta, header, [col.tolist() for col in columns])
+        except MemoryError as exc:
+            raise GridSizeError(args.samples, "--samples") from exc
+        cli.emit(text, args.out)
     else:
         from .numtext import csv_blocks
         cli.emit(cli.render_csv(meta, header), args.out, csv_blocks(columns))

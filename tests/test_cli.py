@@ -22,6 +22,8 @@ from polbec.core import EV_ERG
 from polbec.curves import curve_json
 from test_golden_bytes import CASES, CONFIGS
 
+import parser_parity
+
 BASE_CFG = """\
 E0 = 2.104 eV
 d = 1 D
@@ -129,6 +131,20 @@ class TestDispersion:
         payload = json.loads(data)
         assert payload["columns"][0] == "k_par_over_k_perp"
         assert len(payload["rows"]) == 5
+
+    @pytest.mark.parametrize("command", cli.CURVES)
+    def test_json_rows_that_do_not_fit_name_the_samples(self, monkeypatch, tmp_path, capsys,
+                                                         command):
+        # the grid fits, its rows do not: one line, as for a grid too large
+        def fill_memory(columns):
+            raise MemoryError
+
+        monkeypatch.setattr(polbec.curves, "json_rows", fill_memory)
+        code, data = run(tmp_path, BASE_CFG, [command, "--samples", "5", "--format", "json"])
+        assert (code, data) == (1, b"")
+        assert not (tmp_path / "out.txt").exists()
+        assert capsys.readouterr().err == (
+            "polbec: error: --samples 5: the k_par grid does not fit in memory\n")
 
 
 class TestHopfield:
@@ -1164,9 +1180,15 @@ def test_subcommand_parser_is_the_whole_parsers(monkeypatch, command):
     assert (own.prog, own.format_help()) == (whole.prog, whole.format_help())
 
 
-# command lines main parses with a subcommand's own parser, or hands to the
-# whole parser: help, the version, usage errors, a leftover argument, an
-# abbreviation, '=' values and negative numbers in exponent form
+# a path no file can be made at, on any POSIX system
+UNWRITABLE = os.path.join(os.devnull, "out")
+
+SWEEP_LINE = ["sweep", "--config", EXAMPLE_CFG, "--param", "T", "--from", "2", "--to", "2000",
+              "--steps", "5", "--command", "thresholds"]
+
+# command lines main parses plainly, with a subcommand's own parser, or hands
+# to the whole parser: help, the version, usage errors, a leftover argument,
+# an abbreviation, '=' values and negative numbers in exponent form
 PARSER_PARITY_LINES = [
     [],
     ["bogus"],
@@ -1191,8 +1213,23 @@ PARSER_PARITY_LINES = [
     ["sweep", "--config", EXAMPLE_CFG, "--param", "T", "--from", "2", "--to", "2000",
      "--steps", "5", "--scale", "log", "--command", "thresholds"],
     ["check-coupling", "--config", EXAMPLE_CFG, "--threshold", "-1e-3"],
+    ["check-coupling", "--config", EXAMPLE_CFG, "--threshold=-1e-3"],
     ["trap", "--config", EXAMPLE_CFG, "--target-tc", "300", "--n-particles", "1e6"],
     ["--", "thresholds", "--config", EXAMPLE_CFG],
+    # the boundaries of the plain parse: the last of a repeated option holds
+    # (the first names a file that cannot be made), a lone '-' and an empty
+    # value, another command's option, an integer in float spelling, a
+    # choice in the wrong case, an option where a value belongs, and -h
+    # after a valid line
+    ["thresholds", "--config", EXAMPLE_CFG, "--out", UNWRITABLE, "--out", "-"],
+    ["thresholds", "--config", EXAMPLE_CFG, "--out", "-"],
+    ["thresholds", "--config", EXAMPLE_CFG, "--out", ""],
+    ["thresholds", "--config", EXAMPLE_CFG, "--samples", "3"],
+    [*SWEEP_LINE, "--steps", "1e3"],
+    [*SWEEP_LINE, "--scale", "LOG"],
+    [*SWEEP_LINE, "--param", "--from"],
+    ["thresholds", "--config", UNWRITABLE, "--config", EXAMPLE_CFG],
+    ["thresholds", "--config", EXAMPLE_CFG, "-h"],
 ]
 
 
@@ -1210,7 +1247,7 @@ def test_main_parses_as_the_whole_parser(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv, parsers", [
     (["sweep", "--config", EXAMPLE_CFG, "--out", os.devnull, "--param", "T", "--from", "2",
-      "--to", "2000", "--steps", "50", "--scale", "log", "--command", "thresholds"], 1),
+      "--to", "2000", "--steps", "50", "--scale", "log", "--command", "thresholds"], 0),
     (["--help"], 8),  # the whole parser and its seven subparsers
 ], ids=["sweep", "help"])
 def test_a_command_line_builds_only_its_parser(argv, parsers):
@@ -1230,6 +1267,57 @@ def test_a_command_line_builds_only_its_parser(argv, parsers):
     result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.split() == [str(parsers)]
+
+
+def test_a_plain_command_line_loads_no_argparse(monkeypatch):
+    # main parses a plain line alone; argparse, with the gettext and locale
+    # modules it loads, comes in only for help, the version and usage errors,
+    # whose bytes are argparse's
+    monkeypatch.setenv("COLUMNS", "80")
+    root = Path(polbec.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    probe = (
+        "import contextlib, sys\n"
+        "import polbec.cli\n"
+        "with contextlib.suppress(SystemExit):\n"
+        "    polbec.cli.main(sys.argv[1:])\n"
+        "print([name for name in ('argparse', 'gettext', 'locale') if name in sys.modules])\n"
+    )
+    plain = ["--config", str(root / "example.cfg"), "--out", os.devnull]
+    cases = [
+        (["thresholds", *plain], ""),
+        ([*SWEEP_LINE, *plain[2:], "--scale", "log"], ""),
+        (["dispersion", *plain, "--format", "json"], ""),
+        (["--help"], TOP_HELP),
+        (["sweep", "--config", EXAMPLE_CFG, "--param", "T"], SWEEP_USAGE_ERROR),
+    ]
+    for argv, printed in cases:
+        result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                                text=True, env=env, check=True)
+        *text, loaded = result.stdout.splitlines()
+        assert (argv, "".join(f"{line}\n" for line in text) + result.stderr) == (argv, printed)
+        loaded = ast.literal_eval(loaded)
+        if printed:
+            assert (argv, "argparse" in loaded) == (argv, True)
+        else:
+            assert (argv, loaded) == (argv, [])
+
+
+@pytest.mark.parametrize("argv", parser_parity.CORPUS, ids=" ".join)
+def test_plain_parse_agrees_with_argparse_on_the_corpus(argv):
+    assert parser_parity.disagreement(argv) is None
+
+
+def test_plain_parse_takes_exactly_the_plain_lines():
+    assert [argv for argv in parser_parity.PLAIN if not parser_parity.plain_parse(argv)] == []
+    assert [argv for argv in parser_parity.DECLINED if parser_parity.plain_parse(argv)] == []
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_plain_parse_agrees_with_argparse(data):
+    line = parser_parity.drawn_line(lambda items: data.draw(st.sampled_from(items)))
+    assert parser_parity.disagreement(line) is None
 
 
 # values whose JSON spelling is easy to get wrong: signed zeros, integers that
