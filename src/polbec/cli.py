@@ -35,11 +35,12 @@ holds if it holds for any value) are built and dropped: only a one-shot run
 prints them.  Every number of a CSV or text output, and of the metadata, is
 printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and is
 printed by the numtext kernel; every other table is printed column-wise
-through one '%'-template.  A value that holds for every row (a ladder field
-that is not a column, or a cell of a one-row table) stays a scalar and is
-printed once, into the template, and a float column that is the same list
-as an earlier one (the sweep column and the swept key's, which config_cgs
-shares) is formatted once for both.  A JSON curve (dispersion, hopfield)
+through one '%'-template, TABLE_BLOCK_ROWS rows at a time, by table_rows.
+A value that holds for every row (a ladder field that is not a column, or a
+cell of a one-row table) stays a scalar and is printed once, into the
+template, and a float column that is the same list as an earlier one (the
+sweep column and the swept key's, which config_cgs shares) is formatted
+once for both.  A JSON curve (dispersion, hopfield)
 has its rows laid out by polbec.curves from the float columns, each number
 in json's spelling of the 12-digit value, so it reads as the CSV cell does;
 render_json (json.dumps, indent=2) writes the rest.  Every other JSON
@@ -58,21 +59,24 @@ left over go to the whole parser, which prints the help, the version or
 the usage error.  Each parser is built once per process, on first use,
 and shared by every later call of main.
 
-A command computes all that can fail (a curve's sampling with its grid-size
-and window checks, the well, the metadata, every sweep value) before emit
-opens the --out file, so an error writes no byte and leaves no file; a
-sweep whose values or tables do not fit in memory (or whose --steps count
-passes sys.maxsize // 8, which no list can hold) ends in one line that
-names --steps; only a curve grid that fails before any table is held names
---samples.  emit writes the head (metadata and header lines), then the
-rows as blocks of ASCII bytes: to the file in binary mode, or decoded to
-stdout for --out -.  A CSV curve's blocks stream from the numtext kernel (a
-curve sweep joins each column over its values once, in polbec.curves), so
-its text is never held whole; a list table's rows are one block.  Should
-the reader of stdout close it early (as head does), the run ends with exit
-1 and no message.  A warning raised while a command runs prints as one
-line, "polbec: warning: <message>", without the source location Python's
-format gives it.
+A command computes all that can fail on its values (a curve's sampling
+with its grid-size and window checks, the well, the metadata, every sweep
+value) before emit opens the --out file, so such an error writes no byte
+and leaves no file.  emit writes the head (metadata and header lines), then
+the rows as blocks of ASCII bytes, each made only when emit asks for it: to
+the file in binary mode, or decoded to stdout for --out -.  A CSV curve's
+blocks stream from the numtext kernel (a curve sweep joins each column over
+its values once, in polbec.curves) and a list table's from table_rows, so
+no table's text is held whole, and a sweep's memory is its columns.  A
+block that fails makes emit remove the file it began (stdout keeps what it
+got).  A sweep whose values, tables or blocks do not fit in memory (or
+whose --steps count passes sys.maxsize // 8, which no list can hold) ends
+in one line that names --steps; a curve whose grid, JSON rows or blocks do
+not, and a curve sweep's grid that fails before any table is held, name
+--samples.  Should the reader of stdout close it early (as head does), the
+run ends with exit 1 and no message.  A warning raised while a command runs
+prints as one line, "polbec: warning: <message>", without the source
+location Python's format gives it.
 """
 
 from __future__ import annotations
@@ -134,6 +138,11 @@ THRESHOLDS_HEADER = [
 NUMBER = "%.12g"
 
 
+# rows per table_rows block, small enough to reuse heap memory: on a 5000-row
+# thresholds sweep (x86-64, Python 3.11) 512-row blocks took about 1 minor
+# page fault per run, 1024-row ones 366 and one whole-table block 494
+TABLE_BLOCK_ROWS = 512
+
 # what csv_lines prints for a bool cell, or for an empty (None) one
 BOOL_TEXT = {True: "true", False: "false", None: ""}
 
@@ -191,10 +200,17 @@ def csv_lines(columns: list) -> list[str]:
     return [template % row for row in zip(*cells)]
 
 
-def table_rows(columns: list) -> list[bytes]:
+def table_rows(columns: list):
     """The CSV rows of a table given as columns, through csv_lines, each
-    ended by a newline, as one block of ASCII bytes."""
-    return ["\n".join([*csv_lines(columns), ""]).encode("ascii")]
+    ended by a newline: the ASCII bytes of each block of TABLE_BLOCK_ROWS
+    rows, formatted when it is asked for.  A column that comes twice is
+    sliced once per block, so csv_lines still formats it once."""
+    lists = {id(col): col for col in columns if type(col) in (list, tuple)}
+    rows = len(next(iter(lists.values()))) if lists else 1
+    for i in range(0, rows, TABLE_BLOCK_ROWS):
+        block = {key: col[i:i + TABLE_BLOCK_ROWS] for key, col in lists.items()}
+        yield "\n".join([*csv_lines([block.get(id(col), col) for col in columns]),
+                         ""]).encode("ascii")
 
 
 def render_csv(meta: list[str], header: list[str]) -> str:
@@ -211,17 +227,23 @@ def render_json(payload: dict) -> str:
 def emit(text: str, out: str, blocks=()) -> None:
     """Write text, then each block of ASCII bytes as it comes: to stdout for
     out '-', flushed before it returns, else to the file out, opened only
-    now, in binary mode."""
+    now, in binary mode, and removed again (a regular file) if a block or a
+    write fails."""
     if out == "-":
         sys.stdout.write(text)
         for block in blocks:
             sys.stdout.write(block.decode("ascii"))
         sys.stdout.flush()
-    else:
-        with open(out, "wb") as fh:
+        return
+    with open(out, "wb") as fh:
+        try:
             fh.write(text.encode("utf-8"))
-            for block in blocks:
-                fh.write(block)
+            fh.writelines(blocks)
+        except BaseException:
+            fh.close()
+            if os.path.isfile(out):  # not a device, such as /dev/null
+                os.remove(out)
+            raise
 
 
 def _meta_head(cfg: RunConfig) -> list[str]:
@@ -378,11 +400,6 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     too_large = f"--steps {spec.steps}: the sweep does not fit in memory"
     if spec.steps > sys.maxsize // 8:  # more values than a list can hold
         raise ValueError(too_large)
-    try:  # the values and every table are built before --out is opened
-        header, blocks = _sweep_table(cfg, spec, args)
-    except MemoryError:
-        raise ValueError(too_large) from None
-
     key, target = spec.param, args.target
     unit = spec.unit
     sweep_col = f"sweep_{key}_{unit}" if unit else f"sweep_{key}"
@@ -392,7 +409,12 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         + (f", values in {unit}" if unit else ""),
         f"target: {target}",
     ]
-    emit(render_csv(meta, [sweep_col, *header]), args.out, blocks)
+    try:  # the values and every table are built before --out is opened; the
+        # rows are formatted block by block as emit writes them
+        header, blocks = _sweep_table(cfg, spec, args)
+        emit(render_csv(meta, [sweep_col, *header]), args.out, blocks)
+    except MemoryError:
+        raise ValueError(too_large) from None
     return EXIT_OK
 
 

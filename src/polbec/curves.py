@@ -128,16 +128,15 @@ def cmd_curve(cfg, args) -> int:
         well, exit_code = _well_meta(cfg, args.kmax)
         meta += well
     meta = cli._meta_head(cfg) + meta
-    if args.format == "json":
-        from .branches import GridSizeError
-        try:  # the rows are held whole before --out is opened
-            text = curve_json(meta, header, [col.tolist() for col in columns])
-        except MemoryError as exc:
-            raise GridSizeError(args.samples, "--samples") from exc
-        cli.emit(text, args.out)
-    else:
-        from .numtext import csv_blocks
-        cli.emit(cli.render_csv(meta, header), args.out, csv_blocks(columns))
+    from .branches import GridSizeError
+    try:  # JSON rows held whole before --out is opened, or a CSV block as it is written
+        if args.format == "json":
+            cli.emit(curve_json(meta, header, [col.tolist() for col in columns]), args.out)
+        else:
+            from .numtext import csv_blocks
+            cli.emit(cli.render_csv(meta, header), args.out, csv_blocks(columns))
+    except MemoryError as exc:
+        raise GridSizeError(args.samples, "--samples") from exc
     return exit_code
 
 

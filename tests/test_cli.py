@@ -751,8 +751,16 @@ def test_sweep_stops_at_its_first_failing_value(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("polbec: error: mu: T_d/T underflows")
 
 
+# an address-space limit in MiB for a 200000-step thresholds sweep on
+# TRAP_CFG, with a margin on both sides: on x86-64 Linux, Python 3.10 to
+# 3.13, the streamed sweep needed 64 to 72 MiB, and with its text held whole
+# it needed 155 to 161 MiB
+SWEEP_MEMORY_MIB = 110
+
+
 class TestSweepSize:
-    """A --steps count that memory cannot hold ends in one line naming it."""
+    """A --steps count that memory cannot hold ends in one line naming it;
+    one whose columns fit streams its text."""
 
     ARGV = ["sweep", "--param", "T", "--from", "1", "--to", "2", "--command", "thresholds"]
 
@@ -763,17 +771,17 @@ class TestSweepSize:
             f"polbec: error: --steps {2**62}: the sweep does not fit in memory\n")
 
     @staticmethod
-    def run_under_memory_limit(tmp_path, argv):
-        """(result, out path) of polbec run in a child process under a
-        512 MiB address-space limit."""
+    def run_under_memory_limit(tmp_path, argv, mib=512, config_text=BASE_CFG):
+        """(result, out path) of polbec run on a config in a child process
+        under an address-space limit of mib MiB."""
         resource = pytest.importorskip("resource")
-        limit = 512 * 2**20
+        limit = mib * 2**20
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         cfg, out = tmp_path / "run.cfg", tmp_path / "out.csv"
-        cfg.write_text(BASE_CFG)
+        cfg.write_text(config_text)
         env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
         result = subprocess.run(
             [sys.executable, "-m", "polbec", *argv, "--config", str(cfg), "--out", str(out)],
@@ -795,6 +803,101 @@ class TestSweepSize:
         assert (result.returncode, result.stdout, result.stderr) == (
             1, "", "polbec: error: --steps 1000000: the sweep does not fit in memory\n")
         assert not out.exists()
+
+    def test_a_long_thresholds_sweep_holds_its_columns_not_its_text(self, tmp_path):
+        # the rows are formatted a block at a time as they are written, so a
+        # 200000-row sweep (41 MB of CSV) fits where its text held whole, as
+        # one str and then one bytes, did not
+        argv = ["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "200000",
+                "--scale", "log", "--command", "thresholds"]
+        result, out = self.run_under_memory_limit(tmp_path, argv, SWEEP_MEMORY_MIB, TRAP_CFG)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        code, data = run(tmp_path, TRAP_CFG, argv, "unlimited.csv")
+        assert code == 0 and out.read_bytes() == data
+
+
+def fail_after_one_block(blocks):
+    """blocks (a function that yields blocks), raising MemoryError in place of
+    its second block, as a block too large for memory would."""
+    def failing(*args):
+        yield next(iter(blocks(*args)))
+        raise MemoryError
+    return failing
+
+
+def fail_after_one_call(lines):
+    """lines (csv_lines), raising MemoryError from its second call on."""
+    calls = []
+
+    def failing(columns):
+        if calls:
+            raise MemoryError
+        calls.append(columns)
+        return lines(columns)
+    return failing
+
+
+class TestStreamFailure:
+    """A block that fails while emit streams the rows removes the --out file,
+    which holds the head and the blocks before it, and ends in one line that
+    names the count behind the table: --samples for a curve, --steps for a
+    sweep.  On stdout, what was written stays, and the line is the same."""
+
+    CASES = {
+        "dispersion": (["dispersion", "--samples", "5001"], "csv_blocks",
+                       "--samples 5001: the k_par grid does not fit in memory"),
+        "hopfield": (["hopfield", "--samples", "3001"], "csv_blocks",
+                     "--samples 3001: the k_par grid does not fit in memory"),
+        "sweep-dispersion": (["sweep", "--param", "T", "--from", "1", "--to", "2", "--steps", "3",
+                              "--samples", "2001", "--command", "dispersion"], "csv_blocks",
+                             "--steps 3: the sweep does not fit in memory"),
+        "sweep-thresholds": (["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps",
+                              "5000", "--scale", "log", "--command", "thresholds"], "csv_lines",
+                             "--steps 5000: the sweep does not fit in memory"),
+        "sweep-masses": (["sweep", "--param", "Delta", "--from", "-0.004", "--to", "0.004",
+                          "--steps", "2000", "--command", "masses"], "csv_lines",
+                         "--steps 2000: the sweep does not fit in memory"),
+    }
+
+    @staticmethod
+    def break_blocks(monkeypatch, where):
+        if where == "csv_blocks":
+            from polbec import numtext
+            monkeypatch.setattr(numtext, "csv_blocks", fail_after_one_block(numtext.csv_blocks))
+        else:
+            monkeypatch.setattr(cli, "csv_lines", fail_after_one_call(cli.csv_lines))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_failing_block_leaves_no_file(self, tmp_path, capsys, monkeypatch, name):
+        argv, where, message = self.CASES[name]
+        self.break_blocks(monkeypatch, where)
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an earlier run's output\n")
+        code, data = run(tmp_path, TRAP_CFG, argv, out.name)
+        assert (code, data) == (1, b"")
+        assert not out.exists()
+        assert capsys.readouterr().err == f"polbec: error: {message}\n"
+
+    def test_a_failing_block_leaves_a_device_in_place(self, tmp_path, capsys, monkeypatch):
+        # --out names a device (here through a link to it): it is no file
+        # the run began, so it stays
+        argv, where, message = self.CASES["sweep-thresholds"]
+        self.break_blocks(monkeypatch, where)
+        (tmp_path / "null").symlink_to(os.devnull)
+        assert run(tmp_path, TRAP_CFG, argv, "null")[0] == 1
+        assert (tmp_path / "null").is_symlink()
+        assert capsys.readouterr().err == f"polbec: error: {message}\n"
+
+    @pytest.mark.parametrize("name", ["dispersion", "sweep-thresholds"])
+    def test_a_failing_block_on_stdout_ends_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                        name):
+        argv, where, message = self.CASES[name]
+        (tmp_path / "run.cfg").write_text(TRAP_CFG)
+        self.break_blocks(monkeypatch, where)
+        code = main([argv[0], "--config", str(tmp_path / "run.cfg"), "--out", "-", *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, f"polbec: error: {message}\n")
+        assert out.startswith("# polbec ") and out.endswith("\n")
 
 
 # sweepable keys: the eight the ladder reads, one the derived mass reads
@@ -1370,9 +1473,12 @@ CELL_FLOATS = st.one_of(
 
 
 @st.composite
-def csv_tables(draw):
-    n = draw(st.integers(1, 6))
-    cells = lambda values: st.lists(values, min_size=n, max_size=n)
+def csv_tables(draw, rows=st.integers(1, 6)):
+    """Columns of a table of rows (drawn) rows; past 7 rows a column's cells
+    repeat its first 7, so a long table costs the draws of a short one."""
+    n = draw(rows)
+    cells = lambda values: st.lists(values, min_size=min(n, 7), max_size=min(n, 7)).map(
+        lambda cycle: (cycle * (n // len(cycle) + 1))[:n])
     column = st.one_of(
         cells(CELL_FLOATS),
         CELL_FLOATS.map(lambda v: [v] * n),  # one value throughout, as a column
@@ -1420,6 +1526,33 @@ def test_csv_lines_matches_per_cell_formatting(columns):
     rows = max((len(col) for col in columns if type(col) in (list, tuple)), default=1)
     full = [col if type(col) in (list, tuple) else [col] * rows for col in columns]
     assert lines == [",".join(map(cell, row)) for row in zip(*full)]
+
+
+BLOCK = cli.TABLE_BLOCK_ROWS
+# a shared column one row past a block
+LONG_SHARED_COLUMN = SHARED_COLUMN * (BLOCK // 3 + 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(columns=csv_tables(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])))
+@example(columns=[LONG_SHARED_COLUMN, LONG_SHARED_COLUMN])
+@example(columns=[[1.5] * (2 * BLOCK + 1), None, [True, False] * BLOCK + [True]])
+def test_table_rows_blocks_join_to_the_whole_table(columns):
+    # each block holds at most BLOCK rows, and a list that comes twice (or a
+    # copy of one) prints the same in both places across every block boundary
+    columns = [cli.text_column(col) for col in columns]
+    blocks = list(cli.table_rows(columns))
+    assert b"".join(blocks).decode() == "\n".join([*csv_lines(columns), ""])
+    assert all(0 < block.count(b"\n") <= BLOCK for block in blocks)
+
+
+def test_table_rows_slices_a_shared_column_once_per_block(monkeypatch):
+    # so csv_lines formats the slice once for both places; a constant stays one
+    seen = []
+    monkeypatch.setattr(cli, "csv_lines", lambda columns: seen.append(columns) or [])
+    assert list(cli.table_rows([LONG_SHARED_COLUMN, 2.0, LONG_SHARED_COLUMN])) == [b""] * 2
+    assert [len(block[0]) for block in seen] == [BLOCK, 1]
+    assert all(block[0] is block[2] and block[1] == 2.0 for block in seen)
 
 
 class TestFormatOnce:

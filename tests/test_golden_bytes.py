@@ -21,6 +21,10 @@ these inputs.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -258,6 +262,43 @@ def run(tmp_path, config: str, argv: list[str]) -> tuple[int, bytes]:
 def test_output_bytes_match_recorded_digest(tmp_path, name):
     code, data = run(tmp_path, *CASES[name])
     assert (code, hashlib.sha256(data).hexdigest()) == DIGESTS[name]
+
+
+# the curve cases: a dispersion or hopfield table, or a sweep of one
+CURVE_CASES = sorted(name for name, (_, argv) in CASES.items()
+                     if {"dispersion", "hopfield"} & set(argv))
+
+# run in a child process: each curve case's exit code and digest, as JSON,
+# and whether numpy runs with any of its dispatch targets on
+_CHILD = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+import test_golden_bytes as golden
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name in golden.CURVE_CASES:
+        (Path(tmp) / name).mkdir()
+        code, data = golden.run(Path(tmp) / name, *golden.CASES[name])
+        digests[name] = [code, hashlib.sha256(data).hexdigest()]
+print(json.dumps([any(__cpu_features__[t] for t in __cpu_dispatch__), digests]))
+"""
+
+
+def test_curve_digests_hold_on_numpy_baseline_kernels():
+    # numpy picks its SIMD kernels by CPU, and np.hypot and np.log10 give
+    # other bits on other kernels; with every dispatch target turned off,
+    # the curve bytes must still be the recorded ones
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    result = subprocess.run([sys.executable, "-c", _CHILD], capture_output=True, text=True,
+                            env=env, check=True, timeout=300)
+    dispatched, digests = json.loads(result.stdout)
+    assert not dispatched
+    assert {name: tuple(pair) for name, pair in digests.items()} == {
+        name: DIGESTS[name] for name in CURVE_CASES}
 
 
 KMAX_OVERFLOW = ("kmax = %s puts the grid edge kmax * k_perp out of range: "
