@@ -52,12 +52,9 @@ the metadata, and check-coupling and trap, which carry none.
 A plain command line (a subcommand, then only its own options as exact
 '--option value' pairs) is parsed without argparse, by _plain_args, so it
 loads neither argparse nor the gettext and locale modules argparse imports.
-Any other line that names a subcommand is parsed by that subcommand's
-parser alone, which holds the options the whole parser gives it.  --help,
---version, a command line with no known command and one with an argument
-left over go to the whole parser, which prints the help, the version or
-the usage error.  Each parser is built once per process, on first use,
-and shared by every later call of main.
+Every other line goes to the whole parser, which parses it or prints the
+help, the version or the usage error.  It is built once per process, on
+first use, and shared by every later call of main.
 
 A command computes all that can fail on its values (a curve's sampling
 with its grid-size and window checks, the well, the metadata, every sweep
@@ -510,11 +507,11 @@ def _plain_args(command: str, argv: list[str]) -> SimpleNamespace | None:
 
 
 @cache
-def build_parser(command: str | None = None):
-    """The CLI's whole parser, or for a command of COMMANDS that subcommand's
-    parser alone, as the whole parser gives it; each built on its first call
-    and shared by every later one.  argparse is imported here, so a plain
-    command line, which main parses without a parser, never loads it.
+def build_parser():
+    """The CLI's whole parser, built on its first call and shared by every
+    later one: main hands it each line _plain_args declines.  argparse is
+    imported here, so a plain command line, which main parses without a
+    parser, never loads it.
 
     parse_args gives each call a fresh Namespace and main changes only that,
     never a parser, so one parser serves every call in a process.
@@ -534,10 +531,6 @@ def build_parser(command: str | None = None):
             self.print_usage(sys.stderr)
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
-    if command is not None:
-        parser = _Parser(prog=f"polbec {command}")
-        _add_options(parser, command)
-        return parser
     parser = _Parser(prog="polbec", description=DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"polbec {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -572,12 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = _plain_args(command, argv[1:]) if command else None
-    if command and args is None:  # its own parser; a leftover argument goes to the whole one
-        args, rest = build_parser(command).parse_known_args(argv[1:])
-        args.command = command
-        if rest:
-            args = None
-    if args is None:  # which prints help, the version or a usage error
+    if args is None:  # the whole parser, which also prints help, the version or a usage error
         args = build_parser().parse_args(argv)
     format_warning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:

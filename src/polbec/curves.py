@@ -86,8 +86,12 @@ def curve_table(c, command: str, args):
         columns = [k / k_perp, mismatch / EV_ERG, mismatch / g, mu2, nu2]
         meta.append("mu_sq is the photon fraction of the upper branch")
         return meta, HOPFIELD_HEADER, columns
-    columns = [k / k_perp, e1 / EV_ERG, e2 / EV_ERG, mu2, nu2, e_ph / EV_ERG,
-               photon_freespace_erg(k, k_perp) / EV_ERG]
+    e_free = photon_freespace_erg(k, k_perp)  # from k before k is divided
+    # the printed columns divided in place: no new grid-wide array per column
+    k /= k_perp
+    for col in (e1, e2, e_ph, e_free):
+        col /= EV_ERG
+    columns = [k, e1, e2, mu2, nu2, e_ph, e_free]
     meta += [
         f"k_perp_cm^-1 = {cli.fmt(k_perp)}",
         f"grid: {args.samples} samples, k_par in [0, {cli.fmt(args.kmax)}] * k_perp",

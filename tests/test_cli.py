@@ -1,4 +1,3 @@
-import argparse
 import ast
 import contextlib
 import io
@@ -1269,29 +1268,15 @@ class TestParserReuse:
         assert result.stdout.split() == ["0", "1"]
 
 
-def _whole_parser_subparser(command):
-    """The parser the whole parser hands a command line that names command."""
-    return next(action for action in build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction)).choices[command]
-
-
-@pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_subcommand_parser_is_the_whole_parsers(monkeypatch, command):
-    monkeypatch.setenv("COLUMNS", "80")
-    own, whole = build_parser(command), _whole_parser_subparser(command)
-    assert own is not whole
-    assert (own.prog, own.format_help()) == (whole.prog, whole.format_help())
-
-
 # a path no file can be made at, on any POSIX system
 UNWRITABLE = os.path.join(os.devnull, "out")
 
 SWEEP_LINE = ["sweep", "--config", EXAMPLE_CFG, "--param", "T", "--from", "2", "--to", "2000",
               "--steps", "5", "--command", "thresholds"]
 
-# command lines main parses plainly, with a subcommand's own parser, or hands
-# to the whole parser: help, the version, usage errors, a leftover argument,
-# an abbreviation, '=' values and negative numbers in exponent form
+# command lines main parses plainly or hands to the whole parser: help, the
+# version, usage errors, a leftover argument, an abbreviation, '=' values and
+# negative numbers in exponent form
 PARSER_PARITY_LINES = [
     [],
     ["bogus"],
@@ -1352,7 +1337,9 @@ def test_main_parses_as_the_whole_parser(capsys, monkeypatch, argv):
     (["sweep", "--config", EXAMPLE_CFG, "--out", os.devnull, "--param", "T", "--from", "2",
       "--to", "2000", "--steps", "50", "--scale", "log", "--command", "thresholds"], 0),
     (["--help"], 8),  # the whole parser and its seven subparsers
-], ids=["sweep", "help"])
+    # a line the plain parse declines goes to the whole parser too
+    (["thresholds", "--config", EXAMPLE_CFG, f"--out={os.devnull}"], 8),
+], ids=["sweep", "help", "declined"])
 def test_a_command_line_builds_only_its_parser(argv, parsers):
     env = dict(os.environ, PYTHONPATH=str(Path(polbec.__file__).resolve().parents[1]))
     probe = (
@@ -1370,6 +1357,27 @@ def test_a_command_line_builds_only_its_parser(argv, parsers):
     result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
                             text=True, env=env, check=True)
     assert result.stdout.split() == [str(parsers)]
+
+
+@pytest.mark.parametrize("argv", QUANTITY_FREE_RUNS,
+                         ids=[f"sweep-{a[-1]}" if a[0] == "sweep" else a[0]
+                              for a in QUANTITY_FREE_RUNS])
+def test_a_declined_line_runs_as_its_plain_spelling(capsys, tmp_path, argv):
+    # '=' forms make the plain parse decline the line; the whole parser's
+    # namespace must drive the command as the plain one does
+    runs = []
+    for spelling, options in [
+        ("plain", ["--config", EXAMPLE_CFG, "--out", str(tmp_path / "plain")]),
+        ("declined", [f"--config={EXAMPLE_CFG}", f"--out={tmp_path / 'declined'}"]),
+    ]:
+        build_parser.cache_clear()
+        code, out, err = call([*argv, *options], capsys)
+        runs.append((code, out, err, (tmp_path / spelling).read_bytes(),
+                     build_parser.cache_info().currsize))
+    (*plain, plain_parsers), (*declined, declined_parsers) = runs
+    assert plain[0] in (0, 2) and plain[3]
+    assert declined == plain
+    assert (plain_parsers, declined_parsers) == (0, 1)
 
 
 def test_a_plain_command_line_loads_no_argparse(monkeypatch):
@@ -1455,6 +1463,9 @@ def json_tables(draw):
 @example(table=[[0.0, -0.0, 1234567890123.0, 5e-324, math.nan, math.inf, -math.inf]],
          metadata=['a "quoted" \\ path', "Δ/g = 1 — µ²"], columns=["k_par_over_k_perp"])
 @example(table=[[5e-324, -2.5e-320, 1.0]], metadata=[], columns=[])  # subnormals alone
+# floats whose 12-digit value is a whole number though the float is not
+@example(table=[[2.0000000000001, -999999999999.4, 0.9999999999999, 123456789012.4]],
+         metadata=[], columns=[])
 def test_render_json_matches_json_dumps(table, metadata, columns):
     # the rows json.dumps would write for the same CSV lines, parsed back
     table_columns = [list(col) for col in zip(*table)]
