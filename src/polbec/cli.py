@@ -34,13 +34,13 @@ error.  Like the metadata of every target, the notes (a note of a column
 holds if it holds for any value) are built and dropped: only a one-shot run
 prints them.  Every number of a CSV or text output, and of the metadata, is
 printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and is
-printed by the numtext kernel; every other table is printed column-wise
-through one '%'-template, TABLE_BLOCK_ROWS rows at a time, by table_rows.
-A value that holds for every row (a ladder field that is not a column, or a
-cell of a one-row table) stays a scalar and is printed once, into the
-template, and a float column that is the same list as an earlier one (the
-sweep column and the swept key's, which config_cgs shares) is formatted
-once for both.  A JSON curve (dispersion, hopfield)
+printed by the numtext kernel; every other table is printed by table_rows,
+TABLE_BLOCK_ROWS rows at a time, each block by csv_block as ASCII bytes
+through one bytes '%' row template: a number cell is a '%.12g' field, a
+bool cell b"true" or b"false", and a column empty in some cells comes as
+bytes, through text_column.  A value that holds for every row (a ladder
+field that is not a column, or a cell of a one-row table) stays a scalar
+and is printed once, into the template.  A JSON curve (dispersion, hopfield)
 has its rows laid out by polbec.curves from the float columns, each number
 in json's spelling of the 12-digit value, so it reads as the CSV cell does;
 render_json (json.dumps, indent=2) writes the rest.  Every other JSON
@@ -131,83 +131,69 @@ THRESHOLDS_HEADER = [
     "degenerate", "kt_superfluid", "overlap",
 ]
 
-# every printed number: 12 significant digits
+# every printed number: 12 significant digits, as text and as a CSV cell's bytes
 NUMBER = "%.12g"
+NUMBER_BYTES = NUMBER.encode()
 
 
 # rows per table_rows block, small enough to reuse heap memory: on a 5000-row
-# thresholds sweep (x86-64, Python 3.11) 512-row blocks took about 1 minor
-# page fault per run, 1024-row ones 366 and one whole-table block 494
+# thresholds sweep (x86-64, Python 3.11) 256-, 512- and 1024-row blocks of
+# bytes took 0.4, 0.7 and 0.8 minor page faults per run, one whole-table
+# block 10-14
 TABLE_BLOCK_ROWS = 512
 
-# what csv_lines prints for a bool cell, or for an empty (None) one
-BOOL_TEXT = {True: "true", False: "false", None: ""}
+# what csv_block prints for a bool cell, or for an empty (None) one
+BOOL_BYTES = {True: b"true", False: b"false", None: b""}
 
 
 def fmt(x: float) -> str:
     return NUMBER % x
 
 
-def fmt_opt(x: float | None) -> str:
-    return "" if x is None else fmt(x)
-
-
 def text_column(col):
-    """col as csv_lines takes it: a column (a list or tuple) that holds None
-    printed to strings, anything else as it is."""
+    """col as csv_block takes it: a column (a list or tuple) that holds None
+    printed to bytes, anything else as it is."""
     if type(col) in (list, tuple) and None in col:
-        return [fmt_opt(v) for v in col]
+        return [b"" if v is None else NUMBER_BYTES % v for v in col]
     return col
 
 
-def csv_lines(columns: list) -> list[str]:
-    """The rows of a table given as columns, all through one '%' template.
+def csv_block(columns: list) -> bytes:
+    """The CSV rows of a table given as columns, each ended by a newline, as
+    ASCII bytes through one bytes '%' template per row.
 
     A column is a list or tuple of cells.  Anything else is one value that
     holds for every row: it is printed once, into the template, and a table
-    with no list column is one row.  A column of floats prints through
-    NUMBER as it is, a column of bools through BOOL_TEXT, and one of strings
-    through '%s'.  A float column that is the same list or tuple as an
-    earlier one (a sweep's column and the swept key's) is formatted once,
-    and both print that through '%s'.  The columns are never scanned for
-    None: a column empty in some cells must come as strings, through
-    text_column.
+    with no list column is one row.  A column of numbers prints through
+    NUMBER_BYTES as it is, a column of bools through BOOL_BYTES, and one of
+    bytes through '%s'.  The columns are never scanned for None: a column
+    empty in some cells must come as bytes, through text_column.
     """
-    if not columns:
-        return []
-    specs, cells = [], []  # a spec is a constant's text, or the index of its cells
-    seen = {}  # id of a float column -> the index of its cells where it first came
+    fields, cells = [], []
     for col in columns:
         if type(col) not in (list, tuple):
-            specs.append(BOOL_TEXT[col] if col is None or isinstance(col, bool) else NUMBER % col)
-            continue
-        first = col[0]
-        if isinstance(first, bool):
-            col = list(map(BOOL_TEXT.__getitem__, col))
-        elif not isinstance(first, str):
-            i = seen.setdefault(id(col), len(cells))
-            if i < len(cells):  # one '%' for the column costs less than one per cell
-                col = cells[i] = ("\n".join([NUMBER] * len(col)) % tuple(col)).split("\n")
-        specs.append(len(cells))
-        cells.append(col)
-    template = ",".join(s if type(s) is str else "%s" if type(cells[s][0]) is str else NUMBER
-                        for s in specs)
+            fields.append(BOOL_BYTES[col] if col is None or isinstance(col, bool)
+                          else NUMBER_BYTES % col)
+        elif isinstance(col[0], bool):
+            fields.append(b"%s")
+            cells.append(list(map(BOOL_BYTES.__getitem__, col)))
+        else:
+            fields.append(b"%s" if type(col[0]) is bytes else NUMBER_BYTES)
+            cells.append(col)
+    template = b",".join(fields) + b"\n"
     if not cells:
-        return [template]
-    return [template % row for row in zip(*cells)]
+        return template
+    return b"".join(map(template.__mod__, zip(*cells)))
 
 
 def table_rows(columns: list):
-    """The CSV rows of a table given as columns, through csv_lines, each
-    ended by a newline: the ASCII bytes of each block of TABLE_BLOCK_ROWS
-    rows, formatted when it is asked for.  A column that comes twice is
-    sliced once per block, so csv_lines still formats it once."""
-    lists = {id(col): col for col in columns if type(col) in (list, tuple)}
-    rows = len(next(iter(lists.values()))) if lists else 1
+    """The CSV rows of a table given as columns, through csv_block: the ASCII
+    bytes of each block of TABLE_BLOCK_ROWS rows, formatted when it is asked
+    for."""
+    rows = next((len(col) for col in columns if type(col) in (list, tuple)), 1)
     for i in range(0, rows, TABLE_BLOCK_ROWS):
-        block = {key: col[i:i + TABLE_BLOCK_ROWS] for key, col in lists.items()}
-        yield "\n".join([*csv_lines([block.get(id(col), col) for col in columns]),
-                         ""]).encode("ascii")
+        yield csv_block([col[i:i + TABLE_BLOCK_ROWS] if type(col) in (list, tuple) else col
+                         for col in columns])
 
 
 def render_csv(meta: list[str], header: list[str]) -> str:

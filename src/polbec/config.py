@@ -202,7 +202,8 @@ class SweepSpec:
             raise ConfigError("sweep endpoints must differ")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and self.start * self.stop <= 0:
+        # the signs, not start * stop, which rounds to 0 for tiny endpoints
+        if self.scale == "log" and not (self.start > 0 < self.stop or self.start < 0 > self.stop):
             raise ConfigError("log sweep requires same-sign nonzero endpoints")
 
     @property

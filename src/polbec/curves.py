@@ -118,7 +118,7 @@ def _well_meta(c, kmax: float) -> tuple[list[str], int]:
                 f"curvature_energy_over_g = {fmt(curvature / g)}")
     if phi is not None:
         meta.append(f"well: diffraction limit phi_rad = {fmt(phi)}, "
-                    f"beam resolvable = {cli.BOOL_TEXT[resolvable]}")
+                    f"beam resolvable = {cli.BOOL_BYTES[resolvable].decode()}")
     return meta, cli.EXIT_OK
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import polbec
 from polbec import cli
-from polbec.cli import BOOL_TEXT, build_parser, csv_lines, fmt, fmt_opt, main
+from polbec.cli import build_parser, csv_block, fmt, main
 from polbec.config import ConfigError, RunConfig, SweepSpec, sweep_values
 from polbec.core import EV_ERG
 from polbec.curves import curve_json
@@ -824,15 +824,15 @@ def fail_after_one_block(blocks):
     return failing
 
 
-def fail_after_one_call(lines):
-    """lines (csv_lines), raising MemoryError from its second call on."""
+def fail_after_one_call(block):
+    """block (csv_block), raising MemoryError from its second call on."""
     calls = []
 
     def failing(columns):
         if calls:
             raise MemoryError
         calls.append(columns)
-        return lines(columns)
+        return block(columns)
     return failing
 
 
@@ -851,10 +851,10 @@ class TestStreamFailure:
                               "--samples", "2001", "--command", "dispersion"], "csv_blocks",
                              "--steps 3: the sweep does not fit in memory"),
         "sweep-thresholds": (["sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps",
-                              "5000", "--scale", "log", "--command", "thresholds"], "csv_lines",
+                              "5000", "--scale", "log", "--command", "thresholds"], "csv_block",
                              "--steps 5000: the sweep does not fit in memory"),
         "sweep-masses": (["sweep", "--param", "Delta", "--from", "-0.004", "--to", "0.004",
-                          "--steps", "2000", "--command", "masses"], "csv_lines",
+                          "--steps", "2000", "--command", "masses"], "csv_block",
                          "--steps 2000: the sweep does not fit in memory"),
     }
 
@@ -864,7 +864,7 @@ class TestStreamFailure:
             from polbec import numtext
             monkeypatch.setattr(numtext, "csv_blocks", fail_after_one_block(numtext.csv_blocks))
         else:
-            monkeypatch.setattr(cli, "csv_lines", fail_after_one_call(cli.csv_lines))
+            monkeypatch.setattr(cli, "csv_block", fail_after_one_call(cli.csv_block))
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_failing_block_leaves_no_file(self, tmp_path, capsys, monkeypatch, name):
@@ -1023,7 +1023,7 @@ def test_thresholds_table_of_columns_equals_one_shot_rows(config_text, data, key
                                min_size=1, max_size=4))
     ts, couplings = [t for t, _ in pairs], [v * EV_ERG for _, v in pairs]
     both = cfg.with_value("T", ts).with_value(key, couplings)
-    expected = []
+    expected = b""
     for t, v in zip(ts, couplings):
         try:
             _, _, row = cli._thresholds_table(cfg.with_value("T", t).with_value(key, v),
@@ -1032,10 +1032,10 @@ def test_thresholds_table_of_columns_equals_one_shot_rows(config_text, data, key
             with pytest.raises((ValueError, ArithmeticError)):
                 cli._thresholds_table(both, "thresholds", None)
             return
-        expected += csv_lines(row)
+        expected += csv_block(row)
     _, header, columns = cli._thresholds_table(both, "thresholds", None)
     assert header == cli.THRESHOLDS_HEADER
-    assert csv_lines(columns) == expected
+    assert csv_block(columns) == expected
 
 
 def test_cli_import_loads_no_thread_pool():
@@ -1467,13 +1467,12 @@ def json_tables(draw):
 @example(table=[[2.0000000000001, -999999999999.4, 0.9999999999999, 123456789012.4]],
          metadata=[], columns=[])
 def test_render_json_matches_json_dumps(table, metadata, columns):
-    # the rows json.dumps would write for the same CSV lines, parsed back
+    # the rows json.dumps would write for the same CSV cells, parsed back
     table_columns = [list(col) for col in zip(*table)]
-    lines = csv_lines(table_columns)
     reference = {
         "metadata": metadata,
         "columns": columns,
-        "rows": [[float(v) for v in line.split(",")] for line in lines],
+        "rows": [[float(fmt(v)) for v in row] for row in table],
     }
     expected = json.dumps(reference, indent=2) + "\n"
     assert curve_json(metadata, columns, table_columns) == expected
@@ -1481,6 +1480,9 @@ def test_render_json_matches_json_dumps(table, metadata, columns):
 
 CELL_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf, 5e-324]), st.floats())
+# ints print through '%.12g' as floats do: from 1e12 on in exponent form
+CELL_INTS = st.one_of(st.sampled_from([0, 999999999999, 10**12, -10**12 - 1, 10**300]),
+                      st.integers(-10**20, 10**20))
 
 
 @st.composite
@@ -1492,12 +1494,14 @@ def csv_tables(draw, rows=st.integers(1, 6)):
         lambda cycle: (cycle * (n // len(cycle) + 1))[:n])
     column = st.one_of(
         cells(CELL_FLOATS),
+        cells(CELL_INTS),
         CELL_FLOATS.map(lambda v: [v] * n),  # one value throughout, as a column
         cells(st.sampled_from([0.0, -0.0])),  # equal, but printed apart
         cells(st.booleans()),
         st.sampled_from([None, True, False]).map(lambda v: [v] * n),
-        cells(st.one_of(st.none(), CELL_FLOATS)),  # empty in some cells
-        st.one_of(st.none(), st.booleans(), CELL_FLOATS),  # a scalar: one value for every row
+        cells(st.one_of(st.none(), CELL_FLOATS, CELL_INTS)),  # empty in some cells
+        # a scalar: one value for every row
+        st.one_of(st.none(), st.booleans(), CELL_FLOATS, CELL_INTS),
     )
     columns = draw(st.lists(column, min_size=1, max_size=8))
     lists = [col for col in columns if type(col) is list]
@@ -1529,14 +1533,22 @@ SHARED_COLUMN = [0.0, -0.0, math.nan]
 # scalars beside columns, and a table of scalars alone, which is one row
 @example(columns=[1.5, [0.0, -0.0], None, True, -0.0, [None, 1.0]])
 @example(columns=[None, 2.5, False, math.nan])
-def test_csv_lines_matches_per_cell_formatting(columns):
+def test_csv_block_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
     # text_column, which leaves every other column and every scalar as it is
-    lines = csv_lines([cli.text_column(col) for col in columns])
-    cell = lambda v: BOOL_TEXT[v] if isinstance(v, bool) else fmt_opt(v)
+    assert csv_block([cli.text_column(col) for col in columns]) == per_cell_rows(columns)
+
+
+def per_cell_rows(columns) -> bytes:
+    """The rows of a table given as columns, one str '%.12g' (or true, false
+    or nothing) per cell, each ended by a newline, as ASCII bytes."""
+    def cell(v):
+        if v is None:
+            return ""
+        return ("true" if v else "false") if isinstance(v, bool) else "%.12g" % v
     rows = max((len(col) for col in columns if type(col) in (list, tuple)), default=1)
     full = [col if type(col) in (list, tuple) else [col] * rows for col in columns]
-    assert lines == [",".join(map(cell, row)) for row in zip(*full)]
+    return "".join(",".join(map(cell, row)) + "\n" for row in zip(*full)).encode("ascii")
 
 
 BLOCK = cli.TABLE_BLOCK_ROWS
@@ -1551,23 +1563,13 @@ LONG_SHARED_COLUMN = SHARED_COLUMN * (BLOCK // 3 + 1)
 def test_table_rows_blocks_join_to_the_whole_table(columns):
     # each block holds at most BLOCK rows, and a list that comes twice (or a
     # copy of one) prints the same in both places across every block boundary
-    columns = [cli.text_column(col) for col in columns]
-    blocks = list(cli.table_rows(columns))
-    assert b"".join(blocks).decode() == "\n".join([*csv_lines(columns), ""])
+    blocks = list(cli.table_rows([cli.text_column(col) for col in columns]))
+    assert b"".join(blocks) == per_cell_rows(columns)
     assert all(0 < block.count(b"\n") <= BLOCK for block in blocks)
 
 
-def test_table_rows_slices_a_shared_column_once_per_block(monkeypatch):
-    # so csv_lines formats the slice once for both places; a constant stays one
-    seen = []
-    monkeypatch.setattr(cli, "csv_lines", lambda columns: seen.append(columns) or [])
-    assert list(cli.table_rows([LONG_SHARED_COLUMN, 2.0, LONG_SHARED_COLUMN])) == [b""] * 2
-    assert [len(block[0]) for block in seen] == [BLOCK, 1]
-    assert all(block[0] is block[2] and block[1] == 2.0 for block in seen)
-
-
 class TestFormatOnce:
-    """No JSON curve goes through csv_lines, not even the fallback for numbers
+    """No JSON curve goes through csv_block, not even the fallback for numbers
     whose json spelling is not the 12-digit one.  A CSV curve, a curve
     sweep's included, makes one pass of the numtext kernel."""
 
@@ -1584,7 +1586,7 @@ class TestFormatOnce:
         ],
         ids=["json", "hopfield-json", "json-fallback", "csv", "sweep-csv"],
     )
-    def test_csv_lines_calls(self, monkeypatch, argv, calls, kernel_calls):
+    def test_csv_block_calls(self, monkeypatch, argv, calls, kernel_calls):
         from polbec import numtext
         seen, kernel_seen = [], []
 
@@ -1594,7 +1596,7 @@ class TestFormatOnce:
                 return real(arg)
             return call
 
-        monkeypatch.setattr(cli, "csv_lines", counted(cli.csv_lines, seen))
+        monkeypatch.setattr(cli, "csv_block", counted(cli.csv_block, seen))
         monkeypatch.setattr(numtext, "csv_blocks", counted(numtext.csv_blocks, kernel_seen))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", polbec.ParaxialBoundWarning)
@@ -1636,9 +1638,11 @@ def test_far_window_raises_no_runtime_warning(tmp_path, command):
 
 
 @pytest.mark.parametrize("name", ["sweep-dispersion-Delta-2049-samples-plain",
-                                  "hopfield-10001-csv"])
+                                  "hopfield-10001-csv", "sweep-thresholds-T-1025-log-trap",
+                                  "sweep-masses-Delta-1025-no-density"])
 def test_stdout_prints_the_file_bytes(tmp_path, capsys, name):
-    # the golden cases whose CSV rows span several blocks of the numtext kernel
+    # the golden cases whose CSV rows span several blocks: of the numtext
+    # kernel, or of table_rows
     config, argv = CASES[name]
     code, data = run(tmp_path, CONFIGS[config], argv)
     assert main([argv[0], "--config", str(tmp_path / "run.cfg"), "--out", "-", *argv[1:]]) == 0

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,6 +14,7 @@ from polbec.config import (
     config_cgs,
     sweep_values,
 )
+from polbec.cli import main
 from polbec.core import CGS_UNITS, EV_ERG, MEV_ERG
 from polbec.units import UNITS, qty
 
@@ -194,6 +197,34 @@ class TestSweepSpec:
         spec = SweepSpec("Delta", -1e-3, -1e-1, 3, scale="log")
         values = sweep_values(spec)
         assert values[1] == pytest.approx(-1e-2)
+
+    @pytest.mark.parametrize("param, start, stop", [
+        ("Delta", -1e-170, -1e-160), ("n2", 1e-200, 1e-199), ("Delta", 5e-324, 1e-300)])
+    def test_log_endpoints_whose_product_underflows(self, param, start, stop):
+        # start * stop rounds to 0, yet both endpoints have one sign
+        assert start * stop == 0
+        values = sweep_values(SweepSpec(param, start, stop, 3, scale="log"))
+        assert values[0] == pytest.approx(start) and values[-1] == pytest.approx(stop)
+
+    @pytest.mark.parametrize("start, stop", [(-1e-170, 1e-160), (1e-200, -1e-199), (0, 1),
+                                             (-0.0, -1e-300)])
+    def test_log_endpoints_of_two_signs_or_zero(self, start, stop):
+        with pytest.raises(ConfigError, match="^log sweep requires same-sign nonzero endpoints$"):
+            SweepSpec("Delta", start, stop, 3, scale="log")
+
+    @pytest.mark.parametrize("param, start, stop, target, code, err", [
+        ("Delta", "-1e-170", "-1e-160", "masses", 0, ""),
+        # past the sign check, the ladder's own error
+        ("n2", "1e-200", "1e-199", "thresholds", 1,
+         "polbec: error: condensate fraction: (T/T_c)^2 overflows for 'T' = 300 K, "
+         "T_c = 6.15337e-206 K\n"),
+    ])
+    def test_log_sweep_of_tiny_endpoints_passes_the_sign_check(self, capsys, param, start, stop,
+                                                               target, code, err):
+        argv = ["sweep", "--config", str(Path(__file__).resolve().parents[1] / "example.cfg"),
+                "--out", os.devnull, "--param", param, "--from", start, "--to", stop,
+                "--steps", "3", "--scale", "log", "--command", target]
+        assert (main(argv), capsys.readouterr().err) == (code, err)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="non-numeric"):

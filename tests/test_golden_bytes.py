@@ -12,7 +12,10 @@ far out of the window (--kmax 1e6) and the masses sweep without a density
 were recorded while JSON rows were still read back from the CSV lines and
 every column was printed per value.  The multi-block curve CSVs (a 6147-row
 dispersion sweep and a 10001-row hopfield curve) were recorded while the
-numtext kernel still returned a whole table as one string.  The saturated
+numtext kernel still returned a whole table as one string.  The multi-block
+list tables (a 1025-step log T thresholds sweep and a 1025-step Delta masses
+sweep whose T_KT cells are empty) were recorded while list-table rows were
+still str text, encoded to bytes per block.  The saturated
 masses and the wide-beam trap were recorded when they were added, and the
 wide-beam trap's stderr warning is pinned apart.  Error cases pin
 the exact stderr line instead.  All cases run with RuntimeWarning raised as an
@@ -155,6 +158,13 @@ def _cases() -> dict:
             "sweep", "--param", "Delta", "--from", "-0.004", "--to", "0.004", "--steps", "3",
             "--samples", "2049", "--command", "dispersion"]),
         "hopfield-10001-csv": ("example", ["hopfield", "--samples", "10001"]),
+        # list tables past one table_rows block (512 rows): 1025 rows is three
+        "sweep-thresholds-T-1025-log-trap": ("trap", [
+            "sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "1025",
+            "--scale", "log", "--command", "thresholds"]),
+        "sweep-masses-Delta-1025-no-density": ("no-density", [
+            "sweep", "--param", "Delta", "--from", "-0.004", "--to", "0.004", "--steps", "1025",
+            "--command", "masses"]),
         "dispersion-100001-json": ("example", ["dispersion", "--samples", "100001",
                                                "--format", "json"]),
     })
@@ -237,6 +247,8 @@ DIGESTS = {
     "sweep-thresholds-omega_eff-through-0": (0, "327754e791a713e14c13b77f38e9cb414f3d96b2f6ced96bf636184db6c59a8b"),
     "sweep-thresholds-r0-trap": (0, "cc777efec5b94286eb41020e731b576e93cc2bf93f5148bc3842ae6254968276"),
     "sweep-thresholds-tau_coh-plain": (0, "ab680a67052f9a87a459a12ebf048ecc4c4c75d72c990573cd74ec52fb1ba636"),
+    "sweep-thresholds-T-1025-log-trap": (0, "e5763569c87f18696f0ab0d2a2559b7d52b4f60047dc4b301fdfe33a605fab36"),
+    "sweep-masses-Delta-1025-no-density": (0, "f7930cfb478f52d6cedc69a9827fbe7eeb18b87287c5efce4e9e4b8f254b3dc2"),
     "sweep-dispersion-Delta-2049-samples-plain": (0, "ffd4a7f2066529f18fd58f7feddc925de66e0e30fc6a54bd55757009c5c34f2e"),
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
     "thresholds-example-json": (0, "820e7f7eabcf4091354e3eebd580bd21065d676148512dcc698ef4a8083879ce"),
