@@ -37,10 +37,11 @@ printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and is
 printed by the numtext kernel; every other table is printed by table_rows,
 TABLE_BLOCK_ROWS rows at a time, each block by csv_block as ASCII bytes
 through one bytes '%' row template: a number cell is a '%.12g' field, a
-bool cell b"true" or b"false", and a column empty in some cells comes as
-bytes, through text_column.  A value that holds for every row (a ladder
-field that is not a column, or a cell of a one-row table) stays a scalar
-and is printed once, into the template.  A JSON curve (dispersion, hopfield)
+run of adjacent bool columns one field (b"true,false" for a row's True,
+False), and a column empty in some cells comes as bytes, through
+text_column.  A value that holds for every row (a ladder field that is
+not a column, or a cell of a one-row table) stays a scalar and is printed
+once, into the template.  A JSON curve (dispersion, hopfield)
 has its rows laid out by polbec.curves from the float columns, each number
 in json's spelling of the 12-digit value, so it reads as the CSV cell does;
 render_json (json.dumps, indent=2) writes the rest.  Every other JSON
@@ -84,6 +85,7 @@ import re
 import sys
 import warnings
 from functools import cache
+from itertools import groupby
 from types import SimpleNamespace
 
 from . import __version__
@@ -96,6 +98,7 @@ from .config import (
     sweep_values,
 )
 from .core import (
+    _cells,
     _require_mode_index,
     check_cavity,
     condensation_ladder,
@@ -146,6 +149,17 @@ TABLE_BLOCK_ROWS = 512
 BOOL_BYTES = {True: b"true", False: b"false", None: b""}
 
 
+class _RunBytes(dict):
+    """What csv_block prints for a row's cells of a run of bool columns, by
+    their tuple; each made on first use, so a run of k has 2^k at most."""
+
+    def __missing__(self, cells):
+        return self.setdefault(cells, b",".join(map(BOOL_BYTES.__getitem__, cells)))
+
+
+RUN_BYTES = _RunBytes()
+
+
 def fmt(x: float) -> str:
     return NUMBER % x
 
@@ -165,21 +179,21 @@ def csv_block(columns: list) -> bytes:
     A column is a list or tuple of cells.  Anything else is one value that
     holds for every row: it is printed once, into the template, and a table
     with no list column is one row.  A column of numbers prints through
-    NUMBER_BYTES as it is, a column of bools through BOOL_BYTES, and one of
-    bytes through '%s'.  The columns are never scanned for None: a column
-    empty in some cells must come as bytes, through text_column.
+    NUMBER_BYTES, and one of bytes or a run of adjacent bool columns (through
+    RUN_BYTES) as one '%s' field.  The columns are never scanned for None: a
+    column empty in some cells must come as bytes, through text_column.
     """
     fields, cells = [], []
-    for col in columns:
-        if type(col) not in (list, tuple):
-            fields.append(BOOL_BYTES[col] if col is None or isinstance(col, bool)
-                          else NUMBER_BYTES % col)
-        elif isinstance(col[0], bool):
-            fields.append(b"%s")
-            cells.append(list(map(BOOL_BYTES.__getitem__, col)))
-        else:
-            fields.append(b"%s" if type(col[0]) is bytes else NUMBER_BYTES)
-            cells.append(col)
+    for run, group in groupby(columns, lambda col: type(col) in (list, tuple)
+                              and isinstance(col[0], bool)):
+        # a run of bool columns prints as one column: the bytes of each row's cells
+        for col in [list(map(RUN_BYTES.__getitem__, zip(*group)))] if run else group:
+            if type(col) not in (list, tuple):
+                fields.append(BOOL_BYTES[col] if col is None or isinstance(col, bool)
+                              else NUMBER_BYTES % col)
+            else:
+                fields.append(b"%s" if type(col[0]) is bytes else NUMBER_BYTES)
+                cells.append(col)
     template = b",".join(fields) + b"\n"
     if not cells:
         return template
@@ -300,7 +314,9 @@ def _thresholds_table(c: RunConfig, command: str, args):
         raise ConfigError("missing required key: one of 'n2', 'n3'")
     ladder = condensation_ladder(t, _effective_mass(c), n2, n3, get("omega_eff"), get("U0"),
                                  get("r0"), get("n_s"))
-    columns = [*ladder[:11], text_column(ladder.n_trapped), *ladder[12:16]]
+    columns = list(ladder[:16])
+    if 0.0 in _cells(ladder.omega_eff):
+        columns[11] = text_column(ladder.n_trapped)
     return [f"note: {n}" for n in ladder_notes(ladder)], THRESHOLDS_HEADER, columns
 
 

@@ -128,7 +128,9 @@ def range_error(formula: str, **named: str) -> OverflowError:
 # ladder (conventions in the thermo module's docstring).
 #
 # Each formula of the ladder has one home, a column form: a comprehension
-# over columns of its arguments, formula in its body, checking nothing.
+# over columns of its arguments, formula in its body, checking nothing.  A
+# formula may be split into a fixed factor and a per-row part, each a form
+# here, in the order of the one expression, so each double stays the same.
 # condensation_ladder runs each stage once through _stage and checks its
 # results in bulk; the Quantity operations of thermo that no command runs
 # call the same forms on columns of one.
@@ -274,9 +276,14 @@ def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | 
             f"m_eff*Omega_eff^2*r0^2/2 = {expected:.6g} erg")
 
 
-def _lambda_T_column(m, t):
-    """h / sqrt(2 pi m kB T) in cm; 0 where 2 pi m kB T overflows."""
-    return [H_CGS / math.sqrt(2.0 * math.pi * m_g * KB_CGS * t_k) for m_g, t_k in zip(m, t)]
+def _kb_column(x):
+    """2 pi x kB, the fixed factor of lambda_T (x = m) and of N2 (x = n2)."""
+    return [2.0 * math.pi * v * KB_CGS for v in x]
+
+
+def _lambda_T_column(a, t):
+    """h / sqrt(2 pi m kB T) in cm from a = 2 pi m kB; 0 where a T overflows."""
+    return [H_CGS / math.sqrt(a_k * t_k) for a_k, t_k in zip(a, t)]
 
 
 def _t_d_column(n2, m):
@@ -313,21 +320,20 @@ def kt_temperature_K(n_s_cm2: float, m_g: float) -> float:
     return t_kt
 
 
-def _trapped_number_column(n2, t, omega, m):
-    """N2 = 2 pi n2 kB T / (m Omega_eff^2); None where Omega_eff = 0 (no trap)."""
-    return [None if w == 0.0 else 2.0 * math.pi * n * KB_CGS * t_k / (m_g * w * w)
-            for n, t_k, w, m_g in zip(n2, t, omega, m)]
+def _m_omega2_column(m, omega):
+    """m Omega_eff^2, the fixed factor of N2; None where Omega_eff = 0 (no trap)."""
+    return [None if w == 0.0 else m_g * w * w for m_g, w in zip(m, omega)]
+
+
+def _trapped_number_column(b, t, c):
+    """N2 = 2 pi n2 kB T / (m Omega_eff^2) from b = 2 pi n2 kB, c = m Omega_eff^2."""
+    return [None if c_k is None else b_k * t_k / c_k for b_k, t_k, c_k in zip(b, t, c)]
 
 
 def _condensate_fraction_column(t, t_c):
     """N0/N = max(0, 1 - (T/T_c)^2); 0 where T_c = 0 (no trap confinement)."""
     return [0.0 if c == 0.0 else f if (f := 1.0 - (t_k / c) ** 2) > 0.0 else 0.0
             for t_k, c in zip(t, t_c)]
-
-
-def _fraction_overflow(t_k: float, t_c_k: float) -> OverflowError:
-    return OverflowError(f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, "
-                         f"T_c = {t_c_k:g} K")
 
 
 def _le_column(a, b):
@@ -388,7 +394,7 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
     # A finite positive input can still take an intermediate out of the float
     # range; the check after each stage then raises, naming the config keys.
     try:
-        lam = _stage(_lambda_T_column, m_g, t_k)
+        lam = _stage(_lambda_T_column, _stage(_kb_column, m_g), t_k)
     except ZeroDivisionError:  # 2 pi m kB T underflows to 0
         lam = 0.0
     # lambda_T = 0: 2 pi m kB T overflows, or T = inf (with n2 it fails at mu)
@@ -436,7 +442,8 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
         t_c = _stage(lambda t_d, omega: [0.0 if w == 0.0 else d / TRAP_BEC_ZETA
                                          for d, w in zip(t_d, omega)], t_d, omega_eff)
         try:
-            n_trapped = _stage(_trapped_number_column, n2, t_k, omega_eff, m_g)
+            n_trapped = _stage(_trapped_number_column, _stage(_kb_column, n2), t_k,
+                               _stage(_m_omega2_column, m_g, omega_eff))
         except ZeroDivisionError:
             raise _ColumnError if column else ZeroDivisionError(
                 f"N2: m Omega_eff^2 underflows to 0 for 'm_eff' = {m_g:g} g, "
@@ -449,7 +456,9 @@ def condensation_ladder(t_k: _Cgs, m_g: _Cgs, n2: _Cgs | None = None, n3: _Cgs |
         try:
             frac = _stage(_condensate_fraction_column, t_k, t_c)
         except OverflowError:
-            raise _ColumnError if column else _fraction_overflow(t_k, t_c) from None
+            raise _ColumnError if column else OverflowError(
+                f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, T_c = {t_c:g} K "
+                f"from {density()}, 'm_eff' = {m_g:g} g") from None
 
     return ThresholdLadder(
         t_k, m_g, n3, n2, lam, r_int, t_d, t_kt, mu, omega_eff, t_c, n_trapped, frac,

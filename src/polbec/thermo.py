@@ -40,8 +40,9 @@ from .core import (
     _check_trap,
     _check_trap_consistency,
     _condensate_fraction_column,
-    _fraction_overflow,
+    _kb_column,
     _lambda_T_column,
+    _m_omega2_column,
     _stage,
     _t_d_column,
     _trapped_number_column,
@@ -206,7 +207,7 @@ def thermal_wavelength(m: Quantity, temperature: Quantity) -> Quantity:
     if not (m_g > 0 and t_k > 0):
         raise ValueError("mass and temperature must be positive")
     try:
-        lam = _stage(_lambda_T_column, m_g, t_k)
+        lam = _stage(_lambda_T_column, _stage(_kb_column, m_g), t_k)
     except ZeroDivisionError:
         lam = 0.0
     # 0 where the product overflows, NaN where m kB underflows to 0 and T = inf
@@ -290,7 +291,8 @@ def trapped_number(n2: Quantity, temperature: Quantity, omega_eff: Quantity, m: 
         raise ValueError("n2, omega_eff and mass must be positive, temperature non-negative")
     _check_trap(omega)  # an infinite omega_eff holds no particle
     try:
-        n_trapped = _stage(_trapped_number_column, n2_cm2, t_k, omega, m_g)
+        n_trapped = _stage(_trapped_number_column, _stage(_kb_column, n2_cm2), t_k,
+                           _stage(_m_omega2_column, m_g, omega))
     except ZeroDivisionError:
         raise ZeroDivisionError(f"N2: m Omega_eff^2 underflows to 0 for 'm' = {m_g:g} g, "
                                 f"'omega_eff' = {omega:g} s^-1") from None
@@ -311,7 +313,8 @@ def condensate_fraction(temperature: Quantity, t_c: Quantity) -> float:
     try:
         return _stage(_condensate_fraction_column, t_k, t_c_k)
     except OverflowError:
-        raise _fraction_overflow(t_k, t_c_k) from None
+        raise OverflowError(f"condensate fraction: (T/T_c)^2 overflows for 'T' = {t_k:g} K, "
+                            f"T_c = {t_c_k:g} K") from None
 
 
 def condensation_report(

@@ -1504,6 +1504,12 @@ def csv_tables(draw, rows=st.integers(1, 6)):
         st.one_of(st.none(), st.booleans(), CELL_FLOATS, CELL_INTS),
     )
     columns = draw(st.lists(column, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a run of 2-4 bool columns, which prints as one field
+        run = draw(st.lists(cells(st.booleans()), min_size=2, max_size=4))
+        if draw(st.booleans()):  # bool scalars between them, which split the run
+            run = [x for col in run for x in (col, draw(st.booleans()))][:-1]
+        at = draw(st.sampled_from([0, len(columns)]) | st.integers(0, len(columns)))
+        columns[at:at] = run  # at the start or end of a row, or inside it
     lists = [col for col in columns if type(col) is list]
     if lists and draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
         columns.append(list(draw(st.sampled_from(lists))))
@@ -1533,6 +1539,12 @@ SHARED_COLUMN = [0.0, -0.0, math.nan]
 # scalars beside columns, and a table of scalars alone, which is one row
 @example(columns=[1.5, [0.0, -0.0], None, True, -0.0, [None, 1.0]])
 @example(columns=[None, 2.5, False, math.nan])
+# runs of bool columns: the whole row, at its start and at its end, split by
+# bool scalars, and split by a column of empty cells
+@example(columns=[[True, False], [False, False], [True, True], [False, True]])
+@example(columns=[[True, False], (False, True), 1.5, [0.0, 2.0], [False, False], [True, True]])
+@example(columns=[[True, False], True, [False, True], False, [True, True]])
+@example(columns=[[True, False], [None, None], [False, True], [True, True]])
 def test_csv_block_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
     # text_column, which leaves every other column and every scalar as it is
@@ -1639,7 +1651,9 @@ def test_far_window_raises_no_runtime_warning(tmp_path, command):
 
 @pytest.mark.parametrize("name", ["sweep-dispersion-Delta-2049-samples-plain",
                                   "hopfield-10001-csv", "sweep-thresholds-T-1025-log-trap",
-                                  "sweep-masses-Delta-1025-no-density"])
+                                  "sweep-masses-Delta-1025-no-density",
+                                  "sweep-thresholds-omega_eff-1025-through-0",
+                                  "sweep-thresholds-T-1025-log-trap-omega_eff-0"])
 def test_stdout_prints_the_file_bytes(tmp_path, capsys, name):
     # the golden cases whose CSV rows span several blocks: of the numtext
     # kernel, or of table_rows

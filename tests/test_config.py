@@ -214,11 +214,11 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("param, start, stop, target, code, err", [
         ("Delta", "-1e-170", "-1e-160", "masses", 0, ""),
-        # past the sign check, the ladder's own error
+        # past the sign check, the ladder's own error, which names the keys behind T_c
         ("n2", "1e-200", "1e-199", "thresholds", 1,
          "polbec: error: condensate fraction: (T/T_c)^2 overflows for 'T' = 300 K, "
-         "T_c = 6.15337e-206 K\n"),
-    ])
+         "T_c = 6.15337e-206 K from 'n2' = 1e-200 cm^-2, 'm_eff' = 5e-33 g\n"),
+    ], ids=["Delta-masses", "n2-thresholds"])
     def test_log_sweep_of_tiny_endpoints_passes_the_sign_check(self, capsys, param, start, stop,
                                                                target, code, err):
         argv = ["sweep", "--config", str(Path(__file__).resolve().parents[1] / "example.cfg"),

@@ -15,7 +15,11 @@ dispersion sweep and a 10001-row hopfield curve) were recorded while the
 numtext kernel still returned a whole table as one string.  The multi-block
 list tables (a 1025-step log T thresholds sweep and a 1025-step Delta masses
 sweep whose T_KT cells are empty) were recorded while list-table rows were
-still str text, encoded to bytes per block.  The saturated
+still str text, encoded to bytes per block.  The 1025-row thresholds sweeps
+whose N2 is empty in some rows (an omega_eff sweep through 0, and a T sweep
+with omega_eff = 0) were recorded while every bool column was still its own
+field and the ladder still multiplied out 2 pi m kB T and m Omega_eff^2 per
+row.  The saturated
 masses and the wide-beam trap were recorded when they were added, and the
 wide-beam trap's stderr warning is pinned apart.  Error cases pin
 the exact stderr line instead.  All cases run with RuntimeWarning raised as an
@@ -54,6 +58,8 @@ CONFIGS = {
     # no m_eff: thresholds derive the lower-branch mass from the coupling keys
     "plain": PLAIN,
     "trap": PLAIN + "omega_eff = 5.0e10 s^-1\n",
+    # a trap that confines nothing: T_c = 0 and no N2
+    "trap-omega_eff-0": PLAIN + "omega_eff = 0 s^-1\n",
     # n2 estimated as lambda_T(T) * n3; n_s given apart from n2
     "n3-only": PLAIN.replace("n2 = 0.5e8 cm^-2\n", "n_s = 2e7 cm^-2\n"),
     "geometry": PLAIN.replace("Delta = 0 eV", "L_cav = 1 cm"),
@@ -96,6 +102,8 @@ CONFIGS = {
                      "U0 = 1 eV\nr0 = 1e20 cm\n",
     # pi hbar^2 n_s underflows to 0, though T_KT itself is a normal double
     "n2-1e-300": EXAMPLE.replace("n2 = 0.5e8 cm^-2", "n2 = 1e-300 cm^-2"),
+    # T_c from a tiny n2, against which (T/T_c)^2 overflows
+    "n2-1e-200": EXAMPLE.replace("n2 = 0.5e8 cm^-2", "n2 = 1e-200 cm^-2"),
     "n_s-1e-300": EXAMPLE + "n_s = 1e-300 cm^-2\n",
     "tau_coh-1e300": EXAMPLE.replace("tau_coh = 1e-8 s", "tau_coh = 1e300 s"),
     # the Delta path without d_beam, whose cavity check would also check mode_index
@@ -160,6 +168,14 @@ def _cases() -> dict:
         "hopfield-10001-csv": ("example", ["hopfield", "--samples", "10001"]),
         # list tables past one table_rows block (512 rows): 1025 rows is three
         "sweep-thresholds-T-1025-log-trap": ("trap", [
+            "sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "1025",
+            "--scale", "log", "--command", "thresholds"]),
+        # omega_eff = 0 leaves N2 empty in the first of three blocks only
+        "sweep-thresholds-omega_eff-1025-through-0": ("trap", [
+            "sweep", "--param", "omega_eff", "--from", "0", "--to", "1e11", "--steps", "1025",
+            "--command", "thresholds"]),
+        # N2 empty and T_c 0 in every row
+        "sweep-thresholds-T-1025-log-trap-omega_eff-0": ("trap-omega_eff-0", [
             "sweep", "--param", "T", "--from", "2", "--to", "2000", "--steps", "1025",
             "--scale", "log", "--command", "thresholds"]),
         "sweep-masses-Delta-1025-no-density": ("no-density", [
@@ -248,6 +264,8 @@ DIGESTS = {
     "sweep-thresholds-r0-trap": (0, "cc777efec5b94286eb41020e731b576e93cc2bf93f5148bc3842ae6254968276"),
     "sweep-thresholds-tau_coh-plain": (0, "ab680a67052f9a87a459a12ebf048ecc4c4c75d72c990573cd74ec52fb1ba636"),
     "sweep-thresholds-T-1025-log-trap": (0, "e5763569c87f18696f0ab0d2a2559b7d52b4f60047dc4b301fdfe33a605fab36"),
+    "sweep-thresholds-omega_eff-1025-through-0": (0, "313f8c4b853a6f6e4a4abed6f25494b6682a1b5935bac1705dc9c6eeb318a7aa"),
+    "sweep-thresholds-T-1025-log-trap-omega_eff-0": (0, "0ee36bc190068237087e50d06de7aa27bdd104572e2ed682091dbe1fdb806d91"),
     "sweep-masses-Delta-1025-no-density": (0, "f7930cfb478f52d6cedc69a9827fbe7eeb18b87287c5efce4e9e4b8f254b3dc2"),
     "sweep-dispersion-Delta-2049-samples-plain": (0, "ffd4a7f2066529f18fd58f7feddc925de66e0e30fc6a54bd55757009c5c34f2e"),
     "thresholds-example": (0, "7a96aebb4276765616406eb9e1d801af6fc6fda5bdfd4a10a2c9c89dac160a7d"),
@@ -485,6 +503,11 @@ ERRORS = {
         "n_s-1e-300", "thresholds",
         "polbec: error: T_KT = pi hbar^2 n_s / (2 m kB) underflows to 0 for "
         "'n_s' = 1e-300 cm^-2, 'm_eff' = 5e-33 g\n"),
+    # recorded when the message named the keys behind T_c; before, it named 'T' alone
+    "thresholds-condensate-fraction-overflows": (
+        "n2-1e-200", "thresholds",
+        "polbec: error: condensate fraction: (T/T_c)^2 overflows for 'T' = 300 K, "
+        "T_c = 6.15337e-206 K from 'n2' = 1e-200 cm^-2, 'm_eff' = 5e-33 g\n"),
     "check-coupling-ratio-overflows": (
         "tau_coh-1e300", "check-coupling",
         "polbec: error: ratio = omega_c * 2 tau_coh leaves the float range for 'd' = 1 D, "

@@ -15,8 +15,12 @@ from polbec.core import (
     TRAP_BEC_ZETA,
     ThresholdLadder,
     _ColumnError,
+    _kb_column,
+    _lambda_T_column,
+    _m_omega2_column,
     _mu_column,
     _stage,
+    _trapped_number_column,
     condensation_ladder,
     effective_masses_cgs,
     kt_temperature_K,
@@ -725,6 +729,82 @@ def test_ladder_fields_equal_their_cores(case):
         field = getattr(ladder, name)
         values = field if isinstance(field, list) else [field] * len(column)
         assert list(map(repr, values)) == [e[name] for e in expected], name
+
+
+def lambda_t_expression(m, t):
+    """lambda_T as one expression: the reference for its split form."""
+    return H_CGS / math.sqrt(2.0 * math.pi * m * KB_CGS * t)
+
+
+def n_trapped_expression(n2, t, omega, m):
+    """N2 as one expression: the reference for its split form."""
+    return None if omega == 0.0 else 2.0 * math.pi * n2 * KB_CGS * t / (m * omega * omega)
+
+
+def split_outcome(f, *args):
+    """repr of f(*args), or the type of the ArithmeticError it raises."""
+    try:
+        return repr(f(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def split_column_outcome(expression, rows):
+    """What the column form gives over rows: the list of the expression's
+    values, or the error of the first row that raises."""
+    outcomes = [split_outcome(expression, *row) for row in rows]
+    errors = [o for o in outcomes if isinstance(o, type)]
+    return errors[0] if errors else "[" + ", ".join(outcomes) + "]"
+
+
+# where 2 pi m kB T overflows or underflows, and m Omega_eff^2 underflows
+SPLIT_EDGES = st.sampled_from([5e-324, 1e-300, 1e-200, 1e200, 1e300, 1e308])
+
+
+@given(t=LADDER_VALUES[0] | SPLIT_EDGES | st.just(math.inf),
+       column=st.lists(LADDER_VALUES[0] | SPLIT_EDGES, min_size=1, max_size=4),
+       m=LADDER_VALUES[1] | SPLIT_EDGES, n2=LADDER_VALUES[2] | SPLIT_EDGES,
+       omega=LADDER_VALUES[4] | SPLIT_EDGES)
+# 2 pi m kB T overflows (lambda_T = 0) and underflows (h / 0)
+@example(t=1e300, column=[1e300, 300.0], m=1e300, n2=5e7, omega=5e10)
+@example(t=1e-300, column=[300.0, 1e-300], m=5e-324, n2=5e7, omega=5e10)
+# m Omega_eff^2 underflows to 0 (N2 divides by it) and overflows
+@example(t=300.0, column=[300.0, 2.0], m=1e-300, n2=5e7, omega=1e-200)
+@example(t=300.0, column=[300.0, 2.0], m=1e300, n2=5e7, omega=1e300)
+# a factor of its own from 2 pi n2 kB that overflows, and one that underflows
+@example(t=300.0, column=[300.0], m=5e-33, n2=1e308, omega=5e10)
+@example(t=300.0, column=[300.0], m=5e-33, n2=5e-324, omega=5e10)
+def test_split_formulas_equal_their_one_expression(t, column, m, n2, omega):
+    # lambda_T and N2 come from a fixed factor (2 pi m kB, 2 pi n2 kB,
+    # m Omega_eff^2) and a per-row part: bit for bit the double of the one
+    # expression, in a scalar call and over a column of T, and the same
+    # error type where the expression raises.  The stages as the ladder and
+    # thermo compose them:
+    def lambda_t(t):
+        return _stage(_lambda_T_column, _stage(_kb_column, m), t)
+
+    def n_trapped(t):
+        return _stage(_trapped_number_column, _stage(_kb_column, n2), t,
+                      _stage(_m_omega2_column, m, omega))
+
+    assert split_outcome(lambda_t, t) == split_outcome(lambda_t_expression, m, t)
+    assert split_outcome(n_trapped, t) == split_outcome(n_trapped_expression, n2, t, omega, m)
+    assert split_outcome(lambda_t, column) == split_column_outcome(
+        lambda_t_expression, [(m, v) for v in column])
+    assert split_outcome(n_trapped, column) == split_column_outcome(
+        n_trapped_expression, [(n2, v, omega, m) for v in column])
+    # and the ladder's own fields, wherever it holds a value
+    for t_arg in (t, column):
+        try:
+            ladder = condensation_ladder(t_arg, m, n2, None, omega)
+        except (ValueError, ArithmeticError):
+            continue
+        rows = t_arg if type(t_arg) is list else [t_arg]
+        lam, n_tr = (field if type(field) is list else [field] for field in
+                     (ladder.lambda_t, ladder.n_trapped))
+        assert list(map(repr, lam)) == [repr(lambda_t_expression(m, v)) for v in rows]
+        assert list(map(repr, n_tr)) == [repr(n_trapped_expression(n2, v, omega, m))
+                                         for v in rows]
 
 
 # the ranges of the drawn magnitudes, in cgs units
