@@ -3,8 +3,8 @@ a constant, so that python -OO, which strips docstrings, prints it too.
 
 The CLI imports polbec.core (the scalar cgs float cores, the constants
 and the unit table) and polbec.config, and from the standard library math,
-os, re, sys, warnings, functools and types; argparse is imported only when a
-parser is built.  It holds the thresholds
+os, re, sys, warnings, functools, itertools and types; argparse is imported
+only when a parser is built.  It holds the thresholds
 table, the sweep and what they share with the other commands; the code
 of each other command lives in a module that main imports only when that
 command runs: polbec.masses (masses and its sweep), polbec.regime
@@ -34,14 +34,14 @@ error.  Like the metadata of every target, the notes (a note of a column
 holds if it holds for any value) are built and dropped: only a one-shot run
 prints them.  Every number of a CSV or text output, and of the metadata, is
 printed as '%.12g' prints it.  A CSV curve keeps its numpy columns and is
-printed by the numtext kernel; every other table is printed by table_rows,
-TABLE_BLOCK_ROWS rows at a time, each block by csv_block as ASCII bytes
-through one bytes '%' row template: a number cell is a '%.12g' field, a
-run of adjacent bool columns one field (b"true,false" for a row's True,
-False), and a column empty in some cells comes as bytes, through
-text_column.  A value that holds for every row (a ladder field that is
-not a column, or a cell of a one-row table) stays a scalar and is printed
-once, into the template.  A JSON curve (dispersion, hopfield)
+printed by the numtext kernel; every other table (its columns lists) is
+printed by table_rows, TABLE_BLOCK_ROWS rows at a time, each block by
+csv_block as ASCII bytes through one bytes '%' row template: a number cell
+is a '%.12g' field, a run of k adjacent bool columns one field (b"true,false"
+for a row's True, False; its 2^k texts made per block), and a column empty
+in some cells comes as bytes, through text_column.  A value that holds for
+every row (a ladder field that is not a column, or a one-row table's cell)
+is a scalar, printed once, into the template.  A JSON curve (dispersion, hopfield)
 has its rows laid out by polbec.curves from the float columns, each number
 in json's spelling of the 12-digit value, so it reads as the CSV cell does;
 render_json (json.dumps, indent=2) writes the rest.  Every other JSON
@@ -85,7 +85,7 @@ import re
 import sys
 import warnings
 from functools import cache
-from itertools import groupby
+from itertools import groupby, product
 from types import SimpleNamespace
 
 from . import __version__
@@ -149,25 +149,14 @@ TABLE_BLOCK_ROWS = 512
 BOOL_BYTES = {True: b"true", False: b"false", None: b""}
 
 
-class _RunBytes(dict):
-    """What csv_block prints for a row's cells of a run of bool columns, by
-    their tuple; each made on first use, so a run of k has 2^k at most."""
-
-    def __missing__(self, cells):
-        return self.setdefault(cells, b",".join(map(BOOL_BYTES.__getitem__, cells)))
-
-
-RUN_BYTES = _RunBytes()
-
-
 def fmt(x: float) -> str:
     return NUMBER % x
 
 
 def text_column(col):
-    """col as csv_block takes it: a column (a list or tuple) that holds None
-    printed to bytes, anything else as it is."""
-    if type(col) in (list, tuple) and None in col:
+    """col as csv_block takes it: a column (a list) that holds None printed
+    to bytes, anything else as it is."""
+    if type(col) is list and None in col:
         return [b"" if v is None else NUMBER_BYTES % v for v in col]
     return col
 
@@ -176,19 +165,23 @@ def csv_block(columns: list) -> bytes:
     """The CSV rows of a table given as columns, each ended by a newline, as
     ASCII bytes through one bytes '%' template per row.
 
-    A column is a list or tuple of cells.  Anything else is one value that
-    holds for every row: it is printed once, into the template, and a table
-    with no list column is one row.  A column of numbers prints through
-    NUMBER_BYTES, and one of bytes or a run of adjacent bool columns (through
-    RUN_BYTES) as one '%s' field.  The columns are never scanned for None: a
+    A column is a list of cells.  Anything else is one value that holds for
+    every row: it is printed once, into the template, and a table with no
+    list column is one row.  A column of numbers prints through NUMBER_BYTES,
+    and one of bytes or a run of k adjacent bool columns (its 2^k texts made
+    per block) as one '%s' field.  The columns are never scanned for None: a
     column empty in some cells must come as bytes, through text_column.
     """
     fields, cells = [], []
-    for run, group in groupby(columns, lambda col: type(col) in (list, tuple)
+    for run, group in groupby(columns, lambda col: type(col) is list
                               and isinstance(col[0], bool)):
-        # a run of bool columns prints as one column: the bytes of each row's cells
-        for col in [list(map(RUN_BYTES.__getitem__, zip(*group)))] if run else group:
-            if type(col) not in (list, tuple):
+        if run:  # a run of bool columns prints as one column: each row's bytes
+            group = list(group)
+            text = {row: b",".join(map(BOOL_BYTES.__getitem__, row))
+                    for row in product((False, True), repeat=len(group))}
+            group = [list(map(text.__getitem__, zip(*group)))]
+        for col in group:
+            if type(col) is not list:
                 fields.append(BOOL_BYTES[col] if col is None or isinstance(col, bool)
                               else NUMBER_BYTES % col)
             else:
@@ -204,9 +197,9 @@ def table_rows(columns: list):
     """The CSV rows of a table given as columns, through csv_block: the ASCII
     bytes of each block of TABLE_BLOCK_ROWS rows, formatted when it is asked
     for."""
-    rows = next((len(col) for col in columns if type(col) in (list, tuple)), 1)
+    rows = next((len(col) for col in columns if type(col) is list), 1)
     for i in range(0, rows, TABLE_BLOCK_ROWS):
-        yield csv_block([col[i:i + TABLE_BLOCK_ROWS] if type(col) in (list, tuple) else col
+        yield csv_block([col[i:i + TABLE_BLOCK_ROWS] if type(col) is list else col
                          for col in columns])
 
 
@@ -324,19 +317,6 @@ def _thresholds_table(c: RunConfig, command: str, args):
 # them; a masses or curve sweep builds one per value
 TABLES = ("masses", "thresholds", "hopfield", "dispersion")
 
-
-def _table_builder(command: str):
-    """The function that builds the table of a command of TABLES: cli's own
-    for thresholds, else from the command's module, imported now."""
-    if command == "thresholds":
-        return _thresholds_table
-    if command == "masses":
-        from .masses import masses_table
-        return masses_table
-    from .curves import curve_table
-    return curve_table
-
-
 # the commands whose table is a curve: numpy columns, printed through numtext
 CURVES = ("dispersion", "hopfield")
 
@@ -348,7 +328,7 @@ CURVES = ("dispersion", "hopfield")
 def cmd_table(cfg: RunConfig, args) -> int:
     """masses and thresholds: a one-row table, written as CSV, or as JSON
     with one key per value."""
-    meta, header, columns = _table_builder(args.command)(cfg, args.command, args)
+    meta, header, columns = _command(args.command)[1](cfg, args.command, args)
     meta = _meta_head(cfg) + meta
     if args.format == "json":
         emit(render_json({"metadata": meta, **dict(zip(header, columns))}), args.out)
@@ -361,12 +341,12 @@ def _sweep_table(cfg: RunConfig, spec: SweepSpec, args):
     """(header, blocks) of a sweep: the swept values, then the target's columns."""
     values = sweep_values(spec)
     key, target = spec.param, args.target
+    build = _command(target)[1]
     if target == "thresholds":
         # one table, by the one-shot run's builder, from a copy of the config
         # whose swept key holds its cgs column, so one ladder call
         try:
-            _, header, table = _thresholds_table(
-                cfg.with_value(key, config_cgs(spec, values)), target, args)
+            _, header, table = build(cfg.with_value(key, config_cgs(spec, values)), target, args)
             return header, table_rows([values, *table])
         except (ValueError, ArithmeticError):  # ConfigError is a ValueError
             pass  # the loop below stops at the first failing value's own error
@@ -374,7 +354,6 @@ def _sweep_table(cfg: RunConfig, spec: SweepSpec, args):
     # table.  A value is converted when its turn comes, so the sweep stops at
     # the error of its first failing value.
     c = cfg.with_value(key, None)
-    build = _table_builder(target)
     tables = []
     for value in values:
         c.values[key], = config_cgs(spec, [value])
@@ -541,20 +520,23 @@ def build_parser():
     return parser
 
 
-def _handler(command: str):
-    """The function that runs a command: cli's own for thresholds, masses and
-    sweep, else from the command's module, imported now, so that no command
-    compiles the code of another."""
-    if command == "check-coupling":
+def _command(name: str):
+    """(run, build) of a command: its runner and, for one of TABLES, its table
+    builder (else None); cli's own for thresholds and sweep, else imported now
+    from the command's module, so that no command compiles another's code."""
+    if name == "check-coupling":
         from .regime import cmd_check_coupling
-        return cmd_check_coupling
-    if command == "trap":
+        return cmd_check_coupling, None
+    if name == "trap":
         from .lens import cmd_trap
-        return cmd_trap
-    if command in CURVES:
-        from .curves import cmd_curve
-        return cmd_curve
-    return cmd_sweep if command == "sweep" else cmd_table
+        return cmd_trap, None
+    if name == "masses":
+        from .masses import masses_table
+        return cmd_table, masses_table
+    if name in CURVES:
+        from .curves import cmd_curve, curve_table
+        return cmd_curve, curve_table
+    return (cmd_sweep, None) if name == "sweep" else (cmd_table, _thresholds_table)
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:
@@ -576,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
             args.format = cfg.get("format", "csv")
         if args.units is None:
             args.units = cfg.get("units", "cgs")
-        return _handler(args.command)(cfg, args)
+        return _command(args.command)[0](cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"polbec: config error: {exc}\n")
         return EXIT_USAGE

@@ -149,6 +149,9 @@ _LOG2 = math.log(2.0)
 # |mu| below ~1e-13 kB T (T_d/T > 30): flagged as effectively zero
 _MU_ZERO_X = 30.0
 
+# the relative gap allowed between U0 and m_eff Omega_eff^2 r0^2 / 2: 7-digit U0s pass
+_TRAP_REL_TOL = 1e-6
+
 # a cgs magnitude, or a column of them
 _Cgs = float | list[float]
 
@@ -250,8 +253,7 @@ def _check_trap(omega: _Cgs) -> None:
         raise _ColumnError if type(omega) is list else ValueError("omega_eff must be finite")
 
 
-def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | None,
-                            rel_tol: float = 1e-6) -> None:
+def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | None) -> None:
     """U(r0) = U0 against m_eff Omega_eff^2 r0^2 / 2 (erg) when both are given;
     with a column among the arguments a failure raises _ColumnError."""
     if u0 is None or r0 is None:
@@ -268,7 +270,7 @@ def _check_trap_consistency(m_g: _Cgs, omega: _Cgs, u0: _Cgs | None, r0: _Cgs | 
             f"trap consistency: m_eff*Omega_eff^2*r0^2/2 overflows for "
             f"'omega_eff' = {omega:g} s^-1, 'r0' = {r0:g} cm")
     # written as not <= so that a NaN U0 counts as inconsistent
-    far = _stage(lambda us, es: [not abs(u - e) <= rel_tol * max(abs(u), abs(e))
+    far = _stage(lambda us, es: [not abs(u - e) <= _TRAP_REL_TOL * max(abs(u), abs(e))
                                  for u, e in zip(us, es)], u0, expected)
     if True in _cells(far):
         raise _ColumnError if column else ValueError(

@@ -129,10 +129,10 @@ class TrapSpec:
         if self.r0 is not None:
             magnitude_in_cgs(self.r0, LENGTH, "r0")
 
-    def check_consistency(self, m_eff: Quantity, rel_tol: float = 1e-6) -> None:
+    def check_consistency(self, m_eff: Quantity) -> None:
         """Verify U(r0) = U0 against m_eff Omega^2 r0^2 / 2 when both given."""
         _check_trap_consistency(magnitude_in_cgs(m_eff, MASS, "m_eff"), self.omega_eff.cgs,
-                                _opt_cgs(self.u0), _opt_cgs(self.r0), rel_tol)
+                                _opt_cgs(self.u0), _opt_cgs(self.r0))
 
 
 @dataclass(frozen=True)

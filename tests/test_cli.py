@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -1513,10 +1514,7 @@ def csv_tables(draw, rows=st.integers(1, 6)):
     lists = [col for col in columns if type(col) is list]
     if lists and draw(st.booleans()):  # a copy of a column, as a sweep's repeats its key's
         columns.append(list(draw(st.sampled_from(lists))))
-    # sweep builders hand over tuples from zip
-    columns = [tuple(col) if type(col) is list and draw(st.booleans()) else col
-               for col in columns]
-    lists = [col for col in columns if type(col) in (list, tuple)]
+    lists = [col for col in columns if type(col) is list]
     if lists and draw(st.booleans()):  # the same column again, as config_cgs shares a sweep's
         columns.append(draw(st.sampled_from(lists)))
     return columns
@@ -1524,6 +1522,12 @@ def csv_tables(draw, rows=st.integers(1, 6)):
 
 # one list that comes twice, as a T sweep's column and its T_K column do
 SHARED_COLUMN = [0.0, -0.0, math.nan]
+
+
+def every_bool_row(k: int) -> list:
+    """k bool columns whose rows are the 2^k rows of k bools, then a float column."""
+    rows = list(product((False, True), repeat=k))
+    return [*map(list, zip(*rows)), [1.5] * len(rows)]
 
 
 @settings(deadline=None)
@@ -1542,9 +1546,14 @@ SHARED_COLUMN = [0.0, -0.0, math.nan]
 # runs of bool columns: the whole row, at its start and at its end, split by
 # bool scalars, and split by a column of empty cells
 @example(columns=[[True, False], [False, False], [True, True], [False, True]])
-@example(columns=[[True, False], (False, True), 1.5, [0.0, 2.0], [False, False], [True, True]])
+@example(columns=[[True, False], [False, True], 1.5, [0.0, 2.0], [False, False], [True, True]])
 @example(columns=[[True, False], True, [False, True], False, [True, True]])
 @example(columns=[[True, False], [None, None], [False, True], [True, True]])
+# runs of k = 1-4 bool columns that hold every row of k bools, then a float column
+@example(columns=every_bool_row(1))
+@example(columns=every_bool_row(2))
+@example(columns=every_bool_row(3))
+@example(columns=every_bool_row(4))
 def test_csv_block_matches_per_cell_formatting(columns):
     # the builders hand a column that may be empty in some cells through
     # text_column, which leaves every other column and every scalar as it is

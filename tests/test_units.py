@@ -216,6 +216,37 @@ def test_check_raises(name):
         call()
 
 
+@pytest.mark.parametrize(
+    "op, expected",
+    [
+        (lambda q: q + 1.0, TypeError),
+        (lambda q: q - 1.0, TypeError),
+        (lambda q: q * "x", TypeError),
+        (lambda q: q / "x", TypeError),
+        (lambda q: "x" / q, TypeError),
+        (lambda q: q == 1.0, False),
+        (lambda q: q != 1.0, True),
+        (lambda q: q.to("cgs"), (8.0, LENGTH, "cgs")),
+        (lambda q: convert(q, "cgs"), (8.0, LENGTH, "cgs")),
+        (lambda q: q ** Fraction(1, 3), (2.0, LENGTH ** Fraction(1, 3), "cgs")),
+    ],
+    ids=["add-float", "sub-float", "mul-str", "div-str", "rdiv-str", "eq-float", "ne-float",
+         "to-own-system", "convert-own-system", "cube-root"],
+)
+def test_quantity_operands_and_own_system(op, expected):
+    # a float or str operand has no rule: the operation raises TypeError, and
+    # == and != fall back to identity; converting to its own system keeps q
+    q = qty(8, "cm")
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            op(q)
+    elif type(expected) is bool:
+        assert op(q) is expected
+    else:
+        result = op(q)
+        assert (result.magnitude, result.dimension, result.system) == expected
+
+
 class TestUnits:
     def test_energy_chain(self):
         assert qty(1.0, "eV").magnitude == pytest.approx(1.602176634e-12, rel=1e-15)
