@@ -11,8 +11,10 @@ and laid out in numpy:
 - e = floor(log10 |x|), and m = |x| * 10^(11 - e) with an exact power of
   ten (10^0 .. 10^22), so m is the exact product rounded once.
 - q = rint(m) holds the 12 significant digits; a carry to 1e12 gives 1e11
-  with e + 1.  Three 4-digit groups of q index a table of ASCII digits, and
-  the trailing zeros are dropped.
+  with e + 1.  Its int64 cast is exact, and // and % split it into three
+  4-digit groups.  Each indexes a 10000-word table of ASCII digits (80 KB),
+  and its row of a (3, 10000) uint8 table (30 KB) counts q's digits up to
+  the group's last nonzero one.  The module's tables take about 138 KB.
 - Each cell is laid out in five little-endian 8-byte words: the sign and
   the '0.000' prefix of a fixed-point number below 1; the 12 digits, each
   followed by a slot for the point, where one '.' is put; and 'e+XX' with
@@ -67,12 +69,11 @@ _D = np.arange(10)
 _DIGITS = (48 + _D[:, None]).astype(np.uint64) << np.arange(0, 64, 16, dtype=np.uint64)
 _DIGITS = (_DIGITS[:, None, None, None, 0] | _DIGITS[:, None, None, 1]
            | _DIGITS[:, None, 2] | _DIGITS[:, 3]).ravel()
-# the digits of q up to its last nonzero one, by group j = 0, 1, 2 at index
-# 10000 j + group: 4 j + those of the group, or 0 for a group of 0
+# the digits of q up to its last nonzero one, by group j = 0, 1, 2 in row j:
+# 4 j + those of the group, or 0 for a group of 0
 _KEPT = np.maximum(np.maximum((_D > 0)[:, None, None, None] * 1, (_D > 0)[:, None, None] * 2),
                    np.maximum((_D > 0)[:, None] * 3, (_D > 0) * 4)).ravel()
-_KEPT = ((_KEPT + 4 * np.arange(3)[:, None]) * (_KEPT > 0)).ravel()
-_GROUP = 10000 * np.arange(3)[:, None]
+_KEPT = ((_KEPT + 4 * np.arange(3)[:, None]) * (_KEPT > 0)).astype(np.uint8)
 
 # what is added to the three digit words of q with nd significant digits,
 # at index 13 (E + 12) + nd: '0' back to NUL past the digits shown (a whole
@@ -110,23 +111,20 @@ def _block(x: np.ndarray, cells: np.ndarray) -> bytes:
     ok = np.isfinite(ax) & (ax != 0.0)
     ax[~ok] = 1.0
     e = np.floor(np.log10(ax)).astype(np.intp) + 12  # e and every E below: + 12
-    i = np.clip(e, 1, 45)
+    i = np.minimum(np.maximum(e, 1), 45)
     m = ax * _MUL.take(i) / _DIV.take(i)
     q = np.rint(m)
     ok &= (i == e) & (m >= 1e11) & (m < 1e12) & (np.abs(m - q) < 0.5)
+    bad = np.flatnonzero(~ok)
+    q[bad] = 1e11
+    e[bad] = 12  # no exponent: the tail holds just the separator
     carry = q == 1e12
     q[carry] = 1e11
     e += carry
-    q[~ok] = 1e11
-    e[~ok] = 12  # no exponent: the tail holds just the separator
 
-    groups = np.empty((3, flat.size))
-    np.floor(q / 1e8, out=groups[0])
-    rest = q - groups[0] * 1e8
-    np.floor(rest / 1e4, out=groups[1])
-    np.subtract(rest, groups[1] * 1e4, out=groups[2])
-    groups = groups.astype(np.intp)
-    kept = _KEPT.take(groups + _GROUP)
+    top, rest = np.divmod(q.astype(np.int64), 10 ** 8)
+    groups = (top, *np.divmod(rest, 10 ** 4))
+    kept = [row.take(group) for row, group in zip(_KEPT, groups)]
     fill = 13 * e + np.maximum(np.maximum(kept[0], kept[1]), kept[2])
 
     cells = cells[:flat.size]
@@ -136,7 +134,6 @@ def _block(x: np.ndarray, cells: np.ndarray) -> bytes:
     tail = 2 * e.reshape(rows, ncol)
     tail[:, -1] += 1
     cells[:, 4] = _TAIL.take(tail.ravel())
-    bad = np.flatnonzero(~ok)
     if bad.size:  # the text '%.12g' gives, from the cell's first byte on
         text = b"".join((NUMBER % v).encode().ljust(32, b"\0") for v in flat[bad].tolist())
         cells[bad, :4] = np.frombuffer(text, _WORD).reshape(-1, 4)

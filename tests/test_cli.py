@@ -20,7 +20,7 @@ from polbec.cli import build_parser, csv_block, fmt, main
 from polbec.config import ConfigError, RunConfig, SweepSpec, sweep_values
 from polbec.core import EV_ERG
 from polbec.curves import curve_json
-from test_golden_bytes import CASES, CONFIGS
+from golden_cases import CASES, CONFIGS
 
 import parser_parity
 

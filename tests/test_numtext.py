@@ -73,3 +73,16 @@ def test_powers_of_ten_and_their_neighbours(exponent):
 
 def test_no_rows_print_nothing():
     assert csv_rows(np.empty((0, 3))) == ""
+
+
+@pytest.mark.parametrize("exponent", range(-13, 36))
+def test_every_layout_prints_as_the_template(exponent):
+    # each printed exponent E of the tables' -12 .. 34, and one beyond each end,
+    # which '%' prints itself, with each count of significant digits 1 .. 12
+    # and the carry that rounds 9.99...96 up to a power of ten; every value and
+    # its negation in a middle and in the last column
+    values = [float(f"{digits[0]}.{digits[1:]}e{exponent}")
+              for digits in ("123456789123"[:nd] for nd in range(1, 13))]
+    values.append(float(f"9.9999999999996e{exponent - 1}"))
+    table = [[2.5, sign * v, -sign * v] for v in values for sign in (1, -1)]
+    assert csv_rows(table) == reference(table)
