@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polbec.branches import branch_energies, hopfield_fractions
-from polbec.core import C_CGS, HBAR_CGS
+from polbec.branches import branch_energies, hopfield_fractions, sample_dispersion_cgs
+from polbec.core import C_CGS, EV_ERG, HBAR_CGS
 from polbec.coupling import resonant_coupling
 from polbec.dispersion import (
     BranchPoint,
@@ -203,6 +203,40 @@ def test_hopfield_fractions_match_mpmath_at_extreme_ratios(ratio, g):
         exact = ((s - d) / (2 * s), (s + d) / (2 * s))
     for value, reference in zip((mu2, nu2), exact):
         assert abs(float(value) - reference) <= 1e-12 * reference
+
+
+def sampled(delta_over_g: float, g: float, n_samples: int = 2001):
+    """sample_dispersion_cgs on a 2.104 eV transition whose k_par = 0 mismatch
+    E_at - E_ph is delta_over_g * g, g in erg."""
+    e_at = 2.104 * EV_ERG
+    k_perp = (e_at - delta_over_g * g) / (HBAR_CGS * C_CGS)
+    return e_at, sample_dispersion_cgs(e_at, g, k_perp, n_samples)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta_over_g, g", [
+    *((ratio, 1e-3 * EV_ERG) for ratio in (-20.0, -1.0, 0.0, 1.0, 20.0)),
+    (0.0, 1e153),  # 2 s (s + |delta|) ~ 8e306, an overflow away from the check below
+])
+def test_sampled_columns_are_the_closed_forms_bit_for_bit(delta_over_g, g):
+    # the sampler's branch and Hopfield columns are what the public closed
+    # forms give on its own photon energies, with no operation reordered
+    e_at, (_, e1, e2, mu2, nu2, e_ph) = sampled(delta_over_g, g)
+    for column, closed in zip((e1, e2, mu2, nu2),
+                              (*branch_energies(e_at, e_ph, g), *hopfield_fractions(e_at - e_ph, g))):
+        assert np.array_equal(column, closed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("g, detail", [
+    (5e153, "off by 5.000e-01"),  # 4 g^2 is finite, 2 s (s + |delta|) is not
+    (1e154, "not finite"),        # 4 g^2 overflows too
+])
+def test_normalization_check_names_g_where_the_fractions_overflow(g, detail):
+    with pytest.raises(ValueError) as info:
+        sampled(0.0, g, 101)
+    assert str(info.value) == (f"Hopfield normalization mu_sq + nu_sq = 1 fails ({detail}) "
+                               f"at 'g' = {g / EV_ERG:.6g} eV")
 
 
 class TestSampleDispersion:

@@ -86,3 +86,45 @@ def test_every_layout_prints_as_the_template(exponent):
     values.append(float(f"9.9999999999996e{exponent - 1}"))
     table = [[2.5, sign * v, -sign * v] for v in values for sign in (1, -1)]
     assert csv_rows(table) == reference(table)
+
+
+# magnitudes whose text carries no exponent (E in -4 .. 11), bar a carry from
+# just below 1e12: blocks of them take the 4-word cell, whose separator sits
+# in the last byte of the third digit word
+PLAIN = st.floats(1e-4, 1e12, exclude_max=True)
+# cells that '%' prints itself, among them a 12-digit tie and the smallest
+# subnormal, whose text has an exponent but leaves the block's layout as it is
+FALLBACK = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 12345678901.25]
+
+
+@pytest.mark.parametrize("value", FALLBACK)
+@pytest.mark.parametrize("column", [1, 3])
+def test_fallback_cell_in_a_block_without_exponents(value, column):
+    # in a middle and in the last column: the text of '%' ends before the
+    # separator's byte
+    table = np.array([[2.5, -0.125, 31.75, 1e-4], [123456.789, 0.5, -7.0, 99999999999.9]])
+    table[1, column] = value
+    assert csv_rows(table) == reference(table)
+
+
+@pytest.mark.parametrize("ncol", [1, 3, 7])
+def test_blocks_switch_between_cell_layouts(ncol):
+    rows = 5 * BLOCK_ROWS + 7
+    rng = np.random.default_rng(ncol)
+    table = rng.uniform(1e-3, 1e3, (rows, ncol)) * rng.choice([-1.0, 1.0], (rows, ncol))
+    # a printed exponent in blocks 0, 2 and 5 only, at a block's last or first
+    # row; the blocks between print none, and '%' cells sit at their edges
+    table[BLOCK_ROWS - 1, -1] = 1.5e-7
+    table[2 * BLOCK_ROWS, 0] = -6.02e23
+    table[5 * BLOCK_ROWS, ncol // 2] = 1e12
+    table[BLOCK_ROWS, -1] = np.nan
+    table[3 * BLOCK_ROWS - 1, -1] = -np.inf
+    table[4 * BLOCK_ROWS - 1, 0] = 0.0
+    assert csv_rows(table) == reference(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 8)),
+                  elements=PLAIN | PLAIN.map(lambda v: -v)))
+def test_any_table_without_exponents_prints_as_the_template(table):
+    assert csv_rows(table) == reference(table)
